@@ -79,31 +79,35 @@ def _best_split(
     feats: np.ndarray,
     min_leaf: int,
 ) -> tuple[float, int, float] | None:
-    g_total = g[rows].sum()
-    h_total = h[rows].sum()
+    """Highest-gain (gain, feature, threshold) over all features at once, or None.
+
+    Ties go to the lowest cut position within a feature, then to the earliest
+    feature in feats.
+    """
+    g_rows = g[rows]
+    h_rows = h[rows]
+    g_total = g_rows.sum()
+    h_total = h_rows.sum()
     parent = g_total**2 / (h_total + L2_LAMBDA)
-    best: tuple[float, int, float] | None = None
-    for f in feats:
-        values = x[rows, f]
-        order = np.argsort(values, kind="stable")
-        xs = values[order]
-        gl = np.cumsum(g[rows][order])
-        hl = np.cumsum(h[rows][order])
-        # split after position i keeps rows 0..i on the left
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        cut = cut[(cut + 1 >= min_leaf) & (len(rows) - cut - 1 >= min_leaf)]
-        if len(cut) == 0:
-            continue
-        gains = 0.5 * (
-            gl[cut] ** 2 / (hl[cut] + L2_LAMBDA)
-            + (g_total - gl[cut]) ** 2 / (h_total - hl[cut] + L2_LAMBDA)
-            - parent
-        )
-        j = int(np.argmax(gains))
-        if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
-            thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
-            best = (float(gains[j]), int(f), float(thr))
-    return best
+    block = x[rows[:, None], feats]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    gl = np.cumsum(g_rows[order], axis=0)[:-1]
+    hl = np.cumsum(h_rows[order], axis=0)[:-1]
+    # a cut after position i keeps sorted rows 0..i on the left
+    n_left = np.arange(1, len(rows))[:, None]
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (len(rows) - n_left >= min_leaf)
+    gains = 0.5 * (
+        gl**2 / (hl + L2_LAMBDA) + (g_total - gl) ** 2 / (h_total - hl + L2_LAMBDA) - parent
+    )
+    gains[~valid] = -np.inf
+    cut = np.argmax(gains, axis=0)
+    col_gains = gains[cut, np.arange(len(feats))]
+    j = int(np.argmax(col_gains))
+    if not col_gains[j] > 0.0:
+        return None
+    thr = 0.5 * (xs[cut[j], j] + xs[cut[j] + 1, j])
+    return float(col_gains[j]), int(feats[j]), float(thr)
 
 
 def _build_tree(

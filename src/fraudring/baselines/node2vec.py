@@ -6,9 +6,8 @@ downstream classifier, concatenated in front of the account features.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,6 +15,12 @@ from ..features import LabeledDataset, Split, Tag
 from ..geniepath import sigmoid
 from ..graph import DeviceSharingGraph
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
+
+# Full-batch Adam steps per skip-gram epoch, and the Adam moment constants.
+STEPS_PER_EPOCH = 50
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -159,7 +164,7 @@ def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int
 
 @dataclass
 class Embeddings:
-    """Per-node vectors plus the averaged skip-gram loss per training epoch."""
+    """Per-node vectors plus the mean per-pair skip-gram loss over each epoch's steps."""
 
     vectors: np.ndarray
     epoch_losses: list[float]
@@ -194,13 +199,94 @@ def _walk_pairs(walks: Sequence[Sequence[int]], window: int) -> tuple[np.ndarray
     return np.concatenate(centers), np.concatenate(contexts)
 
 
+class _PairTable(NamedTuple):
+    """Distinct window pairs weighted by count / total pairs, and each center's summed weight.
+
+    center_keys and context_keys are the pairs' flat node*d+dim scatter keys.
+    """
+
+    center: np.ndarray
+    context: np.ndarray
+    weight: np.ndarray
+    centers: np.ndarray
+    center_weight: np.ndarray
+    center_keys: np.ndarray
+    context_keys: np.ndarray
+
+
+def _flat_keys(index: np.ndarray, d: int) -> np.ndarray:
+    return (index[:, None] * d + np.arange(d)).ravel()
+
+
+def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(n_nodes, d) sums of rows grouped by node, as one flat bincount over node*d+dim keys."""
+    d = rows.shape[1]
+    return np.bincount(keys, weights=rows.ravel(), minlength=n_nodes * d).reshape(n_nodes, d)
+
+
+def _pair_table(
+    walks: Sequence[Sequence[int]], window: int, n_nodes: int, d: int
+) -> _PairTable | None:
+    """Count the window pairs once; None when the walks hold no pair."""
+    raw_centers, raw_contexts = _walk_pairs(walks, window)
+    if len(raw_centers) == 0:
+        return None
+    keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
+    weight = counts / len(raw_centers)
+    center = keys // n_nodes
+    context = keys % n_nodes
+    mass = np.bincount(center, weights=weight, minlength=n_nodes)
+    centers = np.flatnonzero(mass)
+    return _PairTable(
+        center, context, weight, centers, mass[centers], _flat_keys(center, d), _flat_keys(context, d)
+    )
+
+
+def _sgns_loss_grad(
+    w_center: np.ndarray, w_context: np.ndarray, pairs: _PairTable, negatives: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted SGNS loss and its gradients with respect to both tables.
+
+    Each distinct pair (c, o) adds weight * softplus(-u_c . v_o). Row i of
+    negatives holds the draws for pairs.centers[i], each adding
+    center_weight[i] * softplus(u_c . v_neg). This is the per-pair loss
+    averaged over every raw pair, with each pair's negatives shared by all
+    pairs of its center.
+    """
+    n, d = w_center.shape
+    u_pair = w_center[pairs.center]
+    v_pair = w_context[pairs.context]
+    s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
+    u = w_center[pairs.centers]
+    v_neg = w_context[negatives]
+    s_neg = np.einsum("cd,ckd->ck", u, v_neg)
+    loss = float(
+        pairs.weight @ np.logaddexp(0.0, -s_pos)
+        + pairs.center_weight @ np.logaddexp(0.0, s_neg).sum(axis=1)
+    )
+    g_pos = (pairs.weight * (sigmoid(s_pos) - 1.0))[:, None]
+    g_neg = pairs.center_weight[:, None] * sigmoid(s_neg)
+    # the gathered rows are not needed after this, so scale them in place
+    d_center = _scatter_rows(pairs.center_keys, np.multiply(v_pair, g_pos, out=v_pair), n)
+    d_center[pairs.centers] += np.einsum("ck,ckd->cd", g_neg, v_neg)
+    d_context = _scatter_rows(pairs.context_keys, np.multiply(u_pair, g_pos, out=u_pair), n)
+    d_context += _scatter_rows(
+        _flat_keys(negatives.ravel(), d), (g_neg[..., None] * u[:, None, :]).reshape(-1, d), n
+    )
+    return loss, d_center, d_context
+
+
 def train_embeddings(
     walks: Sequence[Sequence[int]], config: Node2vecConfig, n_nodes: int | None = None
 ) -> Embeddings:
     """Skip-gram with negative sampling over walk co-occurrence windows.
 
-    Negatives follow the unigram^0.75 distribution of walk tokens. The step
-    size decays linearly across all batches from step_size to 1% of it.
+    The window pairs are counted once; each epoch then takes STEPS_PER_EPOCH
+    full-batch Adam steps of size step_size on the per-pair loss averaged over
+    all raw pairs. Every step draws negative_samples negatives per distinct
+    center from the unigram^0.75 distribution of walk tokens, each weighted by
+    the center's share of the pairs. epoch_losses holds the mean loss over
+    each epoch's steps.
     """
     if not walks:
         raise ValueError("walks must be nonempty")
@@ -211,55 +297,38 @@ def train_embeddings(
     w_center = rng.uniform(-0.5 / d, 0.5 / d, size=(n_nodes, d))
     w_context = np.zeros((n_nodes, d))
 
-    centers, contexts = _walk_pairs(walks, config.window)
-    if len(centers) == 0:
+    pairs = _pair_table(walks, config.window, n_nodes, d)
+    if pairs is None:
         return Embeddings(w_center, [])
 
-    counts = np.bincount(
+    tokens = np.bincount(
         np.concatenate([np.asarray(w, dtype=np.int64) for w in walks]), minlength=n_nodes
-    ).astype(np.float64)
-    noise = counts**0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
+    )
+    noise_prob, noise_alias = _alias_build(tokens**0.75)
+    draws = (len(pairs.centers), config.negative_samples)
 
-    # Updates within a batch are accumulated at stale parameters, so tie the
-    # batch size to the vocabulary: tiny graphs otherwise pile hundreds of
-    # same-direction contributions onto each node and diverge.
-    batch_size = min(8192, max(64, 8 * n_nodes))
-    n_batches_total = config.epochs * math.ceil(len(centers) / batch_size)
-    batch_index = 0
+    params = (w_center, w_context)
+    moments = [np.zeros_like(w) for w in params]
+    squares = [np.zeros_like(w) for w in params]
+    step = 0
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
-        order = rng.permutation(len(centers))
         total = 0.0
-        for lo in range(0, len(order), batch_size):
-            sel = order[lo : lo + batch_size]
-            c = centers[sel]
-            ctx = contexts[sel]
-            neg = np.searchsorted(noise_cdf, rng.random((len(sel), config.negative_samples)))
-
-            lr = config.step_size * max(0.01, 1.0 - batch_index / n_batches_total)
-            batch_index += 1
-
-            u = w_center[c]
-            v_pos = w_context[ctx]
-            v_neg = w_context[neg]
-            s_pos = np.einsum("bd,bd->b", u, v_pos)
-            s_neg = np.einsum("bd,bnd->bn", u, v_neg)
-            total += float(
-                np.logaddexp(0.0, -s_pos).sum() + np.logaddexp(0.0, s_neg).sum()
-            )
-
-            g_pos = sigmoid(s_pos) - 1.0
-            g_neg = sigmoid(s_neg)
-            du = g_pos[:, None] * v_pos + np.einsum("bn,bnd->bd", g_neg, v_neg)
-            np.add.at(w_center, c, -lr * du)
-            np.add.at(w_context, ctx, -lr * (g_pos[:, None] * u))
-            np.add.at(
-                w_context,
-                neg.ravel(),
-                (-lr * (g_neg[..., None] * u[:, None, :])).reshape(-1, d),
-            )
-        epoch_losses.append(total / len(centers))
+        for _ in range(STEPS_PER_EPOCH):
+            k = np.minimum((rng.random(draws) * n_nodes).astype(np.int64), n_nodes - 1)
+            negatives = np.where(rng.random(draws) < noise_prob[k], k, noise_alias[k])
+            loss, *grads = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+            total += loss
+            step += 1
+            for w, grad, m, v in zip(params, grads, moments, squares):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad**2
+                m_hat = m / (1.0 - ADAM_BETA1**step)
+                v_hat = v / (1.0 - ADAM_BETA2**step)
+                w -= config.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        epoch_losses.append(total / STEPS_PER_EPOCH)
     return Embeddings(w_center, epoch_losses)
 
 

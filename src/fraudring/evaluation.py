@@ -24,14 +24,18 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def confusion(
-    scores: Mapping[int, float], labels: Mapping[int, bool], threshold: float
-) -> ConfusionCounts:
-    """Counts with 'predicted positive' meaning score >= threshold."""
+def _check_same_accounts(scores: Mapping[int, float], labels: Mapping[int, bool]) -> None:
     if set(scores) != set(labels):
         only_s = sorted(set(scores) - set(labels))[:5]
         only_l = sorted(set(labels) - set(scores))[:5]
         raise ValueError(f"scores and labels cover different accounts (extra scores {only_s}, extra labels {only_l})")
+
+
+def confusion(
+    scores: Mapping[int, float], labels: Mapping[int, bool], threshold: float
+) -> ConfusionCounts:
+    """Counts with 'predicted positive' meaning score >= threshold."""
+    _check_same_accounts(scores, labels)
     tp = fp = tn = fn = 0
     for key, score in scores.items():
         predicted = score >= threshold
@@ -79,12 +83,13 @@ def detection_expansion(counts: ConfusionCounts) -> float:
     return (counts.fp + counts.tp + counts.fn) / denom
 
 
-def pr_curve(
+def _ranked_counts(
     scores: Mapping[int, float], labels: Mapping[int, bool]
-) -> list[tuple[float, float, float]]:
-    """(threshold, precision, recall) at every distinct score, descending."""
-    if not any(labels.values()):
-        raise ValueError("PR curve needs at least one positive label")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Distinct scores descending, with true and predicted positives at each as threshold.
+
+    Also returns the number of positive labels. scores must be nonempty.
+    """
     keys = sorted(scores)
     s = np.array([scores[k] for k in keys])
     y = np.array([labels[k] for k in keys], dtype=bool)
@@ -92,27 +97,38 @@ def pr_curve(
     s = s[order]
     y = y[order]
     tp_cum = np.cumsum(y)
-    n_pos = int(y.sum())
     # index of the last element in each block of equal scores
     block_ends = np.flatnonzero(np.concatenate([s[1:] < s[:-1], [True]]))
+    return s[block_ends], tp_cum[block_ends], block_ends + 1, int(y.sum())
+
+
+def pr_curve(
+    scores: Mapping[int, float], labels: Mapping[int, bool]
+) -> list[tuple[float, float, float]]:
+    """(threshold, precision, recall) at every distinct score, descending."""
+    if not any(labels.values()):
+        raise ValueError("PR curve needs at least one positive label")
+    thresholds, tp, n_pred, n_pos = _ranked_counts(scores, labels)
     return [
-        (float(s[e]), int(tp_cum[e]) / (int(e) + 1), int(tp_cum[e]) / n_pos)
-        for e in block_ends
+        (float(t), int(a) / int(b), int(a) / n_pos) for t, a, b in zip(thresholds, tp, n_pred)
     ]
 
 
 def best_f1_threshold(
     scores: Mapping[int, float], labels: Mapping[int, bool]
 ) -> tuple[float, float]:
-    """Distinct score value maximizing F1; ties go to the highest threshold."""
-    best: tuple[float, float] | None = None
-    for threshold in sorted({float(v) for v in scores.values()}, reverse=True):
-        value = f1(confusion(scores, labels, threshold))
-        if best is None or value > best[1]:
-            best = (threshold, value)
-    if best is None:
+    """Distinct score value maximizing F1; ties go to the highest threshold.
+
+    F1 is computed as the single division 2*tp / (predicted + actual
+    positives), so equal ratios give equal floats and ties are exact.
+    """
+    if not scores:
         raise ValueError("no scores to threshold")
-    return best
+    _check_same_accounts(scores, labels)
+    thresholds, tp, n_pred, n_pos = _ranked_counts(scores, labels)
+    f1s = 2.0 * tp / (n_pred + n_pos)
+    best = int(np.argmax(f1s))
+    return float(thresholds[best]), float(f1s[best])
 
 
 @dataclass

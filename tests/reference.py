@@ -1,9 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written scalar-first with plain python containers and the
-math module, deliberately avoiding the vectorized code paths under test.
+math module, deliberately avoiding the vectorized code paths under test. The one
+exception, loop_best_split, keeps the GBDT's former per-feature numpy loop.
 """
 import math
+from fractions import Fraction
+
+import numpy as np
 
 
 def as_lists(a):
@@ -177,3 +181,83 @@ def brute_force_confusion(scores, labels, threshold):
     fn = sum(1 for s, y in zip(scores, labels) if s < threshold and y)
     tn = sum(1 for s, y in zip(scores, labels) if s < threshold and not y)
     return tp, fp, tn, fn
+
+
+def loop_best_split(x, g, h, rows, feats, min_leaf, l2_lambda=1.0):
+    """GBDT split search one feature at a time: (gain, feature, threshold) or None.
+
+    Sorts each sampled feature on its own and keeps the first strictly best
+    cut; the vectorised search must return the same tuple bit for bit.
+    """
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
+    parent = g_total**2 / (h_total + l2_lambda)
+    best = None
+    for f in feats:
+        values = x[rows, f]
+        order = np.argsort(values, kind="stable")
+        xs = values[order]
+        gl = np.cumsum(g[rows][order])
+        hl = np.cumsum(h[rows][order])
+        # split after position i keeps rows 0..i on the left
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        cut = cut[(cut + 1 >= min_leaf) & (len(rows) - cut - 1 >= min_leaf)]
+        if len(cut) == 0:
+            continue
+        gains = 0.5 * (
+            gl[cut] ** 2 / (hl[cut] + l2_lambda)
+            + (g_total - gl[cut]) ** 2 / (h_total - hl[cut] + l2_lambda)
+            - parent
+        )
+        j = int(np.argmax(gains))
+        if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
+            thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
+            best = (float(gains[j]), int(f), float(thr))
+    return best
+
+
+def fraction_best_f1(scores, labels):
+    """(threshold, F1) maximizing exact rational F1; ties go to the highest threshold.
+
+    scores: list of floats; labels: list of bools. F1 is a Fraction.
+    """
+    n_pos = sum(1 for flag in labels if flag)
+    best = None
+    for t in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y)
+        n_pred = sum(1 for s in scores if s >= t)
+        value = Fraction(2 * tp, n_pred + n_pos)
+        if best is None or value > best[1]:
+            best = (t, value)
+    return best
+
+
+def softplus(x):
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def naive_sgns_loss(w_center, w_context, centers, contexts, negatives_by_center):
+    """Skip-gram loss averaged over a raw (center, context) pair list.
+
+    Each pair adds softplus(-u_c . v_o) plus softplus(u_c . v_n) for every
+    negative n listed for its center in negatives_by_center (a dict).
+    """
+    total = 0.0
+    for c, o in zip(centers, contexts):
+        u = w_center[c]
+        total += softplus(-dot(u, w_context[o]))
+        for n in negatives_by_center.get(c, ()):
+            total += softplus(dot(u, w_context[n]))
+    return total / len(centers)
+
+
+def window_pairs(walks, window):
+    """Every (center, context) pair within window steps of each other in a walk."""
+    centers, contexts = [], []
+    for walk in walks:
+        for i, center in enumerate(walk):
+            for j in range(max(0, i - window), min(len(walk), i + window + 1)):
+                if j != i:
+                    centers.append(center)
+                    contexts.append(walk[j])
+    return centers, contexts

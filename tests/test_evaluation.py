@@ -19,7 +19,7 @@ from fraudring.evaluation import (
     tag_truth_mismatches,
 )
 from fraudring.features import Split, Tag
-from reference import brute_force_confusion, brute_force_pr_points
+from reference import brute_force_confusion, brute_force_pr_points, fraction_best_f1
 from util import make_dataset, make_graph
 
 
@@ -186,6 +186,36 @@ class TestBestF1Threshold:
         # t=0.9: F1=2/3; t=0.4: tp=1, fp=1, fn=1 -> 0.5; t=0.2: tp=2, fp=1 -> 0.8
         thr, best = best_f1_threshold(scores, labels)
         assert (thr, best) == (0.2, pytest.approx(0.8))
+
+    def test_three_exact_ties_go_to_highest_threshold(self):
+        # 33 positives; thresholds 0.9, 0.8 and 0.7 give tp/predicted of
+        # 26/45, 27/48 and 28/51, each exactly F1 = 2/3, and 0.1 gives 66/109.
+        groups = [(0.9, 26, 19), (0.8, 1, 2), (0.7, 1, 2), (0.1, 5, 20)]
+        scores, labels = {}, {}
+        for score, n_pos, n_neg in groups:
+            for flag in [True] * n_pos + [False] * n_neg:
+                scores[len(scores)] = score
+                labels[len(labels)] = flag
+        assert [f1(confusion(scores, labels, t)) for t in (0.9, 0.8, 0.7)] == pytest.approx(
+            [2 / 3] * 3, abs=1e-15
+        )
+        assert best_f1_threshold(scores, labels) == (0.9, 2 / 3)
+
+    def test_matches_exact_fraction_oracle(self):
+        rng = np.random.default_rng(14)
+        for trial in range(200):
+            n = int(rng.integers(1, 60))
+            scores, labels = random_scored_labels(rng, n, base_rate=rng.uniform(0.05, 0.9), ties=trial % 3 > 0)
+            keys = sorted(scores)
+            want_thr, want_f1 = fraction_best_f1([scores[k] for k in keys], [labels[k] for k in keys])
+            assert best_f1_threshold(scores, labels) == (want_thr, float(want_f1))
+
+    def test_no_positive_labels_pick_highest_threshold(self):
+        assert best_f1_threshold({0: 0.2, 1: 0.7}, {0: False, 1: False}) == (0.7, 0.0)
+
+    def test_mismatched_accounts_rejected(self):
+        with pytest.raises(ValueError, match="different accounts"):
+            best_f1_threshold({0: 0.5, 1: 0.2}, {0: True, 2: False})
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="no scores"):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fraudring.baselines import gbdt
 from fraudring.baselines.gbdt import (
+    L2_LAMBDA,
     GBDTConfig,
     GBDTModel,
     ModelFormatError,
@@ -13,6 +15,7 @@ from fraudring.baselines.gbdt import (
     load_gbdt,
     save_gbdt,
 )
+from reference import loop_best_split
 
 
 def xor_dataset(n=200, seed=0):
@@ -131,6 +134,77 @@ class TestFit:
 
         for tree in model.trees:
             check(tree)
+
+
+def random_split_block(rng, n, p):
+    """Feature matrix with heavy duplicates, a constant column and a repeated column."""
+    x = np.round(rng.normal(size=(n, p)), int(rng.integers(0, 3)))
+    x[:, 0] = 1.5
+    x[:, -1] = x[:, 1]
+    prob = rng.uniform(0.05, 0.95, size=n)
+    y = (rng.random(n) < 0.4).astype(np.float64)
+    return x, prob - y, prob * (1.0 - prob)
+
+
+class TestSplitSearch:
+    def test_matches_per_feature_loop_on_random_blocks(self):
+        rng = np.random.default_rng(11)
+        found = 0
+        for trial in range(300):
+            n, p = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+            x, g, h = random_split_block(rng, n, p)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+            # boundaries: every cut allowed, only the middle cut(s), none at all
+            for min_leaf in (1, len(rows) // 2, (len(rows) + 1) // 2, len(rows) // 2 + 1, 3):
+                min_leaf = max(1, min_leaf)
+                want = loop_best_split(x, g, h, rows, feats, min_leaf, L2_LAMBDA)
+                got = gbdt._best_split(x, g, h, rows, feats, min_leaf)
+                assert got == want, (trial, min_leaf)
+                found += want is not None
+        assert found >= 300
+
+    def test_equal_columns_tie_to_first_feature(self):
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        g = np.array([-1.0, -1.0, 1.0, 1.0])
+        h = np.full(4, 0.25)
+        gain, feature, threshold = gbdt._best_split(x, g, h, np.arange(4), np.array([0, 1]), 1)
+        assert (feature, threshold) == (0, 1.5)
+        assert gain > 0.0
+
+    def test_equal_cuts_tie_to_lowest_threshold(self):
+        # cuts after rows 0 and 2 mirror each other and gain exactly the same
+        x = np.array([[3.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 3.0]])
+        g = np.array([1.0, -1.0, -1.0, 1.0])
+        h = np.full(4, 0.25)
+        rows, feats = np.arange(4), np.array([0, 1])
+        want = loop_best_split(x, g, h, rows, feats, 1, L2_LAMBDA)
+        assert gbdt._best_split(x, g, h, rows, feats, 1) == want
+        assert want[1:] == (0, 0.5)
+
+    def test_zero_gain_is_no_split(self):
+        x = np.arange(12.0).reshape(6, 2)
+        zero = np.zeros(6)
+        assert gbdt._best_split(x, zero, np.full(6, 0.25), np.arange(6), np.array([0, 1]), 1) is None
+
+    def test_fit_writes_identical_model_with_loop_oracle(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=(150, 6)), 1)
+        x[:, 3] = 0.0
+        y = (x[:, 0] + x[:, 1] ** 2 > 0.5).astype(np.float64)
+        cfg = GBDTConfig(n_trees=40, max_depth=4, min_samples_leaf=3, seed=13)
+        save_gbdt(gbdt_fit(x, y, cfg), str(tmp_path / "vectorised.model"))
+        monkeypatch.setattr(
+            gbdt,
+            "_best_split",
+            lambda x, g, h, rows, feats, min_leaf: loop_best_split(
+                x, g, h, rows, feats, min_leaf, L2_LAMBDA
+            ),
+        )
+        save_gbdt(gbdt_fit(x, y, cfg), str(tmp_path / "loop.model"))
+        vectorised = (tmp_path / "vectorised.model").read_bytes()
+        assert vectorised == (tmp_path / "loop.model").read_bytes()
+        assert vectorised.count(b"split ") >= 40
 
 
 class TestPredict:

@@ -9,6 +9,8 @@ from fraudring.baselines.node2vec import (
     Node2vecConfig,
     _alias_build,
     _edge_transition_weights,
+    _pair_table,
+    _sgns_loss_grad,
     biased_walks,
     embed_concat_fit,
     load_embeddings,
@@ -17,6 +19,7 @@ from fraudring.baselines.node2vec import (
 )
 from fraudring.features import Tag
 from fraudring.train import sample_negatives
+from reference import naive_sgns_loss, window_pairs
 from util import make_dataset, make_graph
 
 
@@ -227,6 +230,64 @@ class TestEmbeddings:
             Node2vecConfig(dimensions=0)
         with pytest.raises(ValueError, match="return_param"):
             Node2vecConfig(return_param=0.0)
+
+
+class TestWeightedObjective:
+    walks = [[0, 1, 2, 1, 0, 1], [2, 3, 2, 3], [4], [3, 2]]
+    window = 2
+
+    def tables(self, seed, n_negatives):
+        rng = np.random.default_rng(seed)
+        pairs = _pair_table(self.walks, self.window, 5, 3)
+        w_center = rng.normal(scale=0.7, size=(5, 3))
+        w_context = rng.normal(scale=0.7, size=(5, 3))
+        negatives = rng.integers(0, 5, size=(len(pairs.centers), n_negatives))
+        return pairs, w_center, w_context, negatives
+
+    def test_counted_pairs_cover_every_raw_pair(self):
+        pairs = _pair_table(self.walks, self.window, 5, 3)
+        raw = Counter(zip(*window_pairs(self.walks, self.window)))
+        total = sum(raw.values())
+        got = {
+            (int(c), int(o)): w for c, o, w in zip(pairs.center, pairs.context, pairs.weight)
+        }
+        assert got == pytest.approx({key: count / total for key, count in raw.items()}, rel=1e-15)
+        assert len(got) < total
+        assert pairs.centers.tolist() == [0, 1, 2, 3]
+        assert pairs.center_weight.sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_positive_term_equals_naive_per_pair_average(self):
+        pairs, w_center, w_context, negatives = self.tables(15, 0)
+        loss, _, _ = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+        centers, contexts = window_pairs(self.walks, self.window)
+        want = naive_sgns_loss(w_center.tolist(), w_context.tolist(), centers, contexts, {})
+        assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_fixed_negatives_equal_naive_per_pair_average(self):
+        pairs, w_center, w_context, negatives = self.tables(16, 3)
+        loss, _, _ = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+        centers, contexts = window_pairs(self.walks, self.window)
+        by_center = {int(c): row.tolist() for c, row in zip(pairs.centers, negatives)}
+        want = naive_sgns_loss(w_center.tolist(), w_context.tolist(), centers, contexts, by_center)
+        assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        pairs, w_center, w_context, negatives = self.tables(17, 4)
+        _, d_center, d_context = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+        eps = 1e-6
+        for table, analytic in ((w_center, d_center), (w_context, d_context)):
+            fd = np.zeros_like(table)
+            for idx in np.ndindex(table.shape):
+                old = table[idx]
+                table[idx] = old + eps
+                hi, _, _ = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+                table[idx] = old - eps
+                lo, _, _ = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+                table[idx] = old
+                fd[idx] = (hi - lo) / (2.0 * eps)
+            rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
+            assert rel.max() <= 1e-4
+            assert np.abs(analytic).max() > 1e-3
 
 
 class TestEmbeddingFiles:
