@@ -4,7 +4,7 @@ baselines, label-uncertainty training, and evaluation reports."""
 
 __version__ = "0.1.0"
 
-from .features import LabeledDataset, Split, Tag
+from .features import LabeledDataset, Tag
 from .graph import (
     ClaimEvent,
     DeviceSharingGraph,
@@ -21,7 +21,6 @@ __all__ = [
     "DeviceSharingGraph",
     "LabeledDataset",
     "LoginEvent",
-    "Split",
     "SynthConfig",
     "Tag",
     "WindowConfig",

@@ -11,9 +11,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..features import LabeledDataset, Split, Tag
+from ..features import LabeledDataset
 from ..geniepath import sigmoid
 from ..graph import DeviceSharingGraph
+from ..train import training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
 # Full-batch Adam steps per skip-gram epoch, and the Adam moment constants.
@@ -355,6 +356,8 @@ def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
             if vectors is None:
                 vectors = np.zeros((g.num_nodes, len(vec)))
             if len(vec) != vectors.shape[1]:
@@ -375,23 +378,18 @@ def embed_concat_fit(
 ) -> tuple[GBDTModel, Embeddings]:
     """Fit a GBDT on [embedding, features] rows with the shared label sampling.
 
-    Positives are the tagged high-risk Train accounts; negatives a downsample
-    of the untagged Train pool at negative_sample_rate, drawn from the GBDT
-    seed. Returns the fitted model along with the embeddings it consumed.
+    The rows are train.training_rows at negative_sample_rate, drawn from the
+    GBDT seed: positives, then negatives. Returns the fitted model along with
+    the embeddings it consumed.
     """
-    from ..train import sample_negatives
-
+    positives, negatives = training_rows(
+        ds, negative_sample_rate, np.random.default_rng(gbdt_config.seed)
+    )
     walks = biased_walks(ds.graph, n2v_config)
     emb = train_embeddings(walks, n2v_config, n_nodes=ds.graph.num_nodes)
 
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    train_tags = {a: ds.records[a].tag for a in accounts if ds.split[a] is Split.TRAIN}
-    positives = sorted(a for a, tag in train_tags.items() if tag is Tag.HIGH_RISK)
-    rng = np.random.default_rng(gbdt_config.seed)
-    negatives = sorted(sample_negatives(train_tags, negative_sample_rate, rng))
-
-    chosen = positives + negatives
-    x = np.hstack([emb.vectors[chosen], np.stack([ds.records[a].features for a in chosen])])
-    y = np.array([1.0] * len(positives) + [0.0] * len(negatives))
+    rows = np.concatenate([positives, negatives])
+    x = np.hstack([emb.vectors[ds.graph.account_indices()[rows]], ds.features[rows]])
+    y = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
     model = gbdt_fit(x, y, gbdt_config)
     return model, emb

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from . import evaluation, synth
+from . import evaluation
 from .baselines.gbdt import (
     GBDTConfig,
     ModelFormatError,
@@ -34,8 +34,6 @@ from .baselines.node2vec import (
 from .features import (
     FeatureFormatError,
     LabeledDataset,
-    Split,
-    Tag,
     load_dataset,
     load_features,
     normalize_features,
@@ -66,10 +64,10 @@ from .train import (
     NumericalError,
     Optimizer,
     TrainConfig,
-    sample_negatives,
     save_train_report,
     score_accounts,
     train,
+    training_rows,
 )
 
 GNN_CHECKPOINT_FILE = "gnn.ckpt"
@@ -321,13 +319,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     sds = generate(config)
     emit(sds, args.out)
-    g = sds.dataset.graph
-    n_fraud = sum(1 for v in sds.dataset.ground_truth.values() if v)
-    n_tagged = sum(1 for r in sds.dataset.records.values() if r.tag is Tag.HIGH_RISK)
+    ds = sds.dataset
+    n_accounts = len(ds.high_risk)
     print(f"wrote dataset to {args.out}")
     print(
-        f"accounts: {len(sds.dataset.records)} ({n_fraud} fraud, {n_tagged} tagged high-risk), "
-        f"devices: {g.num_nodes - len(sds.dataset.records)}, edges: {g.edge_count}"
+        f"accounts: {n_accounts} ({ds.truth.sum()} fraud, {ds.high_risk.sum()} tagged high-risk), "
+        f"devices: {ds.graph.num_nodes - n_accounts}, edges: {ds.graph.edge_count}"
     )
     print(f"reference time: {sds.window.reference_time}")
     print(f"{sds.n_prunable_accounts} accounts sit in singleton components and will be pruned")
@@ -370,20 +367,6 @@ def _prepare_dataset(data_dir: str, opt: SimpleNamespace) -> LabeledDataset:
         ds = prune_dataset(ds)
     ds = split_train_test(ds, opt.test_fraction, opt.split_seed)
     return normalize_features(ds)
-
-
-def _gbdt_training_rows(
-    ds: LabeledDataset, negative_rate: float, seed: int
-) -> tuple[list[int], np.ndarray]:
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    train_tags = {a: ds.records[a].tag for a in accounts if ds.split[a] is Split.TRAIN}
-    positives = sorted(a for a, tag in train_tags.items() if tag is Tag.HIGH_RISK)
-    if not positives:
-        raise ValueError("Train split has no tagged high-risk accounts")
-    rng = np.random.default_rng(seed)
-    negatives = sorted(sample_negatives(train_tags, negative_rate, rng))
-    labels = np.array([1.0] * len(positives) + [0.0] * len(negatives))
-    return positives + negatives, labels
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -432,9 +415,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     if args.model == "gbdt":
-        rows, labels = _gbdt_training_rows(ds, opt.negative_rate, opt.seed)
-        x = np.stack([ds.records[a].features for a in rows])
-        model = gbdt_fit(x, labels, gbdt_config)
+        positives, negatives = training_rows(ds, opt.negative_rate, np.random.default_rng(opt.seed))
+        labels = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
+        model = gbdt_fit(ds.features[np.concatenate([positives, negatives])], labels, gbdt_config)
         save_gbdt(model, os.path.join(args.out, GBDT_MODEL_FILE))
         print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
         return 0
@@ -462,10 +445,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     split_opt = _resolve(args, SPLIT_DEFAULTS, allowed=TRAIN_ALLOWED)
     ds = _prepare_dataset(args.data, split_opt)
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    features = ds.feature_matrix()
-
-    scores: dict[str, dict[int, float]] = {}
+    scores: dict[str, np.ndarray] = {}
 
     ckpt = os.path.join(args.models, GNN_CHECKPOINT_FILE)
     if os.path.exists(ckpt):
@@ -480,8 +460,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"gbdt model expects {model.n_features} features, dataset has {ds.feature_dim}"
             )
-        probs = gbdt_predict_batch(model, features)
-        scores["gbdt"] = {a: float(probs[r]) for r, a in enumerate(accounts)}
+        scores["gbdt"] = gbdt_predict_batch(model, ds.features)
     else:
         print(f"warning: {gbdt_path} not found; omitting gbdt", file=sys.stderr)
 
@@ -490,16 +469,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if os.path.exists(n2v_path) and os.path.exists(emb_path):
         model = load_gbdt(n2v_path)
         emb = load_embeddings(emb_path, ds.graph)
-        x = np.hstack([emb.vectors[accounts], features])
+        x = np.hstack([emb.vectors[ds.graph.account_indices()], ds.features])
         if model.n_features != x.shape[1]:
             raise ValueError(
                 f"node2vec-gbdt model expects {model.n_features} columns, "
                 f"embeddings+features provide {x.shape[1]}"
             )
-        probs = gbdt_predict_batch(model, x)
-        scores["node2vec-gbdt"] = {a: float(probs[r]) for r, a in enumerate(accounts)}
+        scores["node2vec-gbdt"] = gbdt_predict_batch(model, x)
     else:
         print(f"warning: {n2v_path} or {emb_path} not found; omitting node2vec-gbdt", file=sys.stderr)
+    if not scores:
+        raise ValueError(f"no trained model in {args.models}")
 
     os.makedirs(args.out, exist_ok=True)
     report = evaluation.compare_models(ds, scores, label_source=args.labels)
@@ -514,7 +494,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     if args.labels == "ground-truth":
         mismatches = evaluation.tag_truth_mismatches(ds)
-        print(f"audit: rule tags disagree with ground truth on {len(mismatches)} of {len(accounts)} accounts")
+        print(f"audit: rule tags disagree with ground truth on {len(mismatches)} of {len(ds.high_risk)} accounts")
     return 0
 
 
@@ -532,12 +512,8 @@ def _grad_check_fixture(nodes: int, seed: int):
         fraud_feature_shift=1.0,
         seed=seed,
     )
-    sds = generate(config)
-    ds = sds.dataset
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    positives = [r for r, a in enumerate(accounts) if ds.records[a].tag is Tag.HIGH_RISK]
-    negatives = [r for r, a in enumerate(accounts) if ds.records[a].tag is not Tag.HIGH_RISK]
-    return ds, positives, negatives
+    ds = generate(config).dataset
+    return ds, np.flatnonzero(ds.high_risk), np.flatnonzero(~ds.high_risk)
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
@@ -549,7 +525,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     err = gradient_check(
         params,
         ds.graph,
-        ds.feature_matrix(),
+        ds.features,
         positives,
         negatives,
         eps=opt.eps,
@@ -570,7 +546,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     high_risk: set[int] | None = None
     if args.features:
         ds = load_features(args.features, g)
-        high_risk = {i for i, rec in ds.records.items() if rec.tag is Tag.HIGH_RISK}
+        high_risk = set(g.account_indices()[ds.high_risk].tolist())
     export_dot(g, args.out, high_risk)
     print(f"wrote {args.out}")
     return 0

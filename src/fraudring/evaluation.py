@@ -3,12 +3,12 @@ hop-neighborhood statistics, and a side-by-side model comparison table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .features import LabeledDataset, Split, Tag
+from .features import LabeledDataset
 from .graph import DeviceSharingGraph, _bfs_distances
 
 
@@ -145,28 +145,35 @@ class ModelRow:
 class EvalReport:
     rows: list[ModelRow]
     pr_curves: dict[str, list[tuple[float, float, float]]]
-    hop_stats: dict[int, tuple[float, float]] = field(default_factory=dict)
     label_source: str = "tags"
 
 
-def evaluation_labels(
-    ds: LabeledDataset, accounts: Sequence[int], source: str = "tags"
-) -> dict[int, bool]:
-    return ds.labels(accounts, source=source)
+def label_column(ds: LabeledDataset, source: str = "tags") -> np.ndarray:
+    """Boolean positive label per account row from 'tags' (rule tags) or 'ground-truth'."""
+    if source == "tags":
+        return ds.high_risk
+    if source == "ground-truth":
+        if ds.truth is None:
+            raise ValueError("dataset has no ground truth")
+        return ds.truth
+    raise ValueError(f"unknown label source {source!r}")
 
 
 def compare_models(
     ds: LabeledDataset,
-    model_scores: Mapping[str, Mapping[int, float]],
+    model_scores: Mapping[str, np.ndarray],
     label_source: str = "tags",
 ) -> EvalReport:
-    """Table of per-model metrics on the Test split at each model's F1-best threshold."""
-    test_accounts = [i for i in map(int, ds.graph.account_indices()) if ds.split[i] is Split.TEST]
-    labels = evaluation_labels(ds, test_accounts, label_source)
+    """Table of per-model metrics on the Test split at each model's F1-best threshold.
+
+    Each model's scores are aligned to the dataset rows.
+    """
+    test_accounts = ds.graph.account_indices()[ds.is_test].tolist()
+    labels = dict(zip(test_accounts, label_column(ds, label_source)[ds.is_test].tolist()))
     rows: list[ModelRow] = []
     curves: dict[str, list[tuple[float, float, float]]] = {}
     for name, all_scores in model_scores.items():
-        scores = {a: float(all_scores[a]) for a in test_accounts}
+        scores = dict(zip(test_accounts, all_scores[ds.is_test].tolist()))
         threshold, best = best_f1_threshold(scores, labels)
         counts = confusion(scores, labels, threshold)
         rows.append(
@@ -184,20 +191,22 @@ def compare_models(
 
 
 def fraud_neighbor_stats(
-    g: DeviceSharingGraph, is_fraud: Mapping[int, bool], max_hop: int = 2
+    g: DeviceSharingGraph, is_fraud: np.ndarray, max_hop: int = 2
 ) -> tuple[float, float]:
     """Average count of fraud accounts within max_hop hops, around fraud vs regular accounts.
 
-    The center account itself is excluded from its own count.
+    is_fraud is aligned to g.account_indices(). The center account itself is
+    excluded from its own count.
     """
-    fraud_seeds = [a for a, flag in is_fraud.items() if flag]
-    regular_seeds = [a for a, flag in is_fraud.items() if not flag]
+    is_fraud = np.asarray(is_fraud, dtype=bool)
+    accounts = g.account_indices()
+    fraud_seeds = accounts[is_fraud].tolist()
+    regular_seeds = accounts[~is_fraud].tolist()
     if not fraud_seeds or not regular_seeds:
         raise ValueError("need both fraud and regular accounts")
 
     fraud_mask = np.zeros(g.num_nodes, dtype=bool)
-    for a in fraud_seeds:
-        fraud_mask[a] = True
+    fraud_mask[fraud_seeds] = True
 
     def average(seeds: list[int]) -> float:
         total = 0
@@ -211,14 +220,9 @@ def fraud_neighbor_stats(
 
 def tag_truth_mismatches(ds: LabeledDataset) -> list[int]:
     """Accounts whose rule tag disagrees with ground truth (flipped fraud tags)."""
-    if ds.ground_truth is None:
+    if ds.truth is None:
         raise ValueError("dataset has no ground truth")
-    out = []
-    for i in map(int, ds.graph.account_indices()):
-        tagged = ds.records[i].tag is Tag.HIGH_RISK
-        if tagged != ds.ground_truth[i]:
-            out.append(i)
-    return out
+    return ds.graph.account_indices()[ds.high_risk != ds.truth].tolist()
 
 
 def save_report(report: EvalReport, path: str) -> None:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, NodeKind, load_graph, prune_singletons
+from .graph import DeviceSharingGraph, load_graph, prune_singletons
 
 GRAPH_FILE = "graph.tsv"
 FEATURES_FILE = "features.tsv"
@@ -28,88 +27,47 @@ class Tag(Enum):
     NO_OBSERVABLE_RISK = "NO_OBSERVABLE_RISK"
 
 
-class Split(Enum):
-    TRAIN = "train"
-    TEST = "test"
-
-
-@dataclass
-class AccountRecord:
-    account_index: int
-    features: np.ndarray
-    tag: Tag
-
-
 @dataclass
 class LabeledDataset:
-    """Graph plus per-account records, a train/test split, and optional ground truth.
+    """Graph plus per-account columns; row r describes account graph.account_indices()[r].
 
-    Rule tags are the training signal; ground_truth exists only for synthetic
+    features is (n_accounts, P); high_risk holds the rule tags, the training
+    signal; is_test marks the Test split. truth exists only for synthetic
     data and is consumed exclusively by evaluation.
     """
 
     graph: DeviceSharingGraph
-    records: dict[int, AccountRecord]
-    split: dict[int, Split]
-    ground_truth: dict[int, bool] | None = None
+    features: np.ndarray
+    high_risk: np.ndarray
+    is_test: np.ndarray
+    truth: np.ndarray | None = None
 
     @property
     def feature_dim(self) -> int:
-        first = next(iter(self.records.values()))
-        return int(first.features.shape[0])
+        return int(self.features.shape[1])
 
-    def account_order(self) -> np.ndarray:
-        return self.graph.account_indices()
 
-    def feature_matrix(self, accounts: Sequence[int] | None = None) -> np.ndarray:
-        idx = self.account_order() if accounts is None else np.asarray(accounts, dtype=np.int64)
-        return np.stack([self.records[int(i)].features for i in idx]) if len(idx) else np.zeros((0, 0))
-
-    def accounts_with(self, tag: Tag | None = None, split: Split | None = None) -> list[int]:
-        """Account indices filtered by tag and/or split, in graph order."""
-        out = []
-        for i in self.account_order():
-            i = int(i)
-            if tag is not None and self.records[i].tag is not tag:
-                continue
-            if split is not None and self.split[i] is not split:
-                continue
-            out.append(i)
-        return out
-
-    def labels(self, accounts: Iterable[int], source: str = "tags") -> dict[int, bool]:
-        """Boolean positive labels from 'tags' (rule tags) or 'ground-truth'."""
-        if source == "tags":
-            return {int(i): self.records[int(i)].tag is Tag.HIGH_RISK for i in accounts}
-        if source == "ground-truth":
-            if self.ground_truth is None:
-                raise ValueError("dataset has no ground truth")
-            return {int(i): self.ground_truth[int(i)] for i in accounts}
-        raise ValueError(f"unknown label source {source!r}")
+def _account_rows(graph: DeviceSharingGraph) -> dict[str, int]:
+    """Account external id -> dataset row."""
+    return {graph.nodes[int(a)].external_id: r for r, a in enumerate(graph.account_indices())}
 
 
 def check_dataset(ds: LabeledDataset) -> None:
     """Validate dataset invariants; raises ValueError on violation."""
-    accounts = set(int(i) for i in ds.graph.account_indices())
-    if set(ds.records) != accounts:
-        missing = accounts - set(ds.records)
-        extra = set(ds.records) - accounts
-        raise ValueError(f"records do not cover account nodes exactly (missing {sorted(missing)[:5]}, extra {sorted(extra)[:5]})")
-    if set(ds.split) != accounts:
-        raise ValueError("split must cover every account exactly once")
-    dims = {rec.features.shape for rec in ds.records.values()}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent feature lengths: {sorted(dims)}")
-    if ds.ground_truth is not None and set(ds.ground_truth) != accounts:
-        raise ValueError("ground truth must cover every account")
+    n = len(ds.graph.account_indices())
+    if ds.features.ndim != 2 or len(ds.features) != n:
+        raise ValueError(f"features must be an ({n}, P) matrix, got shape {ds.features.shape}")
+    columns = {"high_risk": ds.high_risk, "is_test": ds.is_test, "truth": ds.truth}
+    for name, col in columns.items():
+        if col is not None and (col.shape != (n,) or col.dtype != bool):
+            raise ValueError(f"{name} must be a boolean column of {n} rows, got {col.dtype} {col.shape}")
 
 
 def train_feature_stats(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-dimension (mean, population std) computed on the Train split only."""
-    train = [i for i in ds.account_order() if ds.split[int(i)] is Split.TRAIN]
-    if not train:
+    x = ds.features[~ds.is_test]
+    if not len(x):
         raise ValueError("cannot compute feature statistics: Train split is empty")
-    x = ds.feature_matrix(train)
     return x.mean(axis=0), x.std(axis=0)
 
 
@@ -122,71 +80,68 @@ def normalize_features(ds: LabeledDataset) -> LabeledDataset:
     """
     mean, std = train_feature_stats(ds)
     zero_var = std == 0.0
-    safe_std = np.where(zero_var, 1.0, std)
-    records = {}
-    for i, rec in ds.records.items():
-        x = (rec.features - mean) / safe_std
-        x[zero_var] = 0.0
-        records[i] = AccountRecord(rec.account_index, x, rec.tag)
-    return LabeledDataset(ds.graph, records, dict(ds.split), dict(ds.ground_truth) if ds.ground_truth else ds.ground_truth)
+    x = (ds.features - mean) / np.where(zero_var, 1.0, std)
+    x[:, zero_var] = 0.0
+    return replace(ds, features=x)
 
 
 def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int) -> LabeledDataset:
     """Stratified random split: each tag class contributes floor(size * fraction) Test accounts."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie in (0, 1)")
-    split: dict[int, Split] = {}
+    is_test = np.zeros(len(ds.high_risk), dtype=bool)
     rng = np.random.default_rng(seed)
-    for tag in (Tag.HIGH_RISK, Tag.NO_OBSERVABLE_RISK):
-        members = np.array(ds.accounts_with(tag=tag), dtype=np.int64)
+    for tag, tagged in ((Tag.HIGH_RISK, True), (Tag.NO_OBSERVABLE_RISK, False)):
+        members = np.flatnonzero(ds.high_risk == tagged)
         if len(members) < 2:
             raise ValueError(f"cannot stratify: tag {tag.value} has {len(members)} account(s)")
         n_test = math.floor(len(members) * test_fraction)
-        perm = rng.permutation(members)
-        for i in perm[:n_test]:
-            split[int(i)] = Split.TEST
-        for i in perm[n_test:]:
-            split[int(i)] = Split.TRAIN
-    return LabeledDataset(ds.graph, ds.records, split, ds.ground_truth)
+        is_test[rng.permutation(members)[:n_test]] = True
+    return replace(ds, is_test=is_test)
 
 
 def prune_dataset(ds: LabeledDataset) -> LabeledDataset:
-    """Apply prune_singletons to the graph and remap records/split/truth to the new indices."""
+    """Apply prune_singletons to the graph and keep the rows of the surviving accounts.
+
+    Pruning keeps the relative node order, so the kept rows stay aligned.
+    """
     pruned = prune_singletons(ds.graph)
-    by_id = pruned.account_index_by_id()
-    records: dict[int, AccountRecord] = {}
-    split: dict[int, Split] = {}
-    truth: dict[int, bool] | None = {} if ds.ground_truth is not None else None
-    for old, rec in ds.records.items():
-        new = by_id.get(ds.graph.nodes[old].external_id)
-        if new is None:
-            continue
-        records[new] = AccountRecord(new, rec.features, rec.tag)
-        split[new] = ds.split[old]
-        if truth is not None:
-            truth[new] = ds.ground_truth[old]  # type: ignore[index]
-    out = LabeledDataset(pruned, records, split, truth)
+    kept = _account_rows(pruned)
+    keep = np.array([ext in kept for ext in _account_rows(ds.graph)], dtype=bool)
+    out = LabeledDataset(
+        pruned,
+        ds.features[keep],
+        ds.high_risk[keep],
+        ds.is_test[keep],
+        None if ds.truth is None else ds.truth[keep],
+    )
     check_dataset(out)
     return out
 
 
 def save_features(ds: LabeledDataset, path: str) -> None:
     """Write the features TSV keyed by account external id, values at 9 significant digits."""
-    p = ds.feature_dim
-    header = "account_id\ttag\t" + "\t".join(f"f{j}" for j in range(p))
+    header = "account_id\ttag\t" + "\t".join(f"f{j}" for j in range(ds.feature_dim))
     lines = [header]
-    for i in ds.account_order():
-        rec = ds.records[int(i)]
-        ext = ds.graph.nodes[int(i)].external_id
-        values = "\t".join(f"{v:.9g}" for v in rec.features)
-        lines.append(f"{ext}\t{rec.tag.value}\t{values}")
+    for ext, tagged, row in zip(_account_rows(ds.graph), ds.high_risk, ds.features):
+        tag = Tag.HIGH_RISK if tagged else Tag.NO_OBSERVABLE_RISK
+        values = "\t".join(f"{v:.9g}" for v in row)
+        lines.append(f"{ext}\t{tag.value}\t{values}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _missing_rows(path: str, graph: DeviceSharingGraph, seen: np.ndarray) -> FeatureFormatError:
+    missing = [ext for ext, ok in zip(_account_rows(graph), seen) if not ok]
+    return FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")
+
+
 def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
-    """Load a features TSV against an existing graph; every account must get one row."""
-    by_id = graph.account_index_by_id()
+    """Load a features TSV against an existing graph; every account must get one finite row.
+
+    The split starts as all-Train.
+    """
+    row_of = _account_rows(graph)
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw:
@@ -196,7 +151,9 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
         raise FeatureFormatError(f"{path}:1: bad header {raw[0]!r}")
     p = len(header) - 2
 
-    records: dict[int, AccountRecord] = {}
+    features = np.zeros((len(row_of), p))
+    high_risk = np.zeros(len(row_of), dtype=bool)
+    seen = np.zeros(len(row_of), dtype=bool)
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():
             continue
@@ -204,39 +161,43 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
         if len(parts) != p + 2:
             raise FeatureFormatError(f"{path}:{lineno}: expected {p + 2} fields, got {len(parts)}")
         ext_id = parts[0]
-        if ext_id not in by_id:
+        if ext_id not in row_of:
             raise FeatureFormatError(f"{path}:{lineno}: unknown account id {ext_id!r}")
         try:
             tag = Tag(parts[1])
         except ValueError:
             raise FeatureFormatError(f"{path}:{lineno}: unknown tag {parts[1]!r}") from None
         try:
-            values = np.array([float(v) for v in parts[2:]], dtype=np.float64)
+            values = [float(v) for v in parts[2:]]
         except ValueError:
             raise FeatureFormatError(f"{path}:{lineno}: non-numeric feature value") from None
-        idx = by_id[ext_id]
-        if idx in records:
+        if not all(map(math.isfinite, values)):
+            raise FeatureFormatError(f"{path}:{lineno}: non-finite feature value")
+        r = row_of[ext_id]
+        if seen[r]:
             raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {ext_id!r}")
-        records[idx] = AccountRecord(idx, values, tag)
-
-    ds = LabeledDataset(graph, records, {i: Split.TRAIN for i in records})
-    check_dataset(ds)
-    return ds
+        seen[r] = True
+        features[r] = values
+        high_risk[r] = tag is Tag.HIGH_RISK
+    if not seen.all():
+        raise _missing_rows(path, graph, seen)
+    return LabeledDataset(graph, features, high_risk, np.zeros(len(row_of), dtype=bool))
 
 
 def save_ground_truth(ds: LabeledDataset, path: str) -> None:
-    if ds.ground_truth is None:
+    if ds.truth is None:
         raise ValueError("dataset has no ground truth to save")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("account_id\tis_fraud\n")
-        for i in ds.account_order():
-            ext = ds.graph.nodes[int(i)].external_id
-            fh.write(f"{ext}\t{1 if ds.ground_truth[int(i)] else 0}\n")
+        for ext, flag in zip(_account_rows(ds.graph), ds.truth):
+            fh.write(f"{ext}\t{1 if flag else 0}\n")
 
 
-def load_ground_truth(path: str, graph: DeviceSharingGraph) -> dict[int, bool]:
-    by_id = graph.account_index_by_id()
-    truth: dict[int, bool] = {}
+def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:
+    """Boolean fraud column over the graph's accounts; every account must get one row."""
+    row_of = _account_rows(graph)
+    truth = np.zeros(len(row_of), dtype=bool)
+    seen = np.zeros(len(row_of), dtype=bool)
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0] != "account_id\tis_fraud":
@@ -247,11 +208,17 @@ def load_ground_truth(path: str, graph: DeviceSharingGraph) -> dict[int, bool]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FeatureFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        if parts[0] not in by_id:
+        if parts[0] not in row_of:
             raise FeatureFormatError(f"{path}:{lineno}: unknown account id {parts[0]!r}")
         if parts[1] not in ("0", "1"):
             raise FeatureFormatError(f"{path}:{lineno}: is_fraud must be 0 or 1, got {parts[1]!r}")
-        truth[by_id[parts[0]]] = parts[1] == "1"
+        r = row_of[parts[0]]
+        if seen[r]:
+            raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {parts[0]!r}")
+        seen[r] = True
+        truth[r] = parts[1] == "1"
+    if not seen.all():
+        raise _missing_rows(path, graph, seen)
     return truth
 
 
@@ -264,6 +231,5 @@ def load_dataset(directory: str) -> LabeledDataset:
     ds = load_features(os.path.join(directory, FEATURES_FILE), graph)
     gt_path = os.path.join(directory, GROUND_TRUTH_FILE)
     if os.path.exists(gt_path):
-        ds.ground_truth = load_ground_truth(gt_path, graph)
-    check_dataset(ds)
+        ds.truth = load_ground_truth(gt_path, graph)
     return ds

@@ -14,7 +14,7 @@ as mixing hubs through which account signals travel in two hops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -419,16 +419,21 @@ def backward(
 PROB_CLAMP = 1e-12
 
 
-def _clamped_bce(probs: np.ndarray, pos_mask: np.ndarray, neg_mask: np.ndarray) -> float:
+def _clamped_bce(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+    """Cross-entropy over the positive and negative rows (boolean masks or index arrays).
+
+    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] so the value stays finite.
+    """
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.log(p[pos_mask]).sum() - np.log(1.0 - p[neg_mask]).sum())
+    return float(-np.log(p[pos]).sum() - np.log(1.0 - p[neg]).sum())
 
 
-def _bce_dprobs(probs: np.ndarray, pos_mask: np.ndarray, neg_mask: np.ndarray) -> np.ndarray:
+def _bce_dprobs(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """d _clamped_bce / d probs, evaluated at the clamped probabilities."""
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     d = np.zeros_like(probs)
-    d[pos_mask] = -1.0 / p[pos_mask]
-    d[neg_mask] = 1.0 / (1.0 - p[neg_mask])
+    d[pos] = -1.0 / p[pos]
+    d[neg] = 1.0 / (1.0 - p[neg])
     return d
 
 

@@ -123,9 +123,6 @@ class DeviceSharingGraph:
         """Sorted neighbor indices of a node (a view, do not mutate)."""
         return self._targets[self._offsets[index]:self._offsets[index + 1]]
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        return [self.neighbors(i) for i in range(self.num_nodes)]
-
     def degree(self, index: int) -> int:
         return int(self._offsets[index + 1] - self._offsets[index])
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +20,7 @@ from .features import (
     GRAPH_FILE,
     GROUND_TRUTH_FILE,
     LOGINS_FILE,
-    AccountRecord,
     LabeledDataset,
-    Split,
-    Tag,
     check_dataset,
     save_features,
     save_ground_truth,
@@ -204,18 +200,11 @@ def generate(config: SynthConfig) -> SyntheticDataset:
     for i in range(n_fraud):
         features[i, :n_shift] += config.fraud_feature_shift + ring_offsets[int(ring_of[i])]
 
-    records: dict[int, AccountRecord] = {}
-    truth: dict[int, bool] = {}
-    for i in range(n_accounts):
-        is_fraud = i < n_fraud
-        tag = Tag.NO_OBSERVABLE_RISK
-        if is_fraud and not flip_coin[i]:
-            tag = Tag.HIGH_RISK
-        records[i] = AccountRecord(i, features[i].copy(), tag)
-        truth[i] = is_fraud
-
-    split = {i: Split.TRAIN for i in range(n_accounts)}
-    dataset = LabeledDataset(graph, records, split, truth)
+    # Accounts are nodes 0..n_accounts-1, so dataset rows are account indices.
+    truth = np.arange(n_accounts) < n_fraud
+    high_risk = truth.copy()
+    high_risk[:n_fraud] = ~flip_coin
+    dataset = LabeledDataset(graph, features, high_risk, np.zeros(n_accounts, dtype=bool), truth)
     check_dataset(dataset)
 
     prunable: list[str] = []

@@ -3,21 +3,13 @@ a fresh downsample of the untagged pool as negatives each epoch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .features import LabeledDataset, Split, Tag
-from .geniepath import (
-    PROB_CLAMP,
-    GeniePathParams,
-    _bce_dprobs,
-    _clamped_bce,
-    backward,
-    forward,
-)
+from .features import LabeledDataset
+from .geniepath import GeniePathParams, _bce_dprobs, _clamped_bce, backward, forward
 
 
 class NumericalError(RuntimeError):
@@ -54,44 +46,34 @@ class TrainConfig:
 class TrainReport:
     loss_history: list[float]
     sampled_negative_counts: list[int]
-    params: GeniePathParams
 
 
-def sample_negatives(
-    tags: Mapping[int, Tag], rate: float, rng: np.random.Generator
-) -> set[int]:
-    """Fixed-size uniform sample, without replacement, of the untagged accounts.
+def sample_negatives(pool: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Fixed-size uniform sample, without replacement, of the ascending pool rows.
 
-    Sample size is round(rate * count of NoObservableRisk keys).
+    Sample size is round(rate * len(pool)); the sample comes back ascending.
     """
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate must lie in (0, 1]")
-    pool = sorted(i for i, tag in tags.items() if tag is Tag.NO_OBSERVABLE_RISK)
-    if not pool:
+    if not len(pool):
         raise ValueError("no untagged accounts to sample negatives from")
     n = int(round(rate * len(pool)))
-    chosen = rng.choice(len(pool), size=n, replace=False)
-    return {pool[int(j)] for j in chosen}
+    return np.sort(pool[rng.choice(len(pool), size=n, replace=False)])
 
 
-def loss(
-    probabilities: Mapping[int, float],
-    positives: set[int],
-    negatives: set[int],
-) -> float:
-    """Cross-entropy over the positive set and the sampled negative set.
+def training_rows(
+    ds: LabeledDataset, rate: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label-uncertainty training rows: (positives, negatives), each ascending.
 
-    Probabilities are clamped to [1e-12, 1 - 1e-12] so the value stays finite.
+    Positives are every tagged high-risk Train account; negatives a fresh
+    sample_negatives draw from the untagged Train accounts.
     """
-    overlap = positives & negatives
-    if overlap:
-        raise ValueError(f"positive and negative sets overlap on {sorted(overlap)[:5]}")
-    total = 0.0
-    for v in positives:
-        total -= np.log(min(max(probabilities[v], PROB_CLAMP), 1.0 - PROB_CLAMP))
-    for v in negatives:
-        total -= np.log(1.0 - min(max(probabilities[v], PROB_CLAMP), 1.0 - PROB_CLAMP))
-    return float(total)
+    train = ~ds.is_test
+    positives = np.flatnonzero(train & ds.high_risk)
+    if not len(positives):
+        raise ValueError("Train split has no tagged high-risk accounts")
+    return positives, sample_negatives(np.flatnonzero(train & ~ds.high_risk), rate, rng)
 
 
 def train(
@@ -100,20 +82,6 @@ def train(
     config: TrainConfig,
 ) -> tuple[GeniePathParams, TrainReport]:
     """Optimize the network on the Train split; deterministic for a fixed seed."""
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    row_of = {a: r for r, a in enumerate(accounts)}
-    features = ds.feature_matrix()
-
-    train_tags = {
-        a: ds.records[a].tag for a in accounts if ds.split[a] is Split.TRAIN
-    }
-    pos_rows = np.array(
-        sorted(row_of[a] for a, tag in train_tags.items() if tag is Tag.HIGH_RISK),
-        dtype=np.int64,
-    )
-    if len(pos_rows) == 0:
-        raise ValueError("Train split has no tagged high-risk accounts")
-
     rng = np.random.default_rng(config.seed)
     params = params.copy()
     vec = params.to_vector()
@@ -123,20 +91,13 @@ def train(
     neg_rows: np.ndarray | None = None
     loss_history: list[float] = []
     neg_counts: list[int] = []
-    n_acc = len(accounts)
     for epoch in range(config.epochs):
         if neg_rows is None or config.resample_each_epoch:
-            sampled = sample_negatives(train_tags, config.negative_sample_rate, rng)
-            neg_rows = np.array(sorted(row_of[a] for a in sampled), dtype=np.int64)
+            pos_rows, neg_rows = training_rows(ds, config.negative_sample_rate, rng)
 
-        pos_mask = np.zeros(n_acc, dtype=bool)
-        neg_mask = np.zeros(n_acc, dtype=bool)
-        pos_mask[pos_rows] = True
-        neg_mask[neg_rows] = True
-
-        probs, cache = forward(params, ds.graph, features)
-        epoch_loss = _clamped_bce(probs, pos_mask, neg_mask)
-        grads = backward(params, cache, _bce_dprobs(probs, pos_mask, neg_mask))
+        probs, cache = forward(params, ds.graph, ds.features)
+        epoch_loss = _clamped_bce(probs, pos_rows, neg_rows)
+        grads = backward(params, cache, _bce_dprobs(probs, pos_rows, neg_rows))
         gvec = grads.to_vector()
         if not np.isfinite(epoch_loss) or not np.all(np.isfinite(gvec)):
             raise NumericalError(f"non-finite loss or gradient at epoch {epoch}")
@@ -154,20 +115,13 @@ def train(
         loss_history.append(epoch_loss)
         neg_counts.append(int(len(neg_rows)))
 
-    return params, TrainReport(loss_history, neg_counts, params)
+    return params, TrainReport(loss_history, neg_counts)
 
 
-def score_accounts(
-    ds: LabeledDataset, params: GeniePathParams, split: Split | None = None
-) -> dict[int, float]:
-    """Forward-pass probabilities keyed by account node index, optionally split-filtered."""
-    accounts = [int(i) for i in ds.graph.account_indices()]
-    probs, _ = forward(params, ds.graph, ds.feature_matrix())
-    return {
-        a: float(probs[r])
-        for r, a in enumerate(accounts)
-        if split is None or ds.split[a] is split
-    }
+def score_accounts(ds: LabeledDataset, params: GeniePathParams) -> np.ndarray:
+    """Forward-pass probability of every account, aligned to the dataset rows."""
+    probs, _ = forward(params, ds.graph, ds.features)
+    return probs
 
 
 def save_train_report(report: TrainReport, path: str) -> None:

@@ -261,3 +261,20 @@ def window_pairs(walks, window):
                     centers.append(center)
                     contexts.append(walk[j])
     return centers, contexts
+
+
+def dict_bce(probabilities, positives, negatives, clamp=1e-12):
+    """Cross-entropy over a positive and a negative set of keys, one key at a time.
+
+    probabilities: dict of key -> probability, clamped to [clamp, 1 - clamp].
+    Overlapping sets are rejected.
+    """
+    overlap = set(positives) & set(negatives)
+    if overlap:
+        raise ValueError(f"positive and negative sets overlap on {sorted(overlap)[:5]}")
+    total = 0.0
+    for v in positives:
+        total -= math.log(min(max(probabilities[v], clamp), 1.0 - clamp))
+    for v in negatives:
+        total -= math.log(1.0 - min(max(probabilities[v], clamp), 1.0 - clamp))
+    return total

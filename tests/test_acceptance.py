@@ -16,7 +16,7 @@ import pytest
 
 from fraudring.baselines.gbdt import GBDTConfig, gbdt_fit, gbdt_predict_batch
 from fraudring.baselines.node2vec import Node2vecConfig, biased_walks
-from fraudring.cli import _gbdt_training_rows, main
+from fraudring.cli import main
 from fraudring.evaluation import ConfusionCounts, detection_expansion, fraud_neighbor_stats
 from fraudring.features import (
     load_features,
@@ -34,6 +34,7 @@ from fraudring.geniepath import (
 )
 from fraudring.graph import load_graph, prune_singletons, save_graph
 from fraudring.synth import SynthConfig, generate
+from fraudring.train import training_rows
 from reference import scalar_geniepath_forward, union_find_components
 from util import adjacency_lists, make_graph, random_bipartite
 
@@ -179,7 +180,7 @@ def test_synthetic_model_ordering_matches_reported_direction(tmp_path, capsys):
 
 def test_fraud_accounts_cluster_within_two_hops(default_synth, capsys):
     ds = default_synth.dataset
-    fraud_avg, regular_avg = fraud_neighbor_stats(ds.graph, ds.ground_truth, max_hop=2)
+    fraud_avg, regular_avg = fraud_neighbor_stats(ds.graph, ds.truth, max_hop=2)
     ok = fraud_avg >= 2.0 * regular_avg and fraud_avg > 0.0
     with capsys.disabled():
         verdict(
@@ -261,9 +262,9 @@ def test_biased_walk_frequencies_match_closed_form(capsys):
 
 def test_gbdt_loss_monotone_and_xor_learnable(default_synth, capsys):
     ds = normalize_features(split_train_test(prune_dataset(default_synth.dataset), 0.3, 0))
-    rows, labels = _gbdt_training_rows(ds, 0.25, 0)
-    x = np.stack([ds.records[a].features for a in rows])
-    model = gbdt_fit(x, labels, GBDTConfig(seed=0))
+    positives, negatives = training_rows(ds, 0.25, np.random.default_rng(0))
+    labels = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
+    model = gbdt_fit(ds.features[np.concatenate([positives, negatives])], labels, GBDTConfig(seed=0))
     diffs = np.diff(model.train_loss_history)
     monotone = bool(np.all(diffs <= 1e-12)) and len(model.train_loss_history) == 500
 

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestSynth:
     def test_output_is_loadable_and_reported(self, data_dir, capsys):
         ds = load_dataset(str(data_dir))
         assert ds.graph.num_nodes > 0
-        assert ds.ground_truth is not None
+        assert ds.truth is not None
 
     def test_missing_out_flag_is_usage_error(self, capsys):
         assert main(["synth", "--seed", "1"]) == 1
@@ -192,6 +193,25 @@ class TestTrain:
         assert (out / "node2vec_gbdt.model").exists()
         assert (out / "embeddings.tsv").exists()
 
+    def test_non_finite_feature_is_data_error(self, data_dir, models_dir, tmp_path, capsys):
+        bad = tmp_path / "bad-data"
+        shutil.copytree(data_dir, bad)
+        path = bad / "features.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[6].split("\t")
+        fields[3] = "nan"
+        lines[6] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        runs = [
+            ["train", "--model", model, "--data", str(bad), "--out", str(tmp_path / model)]
+            for model in ("gnn", "gbdt")
+        ]
+        runs.append(["evaluate", "--data", str(bad), "--models", str(models_dir), "--out", str(tmp_path / "eval")])
+        for argv in runs:
+            assert main(argv) == 2, argv
+            assert f"{path}:7: non-finite feature value" in capsys.readouterr().err
+        assert not (tmp_path / "gbdt" / "gbdt.model").exists()
+
     def test_unknown_model_is_usage_error(self, data_dir, tmp_path, capsys):
         code = main(
             ["train", "--model", "svm", "--data", str(data_dir), "--out", str(tmp_path)]
@@ -232,6 +252,20 @@ class TestEvaluate:
         assert "omitting node2vec-gbdt" in captured.err
         rows = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(rows) == 2 and rows[1].startswith("gbdt\t")
+
+    def test_no_model_is_data_error(self, data_dir, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "eval"
+        code = main([
+            "evaluate", "--data", str(data_dir), "--models", str(empty), "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("warning:") == 3
+        assert f"error: no trained model in {empty}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_ground_truth_labels_add_audit_line(self, data_dir, models_dir, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -18,7 +18,6 @@ from fraudring.evaluation import (
     save_report,
     tag_truth_mismatches,
 )
-from fraudring.features import Split, Tag
 from reference import brute_force_confusion, brute_force_pr_points, fraction_best_f1
 from util import make_dataset, make_graph
 
@@ -229,17 +228,17 @@ def scored_dataset():
     g = make_graph(kinds, edges)
     rng = np.random.default_rng(5)
     features = rng.normal(size=(8, 3))
-    tags = [Tag.HIGH_RISK] * 3 + [Tag.NO_OBSERVABLE_RISK] * 5
-    split = [Split.TRAIN, Split.TEST, Split.TEST, Split.TRAIN] + [Split.TEST] * 4
+    high_risk = [True] * 3 + [False] * 5
+    is_test = [False, True, True, False] + [True] * 4
     truth = [True, True, True, False, False, False, False, True]
-    return make_dataset(g, features, tags=tags, split=split, truth=truth)
+    return make_dataset(g, features, high_risk=high_risk, is_test=is_test, truth=truth)
 
 
 class TestCompareModels:
     def test_identical_scores_identical_rows(self):
         ds = scored_dataset()
-        scores = {a: 0.1 * a for a in range(8)}
-        report = compare_models(ds, {"one": scores, "two": dict(scores)})
+        scores = 0.1 * np.arange(8)
+        report = compare_models(ds, {"one": scores, "two": scores.copy()})
         a, b = report.rows
         assert (a.threshold, a.precision, a.recall, a.f1, a.detection_expansion) == (
             b.threshold,
@@ -255,7 +254,7 @@ class TestCompareModels:
         ds = scored_dataset()
         # Scores chosen so Test accounts {1, 2, 4, 5, 6, 7} split cleanly:
         # tags say 1, 2 positive; give them and 7 high scores.
-        scores = {a: (0.9 if a in (1, 2, 7) else 0.1) for a in range(8)}
+        scores = np.array([(0.9 if a in (1, 2, 7) else 0.1) for a in range(8)])
         report = compare_models(ds, {"m": scores}, label_source="tags")
         row = report.rows[0]
         # at t=0.9: tp=2 (1, 2), fp=1 (7), fn=0 -> precision 2/3, recall 1
@@ -267,7 +266,7 @@ class TestCompareModels:
 
     def test_ground_truth_source_changes_labels(self):
         ds = scored_dataset()
-        scores = {a: (0.9 if a in (1, 2, 7) else 0.1) for a in range(8)}
+        scores = np.array([(0.9 if a in (1, 2, 7) else 0.1) for a in range(8)])
         report = compare_models(ds, {"m": scores}, label_source="ground-truth")
         row = report.rows[0]
         # truth marks 1, 2, 7 fraud: perfect at t=0.9
@@ -277,7 +276,7 @@ class TestCompareModels:
     def test_pr_curves_cover_each_model(self):
         ds = scored_dataset()
         report = compare_models(
-            ds, {"a": {i: 0.1 * i for i in range(8)}, "b": {i: 0.5 for i in range(8)}}
+            ds, {"a": 0.1 * np.arange(8), "b": np.full(8, 0.5)}
         )
         assert set(report.pr_curves) == {"a", "b"}
 
@@ -290,7 +289,7 @@ class TestFraudNeighborStats:
             "AAAAA" + "DDD",
             [(0, 5), (1, 5), (2, 5), (0, 6), (3, 6), (4, 7)],
         )
-        is_fraud = {0: True, 1: True, 2: True, 3: False, 4: False}
+        is_fraud = [True, True, True, False, False]
         fraud_avg, regular_avg = fraud_neighbor_stats(g, is_fraud, max_hop=2)
         # fraud counts at hop 2: node 0 sees {1, 2}; nodes 1, 2 see {0, other}
         assert fraud_avg == pytest.approx(2.0)
@@ -299,14 +298,14 @@ class TestFraudNeighborStats:
 
     def test_center_excluded_from_own_count(self):
         g = make_graph("AAD", [(0, 2), (1, 2)])
-        fraud_avg, _ = fraud_neighbor_stats(g, {0: True, 1: False}, max_hop=2)
+        fraud_avg, _ = fraud_neighbor_stats(g, [True, False], max_hop=2)
         assert fraud_avg == 0.0
 
     def test_hop_limit_respected(self):
         # Chain: fraud 0 - d4 - 1 - d5 - 2 - d6 - fraud 3; hops between
         # account 0 and account 3 = 6.
         g = make_graph("AAAA" + "DDD", [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)])
-        truth = {0: True, 1: False, 2: False, 3: True}
+        truth = [True, False, False, True]
         fraud_avg, _ = fraud_neighbor_stats(g, truth, max_hop=2)
         assert fraud_avg == 0.0
         fraud_avg6, _ = fraud_neighbor_stats(g, truth, max_hop=6)
@@ -315,7 +314,7 @@ class TestFraudNeighborStats:
     def test_single_class_rejected(self):
         g = make_graph("AAD", [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="both fraud and regular"):
-            fraud_neighbor_stats(g, {0: True, 1: True})
+            fraud_neighbor_stats(g, [True, True])
 
 
 class TestTagTruthMismatches:

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
+from fraudring.evaluation import label_column
 from fraudring.features import (
-    AccountRecord,
     FeatureFormatError,
-    LabeledDataset,
-    Split,
-    Tag,
     check_dataset,
     load_dataset,
     load_features,
@@ -32,89 +29,87 @@ class TestNormalize:
     def test_two_point_column_maps_to_unit_values(self):
         ds = make_dataset(star_graph(2), [[1.0], [3.0]])
         out = normalize_features(ds)
-        assert out.feature_matrix() == pytest.approx(np.array([[-1.0], [1.0]]))
+        assert out.features == pytest.approx(np.array([[-1.0], [1.0]]))
 
     def test_constant_column_becomes_zeros(self):
         ds = make_dataset(star_graph(3), [[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
         out = normalize_features(ds)
-        assert np.all(out.feature_matrix()[:, 0] == 0.0)
+        assert np.all(out.features[:, 0] == 0.0)
 
     def test_train_columns_standardized(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.5, size=(10, 5))
         ds = make_dataset(star_graph(10), x)
-        out = normalize_features(ds).feature_matrix()
+        out = normalize_features(ds).features
         assert np.abs(out.mean(axis=0)).max() < 1e-12
         assert out.std(axis=0) == pytest.approx(np.ones(5))
 
     def test_test_rows_use_train_statistics(self):
-        split = [Split.TRAIN, Split.TRAIN, Split.TEST]
-        ds = make_dataset(star_graph(3), [[0.0], [2.0], [10.0]], split=split)
+        ds = make_dataset(star_graph(3), [[0.0], [2.0], [10.0]], is_test=[False, False, True])
         out = normalize_features(ds)
         # Train mean 1, population std 1; the Test row is shifted by the same stats.
-        assert out.feature_matrix() == pytest.approx(np.array([[-1.0], [1.0], [9.0]]))
+        assert out.features == pytest.approx(np.array([[-1.0], [1.0], [9.0]]))
 
     def test_input_dataset_untouched(self):
         x = [[1.0], [3.0]]
         ds = make_dataset(star_graph(2), x)
         normalize_features(ds)
-        assert ds.feature_matrix() == pytest.approx(np.array(x))
+        assert ds.features == pytest.approx(np.array(x))
 
     def test_invertible_on_non_constant_columns(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(8, 3)) * [1.0, 4.0, 0.25] + [2.0, -1.0, 0.5]
         ds = make_dataset(star_graph(8), x)
         mean, std = train_feature_stats(ds)
-        out = normalize_features(ds).feature_matrix()
+        out = normalize_features(ds).features
         assert out * std + mean == pytest.approx(x)
 
     def test_empty_train_split_rejected(self):
-        ds = make_dataset(star_graph(2), [[1.0], [2.0]], split=[Split.TEST, Split.TEST])
+        ds = make_dataset(star_graph(2), [[1.0], [2.0]], is_test=[True, True])
         with pytest.raises(ValueError, match="Train split is empty"):
             normalize_features(ds)
 
 
 class TestSplit:
     def make(self, n, n_high, seed=0):
-        tags = [Tag.HIGH_RISK] * n_high + [Tag.NO_OBSERVABLE_RISK] * (n - n_high)
+        high_risk = [True] * n_high + [False] * (n - n_high)
         rng = np.random.default_rng(seed)
-        return make_dataset(star_graph(n), rng.normal(size=(n, 2)), tags=tags)
+        return make_dataset(star_graph(n), rng.normal(size=(n, 2)), high_risk=high_risk)
 
     def test_stratified_counts(self):
         ds = split_train_test(self.make(100, 10), test_fraction=0.3, seed=0)
-        high_test = ds.accounts_with(tag=Tag.HIGH_RISK, split=Split.TEST)
-        reg_test = ds.accounts_with(tag=Tag.NO_OBSERVABLE_RISK, split=Split.TEST)
-        assert len(high_test) == 3
-        assert len(reg_test) == 27
+        assert np.sum(ds.high_risk & ds.is_test) == 3
+        assert np.sum(~ds.high_risk & ds.is_test) == 27
 
     def test_rounding_goes_to_train(self):
         # 7 high-risk at 0.3 -> floor(2.1) = 2 test, 5 train.
         ds = split_train_test(self.make(17, 7), test_fraction=0.3, seed=1)
-        assert len(ds.accounts_with(tag=Tag.HIGH_RISK, split=Split.TEST)) == 2
-        assert len(ds.accounts_with(tag=Tag.HIGH_RISK, split=Split.TRAIN)) == 5
+        assert np.sum(ds.high_risk & ds.is_test) == 2
+        assert np.sum(ds.high_risk & ~ds.is_test) == 5
 
     def test_same_seed_identical(self):
         a = split_train_test(self.make(60, 12), 0.25, seed=9)
         b = split_train_test(self.make(60, 12), 0.25, seed=9)
-        assert a.split == b.split
+        assert np.array_equal(a.is_test, b.is_test)
 
     def test_different_seed_differs(self):
         a = split_train_test(self.make(60, 12), 0.25, seed=1)
         b = split_train_test(self.make(60, 12), 0.25, seed=2)
-        assert a.split != b.split
+        assert not np.array_equal(a.is_test, b.is_test)
 
     def test_split_partitions_accounts(self):
-        ds = split_train_test(self.make(50, 5), 0.4, seed=3)
-        accounts = set(int(i) for i in ds.account_order())
-        assert set(ds.split) == accounts
-        assert all(s in (Split.TRAIN, Split.TEST) for s in ds.split.values())
+        src = self.make(50, 5)
+        ds = split_train_test(src, 0.4, seed=3)
+        assert ds.is_test.shape == (len(ds.graph.account_indices()),)
+        assert ds.is_test.dtype == bool
+        assert not src.is_test.any()  # the input keeps its all-Train split
 
     def test_proportions_near_global(self):
         ds = split_train_test(self.make(1000, 100), 0.3, seed=4)
-        test = ds.accounts_with(split=Split.TEST)
-        high_test = ds.accounts_with(tag=Tag.HIGH_RISK, split=Split.TEST)
+        n_test = np.sum(ds.is_test)
+        high_test = np.sum(ds.high_risk & ds.is_test)
         # 10% positives globally; within 1 account of 10% of the test side.
-        assert abs(len(high_test) - 0.1 * len(test)) <= 1.0
+        assert abs(high_test - 0.1 * n_test) <= 1.0
 
     def test_tiny_class_rejected(self):
         with pytest.raises(ValueError, match="cannot stratify"):
@@ -129,14 +124,16 @@ class TestSplit:
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         g = star_graph(3)
-        tags = [Tag.HIGH_RISK, Tag.NO_OBSERVABLE_RISK, Tag.HIGH_RISK]
+        high_risk = [True, False, True]
         x = np.random.default_rng(2).normal(size=(3, 4))
-        ds = make_dataset(g, x, tags=tags)
+        ds = make_dataset(g, x, high_risk=high_risk)
         path = tmp_path / "features.tsv"
         save_features(ds, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1].split("\t")[:2] == ["a0", "HIGH_RISK"]
         loaded = load_features(path, g)
-        assert loaded.feature_matrix() == pytest.approx(x, rel=1e-8)
-        assert [loaded.records[int(i)].tag for i in g.account_indices()] == tags
+        assert loaded.features == pytest.approx(x, rel=1e-8)
+        assert loaded.high_risk.tolist() == high_risk
+        assert not loaded.is_test.any()
 
     def test_second_save_byte_identical(self, tmp_path):
         g = star_graph(1000)
@@ -184,7 +181,7 @@ class TestFeatureFiles:
     def test_missing_account_row_rejected(self, tmp_path):
         path = tmp_path / "f.tsv"
         path.write_text("account_id\ttag\tf0\na0\tHIGH_RISK\t1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="records do not cover"):
+        with pytest.raises(FeatureFormatError, match=r"no row for 1 graph account\(s\), e\.g\. \['a1'\]"):
             load_features(path, star_graph(2))
 
     def test_non_numeric_value_named(self, tmp_path):
@@ -193,6 +190,16 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFormatError, match=r":2: non-numeric"):
             load_features(path, star_graph(1))
 
+    def test_non_finite_value_named(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        for bad in ("nan", "inf", "-inf", "NaN", "Infinity"):
+            path.write_text(
+                f"account_id\ttag\tf0\tf1\na0\tHIGH_RISK\t1.0\t2.0\na1\tHIGH_RISK\t0.5\t{bad}\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(FeatureFormatError, match=r"f\.tsv:3: non-finite feature value"):
+                load_features(path, star_graph(2))
+
 
 class TestGroundTruthFiles:
     def test_round_trip(self, tmp_path):
@@ -200,7 +207,7 @@ class TestGroundTruthFiles:
         ds = make_dataset(g, np.zeros((3, 1)), truth=[True, False, True])
         path = tmp_path / "gt.tsv"
         save_ground_truth(ds, path)
-        assert load_ground_truth(path, g) == {0: True, 1: False, 2: True}
+        assert load_ground_truth(path, g).tolist() == [True, False, True]
 
     def test_bad_flag_rejected(self, tmp_path):
         path = tmp_path / "gt.tsv"
@@ -214,19 +221,31 @@ class TestGroundTruthFiles:
         with pytest.raises(FeatureFormatError, match="header"):
             load_ground_truth(path, star_graph(1))
 
+    def test_duplicate_account_rejected(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("account_id\tis_fraud\na0\t1\na1\t0\na0\t0\n", encoding="utf-8")
+        with pytest.raises(FeatureFormatError, match=r"gt\.tsv:4: duplicate row for account 'a0'"):
+            load_ground_truth(path, star_graph(2))
+
+    def test_missing_account_row_rejected(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("account_id\tis_fraud\na1\t1\n", encoding="utf-8")
+        with pytest.raises(FeatureFormatError, match=r"gt\.tsv: no row for 1 graph account\(s\), e\.g\. \['a0'\]"):
+            load_ground_truth(path, star_graph(2))
+
 
 class TestDatasetAssembly:
     def test_load_dataset_directory(self, tmp_path):
         g = star_graph(3)
         x = np.random.default_rng(5).normal(size=(3, 2))
-        ds = make_dataset(g, x, tags=[Tag.HIGH_RISK, Tag.NO_OBSERVABLE_RISK, Tag.NO_OBSERVABLE_RISK], truth=[True, False, False])
+        ds = make_dataset(g, x, high_risk=[True, False, False], truth=[True, False, False])
         save_graph(g, tmp_path / "graph.tsv")
         save_features(ds, tmp_path / "features.tsv")
         save_ground_truth(ds, tmp_path / "ground_truth.tsv")
         loaded = load_dataset(tmp_path)
-        assert loaded.feature_matrix() == pytest.approx(x, rel=1e-8)
-        assert loaded.ground_truth == {0: True, 1: False, 2: False}
-        assert all(s is Split.TRAIN for s in loaded.split.values())
+        assert loaded.features == pytest.approx(x, rel=1e-8)
+        assert loaded.truth.tolist() == [True, False, False]
+        assert not loaded.is_test.any()
 
     def test_load_dataset_without_ground_truth(self, tmp_path):
         g = star_graph(2)
@@ -234,7 +253,7 @@ class TestDatasetAssembly:
         save_graph(g, tmp_path / "graph.tsv")
         save_features(ds, tmp_path / "features.tsv")
         loaded = load_dataset(tmp_path)
-        assert loaded.ground_truth is None
+        assert loaded.truth is None
 
     def test_prune_dataset_remaps_by_external_id(self):
         # a0-d3-a1 survives, a2-d4 dropped.
@@ -243,44 +262,49 @@ class TestDatasetAssembly:
         ds = make_dataset(
             g,
             x,
-            tags=[Tag.HIGH_RISK, Tag.NO_OBSERVABLE_RISK, Tag.HIGH_RISK],
+            high_risk=[True, False, True],
+            is_test=[False, True, False],
             truth=[True, False, True],
         )
         out = prune_dataset(ds)
         assert out.graph.num_nodes == 3
-        ids = [out.graph.nodes[int(i)].external_id for i in out.account_order()]
+        ids = [out.graph.nodes[int(i)].external_id for i in out.graph.account_indices()]
         assert ids == ["a0", "a1"]
-        assert out.feature_matrix() == pytest.approx(np.array([[1.0], [2.0]]))
-        assert out.records[0].tag is Tag.HIGH_RISK
-        assert out.ground_truth == {0: True, 1: False}
+        assert out.features == pytest.approx(np.array([[1.0], [2.0]]))
+        assert out.high_risk.tolist() == [True, False]
+        assert out.is_test.tolist() == [False, True]
+        assert out.truth.tolist() == [True, False]
 
     def test_check_dataset_rejects_missing_split(self):
         g = star_graph(2)
         ds = make_dataset(g, np.zeros((2, 1)))
-        del ds.split[0]
-        with pytest.raises(ValueError, match="split must cover"):
+        ds.is_test = ds.is_test[1:]
+        with pytest.raises(ValueError, match="is_test must be a boolean column of 2 rows"):
             check_dataset(ds)
 
     def test_check_dataset_rejects_inconsistent_dims(self):
         g = star_graph(2)
         ds = make_dataset(g, np.zeros((2, 2)))
-        ds.records[0] = AccountRecord(0, np.zeros(3), Tag.NO_OBSERVABLE_RISK)
-        with pytest.raises(ValueError, match="inconsistent feature lengths"):
+        ds.features = np.zeros(2)
+        with pytest.raises(ValueError, match=r"features must be an \(2, P\) matrix"):
+            check_dataset(ds)
+        ds.features = np.zeros((3, 2))
+        with pytest.raises(ValueError, match=r"features must be an \(2, P\) matrix"):
             check_dataset(ds)
 
     def test_labels_sources(self):
         ds = make_dataset(
             star_graph(2),
             np.zeros((2, 1)),
-            tags=[Tag.HIGH_RISK, Tag.NO_OBSERVABLE_RISK],
+            high_risk=[True, False],
             truth=[False, True],
         )
-        assert ds.labels([0, 1]) == {0: True, 1: False}
-        assert ds.labels([0, 1], source="ground-truth") == {0: False, 1: True}
+        assert label_column(ds).tolist() == [True, False]
+        assert label_column(ds, "ground-truth").tolist() == [False, True]
         with pytest.raises(ValueError, match="unknown label source"):
-            ds.labels([0], source="oracle")
+            label_column(ds, "oracle")
 
     def test_labels_without_ground_truth_rejected(self):
         ds = make_dataset(star_graph(1), np.zeros((1, 1)))
         with pytest.raises(ValueError, match="no ground truth"):
-            ds.labels([0], source="ground-truth")
+            label_column(ds, "ground-truth")

@@ -251,7 +251,7 @@ class TestKhopCounts:
 
         sds = generate(SynthConfig(n_regular_accounts=40, n_rings=3, seed=2))
         g = sds.dataset.graph
-        fraud_seeds = [a for a, flag in sds.dataset.ground_truth.items() if flag]
+        fraud_seeds = g.account_indices()[sds.dataset.truth].tolist()
         adj = adjacency_lists(g)
         max_hop = 4
         got = khop_neighbor_counts(g, fraud_seeds, max_hop, CountKind.ACCOUNT_ONLY)

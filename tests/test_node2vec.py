@@ -17,7 +17,6 @@ from fraudring.baselines.node2vec import (
     save_embeddings,
     train_embeddings,
 )
-from fraudring.features import Tag
 from fraudring.train import sample_negatives
 from reference import naive_sgns_loss, window_pairs
 from util import make_dataset, make_graph
@@ -335,6 +334,15 @@ class TestEmbeddingFiles:
         with pytest.raises(ValueError, match=":1: non-numeric"):
             load_embeddings(str(path), g)
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        g = five_node_fixture()
+        path = tmp_path / "embeddings.tsv"
+        for bad in ("nan", "inf", "-inf"):
+            rows = ["a0\t1\t2", "a1\t3\t4", f"a2\t5\t{bad}", "d3\t6\t7", "d4\t8\t9"]
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=r"embeddings\.tsv:3: non-finite embedding value"):
+                load_embeddings(str(path), g)
+
 
 class TestEmbedConcatFit:
     def dataset(self):
@@ -345,8 +353,7 @@ class TestEmbedConcatFit:
         rng = np.random.default_rng(10)
         features = rng.normal(size=(9, 3))
         features[:3] += 1.0
-        tags = [Tag.HIGH_RISK] * 3 + [Tag.NO_OBSERVABLE_RISK] * 6
-        return make_dataset(g, features, tags=tags)
+        return make_dataset(g, features, high_risk=[True] * 3 + [False] * 6)
 
     def test_model_consumes_embedding_then_features(self):
         ds = self.dataset()
@@ -358,15 +365,19 @@ class TestEmbedConcatFit:
 
         # Rebuild the documented training matrix and refit: identical model.
         accounts = [int(i) for i in ds.graph.account_indices()]
-        tags = {a: ds.records[a].tag for a in accounts}
-        positives = sorted(a for a in accounts if tags[a] is Tag.HIGH_RISK)
-        negatives = sorted(
-            sample_negatives(tags, 1.0, np.random.default_rng(gb.seed))
-        )
+        positives = [r for r in range(9) if ds.high_risk[r]]
+        negatives = sample_negatives(np.arange(3, 9), 1.0, np.random.default_rng(gb.seed)).tolist()
         chosen = positives + negatives
         x = np.hstack(
-            [emb.vectors[chosen], np.stack([ds.records[a].features for a in chosen])]
+            [emb.vectors[[accounts[r] for r in chosen]], ds.features[chosen]]
         )
         y = np.array([1.0] * len(positives) + [0.0] * len(negatives))
         again = gbdt_fit(x, y, gb)
         assert np.array_equal(gbdt_predict_batch(model, x), gbdt_predict_batch(again, x))
+
+    def test_no_tagged_train_account_rejected(self):
+        ds = self.dataset()
+        ds.is_test[:3] = True
+        n2v = Node2vecConfig(dimensions=4, walk_length=8, walks_per_node=10, window=2, seed=0)
+        with pytest.raises(ValueError, match="no tagged high-risk"):
+            embed_concat_fit(ds, n2v, GBDTConfig(n_trees=10, seed=1))

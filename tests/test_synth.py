@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraudring.features import Split, Tag, load_dataset
+from fraudring.features import load_dataset
 from fraudring.graph import CountKind, build_graph, khop_neighbor_counts, prune_singletons
 from fraudring.synth import MANIFEST_FILE, SynthConfig, SyntheticDataset, emit, generate
 
@@ -40,13 +40,12 @@ class TestTopology:
         g = sds.dataset.graph
         assert g.num_nodes == 5
         assert g.edge_count == 6
-        tags = [rec.tag for rec in sds.dataset.records.values()]
-        assert tags.count(Tag.HIGH_RISK) == 3
+        assert sds.dataset.high_risk.tolist() == [True] * 3
 
     def test_ring_members_mutually_at_distance_two(self):
         sds = generate(small_config())
         g = sds.dataset.graph
-        fraud = sorted(a for a, flag in sds.dataset.ground_truth.items() if flag)
+        fraud = g.account_indices()[sds.dataset.truth].tolist()
         # Ring 0 holds the first four accounts created.
         ring0 = fraud[:4]
         for s in ring0:
@@ -73,11 +72,8 @@ class TestTopology:
         sds = generate(small_config())
         pruned = prune_singletons(sds.dataset.graph)
         kept = {n.external_id for n in pruned.nodes}
-        fraud_ids = {
-            sds.dataset.graph.nodes[a].external_id
-            for a, flag in sds.dataset.ground_truth.items()
-            if flag
-        }
+        g = sds.dataset.graph
+        fraud_ids = {g.nodes[a].external_id for a in g.account_indices()[sds.dataset.truth]}
         assert fraud_ids <= kept
 
     def test_prunable_report_matches_prune_outcome(self):
@@ -95,7 +91,7 @@ class TestTopology:
     def test_family_share_connects_two_regular_accounts(self):
         sds = generate(small_config(family_share_prob=1.0, n_regular_accounts=4))
         g = sds.dataset.graph
-        regular = [a for a, flag in sds.dataset.ground_truth.items() if not flag]
+        regular = g.account_indices()[~sds.dataset.truth].tolist()
         for a in regular:
             counts = khop_neighbor_counts(g, {a}, 2, CountKind.ACCOUNT_ONLY)
             assert counts[1] >= 1.0
@@ -105,15 +101,12 @@ class TestLabels:
     def test_zero_miss_rate_tags_equal_truth(self):
         sds = generate(small_config(tag_miss_rate=0.0))
         ds = sds.dataset
-        for a, rec in ds.records.items():
-            assert (rec.tag is Tag.HIGH_RISK) == ds.ground_truth[a]
+        assert np.array_equal(ds.high_risk, ds.truth)
 
     def test_regular_accounts_never_tagged_high_risk(self):
         sds = generate(small_config(tag_miss_rate=0.5, seed=13))
         ds = sds.dataset
-        for a, rec in ds.records.items():
-            if not ds.ground_truth[a]:
-                assert rec.tag is Tag.NO_OBSERVABLE_RISK
+        assert not np.any(ds.high_risk & ~ds.truth)
 
     def test_tagged_count_within_binomial_interval(self):
         # 10 rings of 10 -> 100 fraud accounts at miss rate 0.3.
@@ -126,9 +119,7 @@ class TestLabels:
                 seed=5,
             )
         )
-        tagged = sum(
-            1 for rec in sds.dataset.records.values() if rec.tag is Tag.HIGH_RISK
-        )
+        tagged = int(sds.dataset.high_risk.sum())
         mean, std = 70.0, math.sqrt(100 * 0.7 * 0.3)
         lo, hi = mean - 2.576 * std, mean + 2.576 * std
         assert lo <= tagged <= hi
@@ -146,10 +137,8 @@ class TestFeatures:
         )
         sds = generate(cfg)
         ds = sds.dataset
-        fraud = [a for a, flag in ds.ground_truth.items() if flag]
-        regular = [a for a, flag in ds.ground_truth.items() if not flag]
-        xf = ds.feature_matrix(fraud).mean(axis=0)
-        xr = ds.feature_matrix(regular).mean(axis=0)
+        xf = ds.features[ds.truth].mean(axis=0)
+        xr = ds.features[~ds.truth].mean(axis=0)
         n_shift = math.ceil(cfg.feature_dim / 3)
         diff = xf - xr
         # Shifted dims move by about the configured amount; the rest stay put.
@@ -168,7 +157,7 @@ class TestFeatures:
         ds = sds.dataset
         n_shift = math.ceil(cfg.feature_dim / 3)
         means = [
-            ds.feature_matrix(list(range(r * 50, (r + 1) * 50)))[:, :n_shift].mean(axis=0)
+            ds.features[r * 50 : (r + 1) * 50, :n_shift].mean(axis=0)
             for r in range(4)
         ]
         dists = [
@@ -182,8 +171,8 @@ class TestFeatures:
     def test_two_hop_fraud_neighbor_signal(self):
         sds = generate(SynthConfig(n_regular_accounts=200, n_rings=5, seed=0))
         ds = sds.dataset
-        fraud = [a for a, flag in ds.ground_truth.items() if flag]
-        regular = [a for a, flag in ds.ground_truth.items() if not flag]
+        fraud = ds.graph.account_indices()[ds.truth].tolist()
+        regular = ds.graph.account_indices()[~ds.truth].tolist()
         f = khop_neighbor_counts(ds.graph, fraud, 2, CountKind.ACCOUNT_ONLY)
         r = khop_neighbor_counts(ds.graph, regular, 2, CountKind.ACCOUNT_ONLY)
         assert f[1] > r[1]
@@ -216,10 +205,9 @@ class TestEmit:
         loaded = load_dataset(tmp_path)
         ds = sds.dataset
         assert loaded.graph == ds.graph
-        assert loaded.feature_matrix() == pytest.approx(ds.feature_matrix(), rel=1e-8)
-        assert loaded.ground_truth == ds.ground_truth
-        for a in ds.records:
-            assert loaded.records[a].tag is ds.records[a].tag
+        assert loaded.features == pytest.approx(ds.features, rel=1e-8)
+        assert np.array_equal(loaded.truth, ds.truth)
+        assert np.array_equal(loaded.high_risk, ds.high_risk)
 
     def test_emits_are_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -243,8 +231,6 @@ class TestEmit:
         a = generate(small_config())
         b = generate(small_config())
         assert a.dataset.graph == b.dataset.graph
-        assert a.dataset.feature_matrix() == pytest.approx(
-            b.dataset.feature_matrix(), abs=0
-        )
+        assert np.array_equal(a.dataset.features, b.dataset.features)
         assert a.claims == b.claims
         assert a.logins == b.logins

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from fraudring.evaluation import best_f1_threshold, confusion, f1
-from fraudring.features import Split, Tag
-from fraudring.geniepath import init_params
+from fraudring.geniepath import PROB_CLAMP, _bce_dprobs, _clamped_bce, init_params
 from fraudring.train import (
     NumericalError,
     Optimizer,
     TrainConfig,
     TrainReport,
-    loss,
     sample_negatives,
     save_train_report,
     score_accounts,
     train,
+    training_rows,
 )
+from reference import dict_bce
 from util import make_dataset, make_graph
 
 
@@ -30,60 +30,103 @@ def tiny_dataset(seed=42, n_regular=5):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n_acc, 4))
     features[:3, :2] += 1.5
-    tags = [Tag.HIGH_RISK] * 3 + [Tag.NO_OBSERVABLE_RISK] * n_regular
+    high_risk = [True] * 3 + [False] * n_regular
     truth = [True] * 3 + [False] * n_regular
-    return make_dataset(g, features, tags=tags, truth=truth)
+    return make_dataset(g, features, high_risk=high_risk, truth=truth)
 
 
 class TestSampleNegatives:
     def test_rate_one_takes_whole_pool(self):
-        tags = {i: Tag.NO_OBSERVABLE_RISK for i in range(9)}
-        tags[3] = Tag.HIGH_RISK
-        got = sample_negatives(tags, 1.0, np.random.default_rng(0))
-        assert got == set(tags) - {3}
+        pool = np.array([0, 1, 2, 4, 5, 6, 7, 8])
+        got = sample_negatives(pool, 1.0, np.random.default_rng(0))
+        assert got.tolist() == pool.tolist()
 
     def test_quarter_of_hundred_is_exactly_25(self):
-        tags = {i: Tag.NO_OBSERVABLE_RISK for i in range(100)}
-        got = sample_negatives(tags, 0.25, np.random.default_rng(1))
+        got = sample_negatives(np.arange(100), 0.25, np.random.default_rng(1))
         assert len(got) == 25
-        assert got <= set(range(100))
+        assert set(got.tolist()) <= set(range(100))
+        assert np.all(np.diff(got) > 0)
 
     def test_same_rng_state_same_sample(self):
-        tags = {i: Tag.NO_OBSERVABLE_RISK for i in range(50)}
-        a = sample_negatives(tags, 0.3, np.random.default_rng(7))
-        b = sample_negatives(tags, 0.3, np.random.default_rng(7))
-        assert a == b
+        pool = np.arange(50)
+        a = sample_negatives(pool, 0.3, np.random.default_rng(7))
+        b = sample_negatives(pool, 0.3, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     def test_different_rng_states_differ(self):
-        tags = {i: Tag.NO_OBSERVABLE_RISK for i in range(200)}
-        a = sample_negatives(tags, 0.2, np.random.default_rng(1))
-        b = sample_negatives(tags, 0.2, np.random.default_rng(2))
-        assert a != b
+        pool = np.arange(200)
+        a = sample_negatives(pool, 0.2, np.random.default_rng(1))
+        b = sample_negatives(pool, 0.2, np.random.default_rng(2))
+        assert not np.array_equal(a, b)
 
     def test_high_risk_accounts_never_sampled(self):
-        tags = {i: (Tag.HIGH_RISK if i % 2 else Tag.NO_OBSERVABLE_RISK) for i in range(40)}
-        got = sample_negatives(tags, 1.0, np.random.default_rng(3))
-        assert all(i % 2 == 0 for i in got)
+        g = make_graph("A" * 40 + "D", [(a, 40) for a in range(40)])
+        ds = make_dataset(g, np.zeros((40, 1)), high_risk=[i % 2 == 1 for i in range(40)])
+        _, got = training_rows(ds, 1.0, np.random.default_rng(3))
+        assert got.tolist() == list(range(0, 40, 2))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="no untagged"):
-            sample_negatives({0: Tag.HIGH_RISK}, 0.5, np.random.default_rng(0))
+            sample_negatives(np.array([], dtype=np.int64), 0.5, np.random.default_rng(0))
 
     def test_bad_rate_rejected(self):
-        tags = {0: Tag.NO_OBSERVABLE_RISK}
         for rate in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="rate"):
-                sample_negatives(tags, rate, np.random.default_rng(0))
+                sample_negatives(np.array([0]), rate, np.random.default_rng(0))
+
+
+class TestTrainingRows:
+    def split_dataset(self):
+        n = 20
+        g = make_graph("A" * n + "D", [(a, n) for a in range(n)])
+        high_risk = [i % 4 == 0 for i in range(n)]
+        is_test = [i % 5 == 3 or i == 8 for i in range(n)]
+        return make_dataset(g, np.zeros((n, 1)), high_risk=high_risk, is_test=is_test)
+
+    def test_positives_are_every_tagged_train_row(self):
+        ds = self.split_dataset()
+        pos, neg = training_rows(ds, 0.5, np.random.default_rng(0))
+        assert pos.tolist() == [0, 4, 12, 16]
+        assert not set(neg.tolist()) & set(np.flatnonzero(ds.is_test | ds.high_risk).tolist())
+
+    def test_one_choice_over_the_ascending_untagged_train_pool(self):
+        ds = self.split_dataset()
+        pool = [r for r in range(20) if r % 4 != 0 and r % 5 != 3]
+        rng = np.random.default_rng(11)
+        _, neg = training_rows(ds, 0.5, rng)
+        oracle = np.random.default_rng(11)
+        chosen = oracle.choice(len(pool), size=round(0.5 * len(pool)), replace=False)
+        assert neg.tolist() == sorted(pool[j] for j in chosen)
+        # the generators were consumed alike
+        assert rng.random() == oracle.random()
+
+    def test_no_tagged_train_account_rejected(self):
+        ds = self.split_dataset()
+        ds.is_test = ds.is_test | ds.high_risk
+        with pytest.raises(ValueError, match="no tagged high-risk"):
+            training_rows(ds, 0.5, np.random.default_rng(0))
+
+
+def bce_both(probs, pos, neg):
+    """_clamped_bce over ascending row arrays, and the dict oracle, for the same keyed sets."""
+    keys = sorted(probs)
+    row = {k: r for r, k in enumerate(keys)}
+    p = np.array([probs[k] for k in keys])
+    got = _clamped_bce(p, np.array(sorted(row[k] for k in pos)), np.array(sorted(row[k] for k in neg)))
+    return got, dict_bce(probs, pos, neg, clamp=PROB_CLAMP)
 
 
 class TestLoss:
     def test_half_probabilities_give_four_log_two(self):
         probs = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5}
-        assert loss(probs, {0, 1}, {2, 3}) == pytest.approx(4 * math.log(2), abs=1e-12)
+        got, want = bce_both(probs, {0, 1}, {2, 3})
+        assert got == pytest.approx(4 * math.log(2), abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_perfect_predictions_near_zero(self):
-        probs = {0: 1.0, 1: 0.0}
-        assert loss(probs, {0}, {1}) <= 1e-10
+        got, want = bce_both({0: 1.0, 1: 0.0}, {0}, {1})
+        assert got <= 1e-10
+        assert want <= 1e-10
 
     def test_matches_scalar_recomputation(self):
         rng = np.random.default_rng(4)
@@ -92,23 +135,42 @@ class TestLoss:
         neg = {1, 2, 8, 11}
         want = sum(-math.log(probs[v]) for v in pos)
         want += sum(-math.log(1.0 - probs[v]) for v in neg)
-        assert loss(probs, pos, neg) == pytest.approx(want, abs=1e-12)
+        got, oracle = bce_both(probs, pos, neg)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert oracle == pytest.approx(want, abs=1e-12)
 
     def test_wrong_confident_predictions_stay_finite(self):
-        probs = {0: 0.0, 1: 1.0}
-        val = loss(probs, {0}, {1})
-        assert math.isfinite(val)
+        got, oracle = bce_both({0: 0.0, 1: 1.0}, {0}, {1})
+        assert math.isfinite(got)
         want = -math.log(1e-12) - math.log(1.0 - (1.0 - 1e-12))
-        assert val == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert oracle == pytest.approx(want, rel=1e-12)
 
     def test_overlapping_sets_rejected(self):
+        # The oracle rejects overlap; the rows training feeds _clamped_bce never overlap.
         with pytest.raises(ValueError, match="overlap"):
-            loss({0: 0.5, 1: 0.5}, {0, 1}, {1})
+            dict_bce({0: 0.5, 1: 0.5}, {0, 1}, {1})
+        for seed in range(5):
+            pos, neg = training_rows(tiny_dataset(n_regular=12), 1.0, np.random.default_rng(seed))
+            assert not set(pos.tolist()) & set(neg.tolist())
 
     def test_relabeling_indices_preserves_value(self):
-        probs = {0: 0.7, 1: 0.2, 2: 0.9}
-        relabeled = {10: 0.7, 21: 0.2, 32: 0.9}
-        assert loss(probs, {0, 2}, {1}) == loss(relabeled, {10, 32}, {21})
+        p = np.array([0.7, 0.2, 0.9])
+        relabeled = np.full(33, 0.5)
+        relabeled[[10, 21, 32]] = p
+        got = _clamped_bce(p, np.array([0, 2]), np.array([1]))
+        assert got == _clamped_bce(relabeled, np.array([10, 32]), np.array([21]))
+        assert got == pytest.approx(dict_bce({10: 0.7, 21: 0.2, 32: 0.9}, {10, 32}, {21}), abs=1e-12)
+
+    def test_masks_and_ascending_rows_agree(self):
+        probs = np.random.default_rng(5).uniform(0.0, 1.0, size=15)
+        probs[[0, 9]] = [0.0, 1.0]
+        pos = np.array([0, 4, 9])
+        neg = np.array([2, 3, 7, 14])
+        pos_mask = np.isin(np.arange(15), pos)
+        neg_mask = np.isin(np.arange(15), neg)
+        assert _clamped_bce(probs, pos, neg) == _clamped_bce(probs, pos_mask, neg_mask)
+        assert np.array_equal(_bce_dprobs(probs, pos, neg), _bce_dprobs(probs, pos_mask, neg_mask))
 
 
 class TestTrain:
@@ -155,11 +217,10 @@ class TestTrain:
         ds = tiny_dataset(n_regular=8)
         params = init_params(4, hidden_dim=4, n_layers=1, seed=3)
         cfg = TrainConfig(epochs=12, negative_sample_rate=0.5, seed=1)
-        fitted, report = train(ds, params, cfg)
+        _, report = train(ds, params, cfg)
         assert isinstance(report, TrainReport)
         assert len(report.loss_history) == 12
         assert report.sampled_negative_counts == [round(0.5 * 8)] * 12
-        assert report.params is fitted
 
     def test_resampling_varies_the_negative_set(self):
         # With resampling on and rate < 1 the loss trace depends on the draw,
@@ -179,8 +240,7 @@ class TestTrain:
 
     def test_no_positive_train_accounts_rejected(self):
         ds = tiny_dataset()
-        tags = [Tag.NO_OBSERVABLE_RISK] * 8
-        ds2 = make_dataset(ds.graph, ds.feature_matrix(), tags=tags)
+        ds2 = make_dataset(ds.graph, ds.features)
         params = init_params(4, hidden_dim=4, n_layers=1, seed=6)
         with pytest.raises(ValueError, match="high-risk"):
             train(ds2, params, TrainConfig(epochs=1))
@@ -196,18 +256,18 @@ class TestTrain:
     def test_training_beats_untrained_on_test_split(self):
         ds = tiny_dataset(n_regular=9)
         n_acc = 12
-        split = [Split.TRAIN if i % 3 != 2 else Split.TEST for i in range(n_acc)]
-        tags = [Tag.HIGH_RISK] * 3 + [Tag.NO_OBSERVABLE_RISK] * 9
+        is_test = [i % 3 == 2 for i in range(n_acc)]
+        high_risk = [True] * 3 + [False] * 9
         truth = [True] * 3 + [False] * 9
-        ds = make_dataset(ds.graph, ds.feature_matrix(), tags=tags, split=split, truth=truth)
+        ds = make_dataset(ds.graph, ds.features, high_risk=high_risk, is_test=is_test, truth=truth)
         params = init_params(4, hidden_dim=4, n_layers=2, seed=7)
         fitted, _ = train(ds, params, TrainConfig(epochs=150, negative_sample_rate=1.0, seed=0))
 
-        test_accounts = sorted(a for a in ds.split if ds.split[a] is Split.TEST)
-        labels = ds.labels(test_accounts, source="ground-truth")
+        test_accounts = ds.graph.account_indices()[ds.is_test].tolist()
+        labels = dict(zip(test_accounts, ds.truth[ds.is_test].tolist()))
 
         def f1_of(p):
-            scores = score_accounts(ds, p, split=Split.TEST)
+            scores = dict(zip(test_accounts, score_accounts(ds, p)[ds.is_test].tolist()))
             thr, _ = best_f1_threshold(scores, labels)
             return f1(confusion(scores, labels, thr))
 
@@ -220,29 +280,28 @@ class TestScoreAccounts:
         ds = tiny_dataset()
         params = init_params(4, hidden_dim=4, n_layers=1, seed=8)
         scores = score_accounts(ds, params)
-        assert set(scores) == {int(i) for i in ds.graph.account_indices()}
-        assert all(0.0 < v < 1.0 for v in scores.values())
+        assert scores.shape == (len(ds.graph.account_indices()),)
+        assert np.all((0.0 < scores) & (scores < 1.0))
 
     def test_split_filter(self):
-        ds = tiny_dataset()
-        split = [Split.TRAIN] * 6 + [Split.TEST] * 2
+        # Scores do not depend on the split; selecting Test rows picks accounts 6 and 7.
+        full_train = tiny_dataset()
         ds = make_dataset(
-            ds.graph,
-            ds.feature_matrix(),
-            tags=[Tag.HIGH_RISK] * 3 + [Tag.NO_OBSERVABLE_RISK] * 5,
-            split=split,
+            full_train.graph,
+            full_train.features,
+            high_risk=[True] * 3 + [False] * 5,
+            is_test=[False] * 6 + [True] * 2,
         )
         params = init_params(4, hidden_dim=4, n_layers=1, seed=9)
-        test_scores = score_accounts(ds, params, split=Split.TEST)
-        assert set(test_scores) == {6, 7}
-        full = score_accounts(ds, params)
-        for a, v in test_scores.items():
-            assert full[a] == v
+        scores = score_accounts(ds, params)
+        assert ds.graph.account_indices()[ds.is_test].tolist() == [6, 7]
+        assert np.array_equal(scores, score_accounts(full_train, params))
+        assert np.array_equal(scores[ds.is_test], scores[6:8])
 
 
 class TestReportFile:
     def test_tsv_layout_round_trips(self, tmp_path):
-        report = TrainReport([1.5, 0.75, 0.5], [4, 4, 3], init_params(2, 2, 1, 0))
+        report = TrainReport([1.5, 0.75, 0.5], [4, 4, 3])
         path = tmp_path / "train_report.tsv"
         save_train_report(report, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -1,7 +1,7 @@
 """Shared fixture builders for the test suite."""
 import numpy as np
 
-from fraudring.features import AccountRecord, LabeledDataset, Split, Tag
+from fraudring.features import LabeledDataset
 from fraudring.graph import DeviceSharingGraph, NodeKind, NodeRef
 
 
@@ -36,25 +36,18 @@ def adjacency_lists(g: DeviceSharingGraph):
 def make_dataset(
     g: DeviceSharingGraph,
     features,
-    tags=None,
-    split=None,
+    high_risk=None,
+    is_test=None,
     truth=None,
 ) -> LabeledDataset:
     """LabeledDataset over g's accounts with row i of features on account i.
 
-    tags default to NO_OBSERVABLE_RISK, truth to absent; split defaults to TRAIN.
+    high_risk and is_test default to all False, truth to absent.
     """
-    accounts = [int(i) for i in g.account_indices()]
-    features = np.asarray(features, dtype=np.float64)
-    records = {}
-    for row, a in enumerate(accounts):
-        tag = tags[row] if tags is not None else Tag.NO_OBSERVABLE_RISK
-        records[a] = AccountRecord(a, features[row].copy(), tag)
-    split_map = {
-        a: (split[row] if split is not None else Split.TRAIN)
-        for row, a in enumerate(accounts)
-    }
-    truth_map = None
-    if truth is not None:
-        truth_map = {a: bool(truth[row]) for row, a in enumerate(accounts)}
-    return LabeledDataset(g, records, split_map, truth_map)
+    n = len(g.account_indices())
+
+    def column(values):
+        return np.zeros(n, dtype=bool) if values is None else np.array(values, dtype=bool)
+
+    truth = None if truth is None else column(truth)
+    return LabeledDataset(g, np.array(features, dtype=np.float64), column(high_risk), column(is_test), truth)
