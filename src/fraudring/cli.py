@@ -50,13 +50,13 @@ from .geniepath import (
 from .graph import (
     GraphFormatError,
     WindowConfig,
+    _kept_nodes,
     build_graph,
-    connected_components,
+    component_labels,
     export_dot,
     load_claim_events,
     load_graph,
     load_login_events,
-    prune_singletons,
     save_graph,
 )
 from .synth import SynthConfig, emit, generate
@@ -343,15 +343,13 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     g = build_graph(claims, logins, window)
     if g.num_nodes == 0:
         print("warning: no in-window events; writing an empty graph", file=sys.stderr)
-    dropped = sum(
-        1
-        for comp in connected_components(g)
-        if sum(1 for i in comp if g.is_account(i)) < 2
-    )
     if opt.no_prune:
         print(f"nodes: {g.num_nodes}, edges: {g.edge_count} (pruning skipped)")
     else:
-        pruned = prune_singletons(g)
+        labels = component_labels(g)
+        keep = _kept_nodes(g, labels)
+        dropped = np.count_nonzero(~keep & (labels == np.arange(g.num_nodes)))
+        pruned = g.subgraph(keep)
         print(
             f"nodes: {pruned.num_nodes}, edges: {pruned.edge_count} "
             f"(pruned {dropped} singleton components, {g.num_nodes - pruned.num_nodes} nodes)"

@@ -9,7 +9,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, load_graph, prune_singletons
+from .graph import DeviceSharingGraph, _kept_nodes, component_labels, load_graph
 
 GRAPH_FILE = "graph.tsv"
 FEATURES_FILE = "features.tsv"
@@ -101,19 +101,18 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int) -> Lab
 
 
 def prune_dataset(ds: LabeledDataset) -> LabeledDataset:
-    """Apply prune_singletons to the graph and keep the rows of the surviving accounts.
+    """Drop the components with fewer than two accounts from the graph, and those accounts' rows.
 
     Pruning keeps the relative node order, so the kept rows stay aligned.
     """
-    pruned = prune_singletons(ds.graph)
-    kept = _account_rows(pruned)
-    keep = np.array([ext in kept for ext in _account_rows(ds.graph)], dtype=bool)
+    keep = _kept_nodes(ds.graph, component_labels(ds.graph))
+    rows = keep[ds.graph.account_indices()]
     out = LabeledDataset(
-        pruned,
-        ds.features[keep],
-        ds.high_risk[keep],
-        ds.is_test[keep],
-        None if ds.truth is None else ds.truth[keep],
+        ds.graph.subgraph(keep),
+        ds.features[rows],
+        ds.high_risk[rows],
+        ds.is_test[rows],
+        None if ds.truth is None else ds.truth[rows],
     )
     check_dataset(out)
     return out

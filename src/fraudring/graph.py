@@ -113,7 +113,6 @@ class DeviceSharingGraph:
         else:
             self._offsets = np.zeros(n + 1, dtype=np.int64)
             self._targets = np.empty(0, dtype=np.int64)
-        self._account_id_to_index: dict[str, int] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -132,9 +131,6 @@ class DeviceSharingGraph:
     def account_indices(self) -> np.ndarray:
         return np.flatnonzero(self._is_account)
 
-    def device_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self._is_account)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, in sorted order."""
         for u in range(self.num_nodes):
@@ -146,12 +142,15 @@ class DeviceSharingGraph:
         """Adjacency as (offsets, targets) arrays in CSR layout (views, do not mutate)."""
         return self._offsets, self._targets
 
-    def account_index_by_id(self) -> dict[str, int]:
-        if self._account_id_to_index is None:
-            self._account_id_to_index = {
-                nd.external_id: nd.index for nd in self.nodes if nd.kind is NodeKind.ACCOUNT
-            }
-        return self._account_id_to_index
+    def subgraph(self, keep: np.ndarray) -> DeviceSharingGraph:
+        """The subgraph induced by a node mask; kept nodes keep their order, indices re-densified."""
+        sources = np.repeat(np.arange(self.num_nodes), np.diff(self._offsets))
+        upper = (sources < self._targets) & keep[sources] & keep[self._targets]
+        new_index = np.cumsum(keep) - 1
+        kept = [self.nodes[old] for old in np.flatnonzero(keep).tolist()]
+        nodes = [NodeRef(new, nd.kind, nd.external_id) for new, nd in enumerate(kept)]
+        edges = zip(new_index[sources[upper]].tolist(), new_index[self._targets[upper]].tolist())
+        return DeviceSharingGraph(nodes, edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeviceSharingGraph):
@@ -214,26 +213,37 @@ def build_graph(
     return DeviceSharingGraph(nodes, edges)
 
 
+def component_labels(g: DeviceSharingGraph) -> np.ndarray:
+    """Label every node with the smallest node index in its connected component.
+
+    Hook and shortcut (Shiloach & Vishkin, 1982), repeated until nothing
+    changes: along every edge (u, v) the node labels[u] takes labels[v] if
+    that is smaller, then labels = labels[labels]. Labels only decrease and
+    never leave the component, so the fixed point is the component minimum.
+    """
+    offsets, targets = g.csr()
+    sources = np.repeat(np.arange(g.num_nodes), np.diff(offsets))
+    labels = np.arange(g.num_nodes)
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, labels[sources], labels[targets])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            return labels
+        labels = lowest
+
+
+def _kept_nodes(g: DeviceSharingGraph, labels: np.ndarray) -> np.ndarray:
+    """Mask of the nodes whose component holds at least two accounts: what pruning keeps."""
+    return np.bincount(labels[g._is_account], minlength=g.num_nodes)[labels] >= 2
+
+
 def connected_components(g: DeviceSharingGraph) -> list[set[int]]:
     """Partition node indices into connected components, ordered by smallest member."""
-    visited = np.zeros(g.num_nodes, dtype=bool)
-    components: list[set[int]] = []
-    for start in range(g.num_nodes):
-        if visited[start]:
-            continue
-        comp = {start}
-        visited[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if not visited[v]:
-                    visited[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
-    return components
+    labels = component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    return [set(part.tolist()) for part in np.split(order, bounds)] if g.num_nodes else []
 
 
 def prune_singletons(g: DeviceSharingGraph) -> DeviceSharingGraph:
@@ -242,25 +252,7 @@ def prune_singletons(g: DeviceSharingGraph) -> DeviceSharingGraph:
     Surviving nodes keep their relative order; indices are re-densified.
     Idempotent.
     """
-    keep = np.zeros(g.num_nodes, dtype=bool)
-    for comp in connected_components(g):
-        n_accounts = sum(1 for i in comp if g.is_account(i))
-        if n_accounts >= 2:
-            for i in comp:
-                keep[i] = True
-
-    old_indices = np.flatnonzero(keep)
-    remap = {int(old): new for new, old in enumerate(old_indices)}
-    nodes = [
-        NodeRef(remap[int(old)], g.nodes[int(old)].kind, g.nodes[int(old)].external_id)
-        for old in old_indices
-    ]
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges()
-        if keep[u] and keep[v]
-    ]
-    return DeviceSharingGraph(nodes, edges)
+    return g.subgraph(_kept_nodes(g, component_labels(g)))
 
 
 def _bfs_distances(g: DeviceSharingGraph, start: int, max_depth: int) -> np.ndarray:
@@ -434,22 +426,27 @@ def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
 
 
-def load_claim_events(path: str) -> list[ClaimEvent]:
-    events = []
+def _read_events(path: str, id_names: Sequence[str]) -> Iterator[tuple[list[str], int]]:
+    """Rows of an event TSV as (ids, timestamp); an empty id or a bad row fails with path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+            if len(parts) != len(id_names) + 1:
+                raise GraphFormatError(f"{path}:{lineno}: expected {len(id_names) + 1} fields, got {len(parts)}")
+            if "" in parts[:-1]:
+                raise GraphFormatError(f"{path}:{lineno}: empty {id_names[parts.index('')]}")
             try:
-                ts = int(parts[1])
+                ts = int(parts[-1])
             except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: timestamp {parts[1]!r} is not an integer") from None
-            events.append(ClaimEvent(parts[0], ts))
-    return events
+                raise GraphFormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is not an integer") from None
+            yield parts[:-1], ts
+
+
+def load_claim_events(path: str) -> list[ClaimEvent]:
+    return [ClaimEvent(*ids, ts) for ids, ts in _read_events(path, ["account id"])]
 
 
 def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
@@ -461,18 +458,4 @@ def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
 
 
 def load_login_events(path: str) -> list[LoginEvent]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                ts = int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: timestamp {parts[2]!r} is not an integer") from None
-            events.append(LoginEvent(parts[0], parts[1], ts))
-    return events
+    return [LoginEvent(*ids, ts) for ids, ts in _read_events(path, ["account id", "device umid"])]

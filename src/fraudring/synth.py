@@ -29,8 +29,9 @@ from .graph import (
     ClaimEvent,
     LoginEvent,
     WindowConfig,
+    _kept_nodes,
     build_graph,
-    connected_components,
+    component_labels,
     save_claim_events,
     save_graph,
     save_login_events,
@@ -207,12 +208,9 @@ def generate(config: SynthConfig) -> SyntheticDataset:
     dataset = LabeledDataset(graph, features, high_risk, np.zeros(n_accounts, dtype=bool), truth)
     check_dataset(dataset)
 
-    prunable: list[str] = []
-    for comp in connected_components(graph):
-        comp_accounts = [i for i in sorted(comp) if graph.is_account(i)]
-        if len(comp_accounts) < 2:
-            prunable.extend(graph.nodes[i].external_id for i in comp_accounts)
-    prunable.sort()
+    accounts = graph.account_indices()
+    dropped = accounts[~_kept_nodes(graph, component_labels(graph))[accounts]]
+    prunable = sorted(graph.nodes[i].external_id for i in dropped.tolist())
 
     return SyntheticDataset(dataset, claims, logins, window, prunable, config)
 

@@ -8,7 +8,16 @@ import pytest
 
 from fraudring.cli import main
 from fraudring.features import load_dataset
-from fraudring.graph import ClaimEvent, LoginEvent, load_graph, save_claim_events, save_login_events
+from fraudring.graph import (
+    ClaimEvent,
+    LoginEvent,
+    WindowConfig,
+    build_graph,
+    load_graph,
+    save_claim_events,
+    save_login_events,
+)
+from reference import union_find_components
 
 SMALL_SYNTH = [
     "--n-regular", "40", "--n-rings", "2",
@@ -133,6 +142,67 @@ class TestBuildGraph:
         assert code == 0
         assert "warning: no in-window events" in capsys.readouterr().err
         assert load_graph(str(out)).num_nodes == 0
+
+    def test_empty_claim_id_is_data_error_before_writing(self, tmp_path, capsys):
+        cpath, lpath = self.write_events(tmp_path)
+        with open(cpath, "a", encoding="utf-8") as fh:
+            fh.write("\t999\n")
+        out = tmp_path / "graph.tsv"
+        code = main([
+            "build-graph", "--claims", str(cpath), "--logins", str(lpath),
+            "--reference-time", "1000", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cpath}:4: empty account id" in captured.err
+        assert not out.exists()
+
+    def test_dropped_component_count_matches_oracle(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        claims = [ClaimEvent(f"a{i}", 900 + i) for i in range(40)]
+        logins = [
+            LoginEvent(f"a{i}", f"d{j}", 900 + j)
+            for i in range(40)
+            for j in range(40)
+            if rng.random() < 0.03
+        ]
+        cpath, lpath = tmp_path / "claims.tsv", tmp_path / "logins.tsv"
+        save_claim_events(claims, str(cpath))
+        save_login_events(logins, str(lpath))
+        g = build_graph(claims, logins, WindowConfig(reference_time=1000))
+        comps = union_find_components(g.num_nodes, list(g.edges()))
+        dropped = [c for c in comps if sum(g.is_account(i) for i in c) < 2]
+        assert len(dropped) > 5
+        code = main([
+            "build-graph", "--claims", str(cpath), "--logins", str(lpath),
+            "--reference-time", "1000", "--out", str(tmp_path / "graph.tsv"),
+        ])
+        assert code == 0
+        n_nodes = sum(len(c) for c in dropped)
+        assert f"(pruned {len(dropped)} singleton components, {n_nodes} nodes)" in capsys.readouterr().out
+
+    def test_train_on_built_graph_needs_no_prune_for_synth_features(self, data_dir, tmp_path, capsys):
+        # The default output holds only kept accounts, so synth's features.tsv
+        # (every account) no longer matches it; --no-prune keeps every account.
+        for flags, want in (([], 2), (["--no-prune"], 0)):
+            built = tmp_path / f"built{len(flags)}"
+            built.mkdir()
+            shutil.copy(data_dir / "features.tsv", built / "features.tsv")
+            code = main([
+                "build-graph", "--claims", str(data_dir / "claims.tsv"),
+                "--logins", str(data_dir / "logins.tsv"),
+                "--reference-time", "1700000000", "--out", str(built / "graph.tsv"),
+            ] + flags)
+            assert code == 0
+            capsys.readouterr()
+            code = main(
+                ["train", "--model", "gbdt", "--data", str(built), "--out", str(tmp_path / "m")]
+                + FAST_TRAIN["gbdt"]
+            )
+            assert code == want
+            err = capsys.readouterr().err
+            assert ("unknown account id" in err) == bool(want)
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code = main([

@@ -15,7 +15,7 @@ from fraudring.features import (
     split_train_test,
     train_feature_stats,
 )
-from fraudring.graph import save_graph
+from fraudring.graph import prune_singletons, save_graph
 from util import make_graph, random_bipartite, make_dataset
 
 
@@ -274,6 +274,26 @@ class TestDatasetAssembly:
         assert out.high_risk.tolist() == [True, False]
         assert out.is_test.tolist() == [False, True]
         assert out.truth.tolist() == [True, False]
+
+    def test_prune_dataset_keeps_the_rows_external_id_matching_keeps(self):
+        rng = np.random.default_rng(13)
+        for trial in range(30):
+            # Accounts and devices interleaved, so account rows are not node indices.
+            kinds = rng.permutation(list("A" * 12 + "D" * 12))
+            accounts, devices = np.flatnonzero(kinds == "A").tolist(), np.flatnonzero(kinds == "D").tolist()
+            edge_prob = rng.uniform(0.02, 0.2)
+            g = make_graph("".join(kinds), [(a, d) for a in accounts for d in devices if rng.random() < edge_prob])
+            n = len(g.account_indices())
+            ds = make_dataset(
+                g, rng.standard_normal((n, 2)), rng.random(n) < 0.5, rng.random(n) < 0.3, rng.random(n) < 0.2
+            )
+            kept_ids = {nd.external_id for nd in prune_singletons(g).nodes}
+            rows = [g.nodes[int(a)].external_id in kept_ids for a in g.account_indices()]
+            out = prune_dataset(ds)
+            assert out.graph == prune_singletons(g)
+            assert np.array_equal(out.features, ds.features[rows])
+            for col in ("high_risk", "is_test", "truth"):
+                assert np.array_equal(getattr(out, col), getattr(ds, col)[rows])
 
     def test_check_dataset_rejects_missing_split(self):
         g = star_graph(2)

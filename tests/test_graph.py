@@ -11,6 +11,7 @@ from fraudring.graph import (
     NodeRef,
     WindowConfig,
     build_graph,
+    component_labels,
     connected_components,
     export_dot,
     khop_neighbor_counts,
@@ -98,6 +99,7 @@ class TestBuildGraph:
         assert g.num_nodes == 0
         assert g.edge_count == 0
         assert connected_components(g) == []
+        assert component_labels(g).tolist() == []
 
     def test_unsorted_events_give_same_graph(self):
         rng = np.random.default_rng(7)
@@ -173,6 +175,29 @@ class TestComponentsAndPrune:
             got = {frozenset(c) for c in connected_components(g)}
             want = union_find_components(g.num_nodes, list(g.edges()))
             assert got == want
+            want_labels = [0] * g.num_nodes
+            for comp in want:
+                for i in comp:
+                    want_labels[i] = min(comp)
+            assert component_labels(g).tolist() == want_labels
+
+    def test_long_alternating_path_is_one_component_labelled_zero(self):
+        n = 4001
+        g = make_graph("AD" * (n // 2) + "A", [(i, i + 1) for i in range(n - 1)])
+        assert component_labels(g).tolist() == [0] * n
+        assert connected_components(g) == [set(range(n))]
+        # Numbered at random, the path is the slow case for plain min-label propagation.
+        order = np.random.default_rng(10).permutation(n)
+        kinds = [""] * n
+        for pos, node in enumerate(order):
+            kinds[node] = "AD"[pos % 2]
+        g = make_graph("".join(kinds), [(int(order[i]), int(order[i + 1])) for i in range(n - 1)])
+        assert component_labels(g).tolist() == [0] * n
+
+    def test_isolated_nodes_label_themselves(self):
+        g = make_graph("ADAD", [(2, 3)])
+        assert component_labels(g).tolist() == [0, 1, 2, 2]
+        assert connected_components(g) == [{0}, {1}, {2, 3}]
 
     def test_components_partition_all_nodes(self):
         g = random_bipartite(np.random.default_rng(4), 30, 30, 0.05)
@@ -218,6 +243,12 @@ class TestComponentsAndPrune:
                 for u, v in pruned.edges()
             }
             assert got_edges == want_edges
+
+    def test_subgraph_keeps_only_edges_between_kept_nodes(self):
+        g = make_graph("ADADA", [(0, 1), (1, 2), (2, 3), (3, 4)])
+        sub = g.subgraph(np.array([True, True, False, True, True]))
+        assert [n.external_id for n in sub.nodes] == ["a0", "d1", "d3", "a4"]
+        assert list(sub.edges()) == [(0, 1), (2, 3)]
 
     def test_prune_is_idempotent(self):
         rng = np.random.default_rng(6)
@@ -324,6 +355,21 @@ class TestSerialization:
         path = tmp_path / "logins.tsv"
         save_login_events(events, path)
         assert load_login_events(path) == events
+
+    def test_claim_empty_account_id_names_line(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_text("a1\t100\n\t1699990001\n", encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=r"claims\.tsv:2: empty account id"):
+            load_claim_events(path)
+
+    @pytest.mark.parametrize(
+        "row, what", [("\td2\t200", "account id"), ("a2\t\t200", "device umid")], ids=["account", "umid"]
+    )
+    def test_login_empty_id_names_line(self, tmp_path, row, what):
+        path = tmp_path / "logins.tsv"
+        path.write_text(f"a1\td1\t100\n{row}\n", encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=rf"logins\.tsv:2: empty {what}"):
+            load_login_events(path)
 
     def test_login_bad_timestamp_names_line(self, tmp_path):
         path = tmp_path / "logins.tsv"
