@@ -7,8 +7,10 @@ __version__ = "0.1.0"
 from .features import LabeledDataset, Tag
 from .graph import (
     ClaimEvent,
+    ClaimLog,
     DeviceSharingGraph,
     LoginEvent,
+    LoginLog,
     WindowConfig,
     build_graph,
     prune_singletons,
@@ -18,9 +20,11 @@ from .synth import SynthConfig, generate
 __all__ = [
     "__version__",
     "ClaimEvent",
+    "ClaimLog",
     "DeviceSharingGraph",
     "LabeledDataset",
     "LoginEvent",
+    "LoginLog",
     "SynthConfig",
     "Tag",
     "WindowConfig",

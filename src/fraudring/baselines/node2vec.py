@@ -335,10 +335,9 @@ def train_embeddings(
 
 def save_embeddings(emb: Embeddings, g: DeviceSharingGraph, path: str) -> None:
     """TSV of node external id and vector, accounts and devices alike."""
+    row = "%s" + "\t%.17g" * emb.vectors.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for node in g.nodes:
-            values = "\t".join(f"{v:.17g}" for v in emb.vectors[node.index])
-            fh.write(f"{node.external_id}\t{values}\n")
+        fh.writelines(row % (node.external_id, *values) for node, values in zip(g.nodes, emb.vectors.tolist()))
 
 
 def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:

@@ -27,12 +27,8 @@ class CheckpointFormatError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -241,13 +237,13 @@ def _breadth_forward(
 ) -> tuple[np.ndarray, _LayerCache]:
     src_term = h @ layer.w_src.T
     dst_term = h @ layer.w_dst.T
-    z = np.tanh(src_term[cand_src] + dst_term[cand_dst])
+    z = np.tanh(np.take(src_term, cand_src, axis=0) + np.take(dst_term, cand_dst, axis=0))
     scores = z @ layer.attn
     seg_max = np.maximum.reduceat(scores, seg_starts)
     shifted = np.exp(scores - seg_max[cand_src])
     denom = np.add.reduceat(shifted, seg_starts)
     alpha = shifted / denom[cand_src]
-    agg = np.add.reduceat(alpha[:, None] * h[cand_dst], seg_starts, axis=0)
+    agg = np.add.reduceat(alpha[:, None] * np.take(h, cand_dst, axis=0), seg_starts, axis=0)
     h_next = np.tanh(agg @ layer.w_agg.T)
     return h_next, _LayerCache(z, alpha, agg)
 
@@ -381,6 +377,15 @@ def backward(
     n = cache.h_stack[0].shape[0]
     dh_node = np.zeros((n, k))
     dh_node[accounts] = dxs[-1]
+    src, dst, seg_starts = cache.cand_src, cache.cand_dst, cache.seg_starts
+    # The scatter into nodes as np.bincount over flat (node, dim) keys: first
+    # every entry of an (n, k) array, then every entry of a (candidates, k)
+    # array, keyed by the candidate's node. bincount adds in input order, as
+    # np.add.at does, so the sums round the same way. values holds the
+    # addends in the same layout, rows being its candidate part.
+    keys = np.concatenate([np.arange(n * k), (dst[:, None] * k + np.arange(k)).ravel()])
+    values = np.empty(len(keys))
+    head, rows = values[: n * k], values[n * k :].reshape(-1, k)
 
     for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
@@ -392,21 +397,24 @@ def backward(
         grads.layers[t].w_agg += dpre_out.T @ lc.agg
         dagg = dpre_out @ layer.w_agg
 
-        dagg_per_cand = dagg[cache.cand_src]
-        dalpha = np.einsum("ij,ij->i", dagg_per_cand, h[cache.cand_dst])
-        dh_prev = np.zeros((n, k))
-        np.add.at(dh_prev, cache.cand_dst, lc.alpha[:, None] * dagg_per_cand)
+        dagg_per_cand = np.take(dagg, src, axis=0)
+        dalpha = np.einsum("ij,ij->i", dagg_per_cand, np.take(h, dst, axis=0))
+        # Into each candidate's node go its attention-weighted row, then the
+        # segment sums of the w_src rows, then its w_dst row.
+        np.multiply(lc.alpha[:, None], dagg_per_cand, out=rows)
+        head[:] = np.bincount(keys[n * k :], values[n * k :], minlength=n * k)
 
-        seg_dot = np.add.reduceat(lc.alpha * dalpha, cache.seg_starts)
-        dscores = lc.alpha * (dalpha - seg_dot[cache.cand_src])
+        seg_dot = np.add.reduceat(lc.alpha * dalpha, seg_starts)
+        dscores = lc.alpha * (dalpha - seg_dot[src])
 
         grads.layers[t].attn += lc.z.T @ dscores
         dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
 
-        grads.layers[t].w_src += dpre.T @ h[cache.cand_src]
-        grads.layers[t].w_dst += dpre.T @ h[cache.cand_dst]
-        dh_prev += np.add.reduceat(dpre @ layer.w_src, cache.seg_starts, axis=0)
-        np.add.at(dh_prev, cache.cand_dst, dpre @ layer.w_dst)
+        grads.layers[t].w_src += dpre.T @ np.take(h, src, axis=0)
+        grads.layers[t].w_dst += dpre.T @ np.take(h, dst, axis=0)
+        head += np.add.reduceat(dpre @ layer.w_src, seg_starts, axis=0).ravel()
+        np.matmul(dpre, layer.w_dst, out=rows)
+        dh_prev = np.bincount(keys, values, minlength=n * k).reshape(n, k)
 
         dh_prev[accounts] += dxs[t]
         dh_node = dh_prev

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,6 +49,52 @@ class LoginEvent:
     timestamp: int
 
 
+class _EventColumns:
+    """Equality for the columnar logs: lists compare as lists, arrays element by element."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(vars(self).values(), vars(other).values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ClaimLog(_EventColumns):
+    """A claim log in columns: row i is a claim by accounts[i] at timestamps[i] (int64)."""
+
+    accounts: list[str]
+    timestamps: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: Iterable[ClaimEvent]) -> ClaimLog:
+        events = list(events)
+        return cls(
+            [ev.account_external_id for ev in events],
+            np.array([ev.timestamp for ev in events], dtype=np.int64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class LoginLog(_EventColumns):
+    """A login log in columns: row i is accounts[i] logging into devices[i] at timestamps[i] (int64)."""
+
+    accounts: list[str]
+    devices: list[str]
+    timestamps: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: Iterable[LoginEvent]) -> LoginLog:
+        events = list(events)
+        return cls(
+            [ev.account_external_id for ev in events],
+            [ev.device_umid for ev in events],
+            np.array([ev.timestamp for ev in events], dtype=np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Half-open event windows ending at reference_time: [reference - window, reference)."""
@@ -74,12 +121,38 @@ class DeviceSharingGraph:
 
     Adjacency is stored as sorted neighbor lists behind a prefix-offset index
     (CSR layout). Instances are immutable once built; all queries are
-    read-only and safe to use concurrently. Duplicate edges collapse.
+    read-only and safe to use concurrently. Edges come as any iterable of
+    (u, v) pairs or an (m, 2) integer array, in either orientation; duplicate
+    edges collapse.
     """
 
-    def __init__(self, nodes: Sequence[NodeRef], edges: Iterable[tuple[int, int]]):
+    def __init__(self, nodes: Sequence[NodeRef], edges: Iterable[tuple[int, int]] | np.ndarray):
         self.nodes: list[NodeRef] = list(nodes)
         n = len(self.nodes)
+        is_account = [nd.kind is NodeKind.ACCOUNT for nd in self.nodes]
+        accounts = [nd.external_id for nd, acc in zip(self.nodes, is_account) if acc]
+        devices = [nd.external_id for nd, acc in zip(self.nodes, is_account) if not acc]
+        if (
+            [nd.index for nd in self.nodes] != list(range(n))
+            or len(set(accounts)) < len(accounts)
+            or len(set(devices)) < len(devices)
+        ):
+            self._raise_first_node_error()
+        self._is_account = np.array(is_account, dtype=bool)
+
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = self._check_edges(edges)
+        # Each undirected edge once, as the key lo * n + hi; both directions of
+        # the sorted keys, sorted again, are the CSR layout.
+        keys = _sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        self.edge_count = len(keys)
+        both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+        self._offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(both // n, minlength=n), out=self._offsets[1:])
+        self._targets = both % n
+
+    def _raise_first_node_error(self) -> None:
         seen_ids: dict[NodeKind, set[str]] = {NodeKind.ACCOUNT: set(), NodeKind.DEVICE: set()}
         for pos, node in enumerate(self.nodes):
             if node.index != pos:
@@ -88,31 +161,33 @@ class DeviceSharingGraph:
                 raise ValueError(f"duplicate external id {node.external_id!r} for kind {node.kind.value}")
             seen_ids[node.kind].add(node.external_id)
 
-        self._is_account = np.array([nd.kind is NodeKind.ACCOUNT for nd in self.nodes], dtype=bool)
-
-        unique: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+    def _check_edges(self, edges: list[tuple[int, int]] | np.ndarray) -> np.ndarray:
+        """The edges as an (m, 2) int64 array; the first bad one in input order raises ValueError."""
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            pairs = np.asarray(edges, dtype=object)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+        n = self.num_nodes
+        missing = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        present = pairs[~missing].astype(np.int64)
+        loop = np.zeros(len(pairs), dtype=bool)
+        loop[~missing] = present[:, 0] == present[:, 1]
+        same_kind = np.zeros(len(pairs), dtype=bool)
+        same_kind[~missing] = self._is_account[present[:, 0]] == self._is_account[present[:, 1]]
+        bad = missing | loop | same_kind
+        if bad.any():
+            first = int(np.argmax(bad))
+            u, v = edges[first]
+            if missing[first]:
                 raise ValueError(f"edge ({u}, {v}) references a missing node")
-            if u == v:
+            if loop[first]:
                 raise ValueError(f"self-loop on node {u}")
-            if self._is_account[u] == self._is_account[v]:
-                raise ValueError(f"edge ({u}, {v}) joins two {self.nodes[u].kind.value} nodes; graph must be bipartite")
-            unique.add((u, v) if u < v else (v, u))
-
-        self.edge_count = len(unique)
-        if unique:
-            pairs = np.array(sorted(unique), dtype=np.int64)
-            src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            self._offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=n), out=self._offsets[1:])
-            self._targets = dst
-        else:
-            self._offsets = np.zeros(n + 1, dtype=np.int64)
-            self._targets = np.empty(0, dtype=np.int64)
+            raise ValueError(f"edge ({u}, {v}) joins two {self.nodes[u].kind.value} nodes; graph must be bipartite")
+        return pairs.astype(np.int64, copy=False)
 
     @property
     def num_nodes(self) -> int:
@@ -133,10 +208,13 @@ class DeviceSharingGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.num_nodes):
-            for v in self.neighbors(u):
-                if v > u:
-                    yield u, int(v)
+        sources = self._sources()
+        upper = sources < self._targets
+        return zip(sources[upper].tolist(), self._targets[upper].tolist())
+
+    def _sources(self) -> np.ndarray:
+        """The source node of every CSR target."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self._offsets))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as (offsets, targets) arrays in CSR layout (views, do not mutate)."""
@@ -144,12 +222,12 @@ class DeviceSharingGraph:
 
     def subgraph(self, keep: np.ndarray) -> DeviceSharingGraph:
         """The subgraph induced by a node mask; kept nodes keep their order, indices re-densified."""
-        sources = np.repeat(np.arange(self.num_nodes), np.diff(self._offsets))
+        sources = self._sources()
         upper = (sources < self._targets) & keep[sources] & keep[self._targets]
         new_index = np.cumsum(keep) - 1
         kept = [self.nodes[old] for old in np.flatnonzero(keep).tolist()]
         nodes = [NodeRef(new, nd.kind, nd.external_id) for new, nd in enumerate(kept)]
-        edges = zip(new_index[sources[upper]].tolist(), new_index[self._targets[upper]].tolist())
+        edges = np.column_stack((new_index[sources[upper]], new_index[self._targets[upper]]))
         return DeviceSharingGraph(nodes, edges)
 
     def __eq__(self, other: object) -> bool:
@@ -169,11 +247,7 @@ class DeviceSharingGraph:
         )
 
 
-def build_graph(
-    claims: Sequence[ClaimEvent],
-    logins: Sequence[LoginEvent],
-    window: WindowConfig,
-) -> DeviceSharingGraph:
+def build_graph(claims: ClaimLog, logins: LoginLog, window: WindowConfig) -> DeviceSharingGraph:
     """Build the device-sharing graph from claim and login event logs.
 
     Accounts are those with at least one claim inside the claim window;
@@ -182,35 +256,57 @@ def build_graph(
     is deterministic: accounts first, ordered by first in-window claim time
     then external id; devices next, by first in-window login time then UMID.
     """
-    first_claim: dict[str, int] = {}
-    for claim in claims:
-        if window.claim_start <= claim.timestamp < window.reference_time:
-            prev = first_claim.get(claim.account_external_id)
-            if prev is None or claim.timestamp < prev:
-                first_claim[claim.account_external_id] = claim.timestamp
+    account_ids, (claim_account, login_account) = _codes(claims.accounts, logins.accounts)
+    device_ids, (login_device,) = _codes(logins.devices)
 
-    accounts = sorted(first_claim, key=lambda a: (first_claim[a], a))
-    account_index = {a: i for i, a in enumerate(accounts)}
+    in_claim = (claims.timestamps >= window.claim_start) & (claims.timestamps < window.reference_time)
+    accounts, account_node = _ordered_nodes(account_ids, claim_account[in_claim], claims.timestamps[in_claim], 0)
 
-    first_login: dict[str, int] = {}
-    pairs: set[tuple[str, str]] = set()
-    for login in logins:
-        if login.account_external_id not in account_index:
-            continue
-        if not (window.device_start <= login.timestamp < window.reference_time):
-            continue
-        pairs.add((login.account_external_id, login.device_umid))
-        prev = first_login.get(login.device_umid)
-        if prev is None or login.timestamp < prev:
-            first_login[login.device_umid] = login.timestamp
+    in_device = (logins.timestamps >= window.device_start) & (logins.timestamps < window.reference_time)
+    in_device &= account_node[login_account] >= 0
+    login_account, login_device = login_account[in_device], login_device[in_device]
+    devices, device_node = _ordered_nodes(
+        device_ids, login_device, logins.timestamps[in_device], len(accounts)
+    )
 
-    devices = sorted(first_login, key=lambda d: (first_login[d], d))
-    device_index = {d: len(accounts) + j for j, d in enumerate(devices)}
-
+    pairs = _sorted_unique(login_account * len(device_ids) + login_device)
+    edges = np.column_stack((account_node[pairs // len(device_ids)], device_node[pairs % len(device_ids)]))
     nodes = [NodeRef(i, NodeKind.ACCOUNT, a) for i, a in enumerate(accounts)]
-    nodes += [NodeRef(device_index[d], NodeKind.DEVICE, d) for d in devices]
-    edges = [(account_index[a], device_index[d]) for a, d in pairs]
+    nodes += [NodeRef(len(accounts) + j, NodeKind.DEVICE, d) for j, d in enumerate(devices)]
     return DeviceSharingGraph(nodes, edges)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique by sorting: numpy's hash-based unique left about 1 MB more resident per process."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _codes(*columns: list[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The distinct ids of the columns in first-seen order, and each column as int64 positions in it."""
+    ids = list(dict.fromkeys(chain(*columns)))
+    code = dict(zip(ids, range(len(ids))))
+    return ids, [np.fromiter(map(code.__getitem__, col), np.int64, len(col)) for col in columns]
+
+
+def _ordered_nodes(
+    ids: list[str], codes: np.ndarray, timestamps: np.ndarray, first_index: int
+) -> tuple[list[str], np.ndarray]:
+    """The ids seen in codes, ordered by (first timestamp, id), and every code's node index (-1 if unseen).
+
+    Ties go by Python str order: numpy's fixed-width strings would drop trailing NULs.
+    """
+    first = np.full(len(ids), np.iinfo(np.int64).max)
+    np.minimum.at(first, codes, timestamps)
+    seen = np.zeros(len(ids), dtype=bool)
+    seen[codes] = True
+    by_id = np.array(sorted(np.flatnonzero(seen).tolist(), key=ids.__getitem__), dtype=np.int64)
+    order = by_id[np.argsort(first[by_id], kind="stable")]
+    node = np.full(len(ids), -1, dtype=np.int64)
+    node[order] = first_index + np.arange(len(order))
+    return [ids[c] for c in order.tolist()], node
 
 
 def component_labels(g: DeviceSharingGraph) -> np.ndarray:
@@ -221,8 +317,7 @@ def component_labels(g: DeviceSharingGraph) -> np.ndarray:
     that is smaller, then labels = labels[labels]. Labels only decrease and
     never leave the component, so the fixed point is the component minimum.
     """
-    offsets, targets = g.csr()
-    sources = np.repeat(np.arange(g.num_nodes), np.diff(offsets))
+    sources, targets = g._sources(), g.csr()[1]
     labels = np.arange(g.num_nodes)
     while True:
         lowest = labels.copy()
@@ -426,27 +521,65 @@ def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
 
 
-def _read_events(path: str, id_names: Sequence[str]) -> Iterator[tuple[list[str], int]]:
-    """Rows of an event TSV as (ids, timestamp); an empty id or a bad row fails with path:line."""
+def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
+    """Columns of an event TSV: one list per id field, and the int64 timestamps.
+
+    Blank lines are skipped but counted. The first bad line in file order fails
+    with path:line; within a line a wrong field count comes first, then the
+    first empty id, then the timestamp.
+    """
+    width = len(id_names) + 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(id_names) + 1:
-                raise GraphFormatError(f"{path}:{lineno}: expected {len(id_names) + 1} fields, got {len(parts)}")
-            if "" in parts[:-1]:
-                raise GraphFormatError(f"{path}:{lineno}: empty {id_names[parts.index('')]}")
-            try:
-                ts = int(parts[-1])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: timestamp {parts[-1]!r} is not an integer") from None
-            yield parts[:-1], ts
+        rows = list(filter(None, fh.read().split("\n")))
+    counts = list(map(str.count, rows, repeat("\t")))
+    errors = []  # (row, precedence, message) of the first error of each kind
+    if counts.count(width - 1) != len(counts):
+        bad = next(i for i, c in enumerate(counts) if c != width - 1)
+        errors.append((bad, 0, f"expected {width} fields, got {counts[bad] + 1}"))
+        del rows[bad:]
+    n = len(rows)
+    joined = "\t".join(rows)
+    del rows, counts
+    fields = joined.split("\t") if joined else []
+    del joined
+    columns = [fields[j::width] for j in range(width)]
+    del fields
+
+    empty = [col.index("") if "" in col else n for col in columns[:-1]]
+    if min(empty) < n:
+        errors.append((min(empty), 1, f"empty {id_names[empty.index(min(empty))]}"))
+    try:
+        timestamps = np.fromiter(map(int, columns[-1]), np.int64, n)
+    except (ValueError, OverflowError):
+        errors.append(_first_bad_timestamp(columns[-1]))
+    if errors:
+        row, _, message = min(errors)
+        raise GraphFormatError(f"{path}:{_line_number(path, row)}: {message}")
+    return columns[:-1], timestamps
 
 
-def load_claim_events(path: str) -> list[ClaimEvent]:
-    return [ClaimEvent(*ids, ts) for ids, ts in _read_events(path, ["account id"])]
+def _first_bad_timestamp(texts: list[str]) -> tuple[int, int, str]:
+    """(row, precedence, message) of the first timestamp that is not an integer within int64."""
+    for row, text in enumerate(texts):
+        try:
+            value = int(text)
+        except ValueError:
+            return row, 2, f"timestamp {text!r} is not an integer"
+        if not -(2**63) <= value < 2**63:
+            return row, 2, f"timestamp {text!r} is outside the int64 range"
+    raise AssertionError("no bad timestamp")
+
+
+def _line_number(path: str, row: int) -> int:
+    """The 1-based file line of the row-th nonblank line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return [i for i, line in enumerate(lines, start=1) if line][row]
+
+
+def load_claim_events(path: str) -> ClaimLog:
+    (accounts,), timestamps = _read_events(path, ["account id"])
+    return ClaimLog(accounts, timestamps)
 
 
 def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
@@ -457,5 +590,6 @@ def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
             fh.write(f"{ev.account_external_id}\t{ev.device_umid}\t{ev.timestamp}\n")
 
 
-def load_login_events(path: str) -> list[LoginEvent]:
-    return [LoginEvent(*ids, ts) for ids, ts in _read_events(path, ["account id", "device umid"])]
+def load_login_events(path: str) -> LoginLog:
+    (accounts, devices), timestamps = _read_events(path, ["account id", "device umid"])
+    return LoginLog(accounts, devices, timestamps)

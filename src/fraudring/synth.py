@@ -27,7 +27,9 @@ from .features import (
 )
 from .graph import (
     ClaimEvent,
+    ClaimLog,
     LoginEvent,
+    LoginLog,
     WindowConfig,
     _kept_nodes,
     build_graph,
@@ -193,7 +195,7 @@ def generate(config: SynthConfig) -> SyntheticDataset:
         for s, (d, a) in enumerate(extra_logins)
     ]
 
-    graph = build_graph(claims, logins, window)
+    graph = build_graph(ClaimLog.from_events(claims), LoginLog.from_events(logins), window)
     if graph.num_nodes != n_accounts + n_devices:
         raise AssertionError("generated events did not reproduce the designed node set")
 

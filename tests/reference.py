@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written scalar-first with plain python containers and the
-math module, deliberately avoiding the vectorized code paths under test. The one
-exception, loop_best_split, keeps the GBDT's former per-feature numpy loop.
+math module, deliberately avoiding the vectorized code paths under test. The
+exceptions keep a former numpy version as an exact-arithmetic reference:
+loop_best_split (the GBDT's per-feature loop), add_at_backward (the GNN
+backward pass scattering with np.add.at) and masked_sigmoid.
 """
 import math
 from fractions import Fraction
@@ -278,3 +280,170 @@ def dict_bce(probabilities, positives, negatives, clamp=1e-12):
     for v in negatives:
         total -= math.log(1.0 - min(max(probabilities[v], clamp), 1.0 - clamp))
     return total
+
+
+def naive_build_graph(claims, logins, window):
+    """The device-sharing graph from ClaimEvent and LoginEvent lists, one event at a time.
+
+    Returns (nodes, edges): NodeRefs in index order, and the distinct edges as
+    sorted (u, v) tuples with u < v.
+    """
+    from fraudring.graph import NodeKind, NodeRef
+
+    first_claim = {}
+    for claim in claims:
+        if window.claim_start <= claim.timestamp < window.reference_time:
+            prev = first_claim.get(claim.account_external_id)
+            if prev is None or claim.timestamp < prev:
+                first_claim[claim.account_external_id] = claim.timestamp
+
+    accounts = sorted(first_claim, key=lambda a: (first_claim[a], a))
+    account_index = {a: i for i, a in enumerate(accounts)}
+
+    first_login = {}
+    pairs = set()
+    for login in logins:
+        if login.account_external_id not in account_index:
+            continue
+        if not (window.device_start <= login.timestamp < window.reference_time):
+            continue
+        pairs.add((login.account_external_id, login.device_umid))
+        prev = first_login.get(login.device_umid)
+        if prev is None or login.timestamp < prev:
+            first_login[login.device_umid] = login.timestamp
+
+    devices = sorted(first_login, key=lambda d: (first_login[d], d))
+    device_index = {d: len(accounts) + j for j, d in enumerate(devices)}
+
+    nodes = [NodeRef(i, NodeKind.ACCOUNT, a) for i, a in enumerate(accounts)]
+    nodes += [NodeRef(device_index[d], NodeKind.DEVICE, d) for d in devices]
+    edges = sorted((account_index[a], device_index[d]) for a, d in pairs)
+    return nodes, edges
+
+
+def loop_edge_error(nodes, edges):
+    """The message of the first bad edge, checked one edge at a time, or None if all are good."""
+    n = len(nodes)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) references a missing node"
+        if u == v:
+            return f"self-loop on node {u}"
+        if nodes[u].kind == nodes[v].kind:
+            return f"edge ({u}, {v}) joins two {nodes[u].kind.value} nodes; graph must be bipartite"
+    return None
+
+
+def line_by_line_events(path, id_names):
+    """An event TSV read one line at a time: (id columns, timestamps), or the error message.
+
+    Blank lines are skipped but counted; within a line a wrong field count
+    comes first, then the first empty id, then a timestamp that is not an
+    integer or falls outside int64.
+    """
+    columns = [[] for _ in id_names]
+    timestamps = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != len(id_names) + 1:
+                return f"{path}:{lineno}: expected {len(id_names) + 1} fields, got {len(parts)}"
+            if "" in parts[:-1]:
+                return f"{path}:{lineno}: empty {id_names[parts.index('')]}"
+            try:
+                ts = int(parts[-1])
+            except ValueError:
+                return f"{path}:{lineno}: timestamp {parts[-1]!r} is not an integer"
+            if not -(2**63) <= ts < 2**63:
+                return f"{path}:{lineno}: timestamp {parts[-1]!r} is outside the int64 range"
+            for column, value in zip(columns, parts):
+                column.append(value)
+            timestamps.append(ts)
+    return columns, timestamps
+
+
+def add_at_backward(params, cache, dprobs):
+    """geniepath.backward as it scattered into nodes with np.add.at: the exact-arithmetic reference."""
+    grads = params.zeros_like()
+    k = params.hidden_dim
+    accounts = cache.accounts
+
+    dlogits = np.asarray(dprobs, dtype=np.float64) * cache.probs * (1.0 - cache.probs)
+    grads.w_out[:] = cache.h_final.T @ dlogits
+    grads.b_out[0] = dlogits.sum()
+
+    dh = dlogits[:, None] * params.w_out
+    dc = np.zeros_like(dh)
+    dxs: list[np.ndarray] = [np.empty(0)] * len(cache.lstm_steps)
+    for t in range(len(cache.lstm_steps) - 1, -1, -1):
+        s = cache.lstm_steps[t]
+        do = dh * s.tanh_c
+        dc = dc + dh * s.o * (1.0 - s.tanh_c**2)
+        di = dc * s.g
+        df = dc * s.c_prev
+        dg = dc * s.i
+        dc = dc * s.f
+        da = np.concatenate(
+            [
+                di * s.i * (1.0 - s.i),
+                df * s.f * (1.0 - s.f),
+                dg * (1.0 - s.g**2),
+                do * s.o * (1.0 - s.o),
+            ],
+            axis=1,
+        )
+        grads.lstm.w_x += da.T @ s.x
+        grads.lstm.w_h += da.T @ s.h_prev
+        grads.lstm.bias += da.sum(axis=0)
+        dxs[t] = da @ params.lstm.w_x
+        dh = da @ params.lstm.w_h
+
+    n = cache.h_stack[0].shape[0]
+    dh_node = np.zeros((n, k))
+    dh_node[accounts] = dxs[-1]
+
+    for t in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[t]
+        lc = cache.layer_caches[t]
+        h = cache.h_stack[t]
+        h_next = cache.h_stack[t + 1]
+
+        dpre_out = dh_node * (1.0 - h_next**2)
+        grads.layers[t].w_agg += dpre_out.T @ lc.agg
+        dagg = dpre_out @ layer.w_agg
+
+        dagg_per_cand = dagg[cache.cand_src]
+        dalpha = np.einsum("ij,ij->i", dagg_per_cand, h[cache.cand_dst])
+        dh_prev = np.zeros((n, k))
+        np.add.at(dh_prev, cache.cand_dst, lc.alpha[:, None] * dagg_per_cand)
+
+        seg_dot = np.add.reduceat(lc.alpha * dalpha, cache.seg_starts)
+        dscores = lc.alpha * (dalpha - seg_dot[cache.cand_src])
+
+        grads.layers[t].attn += lc.z.T @ dscores
+        dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
+
+        grads.layers[t].w_src += dpre.T @ h[cache.cand_src]
+        grads.layers[t].w_dst += dpre.T @ h[cache.cand_dst]
+        dh_prev += np.add.reduceat(dpre @ layer.w_src, cache.seg_starts, axis=0)
+        np.add.at(dh_prev, cache.cand_dst, dpre @ layer.w_dst)
+
+        dh_prev[accounts] += dxs[t]
+        dh_node = dh_prev
+
+    dpre_in = dh_node[accounts] * (1.0 - cache.h_stack[0][accounts] ** 2)
+    grads.w_in[:] = dpre_in.T @ cache.features
+    return grads
+
+
+def masked_sigmoid(x):
+    """The logistic function on masks: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

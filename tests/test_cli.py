@@ -10,7 +10,9 @@ from fraudring.cli import main
 from fraudring.features import load_dataset
 from fraudring.graph import (
     ClaimEvent,
+    ClaimLog,
     LoginEvent,
+    LoginLog,
     WindowConfig,
     build_graph,
     load_graph,
@@ -18,6 +20,8 @@ from fraudring.graph import (
     save_login_events,
 )
 from reference import union_find_components
+
+DAY = 86_400
 
 SMALL_SYNTH = [
     "--n-regular", "40", "--n-rings", "2",
@@ -170,7 +174,9 @@ class TestBuildGraph:
         cpath, lpath = tmp_path / "claims.tsv", tmp_path / "logins.tsv"
         save_claim_events(claims, str(cpath))
         save_login_events(logins, str(lpath))
-        g = build_graph(claims, logins, WindowConfig(reference_time=1000))
+        g = build_graph(
+            ClaimLog.from_events(claims), LoginLog.from_events(logins), WindowConfig(reference_time=1000)
+        )
         comps = union_find_components(g.num_nodes, list(g.edges()))
         dropped = [c for c in comps if sum(g.is_account(i) for i in c) < 2]
         assert len(dropped) > 5
@@ -181,6 +187,82 @@ class TestBuildGraph:
         assert code == 0
         n_nodes = sum(len(c) for c in dropped)
         assert f"(pruned {len(dropped)} singleton components, {n_nodes} nodes)" in capsys.readouterr().out
+
+    def test_timestamp_outside_int64_is_data_error_before_writing(self, tmp_path, capsys):
+        cpath, lpath = self.write_events(tmp_path)
+        with open(lpath, "a", encoding="utf-8") as fh:
+            fh.write(f"acct1\tdev3\t{2**63}\n")
+        out = tmp_path / "graph.tsv"
+        code = main([
+            "build-graph", "--claims", str(cpath), "--logins", str(lpath),
+            "--reference-time", "1000", "--out", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{lpath}:4: timestamp '{2**63}' is outside the int64 range" in captured.err
+        assert not out.exists()
+
+    def test_noisy_logs_build_the_clean_graph(self, data_dir, tmp_path, capsys):
+        # Noise in the style of the benchmark's metro workload: repeats of clean
+        # pairs after every clean login, logins and claims just outside their
+        # half-open windows, and ghost accounts and devices, all shuffled in.
+        with open(data_dir / "synth_manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        window = WindowConfig(manifest["reference_time"], manifest["claim_window_days"], manifest["device_window_days"])
+        ref = window.reference_time
+        claims = (data_dir / "claims.tsv").read_text(encoding="utf-8").splitlines()
+        logins = (data_dir / "logins.tsv").read_text(encoding="utf-8").splitlines()
+        pairs = [line.rsplit("\t", 1)[0] for line in logins]
+        accounts = [line.split("\t")[0] for line in claims]
+        devices = sorted({pair.split("\t")[1] for pair in pairs})
+        last_clean = max(int(line.rsplit("\t", 1)[1]) for line in logins)
+        rng = np.random.default_rng(31)
+
+        def outside(start, n):
+            return [start - 1, ref] + [
+                int(t) for t in np.where(rng.random(n) < 0.5, start - 1 - rng.integers(0, 9 * DAY, n),
+                                         ref + rng.integers(0, 9 * DAY, n))
+            ]
+
+        def pick(values, n):
+            return [values[i] for i in rng.integers(0, len(values), n)]
+
+        noisy_logins = logins + [
+            f"{p}\t{t}" for p, t in zip(pick(pairs, 4 * len(pairs)), rng.integers(last_clean + 1, ref, 4 * len(pairs)))
+        ]
+        n = len(pairs) // 2
+        noisy_logins += [
+            f"{a}\t{d}\t{t}" for a, d, t in zip(pick(accounts, n + 2), pick(devices, n + 2), outside(window.device_start, n))
+        ]
+        noisy_claims = claims + [f"{a}\t{t}" for a, t in zip(pick(accounts, n + 2), outside(window.claim_start, n))]
+        ghosts = [f"AG{i}" for i in range(10)]
+        ghost_devices = [f"DG{i}" for i in range(5)]
+        noisy_claims += [f"{g}\t{t}" for g, t in zip(ghosts[:5], outside(window.claim_start, 3))]
+        noisy_logins += [
+            f"{g}\t{d}\t{t}"
+            for g, d, t in zip(pick(ghosts, n), pick(devices + ghost_devices, n),
+                               rng.integers(window.device_start, ref, n))
+        ]
+        noisy_logins += [
+            f"{a}\t{d}\t{t}" for a, d, t in zip(pick(accounts, n + 2), pick(ghost_devices, n + 2),
+                                                 outside(window.device_start, n))
+        ]
+        for name, lines in (("claims", noisy_claims), ("logins", noisy_logins)):
+            shuffled = [lines[i] for i in rng.permutation(len(lines))]
+            (tmp_path / f"{name}.tsv").write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+
+        outputs = []
+        for source in (data_dir, tmp_path):
+            out = tmp_path / f"graph{len(outputs)}.tsv"
+            code = main([
+                "build-graph", "--claims", str(source / "claims.tsv"), "--logins", str(source / "logins.tsv"),
+                "--reference-time", str(ref), "--out", str(out),
+            ])
+            assert code == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert len(noisy_logins) > 5 * len(logins)
+        assert outputs[0] == outputs[1]
 
     def test_train_on_built_graph_needs_no_prune_for_synth_features(self, data_dir, tmp_path, capsys):
         # The default output holds only kept accounts, so synth's features.tsv

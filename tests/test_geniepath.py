@@ -15,9 +15,12 @@ from fraudring.geniepath import (
     init_params,
     load_params,
     save_params,
+    sigmoid,
 )
 from reference import (
+    add_at_backward,
     as_lists,
+    masked_sigmoid,
     scalar_attention,
     scalar_breadth_layer,
     scalar_geniepath_forward,
@@ -244,6 +247,18 @@ class TestBackward:
         grads = backward(params, cache, dprobs)
         assert np.abs(grads.w_in).max() > 0.0
 
+    def test_bincount_scatter_equals_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for trial in range(20):
+            g = random_bipartite(rng, int(rng.integers(1, 15)), int(rng.integers(1, 15)), rng.uniform(0.05, 0.6))
+            n_acc = len(g.account_indices())
+            params = init_params(3, hidden_dim=int(rng.integers(1, 6)), n_layers=int(rng.integers(1, 4)),
+                                 seed=trial)
+            _, cache = forward(params, g, rng.normal(size=(n_acc, 3)))
+            dprobs = rng.normal(size=n_acc)
+            got, want = backward(params, cache, dprobs), add_at_backward(params, cache, dprobs)
+            assert got.to_vector().tobytes() == want.to_vector().tobytes(), trial
+
     def test_finite_difference_agreement(self):
         g, features, params = fixture_12(seed=15, p=3, k=4, t=2)
         err = gradient_check(params, g, features, positives=[0, 2], negatives=[1, 3, 4])
@@ -274,6 +289,17 @@ class TestBackward:
         g, features, params = fixture_12(seed=18)
         with pytest.raises(ValueError, match="unknown corruption"):
             gradient_check(params, g, features, [0], [1], corrupt="attn")
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x = np.concatenate([
+        rng.normal(scale=30.0, size=2000), [0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, 1e308, -1e308,
+                                             np.inf, -np.inf],
+    ])
+    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    assert sigmoid(x.reshape(-1, 1)).shape == (len(x), 1)
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 
 class TestParams:

@@ -3,10 +3,12 @@ import pytest
 
 from fraudring.graph import (
     ClaimEvent,
+    ClaimLog,
     CountKind,
     DeviceSharingGraph,
     GraphFormatError,
     LoginEvent,
+    LoginLog,
     NodeKind,
     NodeRef,
     WindowConfig,
@@ -23,7 +25,13 @@ from fraudring.graph import (
     save_graph,
     save_login_events,
 )
-from reference import bfs_distance_map, union_find_components
+from reference import (
+    bfs_distance_map,
+    line_by_line_events,
+    loop_edge_error,
+    naive_build_graph,
+    union_find_components,
+)
 from util import adjacency_lists, make_graph, random_bipartite
 
 DAY = 86400
@@ -31,10 +39,15 @@ REF = 10_000_000
 WINDOW = WindowConfig(reference_time=REF)
 
 
+def build(claims, logins, window=WINDOW):
+    """build_graph over event lists, converted to columnar logs."""
+    return build_graph(ClaimLog.from_events(claims), LoginLog.from_events(logins), window)
+
+
 class TestBuildGraph:
     def test_duplicate_logins_collapse_to_one_edge(self):
         t = REF - DAY
-        g = build_graph(
+        g = build(
             [ClaimEvent("a1", t)],
             [LoginEvent("a1", "d1", t), LoginEvent("a1", "d1", t + 5)],
             WINDOW,
@@ -44,7 +57,7 @@ class TestBuildGraph:
 
     def test_login_outside_device_window_ignored(self):
         t = REF - DAY
-        g = build_graph(
+        g = build(
             [ClaimEvent("a1", t)],
             [LoginEvent("a1", "d1", REF - 41 * DAY)],
             WINDOW,
@@ -58,13 +71,13 @@ class TestBuildGraph:
         logins = [
             LoginEvent(a, d, t) for a in ("a1", "a2", "a3") for d in ("d1", "d2")
         ]
-        g = build_graph(claims, logins, WINDOW)
+        g = build(claims, logins)
         assert g.num_nodes == 5
         assert g.edge_count == 6
 
     def test_account_without_claim_contributes_no_devices(self):
         t = REF - DAY
-        g = build_graph(
+        g = build(
             [ClaimEvent("a1", t)],
             [LoginEvent("a1", "d1", t), LoginEvent("stranger", "d2", t)],
             WINDOW,
@@ -74,7 +87,7 @@ class TestBuildGraph:
     def test_claim_window_is_half_open(self):
         lo = REF - 30 * DAY
         for ts, expect in ((lo, 1), (lo - 1, 0), (REF - 1, 1), (REF, 0)):
-            g = build_graph([ClaimEvent("a1", ts)], [], WINDOW)
+            g = build([ClaimEvent("a1", ts)], [])
             assert len(g.account_indices()) == expect, f"claim at {ts}"
 
     def test_node_ordering_first_event_then_id(self):
@@ -90,12 +103,12 @@ class TestBuildGraph:
             LoginEvent("late", "d1", t + DAY),
             LoginEvent("b", "d9", t - 100),
         ]
-        g = build_graph(claims, logins, WINDOW)
+        g = build(claims, logins)
         # b's earliest claim beats a's; d9 is first seen before d1.
         assert [n.external_id for n in g.nodes] == ["b", "a", "late", "d9", "d1"]
 
     def test_empty_input_yields_empty_graph(self):
-        g = build_graph([], [], WINDOW)
+        g = build([], [])
         assert g.num_nodes == 0
         assert g.edge_count == 0
         assert connected_components(g) == []
@@ -112,9 +125,182 @@ class TestBuildGraph:
         ]
         shuffled_claims = [claims[i] for i in rng.permutation(len(claims))]
         shuffled_logins = [logins[i] for i in rng.permutation(len(logins))]
-        assert build_graph(shuffled_claims, shuffled_logins, WINDOW) == build_graph(
-            claims, logins, WINDOW
-        )
+        assert build(shuffled_claims, shuffled_logins) == build(claims, logins)
+
+
+class TestArrayBuildOracle:
+    # Ids whose Python str order differs from a byte or fixed-width string order,
+    # and one that differs from another only by a trailing NUL.
+    ACCOUNTS = ["a", "a\x00", "b", "B", "a10", "a2", "\u00e9", "z"]
+    DEVICES = ["d", "d\x00", "D", "d10", "d2", "\u00e8", "x"]
+
+    def random_logs(self, rng, window):
+        boundaries = [
+            window.claim_start - 1, window.claim_start, window.device_start - 1, window.device_start,
+            window.reference_time - 1, window.reference_time,
+        ]
+        # A few distinct times, so first times tie often and ties go by id.
+        times = boundaries + rng.integers(window.device_start - DAY, window.reference_time + DAY, 4).tolist()
+        claims = [
+            ClaimEvent(self.ACCOUNTS[rng.integers(len(self.ACCOUNTS))], times[rng.integers(len(times))])
+            for _ in range(rng.integers(0, 12))
+        ]
+        logins = [
+            LoginEvent(
+                self.ACCOUNTS[rng.integers(len(self.ACCOUNTS))],
+                self.DEVICES[rng.integers(len(self.DEVICES))],
+                times[rng.integers(len(times))],
+            )
+            for _ in range(rng.integers(0, 40))
+        ]
+        return claims, logins
+
+    def test_array_build_matches_naive_build(self):
+        rng = np.random.default_rng(21)
+        window = WindowConfig(reference_time=REF, claim_window_days=2, device_window_days=3)
+        for trial in range(400):
+            claims, logins = self.random_logs(rng, window)
+            g = build(claims, logins, window)
+            nodes, edges = naive_build_graph(claims, logins, window)
+            assert g.nodes == nodes, trial
+            assert list(g.edges()) == edges, trial
+            assert g.edge_count == len(edges)
+            shuffled = [logins[i] for i in rng.permutation(len(logins))]
+            assert build(claims[::-1], shuffled, window) == g
+
+    def test_saved_logs_load_to_the_same_columns(self, tmp_path):
+        rng = np.random.default_rng(22)
+        claims, logins = self.random_logs(rng, WINDOW)
+        save_claim_events(claims, tmp_path / "claims.tsv")
+        save_login_events(logins, tmp_path / "logins.tsv")
+        assert load_claim_events(tmp_path / "claims.tsv") == ClaimLog.from_events(claims)
+        assert load_login_events(tmp_path / "logins.tsv") == LoginLog.from_events(logins)
+
+
+class TestConstructorErrors:
+    def test_vectorised_error_equals_loop_error(self):
+        rng = np.random.default_rng(23)
+        raised = 0
+        for trial in range(500):
+            kinds = "".join(rng.choice(["A", "D"], size=rng.integers(0, 7)))
+            n = len(kinds)
+            ends = rng.integers(-2, n + 2, size=(rng.integers(0, 6), 2)).tolist()
+            if ends and rng.random() < 0.1:
+                ends[rng.integers(len(ends))][rng.integers(2)] = 2**70
+            edges = [tuple(e) for e in ends]
+            nodes = make_graph(kinds, []).nodes
+            want = loop_edge_error(nodes, edges)
+            if want is None:
+                g = DeviceSharingGraph(nodes, edges)
+                assert g.edge_count == len({(min(e), max(e)) for e in edges})
+                continue
+            raised += 1
+            with pytest.raises(ValueError) as excinfo:
+                DeviceSharingGraph(nodes, edges)
+            assert str(excinfo.value) == want, trial
+            if max(max(e) for e in edges) < 2**63:
+                with pytest.raises(ValueError) as excinfo:
+                    DeviceSharingGraph(nodes, np.array(ends, dtype=np.int64))
+                assert str(excinfo.value) == want, trial
+        assert raised > 200
+
+    def test_array_and_pair_list_edges_build_equal_graphs(self):
+        rng = np.random.default_rng(24)
+        g = random_bipartite(rng, 20, 20, 0.2)
+        pairs = list(g.edges())
+        doubled = [(v, u) for u, v in pairs] + pairs
+        assert DeviceSharingGraph(g.nodes, np.array(doubled)) == g
+        assert DeviceSharingGraph(g.nodes, iter(doubled)) == g
+
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            DeviceSharingGraph(make_graph("AD", []).nodes, np.array([[0, 1, 1]]))
+
+
+class TestEventLoaderContract:
+    LOGIN_DEFECTS = {
+        "fields": "a9\td9\t1\textra",
+        "empty account": "\td9\t1",
+        "empty umid": "a9\t\t1",
+        "timestamp": "a9\td9\tnope",
+    }
+
+    def load_error(self, path, loader):
+        with pytest.raises(GraphFormatError) as excinfo:
+            loader(path)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("first", sorted(LOGIN_DEFECTS))
+    @pytest.mark.parametrize("second", sorted(LOGIN_DEFECTS))
+    def test_earlier_of_two_defects_is_reported(self, tmp_path, first, second):
+        path = tmp_path / "logins.tsv"
+        lines = ["a1\td1\t1", self.LOGIN_DEFECTS[first], "a2\td2\t2", self.LOGIN_DEFECTS[second]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = self.load_error(path, load_login_events)
+        assert message.startswith(f"{path}:2: ")
+        assert message == line_by_line_events(path, ["account id", "device umid"])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("\t\tnope\t", "expected 3 fields, got 4"),
+            ("\t\tnope", "empty account id"),
+            ("a1\t\tnope", "empty device umid"),
+            ("a1\td1\t", "timestamp '' is not an integer"),
+        ],
+    )
+    def test_precedence_within_a_line(self, tmp_path, row, message):
+        path = tmp_path / "logins.tsv"
+        path.write_text(f"a0\td0\t5\n{row}\n", encoding="utf-8")
+        assert self.load_error(path, load_login_events) == f"{path}:2: {message}"
+
+    def test_blank_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_text("\na1\t1\n\n\na2\t2\n\n\tx\n", encoding="utf-8")
+        assert self.load_error(path, load_claim_events) == f"{path}:7: empty account id"
+        path.write_text("\na1\t1\n\n\na2\t2\n\n", encoding="utf-8")
+        assert load_claim_events(path) == ClaimLog(["a1", "a2"], np.array([1, 2]))
+
+    def test_crlf_lines_keep_their_numbers_and_values(self, tmp_path):
+        path = tmp_path / "logins.tsv"
+        path.write_bytes(b"a1\td1\t1\r\n\r\na2\td2\t2\r\n")
+        assert load_login_events(path) == LoginLog(["a1", "a2"], ["d1", "d2"], np.array([1, 2]))
+        path.write_bytes(b"a1\td1\t1\r\n\r\na2\td2\t2\r\na3\td3\tx\r\n")
+        assert self.load_error(path, load_login_events) == f"{path}:4: timestamp 'x' is not an integer"
+
+    def test_every_int_spelling_still_parses(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_text("a1\t+5\na2\t 7\na3\t1_000\na4\t-3 \n", encoding="utf-8")
+        assert load_claim_events(path) == ClaimLog(["a1", "a2", "a3", "a4"], np.array([5, 7, 1000, -3]))
+
+    @pytest.mark.parametrize("text", [str(2**63), str(-(2**63) - 1), "1" + "0" * 30])
+    def test_timestamp_outside_int64_names_line(self, tmp_path, text):
+        path = tmp_path / "claims.tsv"
+        path.write_text(f"a1\t1\na2\t{text}\n", encoding="utf-8")
+        message = f"{path}:2: timestamp {text!r} is outside the int64 range"
+        assert self.load_error(path, load_claim_events) == message
+
+    def test_int64_limits_load(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_text(f"a1\t{2**63 - 1}\na2\t{-(2**63)}\n", encoding="utf-8")
+        assert load_claim_events(path).timestamps.tolist() == [2**63 - 1, -(2**63)]
+
+    def test_random_files_match_the_line_by_line_reader(self, tmp_path):
+        rng = np.random.default_rng(25)
+        pieces = ["a1", "d1", "", "7", "+7", " 8", "x", "\r", str(2**63), "1_0", "\u00e9"]
+        for trial in range(300):
+            path = tmp_path / f"logins{trial}.tsv"
+            lines = []
+            for _ in range(rng.integers(0, 8)):
+                width = 3 if rng.random() < 0.8 else rng.integers(1, 5)
+                lines.append("\t".join(pieces[rng.integers(len(pieces))] for _ in range(width)))
+            path.write_text("\n".join(lines) + ("\n" if rng.random() < 0.5 else ""), encoding="utf-8")
+            want = line_by_line_events(path, ["account id", "device umid"])
+            if isinstance(want, str):
+                assert self.load_error(path, load_login_events) == want, trial
+            else:
+                (accounts, devices), timestamps = want
+                assert load_login_events(path) == LoginLog(accounts, devices, np.array(timestamps, dtype=np.int64))
 
 
 class TestGraphStructure:
@@ -348,13 +534,13 @@ class TestSerialization:
         events = [ClaimEvent("a1", 100), ClaimEvent("a2", 200)]
         path = tmp_path / "claims.tsv"
         save_claim_events(events, path)
-        assert load_claim_events(path) == events
+        assert load_claim_events(path) == ClaimLog.from_events(events)
 
     def test_login_event_round_trip(self, tmp_path):
         events = [LoginEvent("a1", "d1", 100), LoginEvent("a2", "d2", 200)]
         path = tmp_path / "logins.tsv"
         save_login_events(events, path)
-        assert load_login_events(path) == events
+        assert load_login_events(path) == LoginLog.from_events(events)
 
     def test_claim_empty_account_id_names_line(self, tmp_path):
         path = tmp_path / "claims.tsv"

@@ -302,6 +302,18 @@ class TestEmbeddingFiles:
         loaded = load_embeddings(str(path), g)
         assert np.array_equal(loaded.vectors, emb.vectors)
 
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        g = five_node_fixture()
+        rng = np.random.default_rng(10)
+        vectors = rng.normal(size=(g.num_nodes, 3)) * 10.0 ** rng.integers(-300, 300, size=(g.num_nodes, 3))
+        vectors[0] = [0.0, -0.0, 5e-324]
+        path = tmp_path / "embeddings.tsv"
+        save_embeddings(Embeddings(vectors, []), g, str(path))
+        want = "".join(
+            node.external_id + "".join(f"\t{v:.17g}" for v in vectors[node.index]) + "\n" for node in g.nodes
+        )
+        assert path.read_text(encoding="utf-8") == want
+
     def test_unknown_node_id(self, tmp_path):
         g = five_node_fixture()
         path = tmp_path / "embeddings.tsv"

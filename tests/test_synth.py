@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraudring.features import load_dataset
-from fraudring.graph import CountKind, build_graph, khop_neighbor_counts, prune_singletons
+from fraudring.graph import ClaimLog, CountKind, LoginLog, build_graph, khop_neighbor_counts, prune_singletons
 from fraudring.synth import MANIFEST_FILE, SynthConfig, SyntheticDataset, emit, generate
 
 
@@ -55,7 +55,7 @@ class TestTopology:
 
     def test_events_rebuild_designed_graph(self):
         sds = generate(small_config())
-        rebuilt = build_graph(sds.claims, sds.logins, sds.window)
+        rebuilt = build_graph(ClaimLog.from_events(sds.claims), LoginLog.from_events(sds.logins), sds.window)
         assert rebuilt == sds.dataset.graph
 
     def test_node_index_matches_creation_order(self):

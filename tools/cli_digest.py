@@ -1,0 +1,121 @@
+"""Digest of every CLI output for fixed seeds, to show a change leaves them byte-identical.
+
+    python3 tools/cli_digest.py OUTDIR [SEEDS]
+
+SEEDS is a comma-separated list of seeds and ranges, such as 0-4 or 0,2,5
+(default 0). For each seed N the script runs, in process and with the
+package from this checkout's src/, at default settings:
+
+    synth --seed N
+    build-graph on synth's logs, pruned and with --no-prune
+    train --model gnn | gbdt | node2vec-gbdt --seed N
+    evaluate --labels tags, and --labels ground-truth
+    export-dot --features
+    grad-check --seed N
+
+Commands run inside OUTDIR with relative paths, so the outputs do not depend
+on where OUTDIR is. Each command's stdout, stderr and exit code are saved next
+to the files it writes. The sha256 of every file under OUTDIR, one
+"<sha256>  <path>" line per file sorted by path, is printed and written to
+OUTDIR/digest.sha256. Run it on two checkouts and diff the two digests.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST_FILE = "digest.sha256"
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of the commands after synth for one seed, relative to the output directory."""
+    base = f"seed{seed}"
+    data, models = f"{base}/data", f"{base}/models"
+    logs = ["--claims", f"{data}/claims.tsv", "--logins", f"{data}/logins.tsv", "--reference-time", reference_time]
+    commands = [
+        ("build_graph", ["build-graph", *logs, "--out", f"{base}/built.tsv"]),
+        ("build_graph_no_prune", ["build-graph", *logs, "--no-prune", "--out", f"{base}/built_no_prune.tsv"]),
+    ]
+    for model in ("gnn", "gbdt", "node2vec-gbdt"):
+        commands.append((f"train_{model}", ["train", "--model", model, "--data", data, "--out", models,
+                                            "--seed", str(seed)]))
+    for labels in ("tags", "ground-truth"):
+        commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
+                                                "--out", f"{base}/reports_{labels}", "--labels", labels]))
+    commands += [
+        ("export_dot", ["export-dot", "--graph", f"{data}/graph.tsv", "--features", f"{data}/features.tsv",
+                        "--out", f"{base}/graph.dot"]),
+        ("grad_check", ["grad-check", "--seed", str(seed)]),
+    ]
+    return commands
+
+
+def run(main, name: str, argv: list[str], log_dir: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for suffix, text in (("out", out.getvalue()), ("err", err.getvalue()), ("rc", f"{code}\n")):
+        with open(os.path.join(log_dir, f"{name}.{suffix}"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def digest(out_dir: str, seeds: list[int]) -> list[str]:
+    """Run the chain for each seed in out_dir; the sorted "<sha256>  <path>" lines of every file."""
+    src = os.path.join(ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from fraudring.cli import main
+
+    os.makedirs(out_dir, exist_ok=True)
+    if os.listdir(out_dir):
+        raise SystemExit(f"cli_digest: {out_dir} is not empty")
+    previous = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for seed in seeds:
+            log_dir = f"seed{seed}/logs"
+            os.makedirs(log_dir)
+            run(main, "synth", ["synth", "--out", f"seed{seed}/data", "--seed", str(seed)], log_dir)
+            with open(f"seed{seed}/data/synth_manifest.json", encoding="utf-8") as fh:
+                reference_time = str(json.load(fh)["reference_time"])
+            for name, argv in chain(seed, reference_time):
+                run(main, name, argv, log_dir)
+        lines = []
+        for folder, _, files in os.walk("."):
+            for file in files:
+                path = os.path.relpath(os.path.join(folder, file))
+                if path != DIGEST_FILE:
+                    with open(path, "rb") as fh:
+                        lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {path}")
+        return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+    finally:
+        os.chdir(previous)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 1
+    lines = digest(argv[0], parse_seeds(argv[1] if len(argv) == 2 else "0"))
+    with open(os.path.join(argv[0], DIGEST_FILE), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
