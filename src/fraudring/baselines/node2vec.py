@@ -6,6 +6,7 @@ downstream classifier, concatenated in front of the account features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from ..features import LabeledDataset
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph
+from ..graph import DeviceSharingGraph, _read_lines
 from ..train import training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
@@ -334,39 +335,37 @@ def train_embeddings(
 
 
 def save_embeddings(emb: Embeddings, g: DeviceSharingGraph, path: str) -> None:
-    """TSV of node external id and vector, accounts and devices alike."""
+    """TSV of node external id and vector, one row per node in node order, accounts and devices alike."""
     row = "%s" + "\t%.17g" * emb.vectors.shape[1] + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(row % (node.external_id, *values) for node, values in zip(g.nodes, emb.vectors.tolist()))
+        fh.writelines(row % (ext, *values) for ext, values in zip(g.ids, emb.vectors.tolist()))
 
 
 def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
-    by_id = {nd.external_id: nd.index for nd in g.nodes}
-    vectors: np.ndarray | None = None
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if parts[0] not in by_id:
+    """Read the rows save_embeddings writes: the k-th nonblank row is node k's and carries its id."""
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        k = len(rows)
+        if k == g.num_nodes or parts[0] != g.ids[k]:
+            if parts[0] not in g.ids:
                 raise ValueError(f"{path}:{lineno}: unknown node id {parts[0]!r}")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
-            if vectors is None:
-                vectors = np.zeros((g.num_nodes, len(vec)))
-            if len(vec) != vectors.shape[1]:
-                raise ValueError(f"{path}:{lineno}: inconsistent embedding width")
-            idx = by_id[parts[0]]
-            vectors[idx] = vec
-            seen[idx] = True
-    if vectors is None or not seen.all():
+            expected = f"node {k} is {g.ids[k]!r}" if k < g.num_nodes else f"the graph has {k} nodes"
+            raise ValueError(f"{path}:{lineno}: row for node id {parts[0]!r} out of place; {expected}")
+        try:
+            vec = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{path}:{lineno}: non-finite embedding value")
+        if rows and len(vec) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: inconsistent embedding width")
+        rows.append(vec)
+    if not rows or len(rows) < g.num_nodes:
         raise ValueError(f"{path}: embeddings missing for some graph nodes")
-    return Embeddings(vectors, [])
+    return Embeddings(np.array(rows, dtype=np.float64), [])
 
 
 def embed_concat_fit(

@@ -6,10 +6,11 @@ import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, _kept_nodes, component_labels, load_graph
+from .graph import DeviceSharingGraph, _kept_nodes, _read_lines, component_labels, load_graph
 
 GRAPH_FILE = "graph.tsv"
 FEATURES_FILE = "features.tsv"
@@ -49,7 +50,7 @@ class LabeledDataset:
 
 def _account_rows(graph: DeviceSharingGraph) -> dict[str, int]:
     """Account external id -> dataset row."""
-    return {graph.nodes[int(a)].external_id: r for r, a in enumerate(graph.account_indices())}
+    return {ext: r for r, ext in enumerate(compress(graph.ids, graph.is_account.tolist()))}
 
 
 def check_dataset(ds: LabeledDataset) -> None:
@@ -141,8 +142,7 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
     The split starts as all-Train.
     """
     row_of = _account_rows(graph)
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw:
         raise FeatureFormatError(f"{path}:1: empty features file")
     header = raw[0].split("\t")
@@ -197,8 +197,7 @@ def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:
     row_of = _account_rows(graph)
     truth = np.zeros(len(row_of), dtype=bool)
     seen = np.zeros(len(row_of), dtype=bool)
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw or raw[0] != "account_id\tis_fraud":
         raise FeatureFormatError(f"{path}:1: bad ground-truth header")
     for lineno, line in enumerate(raw[1:], start=2):

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat, starmap
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -17,23 +17,9 @@ class GraphFormatError(ValueError):
     """Malformed graph or event file, or a structural rule violated on load."""
 
 
-class NodeKind(Enum):
-    ACCOUNT = "A"
-    DEVICE = "D"
-
-
 class CountKind(Enum):
     ALL = "all"
     ACCOUNT_ONLY = "account_only"
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    """A graph node: dense index plus the external identity it stands for."""
-
-    index: int
-    kind: NodeKind
-    external_id: str
 
 
 @dataclass(frozen=True)
@@ -119,30 +105,38 @@ class WindowConfig:
 class DeviceSharingGraph:
     """Undirected bipartite graph over account and device nodes.
 
-    Adjacency is stored as sorted neighbor lists behind a prefix-offset index
-    (CSR layout). Instances are immutable once built; all queries are
-    read-only and safe to use concurrently. Edges come as any iterable of
-    (u, v) pairs or an (m, 2) integer array, in either orientation; duplicate
-    edges collapse.
+    Node i is ids[i], an account where is_account[i] and a device elsewhere;
+    an id is unique within its kind. Adjacency is stored as sorted neighbor
+    lists behind a prefix-offset index (CSR layout). Instances are immutable
+    once built; all queries are read-only and safe to use concurrently. Edges
+    come as any iterable of (u, v) pairs or an (m, 2) integer array, in either
+    orientation; duplicate edges collapse.
     """
 
-    def __init__(self, nodes: Sequence[NodeRef], edges: Iterable[tuple[int, int]] | np.ndarray):
-        self.nodes: list[NodeRef] = list(nodes)
-        n = len(self.nodes)
-        is_account = [nd.kind is NodeKind.ACCOUNT for nd in self.nodes]
-        accounts = [nd.external_id for nd, acc in zip(self.nodes, is_account) if acc]
-        devices = [nd.external_id for nd, acc in zip(self.nodes, is_account) if not acc]
-        if (
-            [nd.index for nd in self.nodes] != list(range(n))
-            or len(set(accounts)) < len(accounts)
-            or len(set(devices)) < len(devices)
-        ):
-            self._raise_first_node_error()
-        self._is_account = np.array(is_account, dtype=bool)
+    def __init__(
+        self,
+        ids: Sequence[str],
+        is_account: Sequence[bool] | np.ndarray,
+        edges: Iterable[tuple[int, int]] | np.ndarray,
+    ):
+        self.ids: list[str] = list(ids)
+        self.is_account = np.array(is_account, dtype=bool)
+        n = len(self.ids)
+        if self.is_account.shape != (n,):
+            raise ValueError(f"{n} ids but an account mask of shape {self.is_account.shape}")
+        if dup := _first_duplicate(self.ids, self.is_account):
+            raise ValueError(dup[1])
 
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = self._check_edges(edges)
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            pairs = np.asarray(edges, dtype=object)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+        if bad := _first_bad_edge(pairs[:, 0], pairs[:, 1], self.is_account, written=False):
+            raise ValueError(bad[1])
         # Each undirected edge once, as the key lo * n + hi; both directions of
         # the sorted keys, sorted again, are the CSR layout.
         keys = _sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
@@ -152,59 +146,16 @@ class DeviceSharingGraph:
         np.cumsum(np.bincount(both // n, minlength=n), out=self._offsets[1:])
         self._targets = both % n
 
-    def _raise_first_node_error(self) -> None:
-        seen_ids: dict[NodeKind, set[str]] = {NodeKind.ACCOUNT: set(), NodeKind.DEVICE: set()}
-        for pos, node in enumerate(self.nodes):
-            if node.index != pos:
-                raise ValueError(f"node index {node.index} at position {pos}: indices must be dense, 0..n-1")
-            if node.external_id in seen_ids[node.kind]:
-                raise ValueError(f"duplicate external id {node.external_id!r} for kind {node.kind.value}")
-            seen_ids[node.kind].add(node.external_id)
-
-    def _check_edges(self, edges: list[tuple[int, int]] | np.ndarray) -> np.ndarray:
-        """The edges as an (m, 2) int64 array; the first bad one in input order raises ValueError."""
-        try:
-            pairs = np.asarray(edges, dtype=np.int64)
-        except OverflowError:
-            pairs = np.asarray(edges, dtype=object)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
-        n = self.num_nodes
-        missing = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        present = pairs[~missing].astype(np.int64)
-        loop = np.zeros(len(pairs), dtype=bool)
-        loop[~missing] = present[:, 0] == present[:, 1]
-        same_kind = np.zeros(len(pairs), dtype=bool)
-        same_kind[~missing] = self._is_account[present[:, 0]] == self._is_account[present[:, 1]]
-        bad = missing | loop | same_kind
-        if bad.any():
-            first = int(np.argmax(bad))
-            u, v = edges[first]
-            if missing[first]:
-                raise ValueError(f"edge ({u}, {v}) references a missing node")
-            if loop[first]:
-                raise ValueError(f"self-loop on node {u}")
-            raise ValueError(f"edge ({u}, {v}) joins two {self.nodes[u].kind.value} nodes; graph must be bipartite")
-        return pairs.astype(np.int64, copy=False)
-
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     def neighbors(self, index: int) -> np.ndarray:
         """Sorted neighbor indices of a node (a view, do not mutate)."""
         return self._targets[self._offsets[index]:self._offsets[index + 1]]
 
-    def degree(self, index: int) -> int:
-        return int(self._offsets[index + 1] - self._offsets[index])
-
-    def is_account(self, index: int) -> bool:
-        return bool(self._is_account[index])
-
     def account_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._is_account)
+        return np.flatnonzero(self.is_account)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, in sorted order."""
@@ -225,22 +176,21 @@ class DeviceSharingGraph:
         sources = self._sources()
         upper = (sources < self._targets) & keep[sources] & keep[self._targets]
         new_index = np.cumsum(keep) - 1
-        kept = [self.nodes[old] for old in np.flatnonzero(keep).tolist()]
-        nodes = [NodeRef(new, nd.kind, nd.external_id) for new, nd in enumerate(kept)]
         edges = np.column_stack((new_index[sources[upper]], new_index[self._targets[upper]]))
-        return DeviceSharingGraph(nodes, edges)
+        return DeviceSharingGraph(list(compress(self.ids, keep.tolist())), self.is_account[keep], edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeviceSharingGraph):
             return NotImplemented
         return (
-            self.nodes == other.nodes
+            self.ids == other.ids
+            and np.array_equal(self.is_account, other.is_account)
             and np.array_equal(self._offsets, other._offsets)
             and np.array_equal(self._targets, other._targets)
         )
 
     def __repr__(self) -> str:
-        n_acc = int(self._is_account.sum())
+        n_acc = int(self.is_account.sum())
         return (
             f"DeviceSharingGraph({n_acc} accounts, {self.num_nodes - n_acc} devices, "
             f"{self.edge_count} edges)"
@@ -271,9 +221,51 @@ def build_graph(claims: ClaimLog, logins: LoginLog, window: WindowConfig) -> Dev
 
     pairs = _sorted_unique(login_account * len(device_ids) + login_device)
     edges = np.column_stack((account_node[pairs // len(device_ids)], device_node[pairs % len(device_ids)]))
-    nodes = [NodeRef(i, NodeKind.ACCOUNT, a) for i, a in enumerate(accounts)]
-    nodes += [NodeRef(len(accounts) + j, NodeKind.DEVICE, d) for j, d in enumerate(devices)]
-    return DeviceSharingGraph(nodes, edges)
+    is_account = np.arange(len(accounts) + len(devices)) < len(accounts)
+    return DeviceSharingGraph(accounts + devices, is_account, edges)
+
+
+def _first_bad_edge(u: np.ndarray, v: np.ndarray, is_account: np.ndarray, written: bool) -> tuple[int, str] | None:
+    """(row, message) of the first bad edge, or None if every edge is good.
+
+    The checks, in order: an end is no node; u == v, or u >= v if written (graph.tsv
+    holds each edge once, as u < v); both ends are of one kind; if written, an earlier row has the edge.
+    """
+    n = len(is_account)
+    missing = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    # A missing end reads as the extra node n, so that every row can be indexed.
+    a, b = (np.where(missing, n, ends).astype(np.int64) for ends in (u, v))
+    backward = a >= b if written else a == b
+    kinds = np.append(is_account, False)
+    same_kind = kinds[a] == kinds[b]
+    repeated = np.zeros(len(a), dtype=bool)
+    if written:
+        keys = a * n + b
+        order = np.argsort(keys, kind="stable")
+        repeated[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = missing | backward | same_kind | repeated
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    edge = f"edge ({u[row]}, {v[row]})"
+    if missing[row]:
+        return row, f"{edge} references a missing node"
+    if backward[row]:
+        return row, f"{edge} must be written with src < dst" if written else f"self-loop on node {u[row]}"
+    if same_kind[row]:
+        return row, f"{edge} joins two {'A' if is_account[a[row]] else 'D'} nodes; graph must be bipartite"
+    return row, f"duplicate {edge}"
+
+
+def _first_duplicate(ids: list[str], is_account: np.ndarray) -> tuple[int, str] | None:
+    """(position, message) of the first node whose id an earlier node of its kind has, or None."""
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for i, (account, ext) in enumerate(zip(is_account.tolist(), ids)):
+            if (account, ext) in seen:
+                return i, f"duplicate external id {ext!r} for kind {'A' if account else 'D'}"
+            seen.add((account, ext))
+    return None
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -330,7 +322,7 @@ def component_labels(g: DeviceSharingGraph) -> np.ndarray:
 
 def _kept_nodes(g: DeviceSharingGraph, labels: np.ndarray) -> np.ndarray:
     """Mask of the nodes whose component holds at least two accounts: what pruning keeps."""
-    return np.bincount(labels[g._is_account], minlength=g.num_nodes)[labels] >= 2
+    return np.bincount(labels[g.is_account], minlength=g.num_nodes)[labels] >= 2
 
 
 def connected_components(g: DeviceSharingGraph) -> list[set[int]]:
@@ -351,18 +343,14 @@ def prune_singletons(g: DeviceSharingGraph) -> DeviceSharingGraph:
 
 
 def _bfs_distances(g: DeviceSharingGraph, start: int, max_depth: int) -> np.ndarray:
+    """Hop distances from start, level by level up to max_depth; -1 for the nodes beyond."""
     dist = np.full(g.num_nodes, -1, dtype=np.int64)
     dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= max_depth:
-            continue
-        for v in g.neighbors(u):
-            v = int(v)
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    frontier = [start]
+    for depth in range(1, max_depth + 1):
+        reached = set(chain.from_iterable(g.neighbors(u).tolist() for u in frontier))
+        frontier = [v for v in reached if dist[v] < 0]
+        dist[frontier] = depth
     return dist
 
 
@@ -384,110 +372,94 @@ def khop_neighbor_counts(
         raise ValueError("max_hop must be >= 1")
     seed_list = sorted(set(int(s) for s in seeds))
     for s in seed_list:
-        if not (0 <= s < g.num_nodes) or not g.is_account(s):
+        if not (0 <= s < g.num_nodes) or not g.is_account[s]:
             raise ValueError(f"seed {s} is not an Account node")
 
-    totals = np.zeros(max_hop, dtype=np.float64)
+    counted = g.is_account if count_kind is CountKind.ACCOUNT_ONLY else np.ones(g.num_nodes, dtype=bool)
+    totals = np.zeros(max_hop + 1)
     for s in seed_list:
         dist = _bfs_distances(g, s, max_hop)
-        for h in range(1, max_hop + 1):
-            at_h = dist == h
-            if count_kind is CountKind.ACCOUNT_ONLY:
-                at_h &= g._is_account
-            totals[h - 1] += int(at_h.sum())
-    return (totals / len(seed_list)).tolist()
+        totals += np.bincount(dist[counted & (dist > 0)], minlength=max_hop + 1)
+    return (totals[1:] / len(seed_list)).tolist()
 
 
 def _check_tsv_id(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value or not value:
+    if "\t" in value or "\n" in value or "\r" in value or not value:
         raise ValueError(f"{what} {value!r} must be nonempty and free of tabs/newlines")
     return value
 
 
 def save_graph(g: DeviceSharingGraph, path: str) -> None:
     """Write the graph as UTF-8 TSV: a #nodes section, a blank line, a #edges section."""
-    lines = ["#nodes"]
-    for node in g.nodes:
-        _check_tsv_id(node.external_id, "external id")
-        lines.append(f"{node.index}\t{node.kind.value}\t{node.external_id}")
-    lines.append("")
-    lines.append("#edges")
-    for u, v in g.edges():
-        lines.append(f"{u}\t{v}")
+    for ext in g.ids:
+        _check_tsv_id(ext, "external id")
+    kinds = np.where(g.is_account, "A", "D").tolist()
+    rows = chain(
+        ["#nodes"],
+        map("{}\t{}\t{}".format, count(), kinds, g.ids),
+        ["", "#edges"],
+        starmap("{}\t{}".format, g.edges()),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(rows) + "\n")
 
 
 def load_graph(path: str) -> DeviceSharingGraph:
-    """Load a graph TSV written by save_graph, validating structure.
+    """Load a graph TSV written by save_graph, validating structure; nodes may come in any kind order.
 
-    Raises GraphFormatError naming the offending line for malformed rows,
-    non-bipartite or duplicate edges, bad indices, and section errors.
+    The first bad line in file order raises GraphFormatError naming path:line;
+    within a line the checks of _node_columns and _edge_pairs go in the order written.
+    The node section ends at the first blank or whitespace-only line; such edge lines
+    are skipped but counted.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    lines = _read_lines(path)
+    stripped = list(map(str.strip, lines))
+    if not lines or stripped[0] != "#nodes":
+        raise GraphFormatError(f"{path}:1: expected '#nodes' header")
+    end = stripped.index("") if "" in stripped else len(lines)
+    ids, is_account = _node_columns(path, lines[1:end])
+    if end == len(lines):
+        raise GraphFormatError(f"{path}:{len(lines)}: missing '#edges' section")
+    if end + 1 == len(lines) or stripped[end + 1] != "#edges":
+        raise GraphFormatError(f"{path}:{end + 2}: expected '#edges' header after blank line")
+    first = end + 2
+    edges = _edge_pairs(path, list(compress(lines[first:], stripped[first:])), first, is_account)
+    return DeviceSharingGraph(ids, is_account, edges)
 
-    def fail(lineno: int, message: str) -> GraphFormatError:
-        return GraphFormatError(f"{path}:{lineno}: {message}")
 
-    if not raw or raw[0].strip() != "#nodes":
-        raise fail(1, "expected '#nodes' header")
+def _node_columns(path: str, rows: list[str]) -> tuple[list[str], np.ndarray]:
+    """The ids and the account mask of graph.tsv's node lines, from file line 2 on."""
+    (index_texts, kinds, ids), errors = _split_rows(rows, 3, "tab-separated node fields")
+    index, bad = _ints(index_texts)
+    if bad < len(index_texts):
+        errors.append((bad, 1, f"node index {index_texts[bad]!r} is not an integer"))
+    out_of_order = np.flatnonzero(index != np.arange(len(index)))
+    if len(out_of_order):
+        row = int(out_of_order[0])
+        errors.append((row, 2, f"node index {index[row]} out of order; expected {row}"))
+    if kinds.count("A") + kinds.count("D") < len(kinds):
+        row = next(i for i, kind in enumerate(kinds) if kind not in ("A", "D"))
+        errors.append((row, 3, f"unknown node kind {kinds[row]!r}; expected A or D"))
+    if "" in ids:
+        errors.append((ids.index(""), 4, "empty external id"))
+    is_account = np.fromiter(map("A".__eq__, kinds), bool, len(kinds))
+    if dup := _first_duplicate(ids, is_account):
+        errors.append((dup[0], 5, dup[1]))
+    _raise_first(path, errors, 1)
+    return ids, is_account
 
-    nodes: list[NodeRef] = []
-    kinds: list[NodeKind] = []
-    i = 1
-    while i < len(raw) and raw[i].strip() != "":
-        parts = raw[i].split("\t")
-        if len(parts) != 3:
-            raise fail(i + 1, f"expected 3 tab-separated node fields, got {len(parts)}")
-        idx_text, kind_text, ext_id = parts
-        try:
-            idx = int(idx_text)
-        except ValueError:
-            raise fail(i + 1, f"node index {idx_text!r} is not an integer") from None
-        if idx != len(nodes):
-            raise fail(i + 1, f"node index {idx} out of order; expected {len(nodes)}")
-        try:
-            kind = NodeKind(kind_text)
-        except ValueError:
-            raise fail(i + 1, f"unknown node kind {kind_text!r}; expected A or D") from None
-        nodes.append(NodeRef(idx, kind, ext_id))
-        kinds.append(kind)
-        i += 1
 
-    if i >= len(raw):
-        raise fail(len(raw), "missing '#edges' section")
-    i += 1  # skip blank separator
-    if i >= len(raw) or raw[i].strip() != "#edges":
-        raise fail(i + 1, "expected '#edges' header after blank line")
-    i += 1
-
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    n = len(nodes)
-    for lineno in range(i, len(raw)):
-        line = raw[lineno]
-        if line.strip() == "":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise fail(lineno + 1, f"expected 2 tab-separated edge fields, got {len(parts)}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise fail(lineno + 1, f"edge endpoints {line!r} are not integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise fail(lineno + 1, f"edge ({u}, {v}) references a missing node")
-        if u >= v:
-            raise fail(lineno + 1, f"edge ({u}, {v}) must be written with src < dst")
-        if kinds[u] == kinds[v]:
-            raise fail(lineno + 1, f"edge ({u}, {v}) joins two {kinds[u].value} nodes; graph must be bipartite")
-        if (u, v) in seen:
-            raise fail(lineno + 1, f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-
-    return DeviceSharingGraph(nodes, edges)
+def _edge_pairs(path: str, rows: list[str], first: int, is_account: np.ndarray) -> np.ndarray:
+    """The (m, 2) edges of graph.tsv's nonblank edge lines, from 0-based file line first on."""
+    (u_texts, v_texts), errors = _split_rows(rows, 2, "tab-separated edge fields")
+    (u, bad_u), (v, bad_v) = _ints(u_texts), _ints(v_texts)
+    m = min(bad_u, bad_v)
+    if m < len(u_texts):
+        errors.append((m, 1, "edge endpoints %r are not integers" % (u_texts[m] + "\t" + v_texts[m])))
+    if bad := _first_bad_edge(u[:m], v[:m], is_account, written=True):
+        errors.append((bad[0], 2, bad[1]))
+    _raise_first(path, errors, first, str.strip)
+    return np.column_stack((u, v))
 
 
 def export_dot(
@@ -502,13 +474,13 @@ def export_dot(
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph device_sharing {"]
-    for node in g.nodes:
-        attrs = "shape=box" if node.kind is NodeKind.ACCOUNT else "shape=ellipse"
-        if node.index in flagged:
+    for index, (ext, account) in enumerate(zip(g.ids, g.is_account.tolist())):
+        attrs = "shape=box" if account else "shape=ellipse"
+        if index in flagged:
             attrs += ', style=filled, fillcolor="red"'
-        lines.append(f"  {quote(node.external_id)} [{attrs}];")
+        lines.append(f"  {quote(ext)} [{attrs}];")
     for u, v in g.edges():
-        lines.append(f"  {quote(g.nodes[u].external_id)} -- {quote(g.nodes[v].external_id)};")
+        lines.append(f"  {quote(g.ids[u])} -- {quote(g.ids[v])};")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -521,6 +493,66 @@ def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
 
 
+def _read_lines(path: str) -> list[str]:
+    """A UTF-8 file's lines, as str.splitlines gives them but split at "\n" only.
+
+    Text mode already folds "\r\n" and "\r"; splitlines would also split at
+    characters the savers do not escape, such as U+2028.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _split_rows(rows: list[str], width: int, what: str) -> tuple[list[list[str]], list[tuple[int, int, str]]]:
+    """The rows in width columns, up to the first row with another field count, and that row's error.
+
+    Errors are (row, precedence, message). The rows list is emptied once
+    joined, so that the lines and their fields are not held at once.
+    """
+    counts = list(map(str.count, rows, repeat("\t")))
+    errors = []
+    if counts.count(width - 1) != len(counts):
+        bad = next(i for i, c in enumerate(counts) if c != width - 1)
+        errors.append((bad, 0, f"expected {width} {what}, got {counts[bad] + 1}"))
+        del rows[bad:]
+    joined = "\t".join(rows)
+    rows.clear()
+    del counts
+    fields = joined.split("\t") if joined else []
+    del joined
+    return [fields[j::width] for j in range(width)], errors
+
+
+def _ints(texts: list[str]) -> tuple[np.ndarray, int]:
+    """The texts as int() reads them, up to the first it rejects, and that row (len(texts) if none).
+
+    The values are int64 if every text parses within int64, else Python ints in an object array.
+    """
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts)), len(texts)
+    except (ValueError, OverflowError):
+        values: list[int] = []
+        with suppress(ValueError):
+            values.extend(map(int, texts))
+        return np.array(values, dtype=object), len(values)
+
+
+def _raise_first(path: str, errors: list[tuple[int, int, str]], first: int = 0, keep=None) -> None:
+    """Raise the earliest (row, precedence, message) error as GraphFormatError naming path:line.
+
+    Rows count the file's lines from 0-based line first on that keep passes,
+    by default the nonempty ones; the file is read again to find the line.
+    """
+    if errors:
+        row, _, message = min(errors)
+        lines = _read_lines(path)[first:]
+        numbers = compress(count(first + 1), map(keep, lines) if keep else lines)
+        raise GraphFormatError(f"{path}:{next(islice(numbers, row, None))}: {message}")
+
+
 def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
     """Columns of an event TSV: one list per id field, and the int64 timestamps.
 
@@ -528,53 +560,20 @@ def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], n
     with path:line; within a line a wrong field count comes first, then the
     first empty id, then the timestamp.
     """
-    width = len(id_names) + 1
-    with open(path, encoding="utf-8") as fh:
-        rows = list(filter(None, fh.read().split("\n")))
-    counts = list(map(str.count, rows, repeat("\t")))
-    errors = []  # (row, precedence, message) of the first error of each kind
-    if counts.count(width - 1) != len(counts):
-        bad = next(i for i, c in enumerate(counts) if c != width - 1)
-        errors.append((bad, 0, f"expected {width} fields, got {counts[bad] + 1}"))
-        del rows[bad:]
-    n = len(rows)
-    joined = "\t".join(rows)
-    del rows, counts
-    fields = joined.split("\t") if joined else []
-    del joined
-    columns = [fields[j::width] for j in range(width)]
-    del fields
-
+    columns, errors = _split_rows(list(filter(None, _read_lines(path))), len(id_names) + 1, "fields")
+    n = len(columns[-1])
     empty = [col.index("") if "" in col else n for col in columns[:-1]]
     if min(empty) < n:
         errors.append((min(empty), 1, f"empty {id_names[empty.index(min(empty))]}"))
-    try:
-        timestamps = np.fromiter(map(int, columns[-1]), np.int64, n)
-    except (ValueError, OverflowError):
-        errors.append(_first_bad_timestamp(columns[-1]))
-    if errors:
-        row, _, message = min(errors)
-        raise GraphFormatError(f"{path}:{_line_number(path, row)}: {message}")
+    timestamps, bad = _ints(columns[-1])
+    if bad < n:
+        errors.append((bad, 2, f"timestamp {columns[-1][bad]!r} is not an integer"))
+    outside = (timestamps < -(2**63)) | (timestamps >= 2**63)
+    if outside.any():
+        row = int(np.argmax(outside))
+        errors.append((row, 2, f"timestamp {columns[-1][row]!r} is outside the int64 range"))
+    _raise_first(path, errors)
     return columns[:-1], timestamps
-
-
-def _first_bad_timestamp(texts: list[str]) -> tuple[int, int, str]:
-    """(row, precedence, message) of the first timestamp that is not an integer within int64."""
-    for row, text in enumerate(texts):
-        try:
-            value = int(text)
-        except ValueError:
-            return row, 2, f"timestamp {text!r} is not an integer"
-        if not -(2**63) <= value < 2**63:
-            return row, 2, f"timestamp {text!r} is outside the int64 range"
-    raise AssertionError("no bad timestamp")
-
-
-def _line_number(path: str, row: int) -> int:
-    """The 1-based file line of the row-th nonblank line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return [i for i, line in enumerate(lines, start=1) if line][row]
 
 
 def load_claim_events(path: str) -> ClaimLog:

@@ -212,7 +212,7 @@ def generate(config: SynthConfig) -> SyntheticDataset:
 
     accounts = graph.account_indices()
     dropped = accounts[~_kept_nodes(graph, component_labels(graph))[accounts]]
-    prunable = sorted(graph.nodes[i].external_id for i in dropped.tolist())
+    prunable = sorted(graph.ids[i] for i in dropped.tolist())
 
     return SyntheticDataset(dataset, claims, logins, window, prunable, config)
 

@@ -285,11 +285,9 @@ def dict_bce(probabilities, positives, negatives, clamp=1e-12):
 def naive_build_graph(claims, logins, window):
     """The device-sharing graph from ClaimEvent and LoginEvent lists, one event at a time.
 
-    Returns (nodes, edges): NodeRefs in index order, and the distinct edges as
-    sorted (u, v) tuples with u < v.
+    Returns (ids, is_account, edges): the node ids and kinds in index order,
+    and the distinct edges as sorted (u, v) tuples with u < v.
     """
-    from fraudring.graph import NodeKind, NodeRef
-
     first_claim = {}
     for claim in claims:
         if window.claim_start <= claim.timestamp < window.reference_time:
@@ -315,23 +313,97 @@ def naive_build_graph(claims, logins, window):
     devices = sorted(first_login, key=lambda d: (first_login[d], d))
     device_index = {d: len(accounts) + j for j, d in enumerate(devices)}
 
-    nodes = [NodeRef(i, NodeKind.ACCOUNT, a) for i, a in enumerate(accounts)]
-    nodes += [NodeRef(device_index[d], NodeKind.DEVICE, d) for d in devices]
     edges = sorted((account_index[a], device_index[d]) for a, d in pairs)
-    return nodes, edges
+    return accounts + devices, [True] * len(accounts) + [False] * len(devices), edges
 
 
-def loop_edge_error(nodes, edges):
+def loop_edge_error(is_account, edges):
     """The message of the first bad edge, checked one edge at a time, or None if all are good."""
-    n = len(nodes)
+    n = len(is_account)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             return f"edge ({u}, {v}) references a missing node"
         if u == v:
             return f"self-loop on node {u}"
-        if nodes[u].kind == nodes[v].kind:
-            return f"edge ({u}, {v}) joins two {nodes[u].kind.value} nodes; graph must be bipartite"
+        if is_account[u] == is_account[v]:
+            return f"edge ({u}, {v}) joins two {'A' if is_account[u] else 'D'} nodes; graph must be bipartite"
     return None
+
+
+def line_by_line_graph(path):
+    """A graph TSV read one line at a time: (ids, is_account, edges), or the error message.
+
+    Lines split at "\n" only. The node section ends at the first blank or
+    whitespace-only line. A node line fails on its field count, then a
+    non-integer index, an index out of order, an unknown kind, an empty id and
+    an id repeated within its kind. Blank edge lines are skipped but counted;
+    an edge line fails on its field count, then non-integer endpoints, a
+    missing node, u >= v, two nodes of one kind and a repeated edge.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().split("\n")
+    if raw[-1] == "":
+        raw.pop()
+
+    def fail(lineno, message):
+        return f"{path}:{lineno}: {message}"
+
+    if not raw or raw[0].strip() != "#nodes":
+        return fail(1, "expected '#nodes' header")
+    ids, is_account, seen_ids = [], [], set()
+    i = 1
+    while i < len(raw) and raw[i].strip() != "":
+        parts = raw[i].split("\t")
+        if len(parts) != 3:
+            return fail(i + 1, f"expected 3 tab-separated node fields, got {len(parts)}")
+        idx_text, kind, ext_id = parts
+        try:
+            idx = int(idx_text)
+        except ValueError:
+            return fail(i + 1, f"node index {idx_text!r} is not an integer")
+        if idx != len(ids):
+            return fail(i + 1, f"node index {idx} out of order; expected {len(ids)}")
+        if kind not in ("A", "D"):
+            return fail(i + 1, f"unknown node kind {kind!r}; expected A or D")
+        if not ext_id:
+            return fail(i + 1, "empty external id")
+        if (kind, ext_id) in seen_ids:
+            return fail(i + 1, f"duplicate external id {ext_id!r} for kind {kind}")
+        seen_ids.add((kind, ext_id))
+        ids.append(ext_id)
+        is_account.append(kind == "A")
+        i += 1
+
+    if i >= len(raw):
+        return fail(len(raw), "missing '#edges' section")
+    i += 1
+    if i >= len(raw) or raw[i].strip() != "#edges":
+        return fail(i + 1, "expected '#edges' header after blank line")
+
+    edges, seen = [], set()
+    n = len(ids)
+    for lineno in range(i + 2, len(raw) + 1):
+        line = raw[lineno - 1]
+        if line.strip() == "":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            return fail(lineno, f"expected 2 tab-separated edge fields, got {len(parts)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            return fail(lineno, f"edge endpoints {line!r} are not integers")
+        if not (0 <= u < n and 0 <= v < n):
+            return fail(lineno, f"edge ({u}, {v}) references a missing node")
+        if u >= v:
+            return fail(lineno, f"edge ({u}, {v}) must be written with src < dst")
+        if is_account[u] == is_account[v]:
+            return fail(lineno, f"edge ({u}, {v}) joins two {'A' if is_account[u] else 'D'} nodes; graph must be bipartite")
+        if (u, v) in seen:
+            return fail(lineno, f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    return ids, is_account, edges
 
 
 def line_by_line_events(path, id_names):

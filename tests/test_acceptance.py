@@ -202,19 +202,19 @@ def test_pruning_matches_component_filter_oracle(capsys):
         edges = [(u, v) for u, v in g.edges()]
         keep: set[int] = set()
         for comp in union_find_components(g.num_nodes, edges):
-            if sum(1 for i in comp if g.is_account(i)) >= 2:
+            if sum(1 for i in comp if g.is_account[i]) >= 2:
                 keep |= comp
-        want_ids = sorted(g.nodes[i].external_id for i in keep)
-        got_ids = sorted(nd.external_id for nd in pruned.nodes)
+        want_ids = sorted(g.ids[i] for i in keep)
+        got_ids = sorted(pruned.ids)
         assert got_ids == want_ids, f"trial {trial}"
 
         want_edges = sorted(
-            tuple(sorted((g.nodes[u].external_id, g.nodes[v].external_id)))
+            tuple(sorted((g.ids[u], g.ids[v])))
             for u, v in edges
             if u in keep and v in keep
         )
         got_edges = sorted(
-            tuple(sorted((pruned.nodes[u].external_id, pruned.nodes[v].external_id)))
+            tuple(sorted((pruned.ids[u], pruned.ids[v])))
             for u, v in pruned.edges()
         )
         assert got_edges == want_edges, f"trial {trial}"

@@ -178,7 +178,7 @@ class TestBuildGraph:
             ClaimLog.from_events(claims), LoginLog.from_events(logins), WindowConfig(reference_time=1000)
         )
         comps = union_find_components(g.num_nodes, list(g.edges()))
-        dropped = [c for c in comps if sum(g.is_account(i) for i in c) < 2]
+        dropped = [c for c in comps if sum(g.is_account[i] for i in c) < 2]
         assert len(dropped) > 5
         code = main([
             "build-graph", "--claims", str(cpath), "--logins", str(lpath),
@@ -453,6 +453,32 @@ class TestEvaluate:
         assert "expects 5 features, dataset has 6" in capsys.readouterr().err
 
 
+    def test_account_id_equal_to_a_device_umid_keeps_its_embedding(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        accounts = ["x", "y", "z", "w", "v", "u"]
+        save_claim_events([ClaimEvent(a, 950) for a in accounts], str(data / "claims.tsv"))
+        save_login_events(
+            [LoginEvent(a, "x" if a in "xyzw" else "q", 900) for a in accounts], str(data / "logins.tsv")
+        )
+        assert main([
+            "build-graph", "--claims", str(data / "claims.tsv"), "--logins", str(data / "logins.tsv"),
+            "--reference-time", "1000", "--out", str(data / "graph.tsv"),
+        ]) == 0
+        rows = [f"{a}\t{'HIGH_RISK' if a in 'xyz' else 'NO_OBSERVABLE_RISK'}\t{i}" for i, a in enumerate(accounts)]
+        (data / "features.tsv").write_text("account_id\ttag\tf0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        models = tmp_path / "models"
+        assert main([
+            "train", "--model", "node2vec-gbdt", "--data", str(data), "--out", str(models), "--trees", "5",
+            "--test-fraction", "0.4", "--negative-rate", "1", "--min-samples-leaf", "1",
+        ]) == 0
+        code = main([
+            "evaluate", "--data", str(data), "--models", str(models), "--out", str(tmp_path / "eval"),
+            "--test-fraction", "0.4",
+        ])
+        assert code == 0, capsys.readouterr().err
+
+
 class TestGradCheck:
     def test_passes_at_default_settings(self, capsys):
         assert main(["grad-check"]) == 0
@@ -488,6 +514,18 @@ class TestExportDot:
         code = main(["export-dot", "--graph", str(data_dir / "graph.tsv"), "--out", str(out)])
         assert code == 0
         assert "fillcolor" not in out.read_text(encoding="utf-8")
+
+    def test_id_with_a_unicode_line_separator_survives_build_and_export(self, tmp_path, capsys):
+        cpath, lpath = tmp_path / "claims.tsv", tmp_path / "logins.tsv"
+        save_claim_events([ClaimEvent("a\u2028b", 950), ClaimEvent("c", 960)], str(cpath))
+        save_login_events([LoginEvent("a\u2028b", "d", 900), LoginEvent("c", "d", 910)], str(lpath))
+        graph = tmp_path / "graph.tsv"
+        assert main([
+            "build-graph", "--claims", str(cpath), "--logins", str(lpath),
+            "--reference-time", "1000", "--out", str(graph),
+        ]) == 0
+        assert main(["export-dot", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 0
+        assert '"a\u2028b" -- "d";' in (tmp_path / "g.dot").read_text(encoding="utf-8")
 
 
 class TestConfigFile:

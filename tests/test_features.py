@@ -15,7 +15,18 @@ from fraudring.features import (
     split_train_test,
     train_feature_stats,
 )
-from fraudring.graph import prune_singletons, save_graph
+from fraudring.baselines.node2vec import Embeddings, load_embeddings, save_embeddings
+from fraudring.graph import (
+    ClaimEvent,
+    ClaimLog,
+    LoginEvent,
+    LoginLog,
+    WindowConfig,
+    build_graph,
+    prune_singletons,
+    save_claim_events,
+    save_graph,
+)
 from util import make_graph, random_bipartite, make_dataset
 
 
@@ -234,6 +245,39 @@ class TestGroundTruthFiles:
             load_ground_truth(path, star_graph(2))
 
 
+class TestLineBreaksInIds:
+    # Characters str.splitlines breaks at but the savers do not escape.
+    BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    def test_ids_round_trip_through_every_saver_and_loader(self, tmp_path):
+        accounts = [f"a{ch}{i}" for i, ch in enumerate(self.BREAKS)]
+        claims = [ClaimEvent(a, 950 + i) for i, a in enumerate(accounts)]
+        logins = [LoginEvent(a, f"d{ch}", 900) for a, ch in zip(accounts, self.BREAKS[1:] + self.BREAKS[:1])]
+        logins += [LoginEvent(a, "shared", 900) for a in accounts]
+        g = build_graph(ClaimLog.from_events(claims), LoginLog.from_events(logins), WindowConfig(1000))
+        n = len(accounts)
+        ds = make_dataset(g, np.arange(n)[:, None], high_risk=np.arange(n) % 2 == 0, truth=np.arange(n) % 3 == 0)
+        save_graph(g, tmp_path / "graph.tsv")
+        save_features(ds, tmp_path / "features.tsv")
+        save_ground_truth(ds, tmp_path / "ground_truth.tsv")
+        loaded = load_dataset(tmp_path)
+        assert loaded.graph == g
+        assert np.array_equal(loaded.features, ds.features)
+        assert np.array_equal(loaded.high_risk, ds.high_risk)
+        assert np.array_equal(loaded.truth, ds.truth)
+        vectors = np.random.default_rng(14).normal(size=(g.num_nodes, 2))
+        save_embeddings(Embeddings(vectors, []), g, str(tmp_path / "embeddings.tsv"))
+        assert np.array_equal(load_embeddings(str(tmp_path / "embeddings.tsv"), g).vectors, vectors)
+
+    @pytest.mark.parametrize("bad", ["a\rb", "a\tb", "a\nb", ""])
+    def test_savers_reject_ids_a_loader_would_split(self, tmp_path, bad):
+        g = build_graph(ClaimLog([bad], np.array([950])), LoginLog([], [], np.array([], dtype=np.int64)), WindowConfig(1000))
+        with pytest.raises(ValueError, match="must be nonempty and free of"):
+            save_graph(g, tmp_path / "graph.tsv")
+        with pytest.raises(ValueError, match="must be nonempty and free of"):
+            save_claim_events([ClaimEvent(bad, 1)], tmp_path / "claims.tsv")
+
+
 class TestDatasetAssembly:
     def test_load_dataset_directory(self, tmp_path):
         g = star_graph(3)
@@ -268,7 +312,7 @@ class TestDatasetAssembly:
         )
         out = prune_dataset(ds)
         assert out.graph.num_nodes == 3
-        ids = [out.graph.nodes[int(i)].external_id for i in out.graph.account_indices()]
+        ids = [out.graph.ids[i] for i in out.graph.account_indices()]
         assert ids == ["a0", "a1"]
         assert out.features == pytest.approx(np.array([[1.0], [2.0]]))
         assert out.high_risk.tolist() == [True, False]
@@ -287,8 +331,8 @@ class TestDatasetAssembly:
             ds = make_dataset(
                 g, rng.standard_normal((n, 2)), rng.random(n) < 0.5, rng.random(n) < 0.3, rng.random(n) < 0.2
             )
-            kept_ids = {nd.external_id for nd in prune_singletons(g).nodes}
-            rows = [g.nodes[int(a)].external_id in kept_ids for a in g.account_indices()]
+            kept_ids = set(prune_singletons(g).ids)
+            rows = [g.ids[a] in kept_ids for a in g.account_indices()]
             out = prune_dataset(ds)
             assert out.graph == prune_singletons(g)
             assert np.array_equal(out.features, ds.features[rows])

@@ -9,8 +9,6 @@ from fraudring.graph import (
     GraphFormatError,
     LoginEvent,
     LoginLog,
-    NodeKind,
-    NodeRef,
     WindowConfig,
     build_graph,
     component_labels,
@@ -28,6 +26,7 @@ from fraudring.graph import (
 from reference import (
     bfs_distance_map,
     line_by_line_events,
+    line_by_line_graph,
     loop_edge_error,
     naive_build_graph,
     union_find_components,
@@ -62,7 +61,7 @@ class TestBuildGraph:
             [LoginEvent("a1", "d1", REF - 41 * DAY)],
             WINDOW,
         )
-        assert [n.kind for n in g.nodes] == [NodeKind.ACCOUNT]
+        assert g.is_account.tolist() == [True]
         assert g.edge_count == 0
 
     def test_three_accounts_two_shared_devices(self):
@@ -82,7 +81,7 @@ class TestBuildGraph:
             [LoginEvent("a1", "d1", t), LoginEvent("stranger", "d2", t)],
             WINDOW,
         )
-        assert sorted(n.external_id for n in g.nodes) == ["a1", "d1"]
+        assert sorted(g.ids) == ["a1", "d1"]
 
     def test_claim_window_is_half_open(self):
         lo = REF - 30 * DAY
@@ -105,7 +104,7 @@ class TestBuildGraph:
         ]
         g = build(claims, logins)
         # b's earliest claim beats a's; d9 is first seen before d1.
-        assert [n.external_id for n in g.nodes] == ["b", "a", "late", "d9", "d1"]
+        assert g.ids == ["b", "a", "late", "d9", "d1"]
 
     def test_empty_input_yields_empty_graph(self):
         g = build([], [])
@@ -161,8 +160,9 @@ class TestArrayBuildOracle:
         for trial in range(400):
             claims, logins = self.random_logs(rng, window)
             g = build(claims, logins, window)
-            nodes, edges = naive_build_graph(claims, logins, window)
-            assert g.nodes == nodes, trial
+            ids, is_account, edges = naive_build_graph(claims, logins, window)
+            assert g.ids == ids, trial
+            assert g.is_account.tolist() == is_account, trial
             assert list(g.edges()) == edges, trial
             assert g.edge_count == len(edges)
             shuffled = [logins[i] for i in rng.permutation(len(logins))]
@@ -188,19 +188,19 @@ class TestConstructorErrors:
             if ends and rng.random() < 0.1:
                 ends[rng.integers(len(ends))][rng.integers(2)] = 2**70
             edges = [tuple(e) for e in ends]
-            nodes = make_graph(kinds, []).nodes
-            want = loop_edge_error(nodes, edges)
+            ids, is_account = make_graph(kinds, []).ids, [kind == "A" for kind in kinds]
+            want = loop_edge_error(is_account, edges)
             if want is None:
-                g = DeviceSharingGraph(nodes, edges)
+                g = DeviceSharingGraph(ids, is_account, edges)
                 assert g.edge_count == len({(min(e), max(e)) for e in edges})
                 continue
             raised += 1
             with pytest.raises(ValueError) as excinfo:
-                DeviceSharingGraph(nodes, edges)
+                DeviceSharingGraph(ids, is_account, edges)
             assert str(excinfo.value) == want, trial
             if max(max(e) for e in edges) < 2**63:
                 with pytest.raises(ValueError) as excinfo:
-                    DeviceSharingGraph(nodes, np.array(ends, dtype=np.int64))
+                    DeviceSharingGraph(ids, is_account, np.array(ends, dtype=np.int64))
                 assert str(excinfo.value) == want, trial
         assert raised > 200
 
@@ -209,12 +209,12 @@ class TestConstructorErrors:
         g = random_bipartite(rng, 20, 20, 0.2)
         pairs = list(g.edges())
         doubled = [(v, u) for u, v in pairs] + pairs
-        assert DeviceSharingGraph(g.nodes, np.array(doubled)) == g
-        assert DeviceSharingGraph(g.nodes, iter(doubled)) == g
+        assert DeviceSharingGraph(g.ids, g.is_account, np.array(doubled)) == g
+        assert DeviceSharingGraph(g.ids, g.is_account, iter(doubled)) == g
 
     def test_edges_must_be_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
-            DeviceSharingGraph(make_graph("AD", []).nodes, np.array([[0, 1, 1]]))
+            DeviceSharingGraph(["a", "d"], [True, False], np.array([[0, 1, 1]]))
 
 
 class TestEventLoaderContract:
@@ -316,22 +316,18 @@ class TestGraphStructure:
         with pytest.raises(ValueError, match="missing node"):
             make_graph("AD", [(0, 5)])
 
-    def test_rejects_non_dense_indices(self):
-        nodes = [NodeRef(0, NodeKind.ACCOUNT, "a"), NodeRef(2, NodeKind.DEVICE, "d")]
-        with pytest.raises(ValueError, match="dense"):
-            DeviceSharingGraph(nodes, [])
+    def test_rejects_ids_and_mask_of_unequal_length(self):
+        with pytest.raises(ValueError, match="2 ids but an account mask of shape"):
+            DeviceSharingGraph(["a", "d"], [True], [])
 
     def test_rejects_duplicate_external_id_within_kind(self):
-        nodes = [
-            NodeRef(0, NodeKind.ACCOUNT, "x"),
-            NodeRef(1, NodeKind.ACCOUNT, "x"),
-        ]
-        with pytest.raises(ValueError, match="duplicate external id"):
-            DeviceSharingGraph(nodes, [])
+        with pytest.raises(ValueError, match="duplicate external id 'x' for kind A"):
+            DeviceSharingGraph(["x", "y", "x"], [True, False, True], [])
+        with pytest.raises(ValueError, match="duplicate external id 'y' for kind D"):
+            DeviceSharingGraph(["x", "y", "x", "y", "x"], [True, False, False, False, True], [])
 
     def test_same_external_id_across_kinds_allowed(self):
-        nodes = [NodeRef(0, NodeKind.ACCOUNT, "x"), NodeRef(1, NodeKind.DEVICE, "x")]
-        g = DeviceSharingGraph(nodes, [(0, 1)])
+        g = DeviceSharingGraph(["x", "x"], [True, False], [(0, 1)])
         assert g.edge_count == 1
 
     def test_neighbors_sorted_and_symmetric(self):
@@ -404,7 +400,7 @@ class TestComponentsAndPrune:
         # a0-d2-a1 survives; a3-d4 goes; isolated d5 goes.
         g = make_graph("AADADD", [(0, 2), (1, 2), (3, 4)])
         pruned = prune_singletons(g)
-        assert [n.external_id for n in pruned.nodes] == ["a0", "a1", "d2"]
+        assert pruned.ids == ["a0", "a1", "d2"]
         assert pruned.edge_count == 2
 
     def test_prune_matches_brute_force_oracle(self):
@@ -413,27 +409,20 @@ class TestComponentsAndPrune:
             g = random_bipartite(rng, 10, 12, rng.uniform(0.02, 0.2))
             keep = set()
             for comp in union_find_components(g.num_nodes, list(g.edges())):
-                if sum(1 for i in comp if g.is_account(i)) >= 2:
+                if sum(1 for i in comp if g.is_account[i]) >= 2:
                     keep |= comp
             pruned = prune_singletons(g)
-            kept_ids = [n.external_id for n in pruned.nodes]
-            want_ids = [g.nodes[i].external_id for i in sorted(keep)]
-            assert kept_ids == want_ids
-            want_edges = {
-                (g.nodes[u].external_id, g.nodes[v].external_id)
-                for u, v in g.edges()
-                if u in keep and v in keep
-            }
-            got_edges = {
-                (pruned.nodes[u].external_id, pruned.nodes[v].external_id)
-                for u, v in pruned.edges()
-            }
+            assert pruned.ids == [g.ids[i] for i in sorted(keep)]
+            assert pruned.is_account.tolist() == [g.is_account[i] for i in sorted(keep)]
+            want_edges = {(g.ids[u], g.ids[v]) for u, v in g.edges() if u in keep and v in keep}
+            got_edges = {(pruned.ids[u], pruned.ids[v]) for u, v in pruned.edges()}
             assert got_edges == want_edges
 
     def test_subgraph_keeps_only_edges_between_kept_nodes(self):
         g = make_graph("ADADA", [(0, 1), (1, 2), (2, 3), (3, 4)])
         sub = g.subgraph(np.array([True, True, False, True, True]))
-        assert [n.external_id for n in sub.nodes] == ["a0", "d1", "d3", "a4"]
+        assert sub.ids == ["a0", "d1", "d3", "a4"]
+        assert sub.is_account.tolist() == [True, False, False, True]
         assert list(sub.edges()) == [(0, 1), (2, 3)]
 
     def test_prune_is_idempotent(self):
@@ -476,7 +465,7 @@ class TestKhopCounts:
         for s in fraud_seeds:
             dist = bfs_distance_map(adj, s, max_hop)
             for node, d in dist.items():
-                if 1 <= d <= max_hop and g.is_account(node):
+                if 1 <= d <= max_hop and g.is_account[node]:
                     totals[d - 1] += 1
         want = [t / len(fraud_seeds) for t in totals]
         assert got == pytest.approx(want, abs=0)
@@ -581,3 +570,161 @@ class TestExportDot:
         flagged = [ln for ln in lines if "fillcolor" in ln]
         assert len(flagged) == 1
         assert '"a2"' in flagged[0]
+
+
+class TestGraphLoaderContract:
+    NODES = "#nodes\n0\tA\ta0\n1\tD\td1\n2\tA\ta2\n"
+
+    def load_error(self, path):
+        with pytest.raises(GraphFormatError) as excinfo:
+            load_graph(path)
+        return str(excinfo.value)
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_headers_match_after_strip_and_nodes_end_at_whitespace_line(self, tmp_path):
+        path = self.write(tmp_path, " #nodes\t\n0\tA\ta0\n1\tD\td1\n \t \n  #edges \n0\t1\n")
+        assert load_graph(path) == make_graph("AD", [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x\tZ", "expected 3 tab-separated node fields, got 2"),
+            ("x\tZ\t", "node index 'x' is not an integer"),
+            ("5\tZ\t", "node index 5 out of order; expected 3"),
+            ("3\tZ\t", "unknown node kind 'Z'; expected A or D"),
+            ("3\tA\t", "empty external id"),
+            ("3\tA\ta0", "duplicate external id 'a0' for kind A"),
+        ],
+    )
+    def test_node_line_precedence(self, tmp_path, row, message):
+        path = self.write(tmp_path, self.NODES + row + "\n4\tA\t\n\n#edges\n")
+        assert self.load_error(path) == f"{path}:5: {message}"
+
+    def test_same_id_in_both_kinds_loads(self, tmp_path):
+        path = self.write(tmp_path, "#nodes\n0\tA\tx\n1\tD\tx\n\n#edges\n0\t1\n")
+        assert load_graph(path).edge_count == 1
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "expected '#nodes' header"),
+            ("#nodes\n0\tA\ta0\n", 2, "missing '#edges' section"),
+            ("#nodes\n0\tA\ta0\n\n", 4, "expected '#edges' header after blank line"),
+            ("#nodes\n0\tA\ta0\n\n\n#edges\n", 4, "expected '#edges' header after blank line"),
+            ("#nodes\n0\tA\ta0\n\n#edge\n", 4, "expected '#edges' header after blank line"),
+        ],
+    )
+    def test_section_errors(self, tmp_path, text, line, message):
+        path = self.write(tmp_path, text)
+        assert self.load_error(path) == f"{path}:{line}: {message}"
+
+    def test_blank_edge_lines_are_skipped_but_counted(self, tmp_path):
+        path = self.write(tmp_path, self.NODES + "\n#edges\n\n0\t1\n \t\n\t\n\n1\t2\n\n")
+        assert load_graph(path) == make_graph("ADA", [(0, 1), (1, 2)])
+        path = self.write(tmp_path, self.NODES + "\n#edges\n\n0\t1\n \t\n\t\n\n0\t2\n")
+        assert self.load_error(path) == f"{path}:12: edge (0, 2) joins two A nodes; graph must be bipartite"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0\t2\t", "expected 2 tab-separated edge fields, got 3"),
+            ("x\t9", "edge endpoints 'x\\t9' are not integers"),
+            (f"2\t{2**64}", f"edge (2, {2**64}) references a missing node"),
+            ("-1\t0", "edge (-1, 0) references a missing node"),
+            ("2\t0", "edge (2, 0) must be written with src < dst"),
+            ("1\t1", "edge (1, 1) must be written with src < dst"),
+            ("0\t2", "edge (0, 2) joins two A nodes; graph must be bipartite"),
+            ("0\t1", "duplicate edge (0, 1)"),
+        ],
+    )
+    def test_edge_line_precedence(self, tmp_path, row, message):
+        path = self.write(tmp_path, self.NODES + "\n#edges\n0\t1\n" + row + "\nx\t0\t1\n")
+        assert self.load_error(path) == f"{path}:8: {message}"
+
+    def test_every_int_spelling_still_parses(self, tmp_path):
+        path = self.write(tmp_path, "#nodes\n+0\tA\ta0\n 1\tD\td1\n2\tA\ta2\n\n#edges\n+0\t 1\n1_0\t1_1\n")
+        with pytest.raises(GraphFormatError, match=r":8: edge \(10, 11\) references a missing node"):
+            load_graph(path)
+        path = self.write(tmp_path, "#nodes\n+0\tA\ta0\n 1\tD\td1\n2\tA\ta2\n\n#edges\n+0\t 1\n1\t+2\n")
+        assert load_graph(path) == make_graph("ADA", [(0, 1), (1, 2)])
+
+    # Node and edge lines with one defect each, by kind; "{n}" is the next node index.
+    NODE_DEFECTS = {
+        "fields": "{n}\tA",
+        "index": "x{n}\tA\tnew",
+        "order": "{n}9\tA\tnew",
+        "kind": "{n}\tB\tnew",
+        "empty id": "{n}\tD\t",
+        "duplicate id": "{n}\tA\ta0",
+    }
+    EDGE_DEFECTS = {
+        "fields": "0\t1\t2",
+        "ends": "0\tone",
+        "missing": "0\t99",
+        "beyond int64": f"0\t{2**64}",
+        "order": "1\t0",
+        "self-loop": "1\t1",
+        "same kind": "0\t2",
+        "duplicate": "0\t1",
+    }
+    # Other spellings int() accepts for some edge ends.
+    SPELLINGS = {0: ["0", "+0", " 0", "0 "], 1: ["1", "+1", "0_1", "01"], 3: ["3", "3 ", "+3", "0_3"]}
+
+    def random_file(self, rng):
+        """A graph file: some node lines, some edge lines, up to two defects, blank lines anywhere."""
+        n = int(rng.integers(3, 7))
+        kinds = ["A", "D", "A"] + [str(rng.choice(["A", "D"])) for _ in range(n - 3)]
+        nodes = [f"{i}\t{kind}\t{kind.lower()}{i}" for i, kind in enumerate(kinds)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if kinds[u] != kinds[v]]
+        chosen = [pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]]
+
+        def spelled(end):
+            return str(rng.choice(self.SPELLINGS.get(end, [str(end)])))
+
+        edges = [f"{spelled(u)}\t{spelled(v)}" for u, v in chosen]
+        for _ in range(rng.integers(0, 3)):
+            if rng.random() < 0.4:
+                defect = self.NODE_DEFECTS[rng.choice(sorted(self.NODE_DEFECTS))]
+                nodes.insert(int(rng.integers(0, len(nodes) + 1)), defect.format(n=len(nodes)))
+            else:
+                edges.insert(int(rng.integers(0, len(edges) + 1)), self.EDGE_DEFECTS[rng.choice(sorted(self.EDGE_DEFECTS))])
+        for _ in range(rng.integers(0, 3)):
+            edges.insert(int(rng.integers(0, len(edges) + 1)), str(rng.choice(["", " ", "\t", " \t "])))
+        lines = ["#nodes", *nodes, str(rng.choice(["", " ", "\t"])), "#edges", *edges]
+        if rng.random() < 0.1:
+            lines = lines[: rng.integers(1, len(lines))]
+        return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+    def test_random_files_match_the_line_by_line_reader(self, tmp_path):
+        rng = np.random.default_rng(26)
+        raised = 0
+        for trial in range(600):
+            path = tmp_path / f"g{trial}.tsv"
+            path.write_text(self.random_file(rng), encoding="utf-8")
+            want = line_by_line_graph(path)
+            if isinstance(want, str):
+                raised += 1
+                assert self.load_error(path) == want, trial
+            else:
+                assert load_graph(path) == DeviceSharingGraph(*want), trial
+        assert 200 < raised < 550
+
+    @pytest.mark.parametrize("first", sorted(EDGE_DEFECTS))
+    @pytest.mark.parametrize("second", sorted(NODE_DEFECTS))
+    def test_node_defect_comes_before_any_edge_defect(self, tmp_path, first, second):
+        row = self.NODE_DEFECTS[second].format(n=3)
+        path = self.write(tmp_path, self.NODES + row + "\n\n#edges\n" + self.EDGE_DEFECTS[first] + "\n")
+        assert self.load_error(path).startswith(f"{path}:5: ")
+        assert self.load_error(path) == line_by_line_graph(path)
+
+    @pytest.mark.parametrize("first", sorted(EDGE_DEFECTS))
+    @pytest.mark.parametrize("second", sorted(EDGE_DEFECTS))
+    def test_earlier_of_two_edge_defects_is_reported(self, tmp_path, first, second):
+        edges = ["0\t1", self.EDGE_DEFECTS[first], "", "1\t2", self.EDGE_DEFECTS[second]]
+        path = self.write(tmp_path, self.NODES + "\n#edges\n" + "\n".join(edges) + "\n")
+        assert self.load_error(path) == line_by_line_graph(path)
+        assert self.load_error(path).startswith(f"{path}:8: ")

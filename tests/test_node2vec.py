@@ -17,6 +17,7 @@ from fraudring.baselines.node2vec import (
     save_embeddings,
     train_embeddings,
 )
+from fraudring.graph import DeviceSharingGraph
 from fraudring.train import sample_negatives
 from reference import naive_sgns_loss, window_pairs
 from util import make_dataset, make_graph
@@ -92,10 +93,8 @@ class TestWalkShapes:
         assert biased_walks(g, cfg) != biased_walks(g, other)
 
     def test_empty_graph_rejected(self):
-        from fraudring.graph import DeviceSharingGraph
-
         with pytest.raises(ValueError, match="no nodes"):
-            biased_walks(DeviceSharingGraph([], []), Node2vecConfig())
+            biased_walks(DeviceSharingGraph([], [], []), Node2vecConfig())
 
 
 class TestWalkBias:
@@ -310,7 +309,7 @@ class TestEmbeddingFiles:
         path = tmp_path / "embeddings.tsv"
         save_embeddings(Embeddings(vectors, []), g, str(path))
         want = "".join(
-            node.external_id + "".join(f"\t{v:.17g}" for v in vectors[node.index]) + "\n" for node in g.nodes
+            ext + "".join(f"\t{v:.17g}" for v in vectors[index]) + "\n" for index, ext in enumerate(g.ids)
         )
         assert path.read_text(encoding="utf-8") == want
 
@@ -320,6 +319,25 @@ class TestEmbeddingFiles:
         path.write_text("ghost\t0\t0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1: unknown node id"):
             load_embeddings(str(path), g)
+
+    def test_row_out_of_node_order_names_the_expected_id(self, tmp_path):
+        g = five_node_fixture()
+        path = tmp_path / "embeddings.tsv"
+        save_embeddings(self.make_embeddings(g), g, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[1], lines[0]] + lines[2:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"embeddings\.tsv:1: row for node id 'a1' out of place; node 0 is 'a0'"):
+            load_embeddings(str(path), g)
+        path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":6: row for node id 'a0' out of place; the graph has 5 nodes"):
+            load_embeddings(str(path), g)
+
+    def test_account_and_device_sharing_an_id_keep_their_rows(self, tmp_path):
+        g = DeviceSharingGraph(["x", "y", "x"], [True, True, False], [(0, 2), (1, 2)])
+        emb = self.make_embeddings(g)
+        path = tmp_path / "embeddings.tsv"
+        save_embeddings(emb, g, str(path))
+        assert np.array_equal(load_embeddings(str(path), g).vectors, emb.vectors)
 
     def test_missing_node_rejected(self, tmp_path):
         g = five_node_fixture()

@@ -1,6 +1,7 @@
-"""Static checks over the package source: no module-level import or private definition goes unused."""
+"""Static checks over the package source: no module-level import, private definition or public method goes unused."""
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -65,21 +66,23 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _referenced_names(node):
-    """Every name a syntax tree reads: bare, attribute, imported alias or inside a string annotation."""
-    names = set()
+def _name_references(node):
+    """Every name a syntax tree reads, once per reference: bare, attribute, imported alias or inside a string annotation."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            names.add(n.id)
+            yield n.id
         elif isinstance(n, ast.Attribute):
-            names.add(n.attr)
+            yield n.attr
         elif isinstance(n, ast.alias):
-            names.add(n.name)
+            yield n.name
         elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names |= _annotation_names(n.returns)
+            yield from _annotation_names(n.returns)
         elif isinstance(n, (ast.arg, ast.AnnAssign)):
-            names |= _annotation_names(n.annotation)
-    return names
+            yield from _annotation_names(n.annotation)
+
+
+def _referenced_names(node):
+    return set(_name_references(node))
 
 
 def unreferenced_private_defs(sources: dict) -> list:
@@ -122,3 +125,76 @@ def test_private_checker_flags_only_unreferenced_defs():
 def test_no_unreferenced_private_defs():
     sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+ROOT = SRC.parent.parent
+READERS = ("src", "tests", "perfbench", "tools")
+
+
+def _external_base_names(tree, cls):
+    """Attribute names of the class's bases that its module imports from outside the package."""
+    namespace = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import) or (isinstance(stmt, ast.ImportFrom) and not stmt.level):
+            exec(compile(ast.Module([stmt], []), "<imports>", "exec"), namespace)
+    names = set()
+    for base in cls.bases:
+        try:
+            names |= set(dir(eval(ast.unparse(base), namespace)))
+        except NameError:
+            pass
+    return names
+
+
+def unreferenced_public_methods(defining: dict, reading: dict) -> list:
+    """Public methods of the defining sources' classes that no reading source names outside the method itself.
+
+    Overrides of a base class imported from outside the package are exempt.
+    """
+    refs = Counter()
+    for text in reading.values():
+        refs.update(_name_references(ast.parse(text)))
+    unused = []
+    for path, text in defining.items():
+        tree = ast.parse(text)
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            inherited = _external_base_names(tree, cls)
+            for fn in cls.body:
+                if (
+                    isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_")
+                    and fn.name not in inherited
+                    and refs[fn.name] <= Counter(_name_references(fn))[fn.name]
+                ):
+                    unused.append(f"{path}: {cls.name}.{fn.name} (line {fn.lineno})")
+    return unused
+
+
+def test_public_method_checker_flags_only_unnamed_methods():
+    source = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n"
+        "    def extra(self): pass\n"
+        "class G:\n"
+        "    def used(self): return 1\n"
+        "    def by_test(self): pass\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    @property\n"
+        "    def size(self): return self.used()\n"
+        "def f(g): return g.size\n"
+    )
+    sources = {"a.py": source}
+    reading = {"a.py": source, "test_a.py": "def test_g(g): g.by_test()\n"}
+    assert unreferenced_public_methods(sources, reading) == [
+        "a.py: P.extra (line 4)",
+        "a.py: G.recursive (line 8)",
+    ]
+
+
+def test_no_unreferenced_public_methods():
+    sources = {str(p.relative_to(SRC)): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    reading = {
+        str(p): p.read_text(encoding="utf-8") for d in READERS for p in sorted((ROOT / d).rglob("*.py"))
+    }
+    assert unreferenced_public_methods(sources, reading) == []

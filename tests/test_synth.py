@@ -61,7 +61,7 @@ class TestTopology:
     def test_node_index_matches_creation_order(self):
         sds = generate(small_config(seed=3))
         g = sds.dataset.graph
-        ids = [n.external_id for n in g.nodes]
+        ids = g.ids
         accounts = [i for i in ids if i.startswith("A")]
         devices = [i for i in ids if i.startswith("D")]
         assert accounts == sorted(accounts)
@@ -71,21 +71,17 @@ class TestTopology:
     def test_ring_components_survive_pruning(self):
         sds = generate(small_config())
         pruned = prune_singletons(sds.dataset.graph)
-        kept = {n.external_id for n in pruned.nodes}
+        kept = set(pruned.ids)
         g = sds.dataset.graph
-        fraud_ids = {g.nodes[a].external_id for a in g.account_indices()[sds.dataset.truth]}
+        fraud_ids = {g.ids[a] for a in g.account_indices()[sds.dataset.truth]}
         assert fraud_ids <= kept
 
     def test_prunable_report_matches_prune_outcome(self):
         sds = generate(small_config(seed=11))
         g = sds.dataset.graph
         pruned = prune_singletons(g)
-        kept = {n.external_id for n in pruned.nodes}
-        dropped_accounts = sorted(
-            n.external_id
-            for n in g.nodes
-            if n.external_id.startswith("A") and n.external_id not in kept
-        )
+        kept = set(pruned.ids)
+        dropped_accounts = sorted(g.ids[a] for a in g.account_indices() if g.ids[a] not in kept)
         assert sds.prunable_account_ids == dropped_accounts
 
     def test_family_share_connects_two_regular_accounts(self):

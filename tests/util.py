@@ -2,7 +2,7 @@
 import numpy as np
 
 from fraudring.features import LabeledDataset
-from fraudring.graph import DeviceSharingGraph, NodeKind, NodeRef
+from fraudring.graph import DeviceSharingGraph
 
 
 def make_graph(kinds: str, edges):
@@ -10,12 +10,8 @@ def make_graph(kinds: str, edges):
 
     Accounts get ids a0, a1, ... and devices d0, d1, ... by position.
     """
-    nodes = []
-    for i, ch in enumerate(kinds):
-        kind = NodeKind.ACCOUNT if ch == "A" else NodeKind.DEVICE
-        prefix = "a" if ch == "A" else "d"
-        nodes.append(NodeRef(i, kind, f"{prefix}{i}"))
-    return DeviceSharingGraph(nodes, edges)
+    ids = [f"{'a' if ch == 'A' else 'd'}{i}" for i, ch in enumerate(kinds)]
+    return DeviceSharingGraph(ids, [ch == "A" for ch in kinds], edges)
 
 
 def random_bipartite(rng: np.random.Generator, n_accounts: int, n_devices: int, edge_prob: float):
