@@ -196,6 +196,17 @@ def _candidates(g: DeviceSharingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 @dataclass
 class _LayerCache:
+    """One breadth layer's candidates and the intermediates its backward pass reads.
+
+    Candidate j is node dst[j] in the list of centre row src[j]; the rows of
+    h_centres and of the layer output are the layer's centres.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    seg_starts: np.ndarray
+    h_centres: np.ndarray
+    h_dst: np.ndarray
     z: np.ndarray
     alpha: np.ndarray
     agg: np.ndarray
@@ -215,11 +226,15 @@ class _LSTMStepCache:
 
 @dataclass
 class ForwardCache:
+    """What backward() reads.
+
+    h_stack holds each layer's input, then the last layer's output: every
+    node's row up to the last layer, account rows only after it.
+    """
+
     accounts: np.ndarray
+    is_account: np.ndarray
     features: np.ndarray
-    cand_src: np.ndarray
-    cand_dst: np.ndarray
-    seg_starts: np.ndarray
     h_stack: list[np.ndarray]
     layer_caches: list[_LayerCache]
     lstm_steps: list[_LSTMStepCache]
@@ -231,29 +246,32 @@ class ForwardCache:
 def _breadth_forward(
     layer: BreadthLayerParams,
     h: np.ndarray,
-    cand_src: np.ndarray,
-    cand_dst: np.ndarray,
+    h_centres: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
     seg_starts: np.ndarray,
 ) -> tuple[np.ndarray, _LayerCache]:
-    src_term = h @ layer.w_src.T
+    """The layer's output at the centre rows of the candidate lists (src, dst, seg_starts)."""
+    src_term = h_centres @ layer.w_src.T
     dst_term = h @ layer.w_dst.T
-    z = np.tanh(np.take(src_term, cand_src, axis=0) + np.take(dst_term, cand_dst, axis=0))
+    h_dst = np.take(h, dst, axis=0)
+    z = np.tanh(np.take(src_term, src, axis=0) + np.take(dst_term, dst, axis=0))
     scores = z @ layer.attn
     seg_max = np.maximum.reduceat(scores, seg_starts)
-    shifted = np.exp(scores - seg_max[cand_src])
+    shifted = np.exp(scores - seg_max[src])
     denom = np.add.reduceat(shifted, seg_starts)
-    alpha = shifted / denom[cand_src]
-    agg = np.add.reduceat(alpha[:, None] * np.take(h, cand_dst, axis=0), seg_starts, axis=0)
+    alpha = shifted / denom[src]
+    agg = np.add.reduceat(alpha[:, None] * h_dst, seg_starts, axis=0)
     h_next = np.tanh(agg @ layer.w_agg.T)
-    return h_next, _LayerCache(z, alpha, agg)
+    return h_next, _LayerCache(src, dst, seg_starts, h_centres, h_dst, z, alpha, agg)
 
 
 def breadth_layer(
     layer: BreadthLayerParams, g: DeviceSharingGraph, h: np.ndarray
 ) -> np.ndarray:
     """One attention-pooling step over every node's neighborhood-plus-self."""
-    cand_src, cand_dst, seg_starts = _candidates(g)
-    h_next, _ = _breadth_forward(layer, np.asarray(h, dtype=np.float64), cand_src, cand_dst, seg_starts)
+    h = np.asarray(h, dtype=np.float64)
+    h_next, _ = _breadth_forward(layer, h, h, *_candidates(g))
     return h_next
 
 
@@ -278,8 +296,8 @@ def _lstm_forward(
     steps: list[_LSTMStepCache] = []
     for x in xs:
         a = x @ lstm.w_x.T + h @ lstm.w_h.T + lstm.bias
-        i = sigmoid(a[:, :k])
-        f = sigmoid(a[:, k : 2 * k])
+        gates = sigmoid(a[:, : 2 * k])
+        i, f = gates[:, :k], gates[:, k:]
         g = np.tanh(a[:, 2 * k : 3 * k])
         o = sigmoid(a[:, 3 * k :])
         c_new = f * c + i * g
@@ -304,7 +322,8 @@ def forward(
     """Fraud probability per account node.
 
     features rows align with g.account_indices(). Returns (probs, cache);
-    the cache feeds backward().
+    the cache feeds backward(). The LSTM reads every layer at account rows
+    only, so the last layer pools the accounts' candidate lists alone.
     """
     accounts = g.account_indices()
     features = np.asarray(features, dtype=np.float64)
@@ -315,24 +334,35 @@ def forward(
         )
 
     cand_src, cand_dst, seg_starts = _candidates(g)
+    # The accounts' segments, with centres renumbered to account rows.
+    keep = g.is_account[cand_src]
+    acc_src = (np.cumsum(g.is_account) - 1)[cand_src[keep]]
+    acc_starts = (np.cumsum(keep) - 1)[seg_starts[accounts]]
+
+    x0 = np.tanh(features @ params.w_in.T)
     h0 = np.zeros((g.num_nodes, params.hidden_dim))
-    h0[accounts] = np.tanh(features @ params.w_in.T)
+    h0[accounts] = x0
 
     h_stack = [h0]
+    xs = [x0]
     layer_caches: list[_LayerCache] = []
-    for layer in params.layers:
-        h_next, cache = _breadth_forward(layer, h_stack[-1], cand_src, cand_dst, seg_starts)
+    for t, layer in enumerate(params.layers):
+        h = h_stack[-1]
+        if t < params.n_layers - 1:
+            h_next, cache = _breadth_forward(layer, h, h, cand_src, cand_dst, seg_starts)
+            xs.append(h_next[accounts])
+        else:
+            h_next, cache = _breadth_forward(layer, h, xs[-1], acc_src, cand_dst[keep], acc_starts)
+            xs.append(h_next)
         h_stack.append(h_next)
         layer_caches.append(cache)
 
-    xs = [h[accounts] for h in h_stack]
     h_final, lstm_steps = _lstm_forward(params.lstm, xs)
 
     logits = h_final @ params.w_out + params.b_out[0]
     probs = sigmoid(logits)
     return probs, ForwardCache(
-        accounts, features, cand_src, cand_dst, seg_starts,
-        h_stack, layer_caches, lstm_steps, h_final, logits, probs,
+        accounts, g.is_account, features, h_stack, layer_caches, lstm_steps, h_final, logits, probs,
     )
 
 
@@ -374,52 +404,69 @@ def backward(
         dxs[t] = da @ params.lstm.w_x
         dh = da @ params.lstm.w_h
 
-    n = cache.h_stack[0].shape[0]
-    dh_node = np.zeros((n, k))
-    dh_node[accounts] = dxs[-1]
-    src, dst, seg_starts = cache.cand_src, cache.cand_dst, cache.seg_starts
-    # The scatter into nodes as np.bincount over flat (node, dim) keys: first
-    # every entry of an (n, k) array, then every entry of a (candidates, k)
-    # array, keyed by the candidate's node. bincount adds in input order, as
-    # np.add.at does, so the sums round the same way. values holds the
-    # addends in the same layout, rows being its candidate part.
-    keys = np.concatenate([np.arange(n * k), (dst[:, None] * k + np.arange(k)).ravel()])
-    values = np.empty(len(keys))
-    head, rows = values[: n * k], values[n * k :].reshape(-1, k)
-
-    for t in range(len(params.layers) - 1, -1, -1):
+    n, n_acc = len(cache.is_account), len(accounts)
+    last = params.n_layers - 1
+    dh_out = dxs[-1]
+    for t in range(last, -1, -1):
         layer = params.layers[t]
         lc = cache.layer_caches[t]
-        h = cache.h_stack[t]
-        h_next = cache.h_stack[t + 1]
 
-        dpre_out = dh_node * (1.0 - h_next**2)
+        dpre_out = dh_out * (1.0 - cache.h_stack[t + 1] ** 2)
         grads.layers[t].w_agg += dpre_out.T @ lc.agg
-        dagg = dpre_out @ layer.w_agg
-
-        dagg_per_cand = np.take(dagg, src, axis=0)
-        dalpha = np.einsum("ij,ij->i", dagg_per_cand, np.take(h, dst, axis=0))
-        # Into each candidate's node go its attention-weighted row, then the
-        # segment sums of the w_src rows, then its w_dst row.
-        np.multiply(lc.alpha[:, None], dagg_per_cand, out=rows)
-        head[:] = np.bincount(keys[n * k :], values[n * k :], minlength=n * k)
-
-        seg_dot = np.add.reduceat(lc.alpha * dalpha, seg_starts)
-        dscores = lc.alpha * (dalpha - seg_dot[src])
+        dagg_per_cand = np.take(dpre_out @ layer.w_agg, lc.src, axis=0)
+        dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
+        seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
+        dscores = lc.alpha * (dalpha - seg_dot[lc.src])
 
         grads.layers[t].attn += lc.z.T @ dscores
-        dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
+        dpre = np.square(lc.z)
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dscores[:, None] * layer.attn
+        grads.layers[t].w_src += dpre.T @ np.take(lc.h_centres, lc.src, axis=0)
+        grads.layers[t].w_dst += dpre.T @ lc.h_dst
 
-        grads.layers[t].w_src += dpre.T @ np.take(h, src, axis=0)
-        grads.layers[t].w_dst += dpre.T @ np.take(h, dst, axis=0)
-        head += np.add.reduceat(dpre @ layer.w_src, seg_starts, axis=0).ravel()
-        np.matmul(dpre, layer.w_dst, out=rows)
-        dh_prev = np.bincount(keys, values, minlength=n * k).reshape(n, k)
+        # The gradient at the layer's input, at every node's row but below
+        # layer 0: its input is zero at devices, so only account rows count.
+        to_accounts = t == 0
+        if to_accounts:
+            sel = cache.is_account[lc.dst]
+            dst_rows, n_rows = (np.cumsum(cache.is_account) - 1)[lc.dst[sel]], n_acc
+        else:
+            sel, dst_rows, n_rows = slice(None), lc.dst, n
+        # The scatter into rows as np.bincount over flat (row, dim) keys: first
+        # every entry of an (n_rows, k) array, then every entry of a
+        # (candidates, k) array, keyed by the candidate's row. bincount adds
+        # in input order, as np.add.at does, so the sums round the same way.
+        # values holds the addends in the same layout, rows being its
+        # candidate part.
+        keys = np.concatenate([np.arange(n_rows * k), (dst_rows[:, None] * k + np.arange(k)).ravel()])
+        values = np.empty(len(keys))
+        head, rows = values[: n_rows * k].reshape(n_rows, k), values[n_rows * k :].reshape(-1, k)
+        # Into each candidate's row go its attention-weighted row, then the
+        # segment sums of the w_src rows, then its w_dst row.
+        np.multiply(lc.alpha[sel, None], dagg_per_cand[sel], out=rows)
+        head[:] = np.bincount(keys[n_rows * k :], values[n_rows * k :], minlength=n_rows * k).reshape(n_rows, k)
+        # The last layer's centres are accounts, the other layers' every node;
+        # a layer's account segments are the last layer's candidate lists.
+        if to_accounts and t < last:
+            account_cands = cache.is_account[lc.src]
+            head += np.add.reduceat(
+                dpre[account_cands] @ layer.w_src, cache.layer_caches[last].seg_starts, axis=0
+            )
+        else:
+            seg_sums = np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
+            if t == last and not to_accounts:
+                head[accounts] += seg_sums
+            else:
+                head += seg_sums
+        np.matmul(dpre[sel], layer.w_dst, out=rows)
+        dh_out = np.bincount(keys, values, minlength=n_rows * k).reshape(n_rows, k)
+        if to_accounts:
+            dh_out += dxs[t]
+        else:
+            dh_out[accounts] += dxs[t]
 
-        dh_prev[accounts] += dxs[t]
-        dh_node = dh_prev
-
-    dpre_in = dh_node[accounts] * (1.0 - cache.h_stack[0][accounts] ** 2)
+    dpre_in = dh_out * (1.0 - cache.lstm_steps[0].x ** 2)
     grads.w_in[:] = dpre_in.T @ cache.features
     return grads
 
@@ -427,13 +474,20 @@ def backward(
 PROB_CLAMP = 1e-12
 
 
-def _clamped_bce(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
-    """Cross-entropy over the positive and negative rows (boolean masks or index arrays).
+def _log_likelihoods(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log-likelihoods: log p on the positive rows, log(1 - p) on the negative rows.
 
-    Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] so the value stays finite.
+    pos and neg are boolean masks or index arrays. Probabilities are clamped
+    to [PROB_CLAMP, 1 - PROB_CLAMP] so every term stays finite.
     """
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.log(p[pos]).sum() - np.log(1.0 - p[neg]).sum())
+    return np.log(p[pos]), np.log(1.0 - p[neg])
+
+
+def _clamped_bce(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+    """Cross-entropy over the positive and negative rows: minus their summed log-likelihoods."""
+    log_pos, log_neg = _log_likelihoods(probs, pos, neg)
+    return float(-log_pos.sum() - log_neg.sum())
 
 
 def _bce_dprobs(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -456,8 +510,10 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central finite-difference gradients.
 
-    positives/negatives index rows of the account feature matrix. The corrupt
-    hook deliberately breaks one analytic gradient block (test fixture).
+    The finite difference of each parameter is the math.fsum of the per-row
+    cross-entropy differences, divided by 2 * eps. positives/negatives index
+    rows of the account feature matrix. The corrupt hook deliberately breaks
+    one analytic gradient block (test fixture).
     """
     n_acc = len(g.account_indices())
     pos_mask = np.zeros(n_acc, dtype=bool)
@@ -474,18 +530,21 @@ def gradient_check(
             raise ValueError(f"unknown corruption target {corrupt!r}")
         grads.layers[0].w_src += 0.1
 
+    def log_likelihoods(vec: np.ndarray) -> np.ndarray:
+        probs, _ = forward(params.from_vector(vec), g, features)
+        return np.concatenate(_log_likelihoods(probs, pos_mask, neg_mask))
+
     analytic = grads.to_vector()
     vec = params.to_vector()
     fd = np.zeros_like(analytic)
     for j in range(vec.size):
         bumped = vec.copy()
         bumped[j] = vec[j] + eps
-        p_hi, _ = forward(params.from_vector(bumped), g, features)
+        hi = log_likelihoods(bumped)
         bumped[j] = vec[j] - eps
-        p_lo, _ = forward(params.from_vector(bumped), g, features)
-        fd[j] = (
-            _clamped_bce(p_hi, pos_mask, neg_mask) - _clamped_bce(p_lo, pos_mask, neg_mask)
-        ) / (2.0 * eps)
+        # The loss difference summed row by row and exactly: two rounded
+        # loss totals lose the small differences to rounding.
+        fd[j] = math.fsum(log_likelihoods(bumped) - hi) / (2.0 * eps)
 
     rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
     return float(rel.max())

@@ -467,7 +467,11 @@ def export_dot(
     path: str,
     high_risk: Collection[int] | None = None,
 ) -> None:
-    """Emit the graph in DOT: accounts as boxes, devices as ellipses, flagged accounts filled red."""
+    """Emit the graph in DOT: accounts as boxes, devices as ellipses, flagged accounts filled red.
+
+    DOT node n<i> is node i, labelled with its external id, so an account and
+    a device with the same id stay apart.
+    """
     flagged = set(int(i) for i in high_risk) if high_risk else set()
 
     def quote(name: str) -> str:
@@ -475,12 +479,12 @@ def export_dot(
 
     lines = ["graph device_sharing {"]
     for index, (ext, account) in enumerate(zip(g.ids, g.is_account.tolist())):
-        attrs = "shape=box" if account else "shape=ellipse"
+        attrs = f"label={quote(ext)}, " + ("shape=box" if account else "shape=ellipse")
         if index in flagged:
             attrs += ', style=filled, fillcolor="red"'
-        lines.append(f"  {quote(ext)} [{attrs}];")
+        lines.append(f"  n{index} [{attrs}];")
     for u, v in g.edges():
-        lines.append(f"  {quote(g.ids[u])} -- {quote(g.ids[v])};")
+        lines.append(f"  n{u} -- n{v};")
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

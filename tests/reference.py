@@ -3,11 +3,13 @@
 Everything here is written scalar-first with plain python containers and the
 math module, deliberately avoiding the vectorized code paths under test. The
 exceptions keep a former numpy version as an exact-arithmetic reference:
-loop_best_split (the GBDT's per-feature loop), add_at_backward (the GNN
-backward pass scattering with np.add.at) and masked_sigmoid.
+loop_best_split (the GBDT's per-feature loop), full_forward and
+add_at_backward (the GNN forward pass over every node and its backward pass
+scattering with np.add.at) and masked_sigmoid.
 """
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -437,8 +439,62 @@ def line_by_line_events(path, id_names):
     return columns, timestamps
 
 
-def add_at_backward(params, cache, dprobs):
-    """geniepath.backward as it scattered into nodes with np.add.at: the exact-arithmetic reference."""
+def full_forward(params, g, features):
+    """geniepath.forward as it computed every layer at every node: the exact-arithmetic reference.
+
+    Returns (probs, cache); the cache is a SimpleNamespace of the full-graph
+    intermediates add_at_backward reads.
+    """
+    offsets, targets = g.csr()
+    n, k = g.num_nodes, params.hidden_dim
+    seg_len = np.diff(offsets) + 1
+    seg_starts = np.zeros(n, dtype=np.int64)
+    np.cumsum(seg_len[:-1], out=seg_starts[1:])
+    cand_dst = np.empty(int(seg_len.sum()), dtype=np.int64)
+    cand_dst[seg_starts] = np.arange(n)
+    not_self = np.ones(len(cand_dst), dtype=bool)
+    not_self[seg_starts] = False
+    cand_dst[not_self] = targets
+    cand_src = np.repeat(np.arange(n), seg_len)
+
+    accounts = g.account_indices()
+    features = np.asarray(features, dtype=np.float64)
+    h = np.zeros((n, k))
+    h[accounts] = np.tanh(features @ params.w_in.T)
+    h_stack, layer_caches = [h], []
+    for layer in params.layers:
+        z = np.tanh((h @ layer.w_src.T)[cand_src] + (h @ layer.w_dst.T)[cand_dst])
+        scores = z @ layer.attn
+        shifted = np.exp(scores - np.maximum.reduceat(scores, seg_starts)[cand_src])
+        alpha = shifted / np.add.reduceat(shifted, seg_starts)[cand_src]
+        agg = np.add.reduceat(alpha[:, None] * h[cand_dst], seg_starts, axis=0)
+        h = np.tanh(agg @ layer.w_agg.T)
+        h_stack.append(h)
+        layer_caches.append(SimpleNamespace(z=z, alpha=alpha, agg=agg))
+
+    lstm = params.lstm
+    h_lstm = np.zeros((len(accounts), k))
+    c = np.zeros_like(h_lstm)
+    lstm_steps = []
+    for x in [layer_out[accounts] for layer_out in h_stack]:
+        a = x @ lstm.w_x.T + h_lstm @ lstm.w_h.T + lstm.bias
+        i, f = masked_sigmoid(a[:, :k]), masked_sigmoid(a[:, k:2 * k])
+        gg, o = np.tanh(a[:, 2 * k:3 * k]), masked_sigmoid(a[:, 3 * k:])
+        c_new = f * c + i * gg
+        tanh_c = np.tanh(c_new)
+        lstm_steps.append(SimpleNamespace(x=x, h_prev=h_lstm, c_prev=c, i=i, f=f, g=gg, o=o, tanh_c=tanh_c))
+        h_lstm, c = o * tanh_c, c_new
+
+    probs = masked_sigmoid(h_lstm @ params.w_out + params.b_out[0])
+    return probs, SimpleNamespace(
+        accounts=accounts, features=features, cand_src=cand_src, cand_dst=cand_dst, seg_starts=seg_starts,
+        h_stack=h_stack, layer_caches=layer_caches, lstm_steps=lstm_steps, h_final=h_lstm, probs=probs,
+    )
+
+
+def add_at_backward(params, g, features, dprobs):
+    """geniepath.backward as it scattered into every node with np.add.at, after full_forward."""
+    _, cache = full_forward(params, g, features)
     grads = params.zeros_like()
     k = params.hidden_dim
     accounts = cache.accounts

@@ -495,6 +495,11 @@ class TestGradCheck:
         assert main(["grad-check", "--eps", "1e-3"]) == 0
         assert "eps 0.001" in capsys.readouterr().out
 
+    def test_seed_4_passes_and_its_corruption_fails(self, capsys):
+        # Subtracting two rounded loss totals read 1.544e-04 here.
+        assert main(["grad-check", "--seed", "4"]) == 0
+        assert main(["grad-check", "--seed", "4", "--corrupt", "ws"]) == 3
+
 
 class TestExportDot:
     def test_writes_dot_with_highlights(self, data_dir, tmp_path, capsys):
@@ -525,7 +530,28 @@ class TestExportDot:
             "--reference-time", "1000", "--out", str(graph),
         ]) == 0
         assert main(["export-dot", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 0
-        assert '"a\u2028b" -- "d";' in (tmp_path / "g.dot").read_text(encoding="utf-8")
+        text = (tmp_path / "g.dot").read_text(encoding="utf-8")
+        assert 'n0 [label="a\u2028b", shape=box];' in text
+        assert "n0 -- n2;" in text
+
+    def test_account_and_device_with_one_id_stay_two_nodes(self, tmp_path, capsys):
+        cpath, lpath = tmp_path / "claims.tsv", tmp_path / "logins.tsv"
+        save_claim_events([ClaimEvent("x", 950), ClaimEvent("y", 960)], str(cpath))
+        save_login_events([LoginEvent("x", "x", 900), LoginEvent("y", "x", 910)], str(lpath))
+        graph = tmp_path / "graph.tsv"
+        assert main([
+            "build-graph", "--claims", str(cpath), "--logins", str(lpath),
+            "--reference-time", "1000", "--out", str(graph),
+        ]) == 0
+        assert main(["export-dot", "--graph", str(graph), "--out", str(tmp_path / "g.dot")]) == 0
+        lines = (tmp_path / "g.dot").read_text(encoding="utf-8").splitlines()
+        assert lines[1:-1] == [
+            '  n0 [label="x", shape=box];',
+            '  n1 [label="y", shape=box];',
+            '  n2 [label="x", shape=ellipse];',
+            "  n0 -- n2;",
+            "  n1 -- n2;",
+        ]
 
 
 class TestConfigFile:
