@@ -230,10 +230,11 @@ class ForwardCache:
 
     h_stack holds each layer's input, then the last layer's output: every
     node's row up to the last layer, account rows only after it.
+    account_row maps a node to its account row, or -1 for a device.
     """
 
     accounts: np.ndarray
-    is_account: np.ndarray
+    account_row: np.ndarray
     features: np.ndarray
     h_stack: list[np.ndarray]
     layer_caches: list[_LayerCache]
@@ -333,10 +334,12 @@ def forward(
             f"{len(accounts)} accounts x {params.feature_dim} model input dims"
         )
 
+    account_row = np.full(g.num_nodes, -1)
+    account_row[accounts] = np.arange(len(accounts))
     cand_src, cand_dst, seg_starts = _candidates(g)
     # The accounts' segments, with centres renumbered to account rows.
     keep = g.is_account[cand_src]
-    acc_src = (np.cumsum(g.is_account) - 1)[cand_src[keep]]
+    acc_src = account_row[cand_src[keep]]
     acc_starts = (np.cumsum(keep) - 1)[seg_starts[accounts]]
 
     x0 = np.tanh(features @ params.w_in.T)
@@ -362,7 +365,7 @@ def forward(
     logits = h_final @ params.w_out + params.b_out[0]
     probs = sigmoid(logits)
     return probs, ForwardCache(
-        accounts, g.is_account, features, h_stack, layer_caches, lstm_steps, h_final, logits, probs,
+        accounts, account_row, features, h_stack, layer_caches, lstm_steps, h_final, logits, probs,
     )
 
 
@@ -404,7 +407,7 @@ def backward(
         dxs[t] = da @ params.lstm.w_x
         dh = da @ params.lstm.w_h
 
-    n, n_acc = len(cache.is_account), len(accounts)
+    n, n_acc = len(cache.account_row), len(accounts)
     last = params.n_layers - 1
     dh_out = dxs[-1]
     for t in range(last, -1, -1):
@@ -427,10 +430,10 @@ def backward(
 
         # The gradient at the layer's input, at every node's row but below
         # layer 0: its input is zero at devices, so only account rows count.
-        to_accounts = t == 0
-        if to_accounts:
-            sel = cache.is_account[lc.dst]
-            dst_rows, n_rows = (np.cumsum(cache.is_account) - 1)[lc.dst[sel]], n_acc
+        if t == 0:
+            dst_rows = cache.account_row[lc.dst]
+            sel = dst_rows >= 0
+            dst_rows, n_rows = dst_rows[sel], n_acc
         else:
             sel, dst_rows, n_rows = slice(None), lc.dst, n
         # The scatter into rows as np.bincount over flat (row, dim) keys: first
@@ -443,25 +446,20 @@ def backward(
         values = np.empty(len(keys))
         head, rows = values[: n_rows * k].reshape(n_rows, k), values[n_rows * k :].reshape(-1, k)
         # Into each candidate's row go its attention-weighted row, then the
-        # segment sums of the w_src rows, then its w_dst row.
+        # segment sums of the w_src rows at the centres, then its w_dst row.
+        # The last layer's centres are accounts, the other layers' every node.
         np.multiply(lc.alpha[sel, None], dagg_per_cand[sel], out=rows)
         head[:] = np.bincount(keys[n_rows * k :], values[n_rows * k :], minlength=n_rows * k).reshape(n_rows, k)
-        # The last layer's centres are accounts, the other layers' every node;
-        # a layer's account segments are the last layer's candidate lists.
-        if to_accounts and t < last:
-            account_cands = cache.is_account[lc.src]
-            head += np.add.reduceat(
-                dpre[account_cands] @ layer.w_src, cache.layer_caches[last].seg_starts, axis=0
-            )
+        seg_sums = np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
+        if t == 0 and t < last:
+            head += seg_sums[accounts]
+        elif t == last and t > 0:
+            head[accounts] += seg_sums
         else:
-            seg_sums = np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
-            if t == last and not to_accounts:
-                head[accounts] += seg_sums
-            else:
-                head += seg_sums
+            head += seg_sums
         np.matmul(dpre[sel], layer.w_dst, out=rows)
         dh_out = np.bincount(keys, values, minlength=n_rows * k).reshape(n_rows, k)
-        if to_accounts:
+        if t == 0:
             dh_out += dxs[t]
         else:
             dh_out[accounts] += dxs[t]

@@ -5,7 +5,8 @@ math module, deliberately avoiding the vectorized code paths under test. The
 exceptions keep a former numpy version as an exact-arithmetic reference:
 loop_best_split (the GBDT's per-feature loop), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
-scattering with np.add.at) and masked_sigmoid.
+scattering with np.add.at), cached_add_at_backward (that backward pass over
+the current forward cache) and masked_sigmoid.
 """
 import math
 from fractions import Fraction
@@ -492,20 +493,15 @@ def full_forward(params, g, features):
     )
 
 
-def add_at_backward(params, g, features, dprobs):
-    """geniepath.backward as it scattered into every node with np.add.at, after full_forward."""
-    _, cache = full_forward(params, g, features)
-    grads = params.zeros_like()
-    k = params.hidden_dim
-    accounts = cache.accounts
-
+def _head_and_lstm_backward(params, cache, dprobs, grads):
+    """Gradients of the sigmoid head and the LSTM; returns the gradient at each LSTM input."""
     dlogits = np.asarray(dprobs, dtype=np.float64) * cache.probs * (1.0 - cache.probs)
     grads.w_out[:] = cache.h_final.T @ dlogits
     grads.b_out[0] = dlogits.sum()
 
     dh = dlogits[:, None] * params.w_out
     dc = np.zeros_like(dh)
-    dxs: list[np.ndarray] = [np.empty(0)] * len(cache.lstm_steps)
+    dxs = [np.empty(0)] * len(cache.lstm_steps)
     for t in range(len(cache.lstm_steps) - 1, -1, -1):
         s = cache.lstm_steps[t]
         do = dh * s.tanh_c
@@ -528,6 +524,16 @@ def add_at_backward(params, g, features, dprobs):
         grads.lstm.bias += da.sum(axis=0)
         dxs[t] = da @ params.lstm.w_x
         dh = da @ params.lstm.w_h
+    return dxs
+
+
+def add_at_backward(params, g, features, dprobs):
+    """geniepath.backward as it scattered into every node with np.add.at, after full_forward."""
+    _, cache = full_forward(params, g, features)
+    grads = params.zeros_like()
+    k = params.hidden_dim
+    accounts = cache.accounts
+    dxs = _head_and_lstm_backward(params, cache, dprobs, grads)
 
     n = cache.h_stack[0].shape[0]
     dh_node = np.zeros((n, k))
@@ -563,6 +569,55 @@ def add_at_backward(params, g, features, dprobs):
         dh_node = dh_prev
 
     dpre_in = dh_node[accounts] * (1.0 - cache.h_stack[0][accounts] ** 2)
+    grads.w_in[:] = dpre_in.T @ cache.features
+    return grads
+
+
+def cached_add_at_backward(params, cache, dprobs):
+    """geniepath.backward with np.add.at scatters into every node's row, reading geniepath.forward's cache.
+
+    Each layer's cache holds its candidate lists (centre row src, node dst)
+    and its centre rows: every node below the last layer, the accounts in
+    it. The scatters add in the order backward's np.bincount adds, and
+    every product has backward's shapes, so the two agree bit for bit.
+    """
+    grads = params.zeros_like()
+    k = params.hidden_dim
+    accounts = cache.accounts
+    dxs = _head_and_lstm_backward(params, cache, dprobs, grads)
+
+    n = cache.h_stack[0].shape[0]
+    last = len(params.layers) - 1
+    dh_node = np.zeros((n, k))
+    dh_node[accounts] = dxs[-1]
+
+    for t in range(last, -1, -1):
+        layer = params.layers[t]
+        lc = cache.layer_caches[t]
+        centres = accounts if t == last else np.arange(n)
+
+        dpre_out = dh_node[centres] * (1.0 - cache.h_stack[t + 1] ** 2)
+        grads.layers[t].w_agg += dpre_out.T @ lc.agg
+        dagg_per_cand = (dpre_out @ layer.w_agg)[lc.src]
+        dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
+        dh_prev = np.zeros((n, k))
+        np.add.at(dh_prev, lc.dst, lc.alpha[:, None] * dagg_per_cand)
+
+        seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
+        dscores = lc.alpha * (dalpha - seg_dot[lc.src])
+
+        grads.layers[t].attn += lc.z.T @ dscores
+        dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
+
+        grads.layers[t].w_src += dpre.T @ lc.h_centres[lc.src]
+        grads.layers[t].w_dst += dpre.T @ lc.h_dst
+        dh_prev[centres] += np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
+        np.add.at(dh_prev, lc.dst, dpre @ layer.w_dst)
+
+        dh_prev[accounts] += dxs[t]
+        dh_node = dh_prev
+
+    dpre_in = dh_node[accounts] * (1.0 - cache.lstm_steps[0].x ** 2)
     grads.w_in[:] = dpre_in.T @ cache.features
     return grads
 
