@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geniepath import sigmoid
+from ..graph import _read_lines
 
 L2_LAMBDA = 1.0
 
@@ -243,8 +244,7 @@ def save_gbdt(model: GBDTModel, path: str) -> None:
 
 
 def load_gbdt(path: str) -> GBDTModel:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
 
     def fail(lineno: int, message: str) -> ModelFormatError:
         return ModelFormatError(f"{path}:{lineno}: {message}")
@@ -276,7 +276,10 @@ def load_gbdt(path: str) -> GBDTModel:
         parts = raw[lineno - 1].split()
         if len(parts) != 3 or parts[0] != "tree" or parts[1] != str(i):
             raise fail(lineno, f"expected 'tree {i} <n_nodes>', got {raw[lineno - 1]!r}")
-        n_nodes = int(parts[2])
+        try:
+            n_nodes = int(parts[2])
+        except ValueError:
+            raise fail(lineno, f"bad node count {parts[2]!r} for tree {i}") from None
 
         def read_node() -> _Node:
             nonlocal lineno

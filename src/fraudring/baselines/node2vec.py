@@ -6,23 +6,20 @@ downstream classifier, concatenated in front of the account features.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..features import LabeledDataset
+from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph, _read_lines
-from ..train import training_rows
+from ..graph import DeviceSharingGraph, _raise_first, _read_lines
+from ..train import adam_step, training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
-# Full-batch Adam steps per skip-gram epoch, and the Adam moment constants.
+# Full-batch Adam steps per skip-gram epoch.
 STEPS_PER_EPOCH = 50
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -170,9 +167,6 @@ class Embeddings:
 
     vectors: np.ndarray
     epoch_losses: list[float]
-
-    def __getitem__(self, node: int) -> np.ndarray:
-        return self.vectors[node]
 
     @property
     def dimensions(self) -> int:
@@ -323,13 +317,7 @@ def train_embeddings(
             total += loss
             step += 1
             for w, grad, m, v in zip(params, grads, moments, squares):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * grad
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * grad**2
-                m_hat = m / (1.0 - ADAM_BETA1**step)
-                v_hat = v / (1.0 - ADAM_BETA2**step)
-                w -= config.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                adam_step(w, grad, m, v, step, config.step_size)
         epoch_losses.append(total / STEPS_PER_EPOCH)
     return Embeddings(w_center, epoch_losses)
 
@@ -342,30 +330,31 @@ def save_embeddings(emb: Embeddings, g: DeviceSharingGraph, path: str) -> None:
 
 
 def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
-    """Read the rows save_embeddings writes: the k-th nonblank row is node k's and carries its id."""
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        k = len(rows)
-        if k == g.num_nodes or parts[0] != g.ids[k]:
-            if parts[0] not in g.ids:
-                raise ValueError(f"{path}:{lineno}: unknown node id {parts[0]!r}")
-            expected = f"node {k} is {g.ids[k]!r}" if k < g.num_nodes else f"the graph has {k} nodes"
-            raise ValueError(f"{path}:{lineno}: row for node id {parts[0]!r} out of place; {expected}")
-        try:
-            vec = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
-        if not all(map(math.isfinite, vec)):
-            raise ValueError(f"{path}:{lineno}: non-finite embedding value")
-        if rows and len(vec) != len(rows[0]):
-            raise ValueError(f"{path}:{lineno}: inconsistent embedding width")
-        rows.append(vec)
-    if not rows or len(rows) < g.num_nodes:
+    """Read the rows save_embeddings writes: the k-th nonblank row is node k's and carries its id.
+
+    The first bad line raises ValueError naming path:line. Within a line the checks go:
+    the id, numbers, finiteness, a width other than the first row's.
+    """
+    rows = list(filter(str.strip, _read_lines(path)))
+    widths = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
+    fields = np.array("\t".join(rows).split("\t") if rows else [], dtype=object)
+    starts = np.cumsum(widths + 1) - (widths + 1)
+    ids = fields[starts].tolist()
+    errors: list[tuple[int, int, str]] = []
+    value_rows = np.repeat(np.arange(len(ids)), widths)
+    values = _real_values(np.delete(fields, starts).tolist(), value_rows, "embedding", errors)
+    k = next(compress(count(), map(str.__ne__, ids, g.ids)), min(len(ids), g.num_nodes))
+    if k < len(ids) and ids[k] not in g.ids:
+        errors.append((k, 0, f"unknown node id {ids[k]!r}"))
+    elif k < len(ids):
+        expected = f"node {k} is {g.ids[k]!r}" if k < g.num_nodes else f"the graph has {k} nodes"
+        errors.append((k, 0, f"row for node id {ids[k]!r} out of place; {expected}"))
+    if (wrong := widths != widths[:1]).any():
+        errors.append((int(np.argmax(wrong)), 5, "inconsistent embedding width"))
+    _raise_first(path, errors, 0, str.strip, ValueError)
+    if not ids or len(ids) < g.num_nodes:
         raise ValueError(f"{path}: embeddings missing for some graph nodes")
-    return Embeddings(np.array(rows, dtype=np.float64), [])
+    return Embeddings(values.reshape(len(ids), int(widths[0])), [])
 
 
 def embed_concat_fit(

@@ -19,7 +19,6 @@ import numpy as np
 from . import evaluation
 from .baselines.gbdt import (
     GBDTConfig,
-    ModelFormatError,
     gbdt_fit,
     gbdt_predict_batch,
     load_gbdt,
@@ -32,7 +31,6 @@ from .baselines.node2vec import (
     save_embeddings,
 )
 from .features import (
-    FeatureFormatError,
     LabeledDataset,
     load_dataset,
     load_features,
@@ -41,14 +39,12 @@ from .features import (
     split_train_test,
 )
 from .geniepath import (
-    CheckpointFormatError,
     gradient_check,
     init_params,
     load_params,
     save_params,
 )
 from .graph import (
-    GraphFormatError,
     WindowConfig,
     _kept_nodes,
     build_graph,
@@ -561,14 +557,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (
-        GraphFormatError,
-        FeatureFormatError,
-        CheckpointFormatError,
-        ModelFormatError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:
+        # The format errors of every loader are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

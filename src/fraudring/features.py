@@ -6,11 +6,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, _kept_nodes, _read_lines, component_labels, load_graph
+from .graph import (
+    DeviceSharingGraph, _first_outside, _kept_nodes, _numbers, _raise_first, _read_lines, _split_rows,
+    component_labels, load_graph,
+)
 
 GRAPH_FILE = "graph.tsv"
 FEATURES_FILE = "features.tsv"
@@ -131,56 +134,61 @@ def save_features(ds: LabeledDataset, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _missing_rows(path: str, graph: DeviceSharingGraph, seen: np.ndarray) -> FeatureFormatError:
-    missing = [ext for ext, ok in zip(_account_rows(graph), seen) if not ok]
-    return FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")
+def _real_values(texts: list[str], rows: np.ndarray, what: str, errors: list) -> np.ndarray:
+    """The texts as float() reads them; text i lies on row rows[i].
+
+    Adds the first non-numeric text to errors at precedence 3, and the first non-finite one at 4.
+    """
+    values, bad = _numbers(texts, float)
+    if bad < len(texts):
+        errors.append((int(rows[bad]), 3, f"non-numeric {what} value"))
+    if not (finite := np.isfinite(values)).all():
+        errors.append((int(rows[np.argmin(finite)]), 4, f"non-finite {what} value"))
+    return values
+
+
+def _account_order(path: str, graph: DeviceSharingGraph, ids: list[str], errors: list) -> np.ndarray:
+    """The file row of every graph account, once the first error of the data lines (file line 2 on) is raised.
+
+    Adds an unknown account id at precedence 1 and an account an earlier row has at 5.
+    """
+    row_of = _account_rows(graph)
+    rows = np.fromiter(map(row_of.get, ids, repeat(-1)), np.int64, len(ids))
+    if (rows < 0).any():
+        bad = int(np.argmax(rows < 0))
+        errors.append((bad, 1, f"unknown account id {ids[bad]!r}"))
+    order = np.argsort(rows, kind="stable")
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:]] = rows[order[1:]] == rows[order[:-1]]
+    if repeated.any():
+        bad = int(np.argmax(repeated))
+        errors.append((bad, 5, f"duplicate row for account {ids[bad]!r}"))
+    _raise_first(path, errors, 1, str.strip, FeatureFormatError)
+    if len(rows) < len(row_of):
+        missing = sorted(row_of.keys() - set(ids), key=row_of.get)
+        raise FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")
+    return order
 
 
 def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
     """Load a features TSV against an existing graph; every account must get one finite row.
 
-    The split starts as all-Train.
+    The split starts as all-Train. Within a line the checks go: field count, account id,
+    tag, numbers, finiteness, an account an earlier line has.
     """
-    row_of = _account_rows(graph)
     raw = _read_lines(path)
     if not raw:
         raise FeatureFormatError(f"{path}:1: empty features file")
     header = raw[0].split("\t")
     if len(header) < 3 or header[0] != "account_id" or header[1] != "tag":
         raise FeatureFormatError(f"{path}:1: bad header {raw[0]!r}")
-    p = len(header) - 2
-
-    features = np.zeros((len(row_of), p))
-    high_risk = np.zeros(len(row_of), dtype=bool)
-    seen = np.zeros(len(row_of), dtype=bool)
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != p + 2:
-            raise FeatureFormatError(f"{path}:{lineno}: expected {p + 2} fields, got {len(parts)}")
-        ext_id = parts[0]
-        if ext_id not in row_of:
-            raise FeatureFormatError(f"{path}:{lineno}: unknown account id {ext_id!r}")
-        try:
-            tag = Tag(parts[1])
-        except ValueError:
-            raise FeatureFormatError(f"{path}:{lineno}: unknown tag {parts[1]!r}") from None
-        try:
-            values = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise FeatureFormatError(f"{path}:{lineno}: non-numeric feature value") from None
-        if not all(map(math.isfinite, values)):
-            raise FeatureFormatError(f"{path}:{lineno}: non-finite feature value")
-        r = row_of[ext_id]
-        if seen[r]:
-            raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {ext_id!r}")
-        seen[r] = True
-        features[r] = values
-        high_risk[r] = tag is Tag.HIGH_RISK
-    if not seen.all():
-        raise _missing_rows(path, graph, seen)
-    return LabeledDataset(graph, features, high_risk, np.zeros(len(row_of), dtype=bool))
+    (ids, tags, *columns), errors = _split_rows(list(filter(str.strip, raw[1:])), len(header), "fields")
+    if (bad := _first_outside(tags, (Tag.HIGH_RISK.value, Tag.NO_OBSERVABLE_RISK.value))) is not None:
+        errors.append((bad, 2, f"unknown tag {tags[bad]!r}"))
+    values = [_real_values(texts, np.arange(len(ids)), "feature", errors) for texts in columns]
+    order = _account_order(path, graph, ids, errors)
+    high_risk = np.fromiter(map(Tag.HIGH_RISK.value.__eq__, tags), bool, len(tags))[order]
+    return LabeledDataset(graph, np.column_stack(values)[order], high_risk, np.zeros(len(order), dtype=bool))
 
 
 def save_ground_truth(ds: LabeledDataset, path: str) -> None:
@@ -193,31 +201,18 @@ def save_ground_truth(ds: LabeledDataset, path: str) -> None:
 
 
 def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:
-    """Boolean fraud column over the graph's accounts; every account must get one row."""
-    row_of = _account_rows(graph)
-    truth = np.zeros(len(row_of), dtype=bool)
-    seen = np.zeros(len(row_of), dtype=bool)
+    """Boolean fraud column over the graph's accounts; every account must get one row.
+
+    Within a line the checks go: field count, account id, is_fraud, an account an earlier line has.
+    """
     raw = _read_lines(path)
     if not raw or raw[0] != "account_id\tis_fraud":
         raise FeatureFormatError(f"{path}:1: bad ground-truth header")
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FeatureFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        if parts[0] not in row_of:
-            raise FeatureFormatError(f"{path}:{lineno}: unknown account id {parts[0]!r}")
-        if parts[1] not in ("0", "1"):
-            raise FeatureFormatError(f"{path}:{lineno}: is_fraud must be 0 or 1, got {parts[1]!r}")
-        r = row_of[parts[0]]
-        if seen[r]:
-            raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {parts[0]!r}")
-        seen[r] = True
-        truth[r] = parts[1] == "1"
-    if not seen.all():
-        raise _missing_rows(path, graph, seen)
-    return truth
+    (ids, flags), errors = _split_rows(list(filter(str.strip, raw[1:])), 2, "fields")
+    if (bad := _first_outside(flags, ("0", "1"))) is not None:
+        errors.append((bad, 2, f"is_fraud must be 0 or 1, got {flags[bad]!r}"))
+    order = _account_order(path, graph, ids, errors)
+    return np.fromiter(map("1".__eq__, flags), bool, len(flags))[order]
 
 
 def load_dataset(directory: str) -> LabeledDataset:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DeviceSharingGraph
+from .graph import DeviceSharingGraph, _read_lines
 
 
 class CheckpointFormatError(ValueError):
@@ -566,8 +566,7 @@ def save_params(params: GeniePathParams, path: str) -> None:
 
 
 def load_params(path: str) -> GeniePathParams:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
 
     def fail(lineno: int, message: str) -> CheckpointFormatError:
         return CheckpointFormatError(f"{path}:{lineno}: {message}")
@@ -592,7 +591,11 @@ def load_params(path: str) -> GeniePathParams:
         parts = raw[lineno - 1].split()
         if parts[:2] != ["tensor", name]:
             raise fail(lineno, f"expected tensor {name}, got {raw[lineno - 1]!r}")
-        if tuple(int(d) for d in parts[2:]) != shape:
+        try:
+            dims = tuple(int(d) for d in parts[2:])
+        except ValueError:
+            raise fail(lineno, f"bad shape {parts[2:]} for tensor {name}") from None
+        if dims != shape:
             raise fail(lineno, f"tensor {name} has shape {parts[2:]}, expected {shape}")
         n_rows = shape[0] if len(shape) == 2 else 1
         n_cols = shape[1] if len(shape) == 2 else shape[0]

@@ -430,15 +430,14 @@ def load_graph(path: str) -> DeviceSharingGraph:
 def _node_columns(path: str, rows: list[str]) -> tuple[list[str], np.ndarray]:
     """The ids and the account mask of graph.tsv's node lines, from file line 2 on."""
     (index_texts, kinds, ids), errors = _split_rows(rows, 3, "tab-separated node fields")
-    index, bad = _ints(index_texts)
+    index, bad = _numbers(index_texts)
     if bad < len(index_texts):
         errors.append((bad, 1, f"node index {index_texts[bad]!r} is not an integer"))
     out_of_order = np.flatnonzero(index != np.arange(len(index)))
     if len(out_of_order):
         row = int(out_of_order[0])
         errors.append((row, 2, f"node index {index[row]} out of order; expected {row}"))
-    if kinds.count("A") + kinds.count("D") < len(kinds):
-        row = next(i for i, kind in enumerate(kinds) if kind not in ("A", "D"))
+    if (row := _first_outside(kinds, ("A", "D"))) is not None:
         errors.append((row, 3, f"unknown node kind {kinds[row]!r}; expected A or D"))
     if "" in ids:
         errors.append((ids.index(""), 4, "empty external id"))
@@ -452,7 +451,7 @@ def _node_columns(path: str, rows: list[str]) -> tuple[list[str], np.ndarray]:
 def _edge_pairs(path: str, rows: list[str], first: int, is_account: np.ndarray) -> np.ndarray:
     """The (m, 2) edges of graph.tsv's nonblank edge lines, from 0-based file line first on."""
     (u_texts, v_texts), errors = _split_rows(rows, 2, "tab-separated edge fields")
-    (u, bad_u), (v, bad_v) = _ints(u_texts), _ints(v_texts)
+    (u, bad_u), (v, bad_v) = _numbers(u_texts), _numbers(v_texts)
     m = min(bad_u, bad_v)
     if m < len(u_texts):
         errors.append((m, 1, "edge endpoints %r are not integers" % (u_texts[m] + "\t" + v_texts[m])))
@@ -530,22 +529,31 @@ def _split_rows(rows: list[str], width: int, what: str) -> tuple[list[list[str]]
     return [fields[j::width] for j in range(width)], errors
 
 
-def _ints(texts: list[str]) -> tuple[np.ndarray, int]:
-    """The texts as int() reads them, up to the first it rejects, and that row (len(texts) if none).
+def _numbers(texts: list[str], parse: type = int) -> tuple[np.ndarray, int]:
+    """The texts as parse (int or float) reads them, up to the first it rejects, and that row (len(texts) if none).
 
-    The values are int64 if every text parses within int64, else Python ints in an object array.
+    Floats are float64. Ints are int64 if every text parses within int64, else
+    Python ints in an object array.
     """
+    dtype = np.int64 if parse is int else np.float64
     try:
-        return np.fromiter(map(int, texts), np.int64, len(texts)), len(texts)
+        return np.fromiter(map(parse, texts), dtype, len(texts)), len(texts)
     except (ValueError, OverflowError):
-        values: list[int] = []
+        values: list = []
         with suppress(ValueError):
-            values.extend(map(int, texts))
-        return np.array(values, dtype=object), len(values)
+            values.extend(map(parse, texts))
+        return np.array(values, dtype=object if parse is int else dtype), len(values)
 
 
-def _raise_first(path: str, errors: list[tuple[int, int, str]], first: int = 0, keep=None) -> None:
-    """Raise the earliest (row, precedence, message) error as GraphFormatError naming path:line.
+def _first_outside(texts: list[str], allowed: tuple[str, ...]) -> int | None:
+    """The row of the first text that is none of allowed, or None."""
+    if sum(map(texts.count, allowed)) == len(texts):
+        return None
+    return next(i for i, text in enumerate(texts) if text not in allowed)
+
+
+def _raise_first(path: str, errors: list, first: int = 0, keep=None, error: type = GraphFormatError) -> None:
+    """Raise the earliest (row, precedence, message) error as error naming path:line.
 
     Rows count the file's lines from 0-based line first on that keep passes,
     by default the nonempty ones; the file is read again to find the line.
@@ -554,7 +562,7 @@ def _raise_first(path: str, errors: list[tuple[int, int, str]], first: int = 0, 
         row, _, message = min(errors)
         lines = _read_lines(path)[first:]
         numbers = compress(count(first + 1), map(keep, lines) if keep else lines)
-        raise GraphFormatError(f"{path}:{next(islice(numbers, row, None))}: {message}")
+        raise error(f"{path}:{next(islice(numbers, row, None))}: {message}")
 
 
 def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
@@ -569,7 +577,7 @@ def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], n
     empty = [col.index("") if "" in col else n for col in columns[:-1]]
     if min(empty) < n:
         errors.append((min(empty), 1, f"empty {id_names[empty.index(min(empty))]}"))
-    timestamps, bad = _ints(columns[-1])
+    timestamps, bad = _numbers(columns[-1])
     if bad < n:
         errors.append((bad, 2, f"timestamp {columns[-1][bad]!r} is not an integer"))
     outside = (timestamps < -(2**63)) | (timestamps >= 2**63)

@@ -12,6 +12,12 @@ from .features import LabeledDataset
 from .geniepath import GeniePathParams, _bce_dprobs, _clamped_bce, backward, forward
 
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class NumericalError(RuntimeError):
     """Training produced a non-finite loss or gradient."""
 
@@ -27,9 +33,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     negative_sample_rate: float = 0.25
     optimizer: Optimizer = Optimizer.ADAM
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     resample_each_epoch: bool = True
     seed: int = 0
 
@@ -46,6 +49,17 @@ class TrainConfig:
 class TrainReport:
     loss_history: list[float]
     sampled_negative_counts: list[int]
+
+
+def adam_step(w: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float) -> None:
+    """One Adam update of w in place; m and v are its running moments, step counts from 1."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sample_negatives(pool: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -105,11 +119,7 @@ def train(
         if config.optimizer is Optimizer.SGD:
             vec = vec - config.learning_rate * gvec
         else:
-            adam_m = config.adam_beta1 * adam_m + (1.0 - config.adam_beta1) * gvec
-            adam_v = config.adam_beta2 * adam_v + (1.0 - config.adam_beta2) * gvec**2
-            m_hat = adam_m / (1.0 - config.adam_beta1 ** (epoch + 1))
-            v_hat = adam_v / (1.0 - config.adam_beta2 ** (epoch + 1))
-            vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            adam_step(vec, gvec, adam_m, adam_v, epoch + 1, config.learning_rate)
         params = params.from_vector(vec)
 
         loss_history.append(epoch_loss)

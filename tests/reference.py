@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fraudring.features import FeatureFormatError
+
 
 def as_lists(a):
     """Convert an array (or nested sequence) to nested python lists of floats."""
@@ -438,6 +440,138 @@ def line_by_line_events(path, id_names):
                 column.append(value)
             timestamps.append(ts)
     return columns, timestamps
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().split("\n")
+    if raw[-1] == "":
+        raw.pop()
+    return raw
+
+
+def _reference_account_rows(graph):
+    return {ext: r for r, ext in enumerate(ext for ext, a in zip(graph.ids, graph.is_account) if a)}
+
+
+def _reference_missing_rows(path, row_of, seen):
+    missing = [ext for ext, ok in zip(row_of, seen) if not ok]
+    return FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")
+
+
+def line_by_line_features(path, graph):
+    """A features TSV read one line at a time: (features, high_risk) over the graph's accounts.
+
+    Raises FeatureFormatError naming path:line. Whitespace-only lines are
+    skipped but counted; a line fails on its field count, then an unknown
+    account id, the tag, a non-numeric value, a non-finite value and an
+    account an earlier line has. With no bad line, a missing account fails.
+    """
+    row_of = _reference_account_rows(graph)
+    raw = _lines(path)
+    if not raw:
+        raise FeatureFormatError(f"{path}:1: empty features file")
+    header = raw[0].split("\t")
+    if len(header) < 3 or header[0] != "account_id" or header[1] != "tag":
+        raise FeatureFormatError(f"{path}:1: bad header {raw[0]!r}")
+    p = len(header) - 2
+
+    features = np.zeros((len(row_of), p))
+    high_risk = np.zeros(len(row_of), dtype=bool)
+    seen = np.zeros(len(row_of), dtype=bool)
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != p + 2:
+            raise FeatureFormatError(f"{path}:{lineno}: expected {p + 2} fields, got {len(parts)}")
+        ext_id = parts[0]
+        if ext_id not in row_of:
+            raise FeatureFormatError(f"{path}:{lineno}: unknown account id {ext_id!r}")
+        if parts[1] not in ("HIGH_RISK", "NO_OBSERVABLE_RISK"):
+            raise FeatureFormatError(f"{path}:{lineno}: unknown tag {parts[1]!r}")
+        try:
+            values = [float(v) for v in parts[2:]]
+        except ValueError:
+            raise FeatureFormatError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, values)):
+            raise FeatureFormatError(f"{path}:{lineno}: non-finite feature value")
+        r = row_of[ext_id]
+        if seen[r]:
+            raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {ext_id!r}")
+        seen[r] = True
+        features[r] = values
+        high_risk[r] = parts[1] == "HIGH_RISK"
+    if not seen.all():
+        raise _reference_missing_rows(path, row_of, seen)
+    return features, high_risk
+
+
+def line_by_line_ground_truth(path, graph):
+    """A ground-truth TSV read one line at a time: the fraud column over the graph's accounts.
+
+    Raises FeatureFormatError naming path:line. Whitespace-only lines are
+    skipped but counted; a line fails on its field count, then an unknown
+    account id, an is_fraud other than 0 or 1 and an account an earlier line
+    has. With no bad line, a missing account fails.
+    """
+    row_of = _reference_account_rows(graph)
+    truth = np.zeros(len(row_of), dtype=bool)
+    seen = np.zeros(len(row_of), dtype=bool)
+    raw = _lines(path)
+    if not raw or raw[0] != "account_id\tis_fraud":
+        raise FeatureFormatError(f"{path}:1: bad ground-truth header")
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FeatureFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        if parts[0] not in row_of:
+            raise FeatureFormatError(f"{path}:{lineno}: unknown account id {parts[0]!r}")
+        if parts[1] not in ("0", "1"):
+            raise FeatureFormatError(f"{path}:{lineno}: is_fraud must be 0 or 1, got {parts[1]!r}")
+        r = row_of[parts[0]]
+        if seen[r]:
+            raise FeatureFormatError(f"{path}:{lineno}: duplicate row for account {parts[0]!r}")
+        seen[r] = True
+        truth[r] = parts[1] == "1"
+    if not seen.all():
+        raise _reference_missing_rows(path, row_of, seen)
+    return truth
+
+
+def line_by_line_embeddings(path, g):
+    """An embeddings TSV read one line at a time: the (num_nodes, d) vectors.
+
+    Raises ValueError naming path:line. Whitespace-only lines are skipped but
+    counted; the k-th other line fails on an id that is not node k's, then a
+    non-numeric value, a non-finite value and a width other than the first
+    row's. With no bad line, too few rows fail.
+    """
+    rows = []
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        k = len(rows)
+        if k == g.num_nodes or parts[0] != g.ids[k]:
+            if parts[0] not in g.ids:
+                raise ValueError(f"{path}:{lineno}: unknown node id {parts[0]!r}")
+            expected = f"node {k} is {g.ids[k]!r}" if k < g.num_nodes else f"the graph has {k} nodes"
+            raise ValueError(f"{path}:{lineno}: row for node id {parts[0]!r} out of place; {expected}")
+        try:
+            vec = [float(v) for v in parts[1:]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{path}:{lineno}: non-finite embedding value")
+        if rows and len(vec) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: inconsistent embedding width")
+        rows.append(vec)
+    if not rows or len(rows) < g.num_nodes:
+        raise ValueError(f"{path}: embeddings missing for some graph nodes")
+    return np.array(rows, dtype=np.float64)
 
 
 def full_forward(params, g, features):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fraudring.baselines.node2vec import Embeddings, load_embeddings, save_embed
 from fraudring.graph import (
     ClaimEvent,
     ClaimLog,
+    DeviceSharingGraph,
     LoginEvent,
     LoginLog,
     WindowConfig,
@@ -27,6 +30,7 @@ from fraudring.graph import (
     save_claim_events,
     save_graph,
 )
+from reference import line_by_line_embeddings, line_by_line_features, line_by_line_ground_truth
 from util import make_graph, random_bipartite, make_dataset
 
 
@@ -243,6 +247,154 @@ class TestGroundTruthFiles:
         path.write_text("account_id\tis_fraud\na1\t1\n", encoding="utf-8")
         with pytest.raises(FeatureFormatError, match=r"gt\.tsv: no row for 1 graph account\(s\), e\.g\. \['a0'\]"):
             load_ground_truth(path, star_graph(2))
+
+
+class TestLoadersMatchLineByLine:
+    """Random files, every defect kind among them, read by the columnar loaders and the line-by-line references."""
+
+    VALUES = ["0", "1.5", "-2e-3", "1_0", " 7", "-0", "+3", "1e300"]
+    BAD_VALUES = ["nan", "inf", "-inf", "NaN", "1e999", "x", "", "0x1", "1__0", "1,5"]
+    BLANKS = ["", " ", "\t", " \t "]
+
+    @staticmethod
+    def pick(rng, options):
+        return options[rng.integers(len(options))]
+
+    def random_graph(self, rng):
+        """Up to 4 accounts and 3 devices in random node order; a device may share an account's id."""
+        accounts = list(rng.permutation(["a0", "a1", "a2", "x", "\u00e9"])[: rng.integers(0, 5)])
+        devices = list(rng.permutation(["d0", "d1", "x", "a0"])[: rng.integers(0, 4)])
+        kinds = rng.permutation([True] * len(accounts) + [False] * len(devices))
+        pools = {True: iter(accounts), False: iter(devices)}
+        return DeviceSharingGraph([next(pools[bool(k)]) for k in kinds], kinds, [])
+
+    def mutate_fields(self, rng, rows, replacements):
+        """Up to 3 field defects, often two on one row: a field dropped or added, or a field replaced."""
+        for _ in range(rng.integers(0, 4)):
+            if not rows:
+                return
+            row = rows[rng.integers(len(rows))]
+            if rng.random() < 0.2:
+                if row and rng.random() < 0.5:
+                    row.pop(rng.integers(len(row)))
+                else:
+                    row.insert(rng.integers(len(row) + 1), self.pick(rng, self.VALUES))
+            elif row:
+                col = rng.integers(len(row))
+                row[col] = self.pick(rng, replacements[min(col, len(replacements) - 1)])
+
+    def write(self, rng, path, header, rows, extra_ids):
+        """Rows joined as lines, then rows repeated, dropped, added with extra_ids, and blank lines put in."""
+        lines = ["\t".join(row) for row in rows]
+        for _ in range(rng.integers(0, 3)):
+            kind = rng.integers(4)
+            if kind == 0 and lines:
+                lines.insert(rng.integers(len(lines) + 1), self.pick(rng, lines))
+            elif kind == 1 and lines:
+                lines.pop(rng.integers(len(lines)))
+            elif kind == 2:
+                extra = [self.pick(rng, extra_ids)] + (lines[0].split("\t")[1:] if lines else [])
+                lines.insert(rng.integers(len(lines) + 1), "\t".join(extra))
+            elif kind == 3 and len(lines) > 1:
+                i, j = rng.choice(len(lines), size=2, replace=False)
+                lines[i], lines[j] = lines[j], lines[i]
+        for _ in range(rng.integers(0, 3)):
+            lines.insert(rng.integers(len(lines) + 1), self.pick(rng, self.BLANKS))
+        if header is not None:
+            lines.insert(0, header)
+        end = self.pick(rng, ["\n", "\r\n"])
+        text = end.join(lines) + (end if lines and rng.random() < 0.8 else "")
+        path.write_text(text, encoding="utf-8", newline="")
+
+    @staticmethod
+    def outcome(load, *args):
+        """(None, what load returns), or the type and message of the ValueError it raises and None."""
+        try:
+            return None, load(*args)
+        except ValueError as e:
+            return (type(e), str(e)), None
+
+    @staticmethod
+    def same_arrays(got, want):
+        return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def check(self, make_file, load, reference, kinds, seed):
+        rng = np.random.default_rng(seed)
+        seen = Counter()
+        for trial in range(600):
+            g = self.random_graph(rng)
+            path = make_file(rng, g, trial)
+            want_error, want = self.outcome(reference, path, g)
+            got_error, got = self.outcome(load, path, g)
+            assert got_error == want_error, trial
+            if want_error:
+                seen.update(kind for kind in kinds if kind in want_error[1])
+            else:
+                seen["loaded"] += 1
+                yield got, want, g
+        assert all(seen[kind] >= 5 for kind in kinds + ["loaded"]), seen
+
+    def features_file(self, tmp_path):
+        def make(rng, g, trial):
+            p = int(rng.integers(1, 4))
+            header = "\t".join(["account_id", "tag"] + [f"f{j}" for j in range(p)])
+            if rng.random() < 0.05:
+                header = self.pick(rng, ["account_id\ttag", "id\ttag\tf0", "", " "])
+            tags = ["HIGH_RISK", "NO_OBSERVABLE_RISK"]
+            accounts = [ext for ext, account in zip(g.ids, g.is_account) if account]
+            rows = [[ext, self.pick(rng, tags)] + [self.pick(rng, self.VALUES) for _ in range(p)]
+                    for ext in rng.permutation(accounts).tolist()]
+            ids = ["ghost", " a0", "", "d0", "a0"]
+            self.mutate_fields(rng, rows, [ids, ["MEDIUM", "", "high_risk", " HIGH_RISK"] + tags,
+                                           self.BAD_VALUES + self.VALUES])
+            path = tmp_path / f"features{trial}.tsv"
+            self.write(rng, path, header, rows, ids)
+            if rng.random() < 0.03:
+                path.write_text(self.pick(rng, ["", "\n"]), encoding="utf-8")
+            return path
+        return make
+
+    def test_features(self, tmp_path):
+        kinds = ["expected", "unknown account id", "unknown tag", "non-numeric", "non-finite",
+                 "duplicate row for account", "no row for", "bad header", "empty features file"]
+        checks = self.check(self.features_file(tmp_path), load_features, line_by_line_features, kinds, 27)
+        for got, (features, high_risk), g in checks:
+            assert got.graph is g
+            assert self.same_arrays(got.features, features)
+            assert self.same_arrays(got.high_risk, high_risk)
+            assert not got.is_test.any() and got.is_test.shape == high_risk.shape
+
+    def test_ground_truth(self, tmp_path):
+        def make(rng, g, trial):
+            header = "account_id\tis_fraud" if rng.random() < 0.95 else self.pick(rng, ["account_id", " "])
+            accounts = [ext for ext, account in zip(g.ids, g.is_account) if account]
+            rows = [[ext, self.pick(rng, ["0", "1"])] for ext in rng.permutation(accounts).tolist()]
+            ids = ["ghost", " a0", "", "d0", "a0"]
+            self.mutate_fields(rng, rows, [ids, ["2", "", " 1", "true", "01", "0", "1"]])
+            path = tmp_path / f"truth{trial}.tsv"
+            self.write(rng, path, header, rows, ids)
+            return path
+
+        kinds = ["expected 2 fields", "unknown account id", "is_fraud must be 0 or 1",
+                 "duplicate row for account", "no row for", "bad ground-truth header"]
+        for got, want, _ in self.check(make, load_ground_truth, line_by_line_ground_truth, kinds, 28):
+            assert self.same_arrays(got, want)
+
+    def test_embeddings(self, tmp_path):
+        def make(rng, g, trial):
+            d = int(rng.integers(0, 4))
+            rows = [[ext] + [self.pick(rng, self.VALUES) for _ in range(d)] for ext in g.ids]
+            ids = ["ghost", " a0", ""] + g.ids
+            self.mutate_fields(rng, rows, [ids, self.BAD_VALUES + self.VALUES])
+            path = tmp_path / f"embeddings{trial}.tsv"
+            self.write(rng, path, None, rows, ids)
+            return path
+
+        kinds = ["unknown node id", "out of place; node", "out of place; the graph has", "non-numeric",
+                 "non-finite", "inconsistent embedding width", "embeddings missing"]
+        for got, want, _ in self.check(make, load_embeddings, line_by_line_embeddings, kinds, 29):
+            assert self.same_arrays(got.vectors, want)
+            assert got.epoch_losses == []
 
 
 class TestLineBreaksInIds:

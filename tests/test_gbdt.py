@@ -293,6 +293,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="out of range"):
             load_gbdt(str(path))
 
+    def test_non_integer_node_count_names_line(self, tmp_path):
+        path = tmp_path / "count.model"
+        path.write_text(
+            "gbdt-model v1\nbase_score 0\nlearning_rate 0.1\nn_features 2\nn_trees 1\n"
+            "tree 0 x\nleaf 0.5\nend\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelFormatError, match=r"count\.model:6: bad node count 'x' for tree 0$"):
+            load_gbdt(str(path))
+
     def test_node_count_mismatch(self, tmp_path):
         path = tmp_path / "count.model"
         path.write_text(

@@ -466,6 +466,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="non-numeric value in tensor w_in"):
             load_params(path)
 
+    def test_non_integer_shape_names_line(self, tmp_path):
+        params = init_params(3, hidden_dim=2, n_layers=1, seed=12)
+        path = tmp_path / "model.ckpt"
+        save_params(params, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[2] == "tensor w_in 2 3"
+        lines[2] = "tensor w_in 2 x"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match=r"model\.ckpt:3: bad shape \['2', 'x'\] for tensor w_in$"):
+            load_params(path)
+
     def test_missing_end_rejected(self, tmp_path):
         params = init_params(2, hidden_dim=2, n_layers=1, seed=11)
         path = tmp_path / "model.ckpt"

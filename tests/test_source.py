@@ -1,4 +1,8 @@
-"""Static checks over the package source: no module-level import, private definition or public method goes unused."""
+"""Static checks over the package source.
+
+No module-level import, private definition or public method goes unused, and
+no code splits text with str.splitlines.
+"""
 import ast
 import pathlib
 from collections import Counter
@@ -198,3 +202,30 @@ def test_no_unreferenced_public_methods():
         str(p): p.read_text(encoding="utf-8") for d in READERS for p in sorted((ROOT / d).rglob("*.py"))
     }
     assert unreferenced_public_methods(sources, reading) == []
+
+
+def splitlines_uses(source: str) -> list[str]:
+    """Lines that name a splitlines method: it splits at U+2028 and other breaks the savers leave inside ids."""
+    return [
+        f"line {n.lineno}"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == "splitlines"
+    ]
+
+
+def test_splitlines_checker_flags_only_the_method():
+    source = (
+        "def f(text, fh, rows):\n"
+        "    a = text.splitlines()\n"
+        "    b = fh.read().splitlines(True)\n"
+        "    c = list(map(str.splitlines, rows))\n"
+        "    d = text.split('\\n')\n"
+        "    splitlines = 'x.splitlines()'\n"
+        "    return a, b, c, d, splitlines\n"
+    )
+    assert splitlines_uses(source) == ["line 2", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_splitlines_in_source(path):
+    assert splitlines_uses(path.read_text(encoding="utf-8")) == []
