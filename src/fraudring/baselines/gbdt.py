@@ -41,8 +41,8 @@ class GBDTConfig:
         for name, rate in (("row_sample_rate", self.row_sample_rate), ("feature_sample_rate", self.feature_sample_rate)):
             if not (0.0 < rate <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
 

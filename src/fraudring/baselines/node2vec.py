@@ -6,8 +6,9 @@ downstream classifier, concatenated in front of the account features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,8 +41,11 @@ class Node2vecConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("return_param", "inout_param", "step_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("return_param", "inout_param"):
+            if 1 / getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must have a finite reciprocal")
 
 
 def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,61 +66,43 @@ def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def _edge_transition_weights(
-    prev: int, prev_neighbors: np.ndarray, cur_neighbors: np.ndarray, p: float, q: float
-) -> np.ndarray:
-    """Unnormalized weights over cur's neighbors for a walk arriving from prev.
-
-    Returning to prev weighs 1/p, moving to a node adjacent to prev weighs 1,
-    anything else 1/q. prev_neighbors must be sorted.
-    """
-    w = np.full(len(cur_neighbors), 1.0 / q)
-    if len(prev_neighbors):
-        pos = np.minimum(
-            np.searchsorted(prev_neighbors, cur_neighbors), len(prev_neighbors) - 1
-        )
-        w[prev_neighbors[pos] == cur_neighbors] = 1.0
-    w[cur_neighbors == prev] = 1.0 / p
-    return w
-
-
 class _BiasedSampler:
-    """Per-directed-edge alias tables for the (p, q) second-order transition."""
+    """Alias tables for the (p, q) second-order transition, one per (degree, return slot).
+
+    The graph is bipartite, so no neighbor of cur is adjacent to prev: the
+    weights over cur's sorted neighbors are 1/q, except 1/p at prev's slot.
+    Degree d's tables fill d * d entries from start[d], slot-major.
+    """
 
     def __init__(self, g: DeviceSharingGraph, p: float, q: float):
         offsets, targets = g.csr()
         n = g.num_nodes
         deg = np.diff(offsets)
-        n_directed = len(targets)
-        src_of = np.repeat(np.arange(n), deg)
         # keys sorted ascending because CSR iterates src blocks in order with sorted targets
-        self._keys = src_of * n + targets
+        self._keys = g._sources() * n + targets
         self._n = n
         self._offsets = offsets
         self._targets = targets
         self._deg = deg
 
-        table_sizes = deg[targets]
-        self._table_ptr = np.zeros(n_directed + 1, dtype=np.int64)
-        np.cumsum(table_sizes, out=self._table_ptr[1:])
-        self._prob = np.empty(int(table_sizes.sum()))
-        self._alias = np.empty(int(table_sizes.sum()), dtype=np.int64)
-        for eid in range(n_directed):
-            prev = int(src_of[eid])
-            cur = int(targets[eid])
-            cur_nbrs = targets[offsets[cur] : offsets[cur + 1]]
-            prev_nbrs = targets[offsets[prev] : offsets[prev + 1]]
-            w = _edge_transition_weights(prev, prev_nbrs, cur_nbrs, p, q)
-            prob, alias = _alias_build(w)
-            lo, hi = self._table_ptr[eid], self._table_ptr[eid + 1]
-            self._prob[lo:hi] = prob
-            self._alias[lo:hi] = alias
+        degrees = np.unique(deg[deg > 0])
+        sizes = degrees**2
+        self._start = np.zeros(deg.max() + 1, dtype=np.int64)
+        self._start[degrees] = np.cumsum(sizes) - sizes
+        self._prob = np.empty(int(sizes.sum()))
+        self._alias = np.empty(int(sizes.sum()), dtype=np.int64)
+        for d, lo in zip(degrees.tolist(), self._start[degrees].tolist()):
+            for slot in range(d):
+                w = np.full(d, 1.0 / q)
+                w[slot] = 1.0 / p
+                table = slice(lo + slot * d, lo + slot * d + d)
+                self._prob[table], self._alias[table] = _alias_build(w)
 
     def step(self, prev: np.ndarray, cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        eid = np.searchsorted(self._keys, prev * self._n + cur)
+        slot = np.searchsorted(self._keys, cur * self._n + prev) - self._offsets[cur]
         d = self._deg[cur]
         k = np.minimum((rng.random(len(cur)) * d).astype(np.int64), d - 1)
-        flat = self._table_ptr[eid] + k
+        flat = self._start[d] + slot * d + k
         take = rng.random(len(cur)) < self._prob[flat]
         choice = np.where(take, k, self._alias[flat])
         return self._targets[self._offsets[cur] + choice]
@@ -158,7 +144,8 @@ def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int
             paths[active, step] = nxt
             prev, cur = cur, nxt
 
-    return [[int(v) for v in row[row >= 0]] for row in paths]
+    # a walk either fills its row or, from an isolated node, stops at its start
+    return [row if row[-1] >= 0 else row[:1] for row in paths.tolist()]
 
 
 @dataclass
@@ -173,11 +160,22 @@ class Embeddings:
         return int(self.vectors.shape[1])
 
 
-def _walk_pairs(walks: Sequence[Sequence[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
-    longest = max(len(walk) for walk in walks)
-    padded = np.full((len(walks), longest), -1, dtype=np.int64)
-    for i, walk in enumerate(walks):
-        padded[i, : len(walk)] = walk
+def _padded(walks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The walks as rows of one array, -1 past each walk's end."""
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    filled = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.full(filled.shape, -1, dtype=np.int64)
+    padded[filled] = np.fromiter(chain.from_iterable(walks), np.int64, lengths.sum())
+    return padded
+
+
+def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) of every window pair, both ways round; padded as _padded builds it.
+
+    Walks of one length need no padding, so a list of them will do.
+    """
+    padded = np.asarray(padded)
+    longest = padded.shape[1]
     centers: list[np.ndarray] = []
     contexts: list[np.ndarray] = []
     for off in range(1, window + 1):
@@ -220,11 +218,9 @@ def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarra
     return np.bincount(keys, weights=rows.ravel(), minlength=n_nodes * d).reshape(n_nodes, d)
 
 
-def _pair_table(
-    walks: Sequence[Sequence[int]], window: int, n_nodes: int, d: int
-) -> _PairTable | None:
-    """Count the window pairs once; None when the walks hold no pair."""
-    raw_centers, raw_contexts = _walk_pairs(walks, window)
+def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairTable | None:
+    """Count the window pairs of the padded walks once; None when they hold no pair."""
+    raw_centers, raw_contexts = _walk_pairs(padded, window)
     if len(raw_centers) == 0:
         return None
     keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
@@ -286,20 +282,19 @@ def train_embeddings(
     """
     if not walks:
         raise ValueError("walks must be nonempty")
+    padded = _padded(walks)
     if n_nodes is None:
-        n_nodes = 1 + max(max(w) for w in walks if w)
+        n_nodes = 1 + int(padded.max())
     rng = np.random.default_rng(config.seed)
     d = config.dimensions
     w_center = rng.uniform(-0.5 / d, 0.5 / d, size=(n_nodes, d))
     w_context = np.zeros((n_nodes, d))
 
-    pairs = _pair_table(walks, config.window, n_nodes, d)
+    pairs = _pair_table(padded, config.window, n_nodes, d)
     if pairs is None:
         return Embeddings(w_center, [])
 
-    tokens = np.bincount(
-        np.concatenate([np.asarray(w, dtype=np.int64) for w in walks]), minlength=n_nodes
-    )
+    tokens = np.bincount(padded[padded >= 0], minlength=n_nodes)
     noise_prob, noise_alias = _alias_build(tokens**0.75)
     draws = (len(pairs.centers), config.negative_samples)
 

@@ -6,7 +6,8 @@ exceptions keep a former numpy version as an exact-arithmetic reference:
 loop_best_split (the GBDT's per-feature loop), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
-the current forward cache) and masked_sigmoid.
+the current forward cache), masked_sigmoid, and PerEdgeSampler with
+edge_transition_weights (node2vec's alias table per directed edge).
 """
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fraudring.baselines.node2vec import _alias_build
 from fraudring.features import FeatureFormatError
 
 
@@ -764,3 +766,66 @@ def masked_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def edge_transition_weights(prev, prev_neighbors, cur_neighbors, p, q):
+    """Unnormalized weights over cur's neighbors for a walk arriving from prev.
+
+    Returning to prev weighs 1/p, moving to a node adjacent to prev weighs 1,
+    anything else 1/q. prev_neighbors must be sorted.
+    """
+    w = np.full(len(cur_neighbors), 1.0 / q)
+    if len(prev_neighbors):
+        pos = np.minimum(
+            np.searchsorted(prev_neighbors, cur_neighbors), len(prev_neighbors) - 1
+        )
+        w[prev_neighbors[pos] == cur_neighbors] = 1.0
+    w[cur_neighbors == prev] = 1.0 / p
+    return w
+
+
+class PerEdgeSampler:
+    """node2vec's second-order step with one alias table per directed edge.
+
+    Drop-in for the sampler biased_walks builds: the same constructor and
+    step, and the same random draws in the same order. Directed edge eid's
+    table is prob and alias from table_ptr[eid] to table_ptr[eid + 1].
+    """
+
+    def __init__(self, g, p, q):
+        offsets, targets = g.csr()
+        n = g.num_nodes
+        deg = np.diff(offsets)
+        n_directed = len(targets)
+        src_of = np.repeat(np.arange(n), deg)
+        # keys sorted ascending because CSR iterates src blocks in order with sorted targets
+        self.keys = src_of * n + targets
+        self.n = n
+        self.offsets = offsets
+        self.targets = targets
+        self.deg = deg
+
+        table_sizes = deg[targets]
+        self.table_ptr = np.zeros(n_directed + 1, dtype=np.int64)
+        np.cumsum(table_sizes, out=self.table_ptr[1:])
+        self.prob = np.empty(int(table_sizes.sum()))
+        self.alias = np.empty(int(table_sizes.sum()), dtype=np.int64)
+        for eid in range(n_directed):
+            prev = int(src_of[eid])
+            cur = int(targets[eid])
+            cur_nbrs = targets[offsets[cur] : offsets[cur + 1]]
+            prev_nbrs = targets[offsets[prev] : offsets[prev + 1]]
+            w = edge_transition_weights(prev, prev_nbrs, cur_nbrs, p, q)
+            prob, alias = _alias_build(w)
+            lo, hi = self.table_ptr[eid], self.table_ptr[eid + 1]
+            self.prob[lo:hi] = prob
+            self.alias[lo:hi] = alias
+
+    def step(self, prev, cur, rng):
+        eid = np.searchsorted(self.keys, prev * self.n + cur)
+        d = self.deg[cur]
+        k = np.minimum((rng.random(len(cur)) * d).astype(np.int64), d - 1)
+        flat = self.table_ptr[eid] + k
+        take = rng.random(len(cur)) < self.prob[flat]
+        choice = np.where(take, k, self.alias[flat])
+        return self.targets[self.offsets[cur] + choice]

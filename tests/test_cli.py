@@ -345,6 +345,25 @@ class TestTrain:
         assert (out / "node2vec_gbdt.model").exists()
         assert (out / "embeddings.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "model, flag, value, message",
+        [
+            ("node2vec-gbdt", "--step-size", "nan", "step_size must be finite and > 0"),
+            ("node2vec-gbdt", "--return-param", "nan", "return_param must be finite and > 0"),
+            ("node2vec-gbdt", "--return-param", "1e-320", "return_param must have a finite reciprocal"),
+            ("gbdt", "--gbdt-learning-rate", "nan", "learning_rate must be finite and > 0"),
+        ],
+    )
+    def test_non_finite_hyperparameter_is_data_error(self, data_dir, tmp_path, capsys, model, flag, value, message):
+        out = tmp_path / "models"
+        code = main(
+            ["train", "--model", model, "--data", str(data_dir), "--out", str(out), flag, value]
+            + FAST_TRAIN[model]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     def test_non_finite_feature_is_data_error(self, data_dir, models_dir, tmp_path, capsys):
         bad = tmp_path / "bad-data"
         shutil.copytree(data_dir, bad)

@@ -3,12 +3,14 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from fraudring.baselines import node2vec
 from fraudring.baselines.gbdt import GBDTConfig, gbdt_fit, gbdt_predict_batch
 from fraudring.baselines.node2vec import (
     Embeddings,
     Node2vecConfig,
     _alias_build,
-    _edge_transition_weights,
+    _BiasedSampler,
+    _padded,
     _pair_table,
     _sgns_loss_grad,
     biased_walks,
@@ -19,8 +21,8 @@ from fraudring.baselines.node2vec import (
 )
 from fraudring.graph import DeviceSharingGraph
 from fraudring.train import sample_negatives
-from reference import naive_sgns_loss, window_pairs
-from util import make_dataset, make_graph
+from reference import PerEdgeSampler, edge_transition_weights, naive_sgns_loss, window_pairs
+from util import make_dataset, make_graph, random_bipartite
 
 
 def four_cycle():
@@ -143,8 +145,10 @@ class TestWalkBias:
 
 
 class TestTransitionWeights:
+    # The per-edge reference takes any graph; only it can meet the "weighs 1"
+    # class, which needs a neighbor of cur adjacent to prev (a triangle).
     def test_all_three_weight_classes(self):
-        w = _edge_transition_weights(
+        w = edge_transition_weights(
             prev=0,
             prev_neighbors=np.array([2, 7]),
             cur_neighbors=np.array([0, 2, 5]),
@@ -154,7 +158,7 @@ class TestTransitionWeights:
         assert w == pytest.approx([2.0, 1.0, 0.25])
 
     def test_no_prev_neighbors(self):
-        w = _edge_transition_weights(
+        w = edge_transition_weights(
             prev=3,
             prev_neighbors=np.array([], dtype=np.int64),
             cur_neighbors=np.array([1, 3]),
@@ -162,6 +166,78 @@ class TestTransitionWeights:
             q=2.0,
         )
         assert w == pytest.approx([0.5, 4.0])
+
+
+def random_device_graph(rng):
+    """Random account-device graph: accounts first or interleaved, maybe isolated nodes, maybe a hub device."""
+    n_accounts, n_devices = int(rng.integers(1, 16)), int(rng.integers(1, 8))
+    kinds = np.array(["A"] * n_accounts + ["D"] * n_devices)
+    if rng.random() < 0.5:
+        kinds = rng.permutation(kinds)
+    accounts, devices = np.flatnonzero(kinds == "A"), np.flatnonzero(kinds == "D")
+    density = rng.uniform(0.0, 0.6)
+    edges = {(int(a), int(d)) for a in accounts for d in devices if rng.random() < density}
+    if rng.random() < 0.3:
+        hub = int(rng.choice(devices))
+        extra = rng.integers(12, 18)
+        kinds = np.append(kinds, ["A"] * extra)
+        edges |= {(int(a), hub) for a in range(len(kinds) - extra, len(kinds))}
+    return make_graph("".join(kinds), sorted(edges))
+
+
+# dyadic and not, p < q, p > q, and p = q != 1
+PQ = [(0.25, 4.0), (4.0, 0.5), (0.3, 1.7), (1.7, 0.3), (2.0, 2.0), (0.7, 0.7), (1.0, 3.1), (0.6, 1.0)]
+
+
+class TestSamplerMatchesPerEdgeTables:
+    def test_tables_and_walks_equal_the_per_edge_sampler(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        seen = Counter()
+        for trial in range(240):
+            g = random_device_graph(rng)
+            p, q = PQ[trial % len(PQ)]
+            offsets, targets = g.csr()
+            deg = np.diff(offsets)
+            seen["isolated"] += bool((deg == 0).any())
+            seen["hub"] += bool((deg[~g.is_account] >= 12).any())
+            interleaved = bool((np.diff(g.is_account.astype(int)) > 0).any())
+            seen["interleaved"] += interleaved
+            seen["accounts first"] += not interleaved
+
+            sampler, reference = _BiasedSampler(g, p, q), PerEdgeSampler(g, p, q)
+            for eid, (prev, cur) in enumerate(zip(np.repeat(np.arange(g.num_nodes), deg).tolist(), targets.tolist())):
+                d = int(deg[cur])
+                lo = sampler._start[d] + g.neighbors(cur).tolist().index(prev) * d
+                ref = slice(reference.table_ptr[eid], reference.table_ptr[eid + 1])
+                assert sampler._prob[lo : lo + d].tobytes() == reference.prob[ref].tobytes()
+                assert sampler._alias[lo : lo + d].tobytes() == reference.alias[ref].tobytes()
+
+            cfg = Node2vecConfig(
+                walk_length=int(rng.integers(1, 9)), walks_per_node=3, return_param=p, inout_param=q, seed=trial
+            )
+            walks = biased_walks(g, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(node2vec, "_BiasedSampler", PerEdgeSampler)
+                assert walks == biased_walks(g, cfg)
+            assert all(type(v) is int for walk in walks for v in walk)
+        assert min(seen.values()) >= 20, seen
+
+    def test_one_alias_build_per_distinct_degree_and_slot(self, monkeypatch):
+        g = random_bipartite(np.random.default_rng(12), 60, 20, 0.15)
+        deg = np.diff(g.csr()[0])
+        calls = []
+        monkeypatch.setattr(node2vec, "_alias_build", lambda w: calls.append(len(w)) or _alias_build(w))
+        sampler = _BiasedSampler(g, 0.5, 3.0)
+        distinct = np.unique(deg[deg > 0])
+        assert calls == [d for d in distinct.tolist() for _ in range(d)]
+        assert len(calls) == distinct.sum() < deg.sum()
+        assert len(sampler._prob) == (distinct**2).sum()
+
+
+class TestPadded:
+    def test_rows_hold_the_walks_then_minus_one(self):
+        walks = [[3, 1, 4], [5], [], [9, 2]]
+        assert _padded(walks).tolist() == [[3, 1, 4], [5, -1, -1], [-1, -1, -1], [9, 2, -1]]
 
 
 class TestAliasTable:
@@ -236,14 +312,14 @@ class TestWeightedObjective:
 
     def tables(self, seed, n_negatives):
         rng = np.random.default_rng(seed)
-        pairs = _pair_table(self.walks, self.window, 5, 3)
+        pairs = _pair_table(_padded(self.walks), self.window, 5, 3)
         w_center = rng.normal(scale=0.7, size=(5, 3))
         w_context = rng.normal(scale=0.7, size=(5, 3))
         negatives = rng.integers(0, 5, size=(len(pairs.centers), n_negatives))
         return pairs, w_center, w_context, negatives
 
     def test_counted_pairs_cover_every_raw_pair(self):
-        pairs = _pair_table(self.walks, self.window, 5, 3)
+        pairs = _pair_table(_padded(self.walks), self.window, 5, 3)
         raw = Counter(zip(*window_pairs(self.walks, self.window)))
         total = sum(raw.values())
         got = {

@@ -9,6 +9,8 @@ package from this checkout's src/, at default settings:
     synth --seed N
     build-graph on synth's logs, pruned and with --no-prune
     train --model gnn | gbdt | node2vec-gbdt --seed N
+    train --model node2vec-gbdt --seed N with --return-param 0.25 --inout-param 4,
+        and with --return-param 0.3 --inout-param 1.7, each into its own models directory
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N
@@ -53,6 +55,11 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     for model in ("gnn", "gbdt", "node2vec-gbdt"):
         commands.append((f"train_{model}", ["train", "--model", model, "--data", data, "--out", models,
                                             "--seed", str(seed)]))
+    # biased walks: the defaults p = q = 1 never reach the second-order sampler
+    for p, q in (("0.25", "4"), ("0.3", "1.7")):
+        commands.append((f"train_node2vec-gbdt_p{p}_q{q}", [
+            "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_p{p}_q{q}",
+            "--seed", str(seed), "--return-param", p, "--inout-param", q]))
     for labels in ("tags", "ground-truth"):
         commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
                                                 "--out", f"{base}/reports_{labels}", "--labels", labels]))
