@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geniepath import sigmoid
-from ..graph import _read_lines
+from ..graph import _open_new, _read_lines
 
 L2_LAMBDA = 1.0
 
@@ -239,7 +239,7 @@ def save_gbdt(model: GBDTModel, path: str) -> None:
         lines.append(f"tree {i} {_count_nodes(tree)}")
         _write_preorder(tree, lines)
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

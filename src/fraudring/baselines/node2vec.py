@@ -15,7 +15,7 @@ import numpy as np
 
 from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph, _raise_first, _read_lines
+from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
 from ..train import adam_step, training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
@@ -320,7 +320,7 @@ def train_embeddings(
 def save_embeddings(emb: Embeddings, g: DeviceSharingGraph, path: str) -> None:
     """TSV of node external id and vector, one row per node in node order, accounts and devices alike."""
     row = "%s" + "\t%.17g" * emb.vectors.shape[1] + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.writelines(row % (ext, *values) for ext, values in zip(g.ids, emb.vectors.tolist()))
 
 

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .features import LabeledDataset
-from .graph import DeviceSharingGraph, _bfs_distances
+from .graph import DeviceSharingGraph, _bfs_distances, _open_new
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def tag_truth_mismatches(ds: LabeledDataset) -> list[int]:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("model\tthreshold\tprecision\trecall\tf1\tde\n")
         for row in report.rows:
             fh.write(
@@ -236,7 +236,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def save_pr_curves(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("model\tthreshold\tprecision\trecall\n")
         for name, curve in report.pr_curves.items():
             for threshold, prec, rec in curve:

@@ -11,7 +11,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from .graph import (
-    DeviceSharingGraph, _first_outside, _kept_nodes, _numbers, _raise_first, _read_lines, _split_rows,
+    DeviceSharingGraph, _first_outside, _kept_nodes, _numbers, _open_new, _raise_first, _read_lines, _split_rows,
     component_labels, load_graph,
 )
 
@@ -130,7 +130,7 @@ def save_features(ds: LabeledDataset, path: str) -> None:
         tag = Tag.HIGH_RISK if tagged else Tag.NO_OBSERVABLE_RISK
         values = "\t".join(f"{v:.9g}" for v in row)
         lines.append(f"{ext}\t{tag.value}\t{values}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -194,7 +194,7 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
 def save_ground_truth(ds: LabeledDataset, path: str) -> None:
     if ds.truth is None:
         raise ValueError("dataset has no ground truth to save")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("account_id\tis_fraud\n")
         for ext, flag in zip(_account_rows(ds.graph), ds.truth):
             fh.write(f"{ext}\t{1 if flag else 0}\n")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, _read_lines
+from .graph import DeviceSharingGraph, _open_new, _read_lines
 
 
 class CheckpointFormatError(ValueError):
@@ -561,7 +561,7 @@ def save_params(params: GeniePathParams, path: str) -> None:
         for row in rows:
             lines.append(" ".join(f"{v:.17g}" for v in row))
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat, starmap
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -400,7 +401,7 @@ def save_graph(g: DeviceSharingGraph, path: str) -> None:
         ["", "#edges"],
         starmap("{}\t{}".format, g.edges()),
     )
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("\n".join(rows) + "\n")
 
 
@@ -485,15 +486,22 @@ def export_dot(
     for u, v in g.edges():
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         for ev in events:
             _check_tsv_id(ev.account_external_id, "account id")
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
+
+
+def _open_new(path: str) -> TextIO:
+    """path opened for UTF-8 writing as a new file: ext4 flushes a truncated old one on close, a wait per save."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w", encoding="utf-8")
 
 
 def _read_lines(path: str) -> list[str]:
@@ -594,7 +602,7 @@ def load_claim_events(path: str) -> ClaimLog:
 
 
 def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         for ev in events:
             _check_tsv_id(ev.account_external_id, "account id")
             _check_tsv_id(ev.device_umid, "device umid")

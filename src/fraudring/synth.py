@@ -26,17 +26,8 @@ from .features import (
     save_ground_truth,
 )
 from .graph import (
-    ClaimEvent,
-    ClaimLog,
-    LoginEvent,
-    LoginLog,
-    WindowConfig,
-    _kept_nodes,
-    build_graph,
-    component_labels,
-    save_claim_events,
-    save_graph,
-    save_login_events,
+    ClaimEvent, ClaimLog, LoginEvent, LoginLog, WindowConfig, _kept_nodes, _open_new, build_graph, component_labels,
+    save_claim_events, save_graph, save_login_events,
 )
 
 MANIFEST_FILE = "synth_manifest.json"
@@ -232,6 +223,6 @@ def emit(sds: SyntheticDataset, out_dir: str) -> None:
         "seed": sds.config.seed,
         "n_prunable_accounts": sds.n_prunable_accounts,
     }
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
+    with _open_new(os.path.join(out_dir, MANIFEST_FILE)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

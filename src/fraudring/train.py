@@ -9,6 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .features import LabeledDataset
+from .graph import _open_new
 from .geniepath import GeniePathParams, _bce_dprobs, _clamped_bce, backward, forward
 
 
@@ -135,7 +136,7 @@ def score_accounts(ds: LabeledDataset, params: GeniePathParams) -> np.ndarray:
 
 
 def save_train_report(report: TrainReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_new(path) as fh:
         fh.write("epoch\tloss\tn_sampled_neg\n")
         for epoch, (ls, n) in enumerate(zip(report.loss_history, report.sampled_negative_counts)):
             fh.write(f"{epoch}\t{ls:.17g}\t{n}\n")

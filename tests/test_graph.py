@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -483,6 +485,15 @@ class TestSerialization:
         path = tmp_path / "g.tsv"
         save_graph(g, path)
         assert load_graph(path) == g
+
+    def test_save_over_an_old_graph_writes_a_new_file(self, tmp_path):
+        old, new = make_graph("AD", [(0, 1)]), make_graph("AADAD", [(0, 2), (1, 2), (3, 4)])
+        path, kept = tmp_path / "g.tsv", tmp_path / "kept.tsv"
+        save_graph(old, path)
+        os.link(path, kept)
+        save_graph(new, path)
+        assert load_graph(path) == new
+        assert load_graph(kept) == old
 
     def test_save_load_save_byte_identical(self, tmp_path):
         g = random_bipartite(np.random.default_rng(9), 500, 500, 0.004)

@@ -1,7 +1,8 @@
 """Static checks over the package source.
 
-No module-level import, private definition or public method goes unused, and
-no code splits text with str.splitlines.
+No module-level import, private definition or public method goes unused, no
+code splits text with str.splitlines, and every file the package writes is
+opened by graph._open_new.
 """
 import ast
 import pathlib
@@ -229,3 +230,40 @@ def test_splitlines_checker_flags_only_the_method():
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
 def test_no_splitlines_in_source(path):
     assert splitlines_uses(path.read_text(encoding="utf-8")) == []
+
+
+def writing_opens(source: str) -> list[str]:
+    """Lines that call open with a mode that writes, outside _open_new: an output must be a new file."""
+    tree = ast.parse(source)
+    exempt = {
+        id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_open_new" for n in ast.walk(f)
+    }
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open") or id(n) in exempt:
+            continue
+        modes = n.args[1:2] + [k.value for k in n.keywords if k.arg == "mode"]
+        if any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes):
+            found.append(f"line {n.lineno}")
+    return found
+
+
+def test_writing_open_checker_flags_only_writes_outside_open_new():
+    source = (
+        "def _open_new(path):\n"
+        "    return open(path, 'w')\n"
+        "def f(path, mode):\n"
+        "    a = open(path)\n"
+        "    b = open(path, 'rb')\n"
+        "    c = open(path, encoding='utf-8')\n"
+        "    d = open(path, 'w', encoding='utf-8')\n"
+        "    e = open(path, mode='a')\n"
+        "    g = open(path, mode)\n"
+        "    return a, b, c, d, e, g\n"
+    )
+    assert writing_opens(source) == ["line 7", "line 8", "line 9"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_package_writes_only_new_files(path):
+    assert writing_opens(path.read_text(encoding="utf-8")) == []
