@@ -53,7 +53,11 @@ def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(weights)
     prob = np.ones(n)
     alias = np.arange(n)
-    scaled = weights * (n / weights.sum())
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"walk weights sum to {total}; raise return_param or inout_param")
+    scaled = weights * (n / total)
     small = [i for i in range(n) if scaled[i] < 1.0]
     large = [i for i in range(n) if scaled[i] >= 1.0]
     while small and large:
@@ -246,25 +250,28 @@ def _sgns_loss_grad(
     pairs of its center.
     """
     n, d = w_center.shape
-    u_pair = w_center[pairs.center]
-    v_pair = w_context[pairs.context]
+    u_pair = np.take(w_center, pairs.center, axis=0)
+    v_pair = np.take(w_context, pairs.context, axis=0)
     s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
-    u = w_center[pairs.centers]
-    v_neg = w_context[negatives]
+    u = np.take(w_center, pairs.centers, axis=0)
+    v_neg = np.take(w_context, negatives, axis=0)
     s_neg = np.einsum("cd,ckd->ck", u, v_neg)
+    # one exp(-|s|) per score array serves softplus(x) = max(x, 0) + log1p(exp(-|x|)) and the sigmoid
+    e_pos = np.exp(-np.abs(s_pos))
+    e_neg = np.exp(-np.abs(s_neg))
     loss = float(
-        pairs.weight @ np.logaddexp(0.0, -s_pos)
-        + pairs.center_weight @ np.logaddexp(0.0, s_neg).sum(axis=1)
+        pairs.weight @ (np.maximum(-s_pos, 0.0) + np.log1p(e_pos))
+        + pairs.center_weight @ (np.maximum(s_neg, 0.0) + np.log1p(e_neg)).sum(axis=1)
     )
-    g_pos = (pairs.weight * (sigmoid(s_pos) - 1.0))[:, None]
-    g_neg = pairs.center_weight[:, None] * sigmoid(s_neg)
+    g_pos = (pairs.weight * (sigmoid(s_pos, e_pos) - 1.0))[:, None]
+    g_neg = pairs.center_weight[:, None] * sigmoid(s_neg, e_neg)
     # the gathered rows are not needed after this, so scale them in place
     d_center = _scatter_rows(pairs.center_keys, np.multiply(v_pair, g_pos, out=v_pair), n)
     d_center[pairs.centers] += np.einsum("ck,ckd->cd", g_neg, v_neg)
     d_context = _scatter_rows(pairs.context_keys, np.multiply(u_pair, g_pos, out=u_pair), n)
-    d_context += _scatter_rows(
-        _flat_keys(negatives.ravel(), d), (g_neg[..., None] * u[:, None, :]).reshape(-1, d), n
-    )
+    # the negatives one dimension at a time, each bin summed in (center, draw) order
+    for j in range(d):
+        d_context[:, j] += np.bincount(negatives.ravel(), (g_neg * u[:, j, None]).ravel(), minlength=n)
     return loss, d_center, d_context
 
 

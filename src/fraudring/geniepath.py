@@ -26,9 +26,12 @@ class CheckpointFormatError(ValueError):
     """Malformed model checkpoint file."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function with no overflow at either end; e is exp(-|x|) when the caller has it."""
+    e = np.exp(-np.abs(x)) if e is None else e
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 @dataclass

@@ -54,13 +54,20 @@ class TrainReport:
 
 def adam_step(w: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float) -> None:
     """One Adam update of w in place; m and v are its running moments, step counts from 1."""
+    # w -= lr * m_hat / (sqrt(v_hat) + eps) in two buffers, each operation as written there
+    buf = (1.0 - ADAM_BETA1) * grad
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += buf
+    np.square(grad, out=buf)
+    buf *= 1.0 - ADAM_BETA2
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad**2
-    m_hat = m / (1.0 - ADAM_BETA1**step)
-    v_hat = v / (1.0 - ADAM_BETA2**step)
-    w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += buf
+    denom = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**step, out=buf), out=buf)
+    denom += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1**step)
+    update *= lr
+    update /= denom
+    w -= update
 
 
 def sample_negatives(pool: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -6,8 +6,11 @@ exceptions keep a former numpy version as an exact-arithmetic reference:
 loop_best_split (the GBDT's per-feature loop), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
-the current forward cache), masked_sigmoid, and PerEdgeSampler with
-edge_transition_weights (node2vec's alias table per directed edge).
+the current forward cache), masked_sigmoid, PerEdgeSampler with
+edge_transition_weights (node2vec's alias table per directed edge),
+flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with one
+flat bincount) and allocating_adam_step (the Adam update with a fresh array
+per operation).
 """
 import math
 from fractions import Fraction
@@ -829,3 +832,45 @@ class PerEdgeSampler:
         take = rng.random(len(cur)) < self.prob[flat]
         choice = np.where(take, k, self.alias[flat])
         return self.targets[self.offsets[cur] + choice]
+
+
+def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):
+    """The skip-gram loss and gradients as _sgns_loss_grad computed them with one bincount per scatter.
+
+    Rows are scattered over flat node * d + dim keys, the negatives' (center,
+    draw, dim) products included, and the loss uses np.logaddexp.
+    """
+    n, d = w_center.shape
+
+    def scatter(index, rows):
+        keys = (index[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(keys, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+    u_pair = w_center[pairs.center]
+    v_pair = w_context[pairs.context]
+    s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
+    u = w_center[pairs.centers]
+    v_neg = w_context[negatives]
+    s_neg = np.einsum("cd,ckd->ck", u, v_neg)
+    loss = float(
+        pairs.weight @ np.logaddexp(0.0, -s_pos)
+        + pairs.center_weight @ np.logaddexp(0.0, s_neg).sum(axis=1)
+    )
+    g_pos = (pairs.weight * (masked_sigmoid(s_pos) - 1.0))[:, None]
+    g_neg = pairs.center_weight[:, None] * masked_sigmoid(s_neg)
+    d_center = scatter(pairs.center, v_pair * g_pos)
+    d_center[pairs.centers] += np.einsum("ck,ckd->cd", g_neg, v_neg)
+    d_context = scatter(pairs.context, u_pair * g_pos)
+    d_context += scatter(negatives.ravel(), (g_neg[..., None] * u[:, None, :]).reshape(-1, d))
+    return loss, d_center, d_context
+
+
+def allocating_adam_step(w, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update of w, m and v in place, each operation into a fresh array."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad**2
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    w -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -364,6 +364,17 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    def test_overflowing_walk_weights_are_data_error(self, data_dir, tmp_path, capsys):
+        # 1/p and 1/q are finite, but a degree-3 node's weights [1e308, 5e307, 5e307] sum to inf
+        out = tmp_path / "models"
+        code = main(
+            ["train", "--model", "node2vec-gbdt", "--data", str(data_dir), "--out", str(out),
+             "--return-param", "1e-308", "--inout-param", "2e-308"] + FAST_TRAIN["node2vec-gbdt"]
+        )
+        assert code == 2
+        assert "raise return_param or inout_param" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     def test_non_finite_feature_is_data_error(self, data_dir, models_dir, tmp_path, capsys):
         bad = tmp_path / "bad-data"
         shutil.copytree(data_dir, bad)

@@ -21,7 +21,13 @@ from fraudring.baselines.node2vec import (
 )
 from fraudring.graph import DeviceSharingGraph
 from fraudring.train import sample_negatives
-from reference import PerEdgeSampler, edge_transition_weights, naive_sgns_loss, window_pairs
+from reference import (
+    PerEdgeSampler,
+    edge_transition_weights,
+    flat_key_sgns_loss_grad,
+    naive_sgns_loss,
+    window_pairs,
+)
 from util import make_dataset, make_graph, random_bipartite
 
 
@@ -362,6 +368,32 @@ class TestWeightedObjective:
             rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
             assert rel.max() <= 1e-4
             assert np.abs(analytic).max() > 1e-3
+
+
+class TestStepMatchesFlatKeyReference:
+    """_sgns_loss_grad against the one-bincount scatter it replaced, over random pair tables."""
+
+    @pytest.mark.parametrize(
+        "seed, n_nodes, d, k",
+        [(0, 12, 16, 5), (1, 9, 1, 3), (2, 7, 4, 0), (3, 7, 4, 1), (4, 50, 8, 6), (5, 20, 3, 2)],
+    )
+    def test_gradients_equal_bit_for_bit(self, seed, n_nodes, d, k):
+        rng = np.random.default_rng(seed)
+        # walks over part of the nodes only, of lengths 1 to 8
+        visited = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
+        walks = [rng.choice(visited, size=rng.integers(1, 9)).tolist() for _ in range(3 * n_nodes)]
+        pairs = _pair_table(_padded(walks), 3, n_nodes, d)
+        assert len(pairs.centers) < n_nodes
+        w_center = rng.normal(scale=2.0, size=(n_nodes, d))
+        w_context = rng.normal(scale=2.0, size=(n_nodes, d))
+        # repeated draws, and every other center drawn as its own negative
+        negatives = rng.integers(0, n_nodes, size=(len(pairs.centers), k))
+        negatives[::2, :1] = pairs.centers[::2, None]
+        loss, d_center, d_context = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+        want_loss, want_center, want_context = flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives)
+        assert d_center.tobytes() == want_center.tobytes()
+        assert d_context.tobytes() == want_context.tobytes()
+        assert loss == pytest.approx(want_loss, rel=1e-12)
 
 
 class TestEmbeddingFiles:

@@ -10,13 +10,14 @@ from fraudring.train import (
     Optimizer,
     TrainConfig,
     TrainReport,
+    adam_step,
     sample_negatives,
     save_train_report,
     score_accounts,
     train,
     training_rows,
 )
-from reference import dict_bce
+from reference import allocating_adam_step, dict_bce
 from util import make_dataset, make_graph
 
 
@@ -33,6 +34,21 @@ def tiny_dataset(seed=42, n_regular=5):
     high_risk = [True] * 3 + [False] * n_regular
     truth = [True] * 3 + [False] * n_regular
     return make_dataset(g, features, high_risk=high_risk, truth=truth)
+
+
+class TestAdamStep:
+    @pytest.mark.parametrize("seed, shape", [(0, (13, 5)), (1, (40,)), (2, (7, 1))])
+    def test_equals_allocating_update_bit_for_bit(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        want_w, want_m, want_v = w.copy(), m.copy(), v.copy()
+        for step in range(1, 40):
+            grad = rng.normal(scale=10.0 ** rng.integers(-8, 4), size=shape)
+            grad[rng.random(shape) < 0.2] = 0.0
+            adam_step(w, grad, m, v, step, 0.025)
+            allocating_adam_step(want_w, grad, want_m, want_v, step, 0.025)
+            assert (w.tobytes(), m.tobytes(), v.tobytes()) == (want_w.tobytes(), want_m.tobytes(), want_v.tobytes())
 
 
 class TestSampleNegatives:

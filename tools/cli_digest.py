@@ -11,6 +11,8 @@ package from this checkout's src/, at default settings:
     train --model gnn | gbdt | node2vec-gbdt --seed N
     train --model node2vec-gbdt --seed N with --return-param 0.25 --inout-param 4,
         and with --return-param 0.3 --inout-param 1.7, each into its own models directory
+    train --model node2vec-gbdt --seed N --dimensions 3 --negative-samples 1, into its own
+        models directory
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N
@@ -60,6 +62,10 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
         commands.append((f"train_node2vec-gbdt_p{p}_q{q}", [
             "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_p{p}_q{q}",
             "--seed", str(seed), "--return-param", p, "--inout-param", q]))
+    # a skip-gram of another width and draw count than the defaults d = 16, K = 5
+    commands.append(("train_node2vec-gbdt_d3_k1", [
+        "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_d3_k1",
+        "--seed", str(seed), "--dimensions", "3", "--negative-samples", "1"]))
     for labels in ("tags", "ground-truth"):
         commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
                                                 "--out", f"{base}/reports_{labels}", "--labels", labels]))
