@@ -16,7 +16,7 @@ import numpy as np
 from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
 from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
-from ..train import adam_step, training_rows
+from ..train import NumericalError, adam_step, training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
 # Full-batch Adam steps per skip-gram epoch.
@@ -285,7 +285,8 @@ def train_embeddings(
     all raw pairs. Every step draws negative_samples negatives per distinct
     center from the unigram^0.75 distribution of walk tokens, each weighted by
     the center's share of the pairs. epoch_losses holds the mean loss over
-    each epoch's steps.
+    each epoch's steps. A non-finite loss, gradient or table raises
+    NumericalError.
     """
     if not walks:
         raise ValueError("walks must be nonempty")
@@ -310,17 +311,21 @@ def train_embeddings(
     squares = [np.zeros_like(w) for w in params]
     step = 0
     epoch_losses: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         total = 0.0
         for _ in range(STEPS_PER_EPOCH):
             k = np.minimum((rng.random(draws) * n_nodes).astype(np.int64), n_nodes - 1)
             negatives = np.where(rng.random(draws) < noise_prob[k], k, noise_alias[k])
             loss, *grads = _sgns_loss_grad(w_center, w_context, pairs, negatives)
+            if not math.isfinite(loss) or not all(np.isfinite(grad).all() for grad in grads):
+                raise NumericalError(f"non-finite skip-gram loss or gradient at epoch {epoch}")
             total += loss
             step += 1
             for w, grad, m, v in zip(params, grads, moments, squares):
                 adam_step(w, grad, m, v, step, config.step_size)
         epoch_losses.append(total / STEPS_PER_EPOCH)
+    if not np.isfinite(w_center).all():
+        raise NumericalError("non-finite skip-gram embedding after training")
     return Embeddings(w_center, epoch_losses)
 
 

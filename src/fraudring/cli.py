@@ -173,7 +173,9 @@ def _resolve(
     """Layer values: explicit flag > --config JSON entry > built-in default.
 
     Config keys are validated against `allowed` (a superset of `defaults` for
-    commands that resolve different option groups per branch).
+    commands that resolve different option groups per branch). A config
+    value must have its default's type, except that an int may stand for a
+    float; a bool stands for nothing but a bool.
     """
     from_file: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
@@ -183,9 +185,14 @@ def _resolve(
                 from_file = json.load(fh)
             except json.JSONDecodeError as e:
                 raise UsageError(f"--config {config_path}: invalid JSON ({e})") from None
-        unknown = sorted(set(from_file) - set(allowed if allowed is not None else defaults))
+        spec = allowed if allowed is not None else defaults
+        unknown = sorted(set(from_file) - set(spec))
         if unknown:
             raise UsageError(f"--config {config_path}: unknown keys {unknown}")
+        for key, value in from_file.items():
+            expected, got = type(spec[key]), type(value)
+            if got is not expected and (expected, got) != (float, int):
+                raise UsageError(f"--config {config_path}: {key}: expected {expected.__name__}, got {got.__name__}")
 
     resolved = {}
     for dest, fallback in defaults.items():

@@ -179,35 +179,41 @@ def init_params(
     return params
 
 
-def _candidates(g: DeviceSharingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node candidate lists [self, neighbors...] flattened, with segment starts."""
+def _candidates(g: DeviceSharingGraph, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate lists [self, neighbors...] of the ascending centre nodes, flattened.
+
+    Returns (src, dst, seg_starts): candidate j is node dst[j] in the list of
+    centre row src[j], a position in centres. Each list keeps CSR order.
+    """
     offsets, targets = g.csr()
-    n = g.num_nodes
-    deg = np.diff(offsets)
-    seg_len = deg + 1
-    seg_starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(seg_len[:-1], out=seg_starts[1:])
-    total = int(seg_len.sum())
-    cand_dst = np.empty(total, dtype=np.int64)
-    cand_dst[seg_starts] = np.arange(n)
-    mask = np.ones(total, dtype=bool)
-    mask[seg_starts] = False
-    cand_dst[mask] = targets
-    cand_src = np.repeat(np.arange(n), seg_len)
-    return cand_src, cand_dst, seg_starts
+    deg = offsets[centres + 1] - offsets[centres]
+    seg_starts = np.zeros(len(centres), dtype=np.int64)
+    np.cumsum(deg[:-1] + 1, out=seg_starts[1:])
+    src = np.repeat(np.arange(len(centres)), deg + 1)
+    dst = np.empty(len(src), dtype=np.int64)
+    dst[seg_starts] = centres
+    is_neighbor = np.ones(len(src), dtype=bool)
+    is_neighbor[seg_starts] = False
+    # The m-th neighbour entry of all lists is the centre's CSR entry number
+    # m minus the neighbour entries of the lists before it.
+    before = seg_starts - np.arange(len(centres))
+    dst[is_neighbor] = targets[np.repeat(offsets[centres] - before, deg) + np.arange(len(src) - len(centres))]
+    return src, dst, seg_starts
 
 
 @dataclass
 class _LayerCache:
     """One breadth layer's candidates and the intermediates its backward pass reads.
 
-    Candidate j is node dst[j] in the list of centre row src[j]; the rows of
-    h_centres and of the layer output are the layer's centres.
+    Candidate j is input row dst[j] in the list of centre row src[j];
+    centre_rows are the centres' input rows. The rows of h_centres and of
+    the layer output are the layer's centres.
     """
 
     src: np.ndarray
     dst: np.ndarray
     seg_starts: np.ndarray
+    centre_rows: np.ndarray
     h_centres: np.ndarray
     h_dst: np.ndarray
     z: np.ndarray
@@ -231,13 +237,17 @@ class _LSTMStepCache:
 class ForwardCache:
     """What backward() reads.
 
-    h_stack holds each layer's input, then the last layer's output: every
-    node's row up to the last layer, account rows only after it.
-    account_row maps a node to its account row, or -1 for a device.
+    h_stack holds each layer's input, then the last layer's output; the
+    rows of h_stack[t] are the ascending nodes nodes[t]. Layer t's centres
+    are nodes[t + 1]: the last layer's are the accounts of the probability
+    rows, and each layer below adds its successor's centres' neighbours.
+    row_pos[t] places those accounts in nodes[t]. input_accounts are the
+    account positions in nodes[0], and features their feature rows.
     """
 
-    accounts: np.ndarray
-    account_row: np.ndarray
+    nodes: list[np.ndarray]
+    row_pos: list[np.ndarray]
+    input_accounts: np.ndarray
     features: np.ndarray
     h_stack: list[np.ndarray]
     layer_caches: list[_LayerCache]
@@ -247,15 +257,21 @@ class ForwardCache:
     probs: np.ndarray
 
 
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a's rows at the ascending rows; a itself when they are all of its rows."""
+    return a if len(rows) == len(a) else np.take(a, rows, axis=0)
+
+
 def _breadth_forward(
     layer: BreadthLayerParams,
     h: np.ndarray,
-    h_centres: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
     seg_starts: np.ndarray,
+    centre_rows: np.ndarray,
 ) -> tuple[np.ndarray, _LayerCache]:
-    """The layer's output at the centre rows of the candidate lists (src, dst, seg_starts)."""
+    """The layer's output at its centres, given its input rows h and candidate lists (src, dst, seg_starts)."""
+    h_centres = _take_rows(h, centre_rows)
     src_term = h_centres @ layer.w_src.T
     dst_term = h @ layer.w_dst.T
     h_dst = np.take(h, dst, axis=0)
@@ -267,7 +283,7 @@ def _breadth_forward(
     alpha = shifted / denom[src]
     agg = np.add.reduceat(alpha[:, None] * h_dst, seg_starts, axis=0)
     h_next = np.tanh(agg @ layer.w_agg.T)
-    return h_next, _LayerCache(src, dst, seg_starts, h_centres, h_dst, z, alpha, agg)
+    return h_next, _LayerCache(src, dst, seg_starts, centre_rows, h_centres, h_dst, z, alpha, agg)
 
 
 def breadth_layer(
@@ -275,7 +291,8 @@ def breadth_layer(
 ) -> np.ndarray:
     """One attention-pooling step over every node's neighborhood-plus-self."""
     h = np.asarray(h, dtype=np.float64)
-    h_next, _ = _breadth_forward(layer, h, h, *_candidates(g))
+    nodes = np.arange(g.num_nodes)
+    h_next, _ = _breadth_forward(layer, h, *_candidates(g, nodes), nodes)
     return h_next
 
 
@@ -321,13 +338,14 @@ def depth_layer(lstm: LSTMParams, sequence: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def forward(
-    params: GeniePathParams, g: DeviceSharingGraph, features: np.ndarray
+    params: GeniePathParams, g: DeviceSharingGraph, features: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Fraud probability per account node.
+    """Fraud probability of the accounts at the ascending account rows, every account by default.
 
     features rows align with g.account_indices(). Returns (probs, cache);
-    the cache feeds backward(). The LSTM reads every layer at account rows
-    only, so the last layer pools the accounts' candidate lists alone.
+    the cache feeds backward(). Each layer runs only where the next one
+    reads it: the last layer, the LSTM and the head at the rows' accounts,
+    each layer below at its successor's centres and their neighbours.
     """
     accounts = g.account_indices()
     features = np.asarray(features, dtype=np.float64)
@@ -336,31 +354,40 @@ def forward(
             f"feature matrix shape {features.shape} does not match "
             f"{len(accounts)} accounts x {params.feature_dim} model input dims"
         )
+    rows = np.arange(len(accounts)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if len(rows) and (rows[0] < 0 or rows[-1] >= len(accounts) or np.any(rows[1:] <= rows[:-1])):
+        raise ValueError(f"rows must be ascending account rows below {len(accounts)}")
 
-    account_row = np.full(g.num_nodes, -1)
-    account_row[accounts] = np.arange(len(accounts))
-    cand_src, cand_dst, seg_starts = _candidates(g)
-    # The accounts' segments, with centres renumbered to account rows.
-    keep = g.is_account[cand_src]
-    acc_src = account_row[cand_src[keep]]
-    acc_starts = (np.cumsum(keep) - 1)[seg_starts[accounts]]
+    # The centre sets, last layer first; a layer's input rows are the nodes
+    # its candidate lists name, which are the centres of the layer below.
+    nodes = [accounts[rows]]
+    row_pos = [np.arange(len(rows))]
+    candidates: list[tuple[np.ndarray, ...]] = []
+    input_row = np.empty(g.num_nodes, dtype=np.int64)
+    for _ in params.layers:
+        centres = nodes[0]
+        src, dst, seg_starts = _candidates(g, centres)
+        named = np.zeros(g.num_nodes, dtype=bool)
+        named[dst] = True
+        inputs = np.flatnonzero(named)
+        input_row[inputs] = np.arange(len(inputs))
+        candidates.insert(0, (src, input_row[dst], seg_starts, input_row[centres]))
+        nodes.insert(0, inputs)
+        row_pos.insert(0, input_row[nodes[-1]])
 
-    x0 = np.tanh(features @ params.w_in.T)
-    h0 = np.zeros((g.num_nodes, params.hidden_dim))
-    h0[accounts] = x0
+    input_accounts = np.flatnonzero(g.is_account[nodes[0]])
+    account_row = np.cumsum(g.is_account) - 1
+    input_features = features[account_row[nodes[0][input_accounts]]]
+    h0 = np.zeros((len(nodes[0]), params.hidden_dim))
+    h0[input_accounts] = np.tanh(input_features @ params.w_in.T)
 
     h_stack = [h0]
-    xs = [x0]
+    xs = [_take_rows(h0, row_pos[0])]
     layer_caches: list[_LayerCache] = []
-    for t, layer in enumerate(params.layers):
-        h = h_stack[-1]
-        if t < params.n_layers - 1:
-            h_next, cache = _breadth_forward(layer, h, h, cand_src, cand_dst, seg_starts)
-            xs.append(h_next[accounts])
-        else:
-            h_next, cache = _breadth_forward(layer, h, xs[-1], acc_src, cand_dst[keep], acc_starts)
-            xs.append(h_next)
+    for layer, layer_candidates, pos in zip(params.layers, candidates, row_pos[1:]):
+        h_next, cache = _breadth_forward(layer, h_stack[-1], *layer_candidates)
         h_stack.append(h_next)
+        xs.append(_take_rows(h_next, pos))
         layer_caches.append(cache)
 
     h_final, lstm_steps = _lstm_forward(params.lstm, xs)
@@ -368,17 +395,16 @@ def forward(
     logits = h_final @ params.w_out + params.b_out[0]
     probs = sigmoid(logits)
     return probs, ForwardCache(
-        accounts, account_row, features, h_stack, layer_caches, lstm_steps, h_final, logits, probs,
+        nodes, row_pos, input_accounts, input_features, h_stack, layer_caches, lstm_steps, h_final, logits, probs,
     )
 
 
 def backward(
     params: GeniePathParams, cache: ForwardCache, dprobs: np.ndarray
 ) -> GeniePathParams:
-    """Exact gradients of a scalar loss given its gradient at the output probabilities."""
+    """Exact gradients of a scalar loss given its gradient at the probabilities forward() returned."""
     grads = params.zeros_like()
     k = params.hidden_dim
-    accounts = cache.accounts
 
     dlogits = np.asarray(dprobs, dtype=np.float64) * cache.probs * (1.0 - cache.probs)
     grads.w_out[:] = cache.h_final.T @ dlogits
@@ -410,10 +436,8 @@ def backward(
         dxs[t] = da @ params.lstm.w_x
         dh = da @ params.lstm.w_h
 
-    n, n_acc = len(cache.account_row), len(accounts)
-    last = params.n_layers - 1
     dh_out = dxs[-1]
-    for t in range(last, -1, -1):
+    for t in range(params.n_layers - 1, -1, -1):
         layer = params.layers[t]
         lc = cache.layer_caches[t]
 
@@ -431,43 +455,38 @@ def backward(
         grads.layers[t].w_src += dpre.T @ np.take(lc.h_centres, lc.src, axis=0)
         grads.layers[t].w_dst += dpre.T @ lc.h_dst
 
-        # The gradient at the layer's input, at every node's row but below
-        # layer 0: its input is zero at devices, so only account rows count.
+        # The gradient at the layer's input rows. Layer 0's input is zero at
+        # devices, so there only its account rows take one: the candidates
+        # and centres at devices drop out.
+        n_rows = len(cache.h_stack[t])
+        dst, centre_rows, row_pos = lc.dst, lc.centre_rows, cache.row_pos[t]
+        cands = sums = slice(None)
         if t == 0:
-            dst_rows = cache.account_row[lc.dst]
-            sel = dst_rows >= 0
-            dst_rows, n_rows = dst_rows[sel], n_acc
-        else:
-            sel, dst_rows, n_rows = slice(None), lc.dst, n
-        # The scatter into rows as np.bincount over flat (row, dim) keys: first
-        # every entry of an (n_rows, k) array, then every entry of a
+            n_rows = len(cache.input_accounts)
+            account = np.full(len(cache.h_stack[0]), -1)
+            account[cache.input_accounts] = np.arange(n_rows)
+            dst, centre_rows, row_pos = account[dst], account[centre_rows], account[row_pos]
+            cands, sums = dst >= 0, centre_rows >= 0
+            dst, centre_rows = dst[cands], centre_rows[sums]
+        # The scatter into rows as np.bincount over flat (row, dim) keys:
+        # first every entry of an (n_rows, k) array, then every entry of a
         # (candidates, k) array, keyed by the candidate's row. bincount adds
         # in input order, as np.add.at does, so the sums round the same way.
         # values holds the addends in the same layout, rows being its
         # candidate part.
-        keys = np.concatenate([np.arange(n_rows * k), (dst_rows[:, None] * k + np.arange(k)).ravel()])
+        keys = np.concatenate([np.arange(n_rows * k), (dst[:, None] * k + np.arange(k)).ravel()])
         values = np.empty(len(keys))
         head, rows = values[: n_rows * k].reshape(n_rows, k), values[n_rows * k :].reshape(-1, k)
         # Into each candidate's row go its attention-weighted row, then the
         # segment sums of the w_src rows at the centres, then its w_dst row.
-        # The last layer's centres are accounts, the other layers' every node.
-        np.multiply(lc.alpha[sel, None], dagg_per_cand[sel], out=rows)
+        np.multiply(lc.alpha[cands, None], dagg_per_cand[cands], out=rows)
         head[:] = np.bincount(keys[n_rows * k :], values[n_rows * k :], minlength=n_rows * k).reshape(n_rows, k)
-        seg_sums = np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
-        if t == 0 and t < last:
-            head += seg_sums[accounts]
-        elif t == last and t > 0:
-            head[accounts] += seg_sums
-        else:
-            head += seg_sums
-        np.matmul(dpre[sel], layer.w_dst, out=rows)
+        head[centre_rows] += np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)[sums]
+        np.matmul(dpre[cands], layer.w_dst, out=rows)
         dh_out = np.bincount(keys, values, minlength=n_rows * k).reshape(n_rows, k)
-        if t == 0:
-            dh_out += dxs[t]
-        else:
-            dh_out[accounts] += dxs[t]
+        dh_out[row_pos] += dxs[t]
 
-    dpre_in = dh_out * (1.0 - cache.lstm_steps[0].x ** 2)
+    dpre_in = dh_out * (1.0 - cache.h_stack[0][cache.input_accounts] ** 2)
     grads.w_in[:] = dpre_in.T @ cache.features
     return grads
 
@@ -511,10 +530,13 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central finite-difference gradients.
 
-    The finite difference of each parameter is the math.fsum of the per-row
-    cross-entropy differences, divided by 2 * eps. positives/negatives index
-    rows of the account feature matrix. The corrupt hook deliberately breaks
-    one analytic gradient block (test fixture).
+    The analytic gradient comes from the pass training runs, the forward and
+    backward over the positive and negative rows alone. The finite
+    difference of each parameter is the math.fsum of the per-row
+    cross-entropy differences of the full forward, divided by 2 * eps.
+    positives/negatives index rows of the account feature matrix. The
+    corrupt hook deliberately breaks one analytic gradient block (test
+    fixture).
     """
     n_acc = len(g.account_indices())
     pos_mask = np.zeros(n_acc, dtype=bool)
@@ -524,8 +546,9 @@ def gradient_check(
     if np.any(pos_mask & neg_mask):
         raise ValueError("positive and negative sets overlap")
 
-    probs, cache = forward(params, g, features)
-    grads = backward(params, cache, _bce_dprobs(probs, pos_mask, neg_mask))
+    rows = np.flatnonzero(pos_mask | neg_mask)
+    probs, cache = forward(params, g, features, rows)
+    grads = backward(params, cache, _bce_dprobs(probs, pos_mask[rows], neg_mask[rows]))
     if corrupt is not None:
         if corrupt != "ws":
             raise ValueError(f"unknown corruption target {corrupt!r}")

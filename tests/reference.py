@@ -715,32 +715,32 @@ def add_at_backward(params, g, features, dprobs):
 def cached_add_at_backward(params, cache, dprobs):
     """geniepath.backward with np.add.at scatters into every node's row, reading geniepath.forward's cache.
 
-    Each layer's cache holds its candidate lists (centre row src, node dst)
-    and its centre rows: every node below the last layer, the accounts in
-    it. The scatters add in the order backward's np.bincount adds, and
-    every product has backward's shapes, so the two agree bit for bit.
+    Each layer's cache holds its candidate lists (centre row src, input row
+    dst) and its centres' input rows; cache.nodes[t] names the nodes of the
+    rows of cache.h_stack[t]. The scatters add in the order backward's
+    np.bincount adds, and every product has backward's shapes, so the two
+    agree bit for bit.
     """
     grads = params.zeros_like()
     k = params.hidden_dim
-    accounts = cache.accounts
     dxs = _head_and_lstm_backward(params, cache, dprobs, grads)
 
-    n = cache.h_stack[0].shape[0]
-    last = len(params.layers) - 1
+    n = int(cache.nodes[0].max(initial=-1)) + 1
+    row_nodes = cache.nodes[-1]
     dh_node = np.zeros((n, k))
-    dh_node[accounts] = dxs[-1]
+    dh_node[row_nodes] = dxs[-1]
 
-    for t in range(last, -1, -1):
+    for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
         lc = cache.layer_caches[t]
-        centres = accounts if t == last else np.arange(n)
+        dst, centres = cache.nodes[t][lc.dst], cache.nodes[t + 1]
 
         dpre_out = dh_node[centres] * (1.0 - cache.h_stack[t + 1] ** 2)
         grads.layers[t].w_agg += dpre_out.T @ lc.agg
         dagg_per_cand = (dpre_out @ layer.w_agg)[lc.src]
         dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
         dh_prev = np.zeros((n, k))
-        np.add.at(dh_prev, lc.dst, lc.alpha[:, None] * dagg_per_cand)
+        np.add.at(dh_prev, dst, lc.alpha[:, None] * dagg_per_cand)
 
         seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
         dscores = lc.alpha * (dalpha - seg_dot[lc.src])
@@ -751,12 +751,13 @@ def cached_add_at_backward(params, cache, dprobs):
         grads.layers[t].w_src += dpre.T @ lc.h_centres[lc.src]
         grads.layers[t].w_dst += dpre.T @ lc.h_dst
         dh_prev[centres] += np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
-        np.add.at(dh_prev, lc.dst, dpre @ layer.w_dst)
+        np.add.at(dh_prev, dst, dpre @ layer.w_dst)
 
-        dh_prev[accounts] += dxs[t]
+        dh_prev[row_nodes] += dxs[t]
         dh_node = dh_prev
 
-    dpre_in = dh_node[accounts] * (1.0 - cache.lstm_steps[0].x ** 2)
+    acc = cache.input_accounts
+    dpre_in = dh_node[cache.nodes[0][acc]] * (1.0 - cache.h_stack[0][acc] ** 2)
     grads.w_in[:] = dpre_in.T @ cache.features
     return grads
 

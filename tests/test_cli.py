@@ -375,6 +375,19 @@ class TestTrain:
         assert "raise return_param or inout_param" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverging_skip_gram_is_numerical_error(self, data_dir, tmp_path, capsys):
+        # Adam steps of 1e300 overflow the embedding tables within two steps.
+        out = tmp_path / "models"
+        code = main(
+            ["train", "--model", "node2vec-gbdt", "--data", str(data_dir), "--out", str(out),
+             "--step-size", "1e300"] + FAST_TRAIN["node2vec-gbdt"]
+        )
+        assert code == 3
+        assert "numerical failure: non-finite skip-gram" in capsys.readouterr().err
+        assert not (out / "embeddings.tsv").exists()
+        assert not (out / "node2vec_gbdt.model").exists()
+
     def test_non_finite_feature_is_data_error(self, data_dir, models_dir, tmp_path, capsys):
         bad = tmp_path / "bad-data"
         shutil.copytree(data_dir, bad)
@@ -625,3 +638,30 @@ class TestConfigFile:
         ])
         assert code == 0
         assert "training gnn: 4 epochs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"epochs": True}, "epochs: expected int, got bool"),
+            ({"epochs": 2.5}, "epochs: expected int, got float"),
+            ({"hidden_dim": True}, "hidden_dim: expected int, got bool"),
+            ({"test_fraction": "0.3"}, "test_fraction: expected float, got str"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(self, data_dir, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry), encoding="utf-8")
+        out = tmp_path / "gnn"
+        code = main([
+            "train", "--model", "gnn", "--data", str(data_dir), "--out", str(out), "--config", str(cfg),
+        ] + FAST_TRAIN["gnn"])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: --config {cfg}: {message}\n"
+        assert not out.exists()
+
+    def test_config_int_stands_for_a_float(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_regular": 30, "fraud_shift": 2}), encoding="utf-8")
+        code = main(["synth", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+        assert code == 0
+        assert "accounts: 190" in capsys.readouterr().out

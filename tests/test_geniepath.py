@@ -70,18 +70,21 @@ def reorder(g: DeviceSharingGraph, order: str, rng: np.random.Generator) -> Devi
                               [(new_index[u], new_index[v]) for u, v in g.edges()])
 
 
-def assert_gradients_match(got: GeniePathParams, want: GeniePathParams) -> None:
-    """Every block bit for bit, except the four sums the last layer regroups.
+def assert_gradients_match(got: GeniePathParams, want: GeniePathParams, g: DeviceSharingGraph) -> None:
+    """Every block bit for bit, except the four sums of each layer with fewer centres than the oracle.
 
-    The last layer's w_agg, attn, w_src and w_dst gradients are products
-    summed over its centre or candidate rows. The full-graph oracle sums the
-    device-centred rows too, as exact zeros; OpenBLAS groups a sum by
-    position, so dropping those rows regroups it and may change the last
-    bits. These blocks agree within rtol 1e-10, or within 1e-14 of the
-    largest gradient entry where their terms cancel to near zero.
+    A layer's w_agg, attn, w_src and w_dst gradients are products summed
+    over its centre or candidate rows. The full-graph oracle's centres are
+    every node. The last layer's are the accounts, and the layers below it
+    leave out isolated devices, which no account reads; the oracle sums
+    their rows as exact zeros. OpenBLAS groups a sum by position, so dropping
+    those rows regroups it and may change the last bits. These blocks agree
+    within rtol 1e-10, or within 1e-14 of the largest gradient entry where
+    their terms cancel to near zero.
     """
-    last = f"layer{got.n_layers - 1}."
-    regrouped = {last + name for name in ("w_agg", "attn", "w_src", "w_dst")}
+    isolated_device = np.any((np.diff(g.csr()[0]) == 0) & ~g.is_account)
+    fewer = range(got.n_layers) if isolated_device else [got.n_layers - 1]
+    regrouped = {f"layer{t}.{name}" for t in fewer for name in ("w_agg", "attn", "w_src", "w_dst")}
     atol = 1e-14 * np.abs(want.to_vector()).max()
     for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
         if name in regrouped:
@@ -102,6 +105,113 @@ def oracle_cases(seed: int, order: str, trials: int, hidden_dim: int | None = No
         k = hidden_dim or int(rng.integers(1, 6))
         params = init_params(3, hidden_dim=k, n_layers=trial % 3 + 1, seed=trial)
         yield trial, g, params, rng.normal(size=(n_acc, 3)), rng.normal(size=n_acc)
+
+
+def receptive_field_cases(seed: int, order: str, trials: int, hidden_dim: int | None = None):
+    """(trial, g, params, features, rows, dprobs): oracle_cases with loss rows, dprobs given at the rows.
+
+    Over each nine trials every count of 1-3 layers meets every kind of
+    rows: one account, every account, or a random half of the accounts.
+    """
+    rng = np.random.default_rng([seed, 1])
+    for trial, g, params, features, dprobs in oracle_cases(seed, order, trials, hidden_dim):
+        n_acc = len(features)
+        kind = trial // 3 % 3
+        if kind == 0:
+            rows = rng.integers(n_acc, size=1)
+        elif kind == 1:
+            rows = np.arange(n_acc)
+        else:
+            rows = np.sort(rng.choice(n_acc, size=n_acc // 2, replace=False))
+        yield trial, g, params, features, rows, dprobs[rows]
+
+
+def case_traits(g: DeviceSharingGraph, rows: np.ndarray) -> set[str]:
+    """Which of the graph shapes the receptive-field tests must meet this case has."""
+    degree = np.diff(g.csr()[0])
+    traits = set()
+    if np.any((degree == 0) & g.is_account):
+        traits.add("isolated account")
+    if np.any((degree == 0) & ~g.is_account):
+        traits.add("isolated device")
+    loss = np.zeros(g.num_nodes, dtype=bool)
+    loss[g.account_indices()[rows]] = True
+    for node in np.flatnonzero(loss):
+        for device in g.neighbors(node):
+            if not loss[g.neighbors(device)].all():
+                traits.add("device shared with a non-loss account")
+    return traits
+
+
+class TestReceptiveField:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_loss_rows_equal_the_full_graph_oracle(self, order):
+        # The oracle computes every layer at every node and gets dprobs as
+        # zero outside the rows. Its sums run over more rows, exact zeros
+        # among them, so the gradients may differ in the last bits; the
+        # probabilities at the rows may not. numpy hands a one-row product to
+        # BLAS's matrix-vector kernel, which sums in another order, so one
+        # row's probability agrees within rtol 1e-12 instead.
+        met = set()
+        for trial, g, params, features, rows, dprobs in receptive_field_cases(20 + ORDERS.index(order), order, 36):
+            probs, cache = forward(params, g, features, rows)
+            want, _ = full_forward(params, g, features)
+            if len(rows) > 1:
+                assert probs.tobytes() == want[rows].tobytes(), trial
+            else:
+                np.testing.assert_allclose(probs, want[rows], rtol=1e-12, atol=0)
+            full_dprobs = np.zeros(len(want))
+            full_dprobs[rows] = dprobs
+            got, ref = backward(params, cache, dprobs), add_at_backward(params, g, features, full_dprobs)
+            atol = 1e-14 * np.abs(ref.to_vector()).max()
+            for (name, a), (_, b) in zip(got.named_arrays(), ref.named_arrays()):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=atol, err_msg=f"trial {trial} {name}")
+            # The scatters into the receptive field add as np.add.at into every node does.
+            assert got.to_vector().tobytes() == cached_add_at_backward(params, cache, dprobs).to_vector().tobytes()
+            met |= case_traits(g, rows)
+        assert met == {"isolated account", "isolated device", "device shared with a non-loss account"}
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_default_width_agrees_with_the_full_graph_oracle(self, order):
+        # As TestBackward's test of the same name: OpenBLAS's gemv may sum
+        # rows past the last multiple of four in another order.
+        for trial, g, params, features, rows, dprobs in receptive_field_cases(
+            30 + ORDERS.index(order), order, 9, hidden_dim=16
+        ):
+            probs, cache = forward(params, g, features, rows)
+            want, _ = full_forward(params, g, features)
+            np.testing.assert_allclose(probs, want[rows], rtol=1e-12, atol=0)
+            full_dprobs = np.zeros(len(want))
+            full_dprobs[rows] = dprobs
+            got, ref = backward(params, cache, dprobs), add_at_backward(params, g, features, full_dprobs)
+            np.testing.assert_allclose(
+                got.to_vector(), ref.to_vector(), rtol=1e-10, atol=1e-12 * np.abs(ref.to_vector()).max()
+            )
+
+    def test_each_layer_pools_exactly_its_centre_segments(self):
+        # a0 - d2 - a1 - d4 - a3, and a5 alone; the loss reads a0 only.
+        g = make_graph("AADADA", [(0, 2), (1, 2), (1, 4), (3, 4)])
+        _, cache = forward(init_params(3, hidden_dim=2, n_layers=3, seed=0), g, np.ones((4, 3)), np.array([0]))
+        assert [nodes.tolist() for nodes in cache.nodes] == [[0, 1, 2, 4], [0, 1, 2], [0, 2], [0]]
+        assert [pos.tolist() for pos in cache.row_pos] == [[0], [0], [0], [0]]
+        assert cache.input_accounts.tolist() == [0, 1]
+
+        for trial, g, params, features, rows, _ in receptive_field_cases(40, "interleaved", 36):
+            _, cache = forward(params, g, features, rows)
+            assert cache.nodes[-1].tolist() == g.account_indices()[rows].tolist(), trial
+            for t, lc in enumerate(cache.layer_caches):
+                lists = [[int(c)] + g.neighbors(c).tolist() for c in cache.nodes[t + 1]]
+                got = np.split(cache.nodes[t][lc.dst], lc.seg_starts[1:])
+                assert [segment.tolist() for segment in got] == lists, (trial, t)
+                assert lc.src.tolist() == [i for i, segment in enumerate(lists) for _ in segment]
+                assert cache.nodes[t][lc.centre_rows].tolist() == cache.nodes[t + 1].tolist()
+                assert cache.nodes[t].tolist() == sorted({v for segment in lists for v in segment})
+
+    def test_rows_must_be_ascending_account_rows(self):
+        g, features, params = fixture_12()
+        for rows in ([1, 0], [2, 2], [-1], [6]):
+            with pytest.raises(ValueError, match="ascending account rows"):
+                forward(params, g, features, np.array(rows))
 
 
 class TestAttention:
@@ -320,7 +430,7 @@ class TestBackward:
             probs, cache = forward(params, g, features)
             want, _ = full_forward(params, g, features)
             assert probs.tobytes() == want.tobytes(), trial
-            assert_gradients_match(backward(params, cache, dprobs), add_at_backward(params, g, features, dprobs))
+            assert_gradients_match(backward(params, cache, dprobs), add_at_backward(params, g, features, dprobs), g)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_default_width_agrees_with_the_full_graph_oracle(self, order):
@@ -343,9 +453,11 @@ class TestBackward:
         params = init_params(3, hidden_dim=2, n_layers=2, seed=0)
         _, cache = forward(params, g, np.ones((3, 3)))
         first, last = cache.layer_caches
-        assert len(first.dst) == g.num_nodes + 2 * g.edge_count
+        # The isolated device 5 feeds no account, so it is no centre.
+        assert cache.nodes[1].tolist() == [0, 1, 2, 3, 4]
+        assert len(first.dst) == 5 + 2 * g.edge_count
         # Account rows 0, 1, 2 are nodes 1, 3, 4; each list is [self, neighbors...].
-        assert last.dst.tolist() == [1, 0, 2, 3, 0, 2, 4]
+        assert cache.nodes[1][last.dst].tolist() == [1, 0, 2, 3, 0, 2, 4]
         assert last.src.tolist() == [0, 0, 0, 1, 1, 1, 2]
         assert last.seg_starts.tolist() == [0, 3, 6]
         assert cache.h_stack[-1].shape == (3, 2)

@@ -9,6 +9,8 @@ package from this checkout's src/, at default settings:
     synth --seed N
     build-graph on synth's logs, pruned and with --no-prune
     train --model gnn | gbdt | node2vec-gbdt --seed N
+    train --model gnn --seed N with --layers 1, and with --layers 3, each into its own
+        models directory
     train --model node2vec-gbdt --seed N with --return-param 0.25 --inout-param 4,
         and with --return-param 0.3 --inout-param 1.7, each into its own models directory
     train --model node2vec-gbdt --seed N --dimensions 3 --negative-samples 1, into its own
@@ -57,6 +59,11 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     for model in ("gnn", "gbdt", "node2vec-gbdt"):
         commands.append((f"train_{model}", ["train", "--model", model, "--data", data, "--out", models,
                                             "--seed", str(seed)]))
+    # the GNN at one and three layers: receptive fields of one hop and of two extra hops
+    for layers in ("1", "3"):
+        commands.append((f"train_gnn_layers{layers}", [
+            "train", "--model", "gnn", "--data", data, "--out", f"{base}/models_layers{layers}",
+            "--seed", str(seed), "--layers", layers]))
     # biased walks: the defaults p = q = 1 never reach the second-order sampler
     for p, q in (("0.25", "4"), ("0.3", "1.7")):
         commands.append((f"train_node2vec-gbdt_p{p}_q{q}", [
