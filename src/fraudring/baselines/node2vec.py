@@ -368,7 +368,7 @@ def embed_concat_fit(
     ds: LabeledDataset,
     n2v_config: Node2vecConfig,
     gbdt_config: GBDTConfig,
-    negative_sample_rate: float = 0.25,
+    negative_sample_rate: float,
 ) -> tuple[GBDTModel, Embeddings]:
     """Fit a GBDT on [embedding, features] rows with the shared label sampling.
 

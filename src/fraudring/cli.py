@@ -1,18 +1,18 @@
 """Command-line workflow: synth -> build-graph -> train -> evaluate -> export-dot.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numerical
-failure. Every command is deterministic under a fixed --seed. Numeric options
-may also come from a JSON --config file; explicit flags win over the file.
+failure. Every command is deterministic under a fixed --seed. Options may
+also come from a JSON --config file; explicit flags win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from types import SimpleNamespace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,131 +86,169 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-SYNTH_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "n_regular": 2000,
-    "n_rings": 20,
-    "ring_size_min": 8,
-    "ring_size_max": 8,
-    "devices_per_ring_min": 4,
-    "devices_per_ring_max": 6,
-    "regular_devices_min": 1,
-    "regular_devices_max": 3,
-    "family_share_prob": 0.1,
-    "tag_miss_rate": 0.3,
-    "feature_dim": 12,
-    "fraud_shift": 1.3,
+class _Option(NamedTuple):
+    """One option: its flag, the type of its value and the commands that take it.
+    Its default is the dataclass default of the config field it feeds, or its own
+    where no config field owns the value."""
+
+    flag: str
+    type: type
+    commands: tuple[str, ...]
+    owner: type | None = None
+    field: str = ""
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def key(self) -> str:
+        """The flag's dest, which is also its --config key."""
+        return self.flag[2:].replace("-", "_")
+
+
+# Rows are in each command's --help order. grad-check shares `layers` with the
+# GNN, so its rows sit around that row.
+OPTIONS = (
+    _Option("--seed", int, ("synth",), SynthConfig, "seed"),
+    _Option("--n-regular", int, ("synth",), SynthConfig, "n_regular_accounts"),
+    _Option("--n-rings", int, ("synth",), SynthConfig, "n_rings"),
+    _Option("--ring-size-min", int, ("synth",), SynthConfig, "ring_size_range"),
+    _Option("--ring-size-max", int, ("synth",), SynthConfig, "ring_size_range"),
+    _Option("--devices-per-ring-min", int, ("synth",), SynthConfig, "devices_per_ring_range"),
+    _Option("--devices-per-ring-max", int, ("synth",), SynthConfig, "devices_per_ring_range"),
+    _Option("--regular-devices-min", int, ("synth",), SynthConfig, "regular_devices_per_account_range"),
+    _Option("--regular-devices-max", int, ("synth",), SynthConfig, "regular_devices_per_account_range"),
+    _Option("--family-share-prob", float, ("synth",), SynthConfig, "family_share_prob"),
+    _Option("--tag-miss-rate", float, ("synth",), SynthConfig, "tag_miss_rate"),
+    _Option("--feature-dim", int, ("synth",), SynthConfig, "feature_dim"),
+    _Option("--fraud-shift", float, ("synth",), SynthConfig, "fraud_feature_shift"),
+    _Option("--claim-window-days", int, ("build-graph",), WindowConfig, "claim_window_days"),
+    _Option("--device-window-days", int, ("build-graph",), WindowConfig, "device_window_days"),
+    _Option("--seed", int, ("train",), TrainConfig, "seed"),
+    _Option("--test-fraction", float, ("train", "evaluate"), default=0.3),
+    _Option("--split-seed", int, ("train", "evaluate"), default=0),
+    _Option("--no-prune", bool, ("build-graph", "train", "evaluate"), default=False),
+    _Option("--epochs", int, ("train",), TrainConfig, "epochs"),
+    _Option("--learning-rate", float, ("train",), TrainConfig, "learning_rate"),
+    _Option("--hidden-dim", int, ("train",), default=16),
+    _Option("--nodes", int, ("grad-check",), default=12),
+    _Option("--hidden-dim", int, ("grad-check",), default=4),
+    _Option("--layers", int, ("train", "grad-check"), default=2),
+    _Option("--seed", int, ("grad-check",), SynthConfig, "seed"),
+    _Option("--eps", float, ("grad-check",), default=1e-5),
+    _Option("--negative-rate", float, ("train",), TrainConfig, "negative_sample_rate"),
+    _Option("--optimizer", str, ("train",), TrainConfig, "optimizer", choices=("adam", "sgd")),
+    _Option("--no-resample", bool, ("train",), TrainConfig, "resample_each_epoch"),
+    _Option("--trees", int, ("train",), GBDTConfig, "n_trees"),
+    _Option("--max-depth", int, ("train",), GBDTConfig, "max_depth"),
+    _Option("--row-sample", float, ("train",), GBDTConfig, "row_sample_rate"),
+    _Option("--feature-sample", float, ("train",), GBDTConfig, "feature_sample_rate"),
+    _Option("--gbdt-learning-rate", float, ("train",), GBDTConfig, "learning_rate"),
+    _Option("--min-samples-leaf", int, ("train",), GBDTConfig, "min_samples_leaf"),
+    _Option("--dimensions", int, ("train",), Node2vecConfig, "dimensions"),
+    _Option("--walk-length", int, ("train",), Node2vecConfig, "walk_length"),
+    _Option("--walks-per-node", int, ("train",), Node2vecConfig, "walks_per_node"),
+    _Option("--window", int, ("train",), Node2vecConfig, "window"),
+    _Option("--return-param", float, ("train",), Node2vecConfig, "return_param"),
+    _Option("--inout-param", float, ("train",), Node2vecConfig, "inout_param"),
+    _Option("--negative-samples", int, ("train",), Node2vecConfig, "negative_samples"),
+    _Option("--n2v-epochs", int, ("train",), Node2vecConfig, "epochs"),
+    _Option("--step-size", float, ("train",), Node2vecConfig, "step_size"),
+)
+
+
+@functools.cache
+def _rows(command: str) -> tuple[_Option, ...]:
+    return tuple(row for row in OPTIONS if command in row.commands)
+
+
+def _default(row: _Option) -> Any:
+    """The option's default, as its flag or a --config file would give it."""
+    if row.owner is None:
+        return row.default
+    value = getattr(row.owner, row.field)
+    if row.key == "no_resample":
+        return not value
+    if row.key == "optimizer":
+        return value.value
+    if row.field.endswith("_range"):
+        return value[1 if row.key.endswith("_max") else 0]
+    return value
+
+
+def _make(owner: type, command: str, opt: Mapping[str, Any], **fields: Any) -> Any:
+    """The owner config from the command's resolved options that feed it, plus `fields`."""
+    for row in _rows(command):
+        if row.owner is owner:
+            value = opt[row.key]
+            if row.key == "no_resample":
+                value = not value
+            elif row.key == "optimizer":
+                value = Optimizer(value)
+            elif row.field.endswith("_range"):  # the --*-min row comes right before its --*-max row
+                value = fields.get(row.field, ()) + (value,)
+            fields[row.field] = value
+    return owner(**fields)
+
+
+# the defaults of each train branch, which perfbench reads
+GNN_DEFAULTS = {
+    row.key: _default(row) for row in _rows("train") if row.owner is TrainConfig or row.key in ("hidden_dim", "layers")
 }
-
-BUILD_DEFAULTS: dict[str, Any] = {
-    "claim_window_days": 30,
-    "device_window_days": 40,
-    "no_prune": False,
-}
-
-SPLIT_DEFAULTS: dict[str, Any] = {
-    "test_fraction": 0.3,
-    "split_seed": 0,
-    "no_prune": False,
-}
-
-GNN_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "epochs": 300,
-    "learning_rate": 0.01,
-    "hidden_dim": 16,
-    "layers": 2,
-    "negative_rate": 0.25,
-    "optimizer": "adam",
-    "no_resample": False,
-}
-
-GBDT_DEFAULTS: dict[str, Any] = {
-    "trees": 500,
-    "max_depth": 5,
-    "row_sample": 0.6,
-    "feature_sample": 0.7,
-    "gbdt_learning_rate": 0.009,
-    "min_samples_leaf": 5,
-}
-
-N2V_DEFAULTS: dict[str, Any] = {
-    "dimensions": 16,
-    "walk_length": 20,
-    "walks_per_node": 10,
-    "window": 5,
-    "return_param": 1.0,
-    "inout_param": 1.0,
-    "negative_samples": 5,
-    "n2v_epochs": 3,
-    "step_size": 0.025,
-}
-
-GRAD_CHECK_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "nodes": 12,
-    "hidden_dim": 4,
-    "layers": 2,
-    "eps": 1e-5,
-}
-
-# train and evaluate may share one --config file; keys from any branch are legal
-TRAIN_ALLOWED: dict[str, Any] = {
-    **SPLIT_DEFAULTS,
-    **GNN_DEFAULTS,
-    **GBDT_DEFAULTS,
-    **N2V_DEFAULTS,
-    "negative_rate": 0.25,
-    "seed": 0,
-}
+GBDT_DEFAULTS = {row.key: _default(row) for row in OPTIONS if row.owner is GBDTConfig}
+N2V_DEFAULTS = {row.key: _default(row) for row in OPTIONS if row.owner is Node2vecConfig}
 
 
-def _resolve(
-    args: argparse.Namespace,
-    defaults: Mapping[str, Any],
-    allowed: Mapping[str, Any] | None = None,
-) -> SimpleNamespace:
-    """Layer values: explicit flag > --config JSON entry > built-in default.
+def _read_config(path: str, command: str) -> dict[str, Any]:
+    """The checked entries of a --config file.
 
-    Config keys are validated against `allowed` (a superset of `defaults` for
-    commands that resolve different option groups per branch). A config
-    value must have its default's type, except that an int may stand for a
-    float; a bool stands for nothing but a bool.
+    Its keys are the options of the command; train and evaluate may share one
+    file, so evaluate takes the keys of every train branch. A value must have
+    its option's type, except that an int may stand for a float; a bool stands
+    for nothing but a bool.
     """
-    from_file: dict[str, Any] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                from_file = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"--config {config_path}: invalid JSON ({e})") from None
-        spec = allowed if allowed is not None else defaults
-        unknown = sorted(set(from_file) - set(spec))
-        if unknown:
-            raise UsageError(f"--config {config_path}: unknown keys {unknown}")
-        for key, value in from_file.items():
-            expected, got = type(spec[key]), type(value)
-            if got is not expected and (expected, got) != (float, int):
-                raise UsageError(f"--config {config_path}: {key}: expected {expected.__name__}, got {got.__name__}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            from_file = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"--config {path}: invalid JSON ({e})") from None
+    if not isinstance(from_file, dict):
+        raise UsageError(f"--config {path}: expected a JSON object")
+    rows = {row.key: row for row in _rows("train" if command == "evaluate" else command)}
+    unknown = sorted(set(from_file) - set(rows))
+    if unknown:
+        raise UsageError(f"--config {path}: unknown keys {unknown}")
+    for key, value in from_file.items():
+        expected, got = rows[key].type, type(value)
+        if got is not expected and (expected, got) != (float, int):
+            raise UsageError(f"--config {path}: {key}: expected {expected.__name__}, got {got.__name__}")
+        choices = rows[key].choices
+        if choices and value not in choices:
+            raise UsageError(
+                f"--config {path}: {key}: invalid choice {value!r} (choose from {', '.join(map(repr, choices))})"
+            )
+    return from_file
 
-    resolved = {}
-    for dest, fallback in defaults.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            value = from_file.get(dest, fallback)
-        resolved[dest] = value
-    return SimpleNamespace(**resolved)
+
+def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
+    """The command's options: explicit flag > --config JSON entry > default."""
+    from_file = _read_config(args.config, command) if args.config else {}
+    opt = {}
+    for row in _rows(command):
+        value = getattr(args, row.key)
+        opt[row.key] = from_file.get(row.key, _default(row)) if value is None else value
+    return opt
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    for row in _rows(command):
+        if row.type is bool:
+            p.add_argument(row.flag, action="store_const", const=True)
+        else:
+            p.add_argument(row.flag, type=row.type, choices=row.choices)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of option defaults (flags override it)")
-
-
-def _add_split_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.add_argument("--split-seed", type=int, dest="split_seed")
-    p.add_argument("--no-prune", action="store_const", const=True, dest="no_prune")
 
 
 def build_parser() -> _Parser:
@@ -219,19 +257,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic colluder-ring dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-regular", type=int, dest="n_regular")
-    p.add_argument("--n-rings", type=int, dest="n_rings")
-    p.add_argument("--ring-size-min", type=int, dest="ring_size_min")
-    p.add_argument("--ring-size-max", type=int, dest="ring_size_max")
-    p.add_argument("--devices-per-ring-min", type=int, dest="devices_per_ring_min")
-    p.add_argument("--devices-per-ring-max", type=int, dest="devices_per_ring_max")
-    p.add_argument("--regular-devices-min", type=int, dest="regular_devices_min")
-    p.add_argument("--regular-devices-max", type=int, dest="regular_devices_max")
-    p.add_argument("--family-share-prob", type=float, dest="family_share_prob")
-    p.add_argument("--tag-miss-rate", type=float, dest="tag_miss_rate")
-    p.add_argument("--feature-dim", type=int, dest="feature_dim")
-    p.add_argument("--fraud-shift", type=float, dest="fraud_shift")
+    _add_options(p, "synth")
     _add_config_flag(p)
     p.set_defaults(func=cmd_synth)
 
@@ -240,9 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--logins", required=True, help="logins TSV: account_id<TAB>device_umid<TAB>timestamp")
     p.add_argument("--reference-time", type=int, required=True, dest="reference_time",
                    help="epoch seconds; windows end here (exclusive)")
-    p.add_argument("--claim-window-days", type=int, dest="claim_window_days")
-    p.add_argument("--device-window-days", type=int, dest="device_window_days")
-    p.add_argument("--no-prune", action="store_const", const=True, dest="no_prune")
+    _add_options(p, "build-graph")
     p.add_argument("--out", required=True, help="output graph TSV path")
     _add_config_flag(p)
     p.set_defaults(func=cmd_build_graph)
@@ -251,30 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, choices=["gnn", "gbdt", "node2vec-gbdt"])
     p.add_argument("--data", required=True, help="dataset directory (graph.tsv + features.tsv)")
     p.add_argument("--out", required=True, help="model output directory")
-    p.add_argument("--seed", type=int)
-    _add_split_flags(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--negative-rate", type=float, dest="negative_rate")
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--no-resample", action="store_const", const=True, dest="no_resample")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--row-sample", type=float, dest="row_sample")
-    p.add_argument("--feature-sample", type=float, dest="feature_sample")
-    p.add_argument("--gbdt-learning-rate", type=float, dest="gbdt_learning_rate")
-    p.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
-    p.add_argument("--dimensions", type=int)
-    p.add_argument("--walk-length", type=int, dest="walk_length")
-    p.add_argument("--walks-per-node", type=int, dest="walks_per_node")
-    p.add_argument("--window", type=int)
-    p.add_argument("--return-param", type=float, dest="return_param")
-    p.add_argument("--inout-param", type=float, dest="inout_param")
-    p.add_argument("--negative-samples", type=int, dest="negative_samples")
-    p.add_argument("--n2v-epochs", type=int, dest="n2v_epochs")
-    p.add_argument("--step-size", type=float, dest="step_size")
+    _add_options(p, "train")
     _add_config_flag(p)
     p.set_defaults(func=cmd_train)
 
@@ -283,16 +284,12 @@ def build_parser() -> _Parser:
     p.add_argument("--models", required=True, help="directory holding trained model files")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--labels", choices=["tags", "ground-truth"], default="tags")
-    _add_split_flags(p)
+    _add_options(p, "evaluate")
     _add_config_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grad-check", help="compare analytic gradients against finite differences")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps", type=float)
+    _add_options(p, "grad-check")
     p.add_argument("--corrupt", choices=["ws"], help="deliberately break one gradient block (test hook)")
     _add_config_flag(p)
     p.set_defaults(func=cmd_grad_check)
@@ -307,20 +304,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opt = _resolve(args, SYNTH_DEFAULTS)
-    config = SynthConfig(
-        n_regular_accounts=opt.n_regular,
-        n_rings=opt.n_rings,
-        ring_size_range=(opt.ring_size_min, opt.ring_size_max),
-        devices_per_ring_range=(opt.devices_per_ring_min, opt.devices_per_ring_max),
-        regular_devices_per_account_range=(opt.regular_devices_min, opt.regular_devices_max),
-        family_share_prob=opt.family_share_prob,
-        tag_miss_rate=opt.tag_miss_rate,
-        feature_dim=opt.feature_dim,
-        fraud_feature_shift=opt.fraud_shift,
-        seed=opt.seed,
-    )
-    sds = generate(config)
+    sds = generate(_make(SynthConfig, "synth", _resolve(args, "synth")))
     emit(sds, args.out)
     ds = sds.dataset
     n_accounts = len(ds.high_risk)
@@ -335,18 +319,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    opt = _resolve(args, BUILD_DEFAULTS)
+    opt = _resolve(args, "build-graph")
     claims = load_claim_events(args.claims)
     logins = load_login_events(args.logins)
-    window = WindowConfig(
-        reference_time=args.reference_time,
-        claim_window_days=opt.claim_window_days,
-        device_window_days=opt.device_window_days,
-    )
+    window = _make(WindowConfig, "build-graph", opt, reference_time=args.reference_time)
     g = build_graph(claims, logins, window)
     if g.num_nodes == 0:
         print("warning: no in-window events; writing an empty graph", file=sys.stderr)
-    if opt.no_prune:
+    if opt["no_prune"]:
         print(f"nodes: {g.num_nodes}, edges: {g.edge_count} (pruning skipped)")
     else:
         labels = component_labels(g)
@@ -362,35 +342,27 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepare_dataset(data_dir: str, opt: SimpleNamespace) -> LabeledDataset:
+def _prepare_dataset(data_dir: str, opt: Mapping[str, Any]) -> LabeledDataset:
     ds = load_dataset(data_dir)
-    if not opt.no_prune:
+    if not opt["no_prune"]:
         ds = prune_dataset(ds)
-    ds = split_train_test(ds, opt.test_fraction, opt.split_seed)
+    ds = split_train_test(ds, opt["test_fraction"], opt["split_seed"])
     return normalize_features(ds)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    split_opt = _resolve(args, SPLIT_DEFAULTS, allowed=TRAIN_ALLOWED)
-    ds = _prepare_dataset(args.data, split_opt)
+    opt = _resolve(args, "train")
+    ds = _prepare_dataset(args.data, opt)
     os.makedirs(args.out, exist_ok=True)
 
     if args.model == "gnn":
-        opt = _resolve(args, GNN_DEFAULTS, allowed=TRAIN_ALLOWED)
         params = init_params(
-            ds.feature_dim, hidden_dim=opt.hidden_dim, n_layers=opt.layers, seed=opt.seed
+            ds.feature_dim, hidden_dim=opt["hidden_dim"], n_layers=opt["layers"], seed=opt["seed"]
         )
-        config = TrainConfig(
-            epochs=opt.epochs,
-            learning_rate=opt.learning_rate,
-            negative_sample_rate=opt.negative_rate,
-            optimizer=Optimizer(opt.optimizer),
-            resample_each_epoch=not opt.no_resample,
-            seed=opt.seed,
-        )
+        config = _make(TrainConfig, "train", opt)
         print(
             f"training gnn: {config.epochs} epochs, learning rate {config.learning_rate}, "
-            f"hidden dim {opt.hidden_dim}, {opt.layers} layers, "
+            f"hidden dim {opt['hidden_dim']}, {opt['layers']} layers, "
             f"negative sample rate {config.negative_sample_rate}"
         )
         params, report = train(ds, params, config)
@@ -399,16 +371,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"loss: {report.loss_history[0]:.6g} -> {report.loss_history[-1]:.6g}")
         return 0
 
-    opt = _resolve(args, {**GBDT_DEFAULTS, "seed": 0, "negative_rate": 0.25}, allowed=TRAIN_ALLOWED)
-    gbdt_config = GBDTConfig(
-        n_trees=opt.trees,
-        max_depth=opt.max_depth,
-        row_sample_rate=opt.row_sample,
-        feature_sample_rate=opt.feature_sample,
-        learning_rate=opt.gbdt_learning_rate,
-        min_samples_leaf=opt.min_samples_leaf,
-        seed=opt.seed,
-    )
+    gbdt_config = _make(GBDTConfig, "train", opt, seed=opt["seed"])
     print(
         f"gbdt configuration: {gbdt_config.n_trees} trees, max depth {gbdt_config.max_depth}, "
         f"row sampling rate {gbdt_config.row_sample_rate}, feature sampling rate "
@@ -416,27 +379,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     if args.model == "gbdt":
-        positives, negatives = training_rows(ds, opt.negative_rate, np.random.default_rng(opt.seed))
+        positives, negatives = training_rows(ds, opt["negative_rate"], np.random.default_rng(opt["seed"]))
         labels = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
         model = gbdt_fit(ds.features[np.concatenate([positives, negatives])], labels, gbdt_config)
         save_gbdt(model, os.path.join(args.out, GBDT_MODEL_FILE))
         print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
         return 0
 
-    n2v_opt = _resolve(args, {**N2V_DEFAULTS, "seed": 0}, allowed=TRAIN_ALLOWED)
-    n2v_config = Node2vecConfig(
-        dimensions=n2v_opt.dimensions,
-        walk_length=n2v_opt.walk_length,
-        walks_per_node=n2v_opt.walks_per_node,
-        window=n2v_opt.window,
-        return_param=n2v_opt.return_param,
-        inout_param=n2v_opt.inout_param,
-        negative_samples=n2v_opt.negative_samples,
-        epochs=n2v_opt.n2v_epochs,
-        step_size=n2v_opt.step_size,
-        seed=n2v_opt.seed,
-    )
-    model, emb = embed_concat_fit(ds, n2v_config, gbdt_config, opt.negative_rate)
+    n2v_config = _make(Node2vecConfig, "train", opt, seed=opt["seed"])
+    model, emb = embed_concat_fit(ds, n2v_config, gbdt_config, opt["negative_rate"])
     save_embeddings(emb, ds.graph, os.path.join(args.out, EMBEDDINGS_FILE))
     save_gbdt(model, os.path.join(args.out, N2V_MODEL_FILE))
     print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
@@ -444,8 +395,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    split_opt = _resolve(args, SPLIT_DEFAULTS, allowed=TRAIN_ALLOWED)
-    ds = _prepare_dataset(args.data, split_opt)
+    ds = _prepare_dataset(args.data, _resolve(args, "evaluate"))
     scores: dict[str, np.ndarray] = {}
 
     ckpt = os.path.join(args.models, GNN_CHECKPOINT_FILE)
@@ -518,10 +468,10 @@ def _grad_check_fixture(nodes: int, seed: int):
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
-    opt = _resolve(args, GRAD_CHECK_DEFAULTS)
-    ds, positives, negatives = _grad_check_fixture(opt.nodes, opt.seed)
+    opt = _resolve(args, "grad-check")
+    ds, positives, negatives = _grad_check_fixture(opt["nodes"], opt["seed"])
     params = init_params(
-        ds.feature_dim, hidden_dim=opt.hidden_dim, n_layers=opt.layers, seed=opt.seed
+        ds.feature_dim, hidden_dim=opt["hidden_dim"], n_layers=opt["layers"], seed=opt["seed"]
     )
     err = gradient_check(
         params,
@@ -529,12 +479,12 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
         ds.features,
         positives,
         negatives,
-        eps=opt.eps,
+        eps=opt["eps"],
         corrupt=args.corrupt,
     )
     print(
         f"max relative gradient error: {err:.3e} "
-        f"({ds.graph.num_nodes} nodes, hidden dim {opt.hidden_dim}, {opt.layers} layers, eps {opt.eps:g})"
+        f"({ds.graph.num_nodes} nodes, hidden dim {opt['hidden_dim']}, {opt['layers']} layers, eps {opt['eps']:g})"
     )
     if err > GRAD_CHECK_LIMIT:
         print(f"FAILED: exceeds {GRAD_CHECK_LIMIT:g}", file=sys.stderr)

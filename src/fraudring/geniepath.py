@@ -155,7 +155,7 @@ def _assemble(arrays: list[np.ndarray], n_layers: int) -> GeniePathParams:
 
 
 def init_params(
-    feature_dim: int, hidden_dim: int = 16, n_layers: int = 2, seed: int = 0
+    feature_dim: int, hidden_dim: int, n_layers: int, seed: int = 0
 ) -> GeniePathParams:
     """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)); forget-gate bias +1."""
     if feature_dim < 1 or hidden_dim < 1 or n_layers < 1:
@@ -525,7 +525,7 @@ def gradient_check(
     features: np.ndarray,
     positives: Iterable[int],
     negatives: Iterable[int],
-    eps: float = 1e-5,
+    eps: float,
     corrupt: str | None = None,
 ) -> float:
     """Max relative error between analytic and central finite-difference gradients.

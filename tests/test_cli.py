@@ -1,11 +1,16 @@
 import filecmp
 import json
 import os
+import pathlib
+import re
 import shutil
 
 import numpy as np
 import pytest
 
+from fraudring import cli
+from fraudring.baselines.gbdt import GBDTConfig
+from fraudring.baselines.node2vec import Node2vecConfig
 from fraudring.cli import main
 from fraudring.features import load_dataset
 from fraudring.graph import (
@@ -19,6 +24,7 @@ from fraudring.graph import (
     save_claim_events,
     save_login_events,
 )
+from fraudring.train import TrainConfig
 from reference import union_find_components
 
 DAY = 86_400
@@ -659,9 +665,191 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"usage error: --config {cfg}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", '["epochs"]'])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "gnn"
+        code = main([
+            "train", "--model", "gnn", "--data", str(tmp_path / "data"), "--out", str(out), "--config", str(cfg),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: --config {cfg}: expected a JSON object\n"
+        assert not out.exists()
+
+    def test_config_choice_is_checked_as_the_flag_is(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimizer": "foo"}), encoding="utf-8")
+        out = tmp_path / "gnn"
+        train = ["train", "--model", "gnn", "--data", str(data_dir), "--out", str(out)] + FAST_TRAIN["gnn"]
+        assert main(train + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --config {cfg}: optimizer: invalid choice 'foo' (choose from 'adam', 'sgd')\n"
+        )
+        assert main(train + ["--optimizer", "foo"]) == 1
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_int_stands_for_a_float(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_regular": 30, "fraud_shift": 2}), encoding="utf-8")
         code = main(["synth", "--out", str(tmp_path / "data"), "--config", str(cfg)])
         assert code == 0
         assert "accounts: 190" in capsys.readouterr().out
+
+
+def required(command, base):
+    """The arguments a command needs besides its options; none of the paths is read."""
+    return {
+        "synth": ["--out", f"{base}/data"],
+        "build-graph": ["--claims", f"{base}/c.tsv", "--logins", f"{base}/l.tsv", "--reference-time", "0",
+                        "--out", f"{base}/g.tsv"],
+        "train": ["--model", "gnn", "--data", f"{base}/data", "--out", f"{base}/models"],
+        "evaluate": ["--data", f"{base}/data", "--models", f"{base}/models", "--out", f"{base}/reports"],
+        "grad-check": [],
+    }[command]
+
+
+COMMANDS = ["synth", "build-graph", "train", "evaluate", "grad-check"]
+COMMAND_ROWS = [(command, row) for command in COMMANDS for row in cli._rows(command)]
+COMMAND_ROW_IDS = [f"{command}-{row.key}" for command, row in COMMAND_ROWS]
+FIELDS_GIVEN = {WindowConfig: {"reference_time": 0}}
+
+
+def option_value(config, row):
+    """The option's value as the config field it feeds holds it."""
+    value = getattr(config, row.field)
+    if row.key == "no_resample":
+        return not value
+    if row.key == "optimizer":
+        return value.value
+    if row.field.endswith("_range"):
+        return value[1 if row.key.endswith("_max") else 0]
+    return value
+
+
+def given_values(command):
+    """A value of its own for each option of the command, other than its default, that its config accepts."""
+    values = {}
+    for i, row in enumerate(cli._rows(command)):
+        default = cli._default(row)
+        if row.type is bool:
+            values[row.key] = True
+        elif row.choices:
+            values[row.key] = next(c for c in row.choices if c != default)
+        elif row.type is int:
+            values[row.key] = default + 1 + i  # each --*-max row follows its --*-min row, so max stays >= min
+        else:
+            values[row.key] = default / (2 + i)
+    return values
+
+
+def beaten_values(command, values):
+    """For each option, a value unlike the given one, for a --config file that the flags must override."""
+    beaten = {}
+    for row in cli._rows(command):
+        value = values[row.key]
+        if row.type is bool:
+            beaten[row.key] = not value
+        elif row.choices:
+            beaten[row.key] = next(c for c in row.choices if c != value)
+        else:
+            beaten[row.key] = value * 3
+    return beaten
+
+
+def flag_argv(command, values):
+    argv = []
+    for row in cli._rows(command):
+        argv += [row.flag] if row.type is bool else [row.flag, str(values[row.key])]
+    return argv
+
+
+def resolve(command, argv, base):
+    """The resolved options of a command line, and each config class built from them."""
+    args = cli.build_parser().parse_args([command, *required(command, base), *argv])
+    opt = cli._resolve(args, command)
+    owners = {row.owner for row in cli._rows(command) if row.owner is not None}
+    return opt, {owner: cli._make(owner, command, opt, **FIELDS_GIVEN.get(owner, {})) for owner in owners}
+
+
+def assert_reached(command, opt, configs, values):
+    for row in cli._rows(command):
+        assert opt[row.key] == values[row.key], row.key
+        if row.owner is not None:
+            assert option_value(configs[row.owner], row) == values[row.key], row.key
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, row", COMMAND_ROWS, ids=COMMAND_ROW_IDS)
+    def test_default_reaches_field(self, tmp_path, command, row):
+        opt, configs = resolve(command, [], tmp_path)
+        if row.owner is None:
+            assert opt[row.key] == row.default
+        else:
+            default = row.owner(**FIELDS_GIVEN.get(row.owner, {}))
+            assert getattr(configs[row.owner], row.field) == getattr(default, row.field)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_reach_fields(self, tmp_path, command):
+        values = given_values(command)
+        assert_reached(command, *resolve(command, flag_argv(command, values), tmp_path), values)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_file_values_reach_fields(self, tmp_path, command):
+        values = given_values(command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        assert_reached(command, *resolve(command, ["--config", str(cfg)], tmp_path), values)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flag_beats_file(self, tmp_path, command):
+        values = given_values(command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(beaten_values(command, values)), encoding="utf-8")
+        argv = ["--config", str(cfg), *flag_argv(command, values)]
+        assert_reached(command, *resolve(command, argv, tmp_path), values)
+
+    @pytest.mark.parametrize("command, row", COMMAND_ROWS, ids=COMMAND_ROW_IDS)
+    def test_file_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, command, row):
+        wrong = 1 if row.type in (bool, str) else "1"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({row.key: wrong}), encoding="utf-8")
+        assert main([command, *required(command, tmp_path), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --config {cfg}: {row.key}: expected {row.type.__name__}, got {type(wrong).__name__}\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    def test_perfbench_mappings_follow_the_dataclasses(self):
+        gnn, gbdt, n2v = TrainConfig(), GBDTConfig(), Node2vecConfig()
+        assert cli.GNN_DEFAULTS == {
+            "seed": gnn.seed, "epochs": gnn.epochs, "learning_rate": gnn.learning_rate,
+            "hidden_dim": 16, "layers": 2, "negative_rate": gnn.negative_sample_rate,
+            "optimizer": gnn.optimizer.value, "no_resample": not gnn.resample_each_epoch,
+        }
+        assert cli.GBDT_DEFAULTS == {
+            "trees": gbdt.n_trees, "max_depth": gbdt.max_depth, "row_sample": gbdt.row_sample_rate,
+            "feature_sample": gbdt.feature_sample_rate, "gbdt_learning_rate": gbdt.learning_rate,
+            "min_samples_leaf": gbdt.min_samples_leaf,
+        }
+        assert cli.N2V_DEFAULTS == {
+            "dimensions": n2v.dimensions, "walk_length": n2v.walk_length, "walks_per_node": n2v.walks_per_node,
+            "window": n2v.window, "return_param": n2v.return_param, "inout_param": n2v.inout_param,
+            "negative_samples": n2v.negative_samples, "n2v_epochs": n2v.epochs, "step_size": n2v.step_size,
+        }
+
+    def test_readme_defaults_table_matches_the_options(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Built-in defaults:\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = []
+        for scope, key, default in re.findall(r"^\| ([^|]+) \| `(\w+)`[^|]* \| ([^|]+) \|$", table, re.M):
+            try:
+                default = json.loads(default)
+            except ValueError:
+                pass
+            documented.append((re.sub(r" \([^)]*\)", "", scope), key, default))
+        assert len(documented) == len(table.split("\n")) - 2
+        assert sorted(documented, key=repr) == sorted(
+            (("/".join(row.commands), row.key, cli._default(row)) for row in cli.OPTIONS), key=repr
+        )

@@ -464,13 +464,13 @@ class TestBackward:
 
     def test_finite_difference_agreement(self):
         g, features, params = fixture_12(seed=15, p=3, k=4, t=2)
-        err = gradient_check(params, g, features, positives=[0, 2], negatives=[1, 3, 4])
+        err = gradient_check(params, g, features, positives=[0, 2], negatives=[1, 3, 4], eps=1e-5)
         assert err <= 1e-4
 
     def test_corrupted_gradient_detected(self):
         g, features, params = fixture_12(seed=15)
         err = gradient_check(
-            params, g, features, positives=[0, 2], negatives=[1, 3, 4], corrupt="ws"
+            params, g, features, positives=[0, 2], negatives=[1, 3, 4], eps=1e-5, corrupt="ws"
         )
         assert err > 1e-2
 
@@ -486,12 +486,12 @@ class TestBackward:
     def test_overlapping_labels_rejected(self):
         g, features, params = fixture_12(seed=17)
         with pytest.raises(ValueError, match="overlap"):
-            gradient_check(params, g, features, [0, 1], [1, 2])
+            gradient_check(params, g, features, [0, 1], [1, 2], eps=1e-5)
 
     def test_unknown_corruption_target_rejected(self):
         g, features, params = fixture_12(seed=18)
         with pytest.raises(ValueError, match="unknown corruption"):
-            gradient_check(params, g, features, [0], [1], corrupt="attn")
+            gradient_check(params, g, features, [0], [1], eps=1e-5, corrupt="attn")
 
 
 def test_sigmoid_equals_masked_form_bit_for_bit():

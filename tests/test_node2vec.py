@@ -518,4 +518,4 @@ class TestEmbedConcatFit:
         ds.is_test[:3] = True
         n2v = Node2vecConfig(dimensions=4, walk_length=8, walks_per_node=10, window=2, seed=0)
         with pytest.raises(ValueError, match="no tagged high-risk"):
-            embed_concat_fit(ds, n2v, GBDTConfig(n_trees=10, seed=1))
+            embed_concat_fit(ds, n2v, GBDTConfig(n_trees=10, seed=1), 0.25)

@@ -18,6 +18,13 @@ package from this checkout's src/, at default settings:
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N
+    synth --seed N with --config SYNTH_CONFIG, whose n_rings the flag --n-rings overrides
+    train --model gnn | gbdt | node2vec-gbdt --seed N with --config TRAIN_CONFIG, one
+        file holding keys of all three models, into its own models directory
+    evaluate --config TRAIN_CONFIG on those models
+
+The two config files are written into each seed's directory as
+synth_config.json and train_config.json.
 
 Commands run inside OUTDIR with relative paths, so the outputs do not depend
 on where OUTDIR is. Each command's stdout, stderr and exit code are saved next
@@ -37,6 +44,15 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST_FILE = "digest.sha256"
+
+# An int stands for a float (fraud_shift, row_sample); n_rings is overridden by a flag.
+SYNTH_CONFIG = {"n_regular": 600, "n_rings": 4, "fraud_shift": 2}
+TRAIN_CONFIG = {
+    "test_fraction": 0.25, "split_seed": 1, "seed": 99,
+    "epochs": 40, "hidden_dim": 8, "negative_rate": 0.5, "optimizer": "sgd", "no_resample": True,
+    "trees": 60, "max_depth": 4, "row_sample": 1,
+    "dimensions": 8, "walk_length": 10, "n2v_epochs": 1,
+}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -80,7 +96,16 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
         ("export_dot", ["export-dot", "--graph", f"{data}/graph.tsv", "--features", f"{data}/features.tsv",
                         "--out", f"{base}/graph.dot"]),
         ("grad_check", ["grad-check", "--seed", str(seed)]),
+        ("synth_config", ["synth", "--out", f"{base}/data_config", "--seed", str(seed),
+                          "--config", f"{base}/synth_config.json", "--n-rings", "6"]),
     ]
+    # one file for every train branch and evaluate; the --seed flag beats its seed
+    config = ["--config", f"{base}/train_config.json"]
+    for model in ("gnn", "gbdt", "node2vec-gbdt"):
+        commands.append((f"train_{model}_config", ["train", "--model", model, "--data", data,
+                                                   "--out", f"{base}/models_config", "--seed", str(seed), *config]))
+    commands.append(("evaluate_config", ["evaluate", "--data", data, "--models", f"{base}/models_config",
+                                         "--out", f"{base}/reports_config", *config]))
     return commands
 
 
@@ -109,6 +134,9 @@ def digest(out_dir: str, seeds: list[int]) -> list[str]:
         for seed in seeds:
             log_dir = f"seed{seed}/logs"
             os.makedirs(log_dir)
+            for name, config in (("synth_config", SYNTH_CONFIG), ("train_config", TRAIN_CONFIG)):
+                with open(f"seed{seed}/{name}.json", "w", encoding="utf-8") as fh:
+                    json.dump(config, fh)
             run(main, "synth", ["synth", "--out", f"seed{seed}/data", "--seed", str(seed)], log_dir)
             with open(f"seed{seed}/data/synth_manifest.json", encoding="utf-8") as fh:
                 reference_time = str(json.load(fh)["reference_time"])
