@@ -206,11 +206,13 @@ def _read_config(path: str, command: str) -> dict[str, Any]:
     its option's type, except that an int may stand for a float; a bool stands
     for nothing but a bool.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             from_file = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--config {path}: invalid JSON ({e})") from None
+    except json.JSONDecodeError as e:
+        raise UsageError(f"--config {path}: invalid JSON ({e})") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"--config {path}: {e}") from None
     if not isinstance(from_file, dict):
         raise UsageError(f"--config {path}: expected a JSON object")
     rows = {row.key: row for row in _rows("train" if command == "evaluate" else command)}
@@ -486,7 +488,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
         f"max relative gradient error: {err:.3e} "
         f"({ds.graph.num_nodes} nodes, hidden dim {opt['hidden_dim']}, {opt['layers']} layers, eps {opt['eps']:g})"
     )
-    if err > GRAD_CHECK_LIMIT:
+    if not err <= GRAD_CHECK_LIMIT:
         print(f"FAILED: exceeds {GRAD_CHECK_LIMIT:g}", file=sys.stderr)
         return 3
     return 0

@@ -13,6 +13,7 @@ as mixing hubs through which account signals travel in two hops.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,72 +59,51 @@ class LSTMParams:
     bias: np.ndarray
 
 
-@dataclass
 class GeniePathParams:
-    w_in: np.ndarray
-    layers: list[BreadthLayerParams]
-    lstm: LSTMParams
-    w_out: np.ndarray
-    b_out: np.ndarray
+    """Every weight of the network in one flat float64 vector.
 
-    @property
-    def feature_dim(self) -> int:
-        return int(self.w_in.shape[1])
+    w_in, layers[t].w_agg/w_src/w_dst/attn, lstm.w_x/w_h/bias, w_out and
+    b_out are views into vector, carved in _tensor_spec order, which is also
+    the checkpoint's tensor order. Write a weight in place, through its view
+    with [:] or +=; rebinding the attribute detaches it from the vector.
+    """
 
-    @property
-    def hidden_dim(self) -> int:
-        return int(self.w_in.shape[0])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
+    def __init__(self, feature_dim: int, hidden_dim: int, n_layers: int, vector: np.ndarray | None = None) -> None:
+        """Views into vector, which is taken as is when it is a flat float64 array; zeros by default."""
+        spec = _tensor_spec(feature_dim, hidden_dim, n_layers)
+        sizes = [math.prod(shape) for _, shape in spec]
+        ends = list(itertools.accumulate(sizes))
+        vector = np.zeros(ends[-1]) if vector is None else np.ascontiguousarray(vector, dtype=np.float64)
+        if vector.shape != (ends[-1],):
+            raise ValueError(f"vector has shape {vector.shape}, parameters need {ends[-1]} entries")
+        self.feature_dim, self.hidden_dim, self.n_layers = feature_dim, hidden_dim, n_layers
+        self.vector = vector
+        self._named = [
+            (name, vector[end - n : end].reshape(shape)) for (name, shape), n, end in zip(spec, sizes, ends)
+        ]
+        views = (view for _, view in self._named)
+        self.w_in = next(views)
+        self.layers = [BreadthLayerParams(*itertools.islice(views, 4)) for _ in range(n_layers)]
+        self.lstm = LSTMParams(*itertools.islice(views, 3))
+        self.w_out, self.b_out = views
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = [("w_in", self.w_in)]
-        for t, layer in enumerate(self.layers):
-            out += [
-                (f"layer{t}.w_agg", layer.w_agg),
-                (f"layer{t}.w_src", layer.w_src),
-                (f"layer{t}.w_dst", layer.w_dst),
-                (f"layer{t}.attn", layer.attn),
-            ]
-        out += [
-            ("lstm.w_x", self.lstm.w_x),
-            ("lstm.w_h", self.lstm.w_h),
-            ("lstm.bias", self.lstm.bias),
-            ("w_out", self.w_out),
-            ("b_out", self.b_out),
-        ]
-        return out
+        return list(self._named)
 
     def validate(self) -> None:
-        p, k = self.feature_dim, self.hidden_dim
-        expected = dict(_tensor_spec(p, k, self.n_layers))
-        for name, arr in self.named_arrays():
-            if arr.shape != expected[name]:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {expected[name]}")
+        for name, arr in self._named:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.named_arrays()])
-
     def from_vector(self, vec: np.ndarray) -> "GeniePathParams":
-        """New params with this instance's shapes and the given flat values."""
-        arrays = []
-        pos = 0
-        for _, arr in self.named_arrays():
-            arrays.append(vec[pos : pos + arr.size].reshape(arr.shape).copy())
-            pos += arr.size
-        if pos != vec.size:
-            raise ValueError(f"vector has {vec.size} entries, parameters need {pos}")
-        return _assemble(arrays, self.n_layers)
+        """New params with this instance's shapes and a copy of the given flat values."""
+        return GeniePathParams(self.feature_dim, self.hidden_dim, self.n_layers, np.array(vec, dtype=np.float64))
 
     def zeros_like(self) -> "GeniePathParams":
-        return self.from_vector(np.zeros(self.to_vector().size))
+        return GeniePathParams(self.feature_dim, self.hidden_dim, self.n_layers)
 
     def copy(self) -> "GeniePathParams":
-        return self.from_vector(self.to_vector())
+        return self.from_vector(self.vector)
 
 
 def _tensor_spec(feature_dim: int, hidden_dim: int, n_layers: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -146,14 +126,6 @@ def _tensor_spec(feature_dim: int, hidden_dim: int, n_layers: int) -> list[tuple
     return spec
 
 
-def _assemble(arrays: list[np.ndarray], n_layers: int) -> GeniePathParams:
-    it = iter(arrays)
-    w_in = next(it)
-    layers = [BreadthLayerParams(next(it), next(it), next(it), next(it)) for _ in range(n_layers)]
-    lstm = LSTMParams(next(it), next(it), next(it))
-    return GeniePathParams(w_in, layers, lstm, next(it), next(it))
-
-
 def init_params(
     feature_dim: int, hidden_dim: int, n_layers: int, seed: int = 0
 ) -> GeniePathParams:
@@ -161,20 +133,13 @@ def init_params(
     if feature_dim < 1 or hidden_dim < 1 or n_layers < 1:
         raise ValueError("feature_dim, hidden_dim, and n_layers must be >= 1")
     rng = np.random.default_rng(seed)
-
-    def glorot(shape: tuple[int, ...]) -> np.ndarray:
-        fan_out = shape[0]
-        fan_in = shape[1] if len(shape) > 1 else 1
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=shape)
-
-    arrays = []
-    for name, shape in _tensor_spec(feature_dim, hidden_dim, n_layers):
-        if name == "lstm.bias" or name == "b_out":
-            arrays.append(np.zeros(shape))
-        else:
-            arrays.append(glorot(shape))
-    params = _assemble(arrays, n_layers)
+    params = GeniePathParams(feature_dim, hidden_dim, n_layers)
+    for name, view in params.named_arrays():
+        if name != "lstm.bias" and name != "b_out":
+            fan_out = view.shape[0]
+            fan_in = view.shape[1] if view.ndim > 1 else 1
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            view[:] = rng.uniform(-a, a, size=view.shape)
     params.lstm.bias[hidden_dim : 2 * hidden_dim] = 1.0
     return params
 
@@ -536,8 +501,10 @@ def gradient_check(
     cross-entropy differences of the full forward, divided by 2 * eps.
     positives/negatives index rows of the account feature matrix. The
     corrupt hook deliberately breaks one analytic gradient block (test
-    fixture).
+    fixture). eps must be finite and > 0.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     n_acc = len(g.account_indices())
     pos_mask = np.zeros(n_acc, dtype=bool)
     neg_mask = np.zeros(n_acc, dtype=bool)
@@ -554,21 +521,21 @@ def gradient_check(
             raise ValueError(f"unknown corruption target {corrupt!r}")
         grads.layers[0].w_src += 0.1
 
-    def log_likelihoods(vec: np.ndarray) -> np.ndarray:
-        probs, _ = forward(params.from_vector(vec), g, features)
+    def log_likelihoods(bumped: GeniePathParams) -> np.ndarray:
+        probs, _ = forward(bumped, g, features)
         return np.concatenate(_log_likelihoods(probs, pos_mask, neg_mask))
 
-    analytic = grads.to_vector()
-    vec = params.to_vector()
+    analytic, vec = grads.vector, params.vector
+    bumped = params.copy()
     fd = np.zeros_like(analytic)
     for j in range(vec.size):
-        bumped = vec.copy()
-        bumped[j] = vec[j] + eps
+        bumped.vector[j] = vec[j] + eps
         hi = log_likelihoods(bumped)
-        bumped[j] = vec[j] - eps
+        bumped.vector[j] = vec[j] - eps
         # The loss difference summed row by row and exactly: two rounded
         # loss totals lose the small differences to rounding.
         fd[j] = math.fsum(log_likelihoods(bumped) - hi) / (2.0 * eps)
+        bumped.vector[j] = vec[j]
 
     rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
     return float(rel.max())
@@ -608,7 +575,7 @@ def load_params(path: str) -> GeniePathParams:
     if p < 1 or k < 1 or t < 1:
         raise fail(2, f"dims must be positive, got {p} {k} {t}")
 
-    arrays: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     lineno = 2
     for name, shape in _tensor_spec(p, k, t):
         lineno += 1
@@ -637,14 +604,12 @@ def load_params(path: str) -> GeniePathParams:
             if row.size != n_cols:
                 raise fail(lineno, f"tensor {name} row has {row.size} values, expected {n_cols}")
             rows.append(row)
-        arr = np.vstack(rows) if len(shape) == 2 else rows[0]
-        if not np.all(np.isfinite(arr)):
+        block = np.concatenate(rows)
+        if not np.all(np.isfinite(block)):
             raise fail(lineno, f"tensor {name} contains non-finite values")
-        arrays.append(arr)
+        blocks.append(block)
 
     lineno += 1
     if lineno > len(raw) or raw[lineno - 1] != "end":
         raise fail(lineno, "missing 'end' terminator")
-    params = _assemble(arrays, t)
-    params.validate()
-    return params
+    return GeniePathParams(p, k, t, np.concatenate(blocks))

@@ -106,9 +106,8 @@ def train(
     """Optimize the network on the Train split; deterministic for a fixed seed."""
     rng = np.random.default_rng(config.seed)
     params = params.copy()
-    vec = params.to_vector()
-    adam_m = np.zeros_like(vec)
-    adam_v = np.zeros_like(vec)
+    adam_m = np.zeros_like(params.vector)
+    adam_v = np.zeros_like(params.vector)
 
     neg_rows: np.ndarray | None = None
     loss_history: list[float] = []
@@ -125,15 +124,13 @@ def train(
         probs, cache = forward(params, ds.graph, ds.features, rows)
         epoch_loss = _clamped_bce(probs, pos, neg)
         grads = backward(params, cache, _bce_dprobs(probs, pos, neg))
-        gvec = grads.to_vector()
-        if not np.isfinite(epoch_loss) or not np.all(np.isfinite(gvec)):
+        if not np.isfinite(epoch_loss) or not np.all(np.isfinite(grads.vector)):
             raise NumericalError(f"non-finite loss or gradient at epoch {epoch}")
 
         if config.optimizer is Optimizer.SGD:
-            vec = vec - config.learning_rate * gvec
+            params.vector -= config.learning_rate * grads.vector
         else:
-            adam_step(vec, gvec, adam_m, adam_v, epoch + 1, config.learning_rate)
-        params = params.from_vector(vec)
+            adam_step(params.vector, grads.vector, adam_m, adam_v, epoch + 1, config.learning_rate)
 
         loss_history.append(epoch_loss)
         neg_counts.append(int(len(neg_rows)))

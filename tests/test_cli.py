@@ -549,6 +549,20 @@ class TestGradCheck:
         assert main(["grad-check", "--seed", "4"]) == 0
         assert main(["grad-check", "--seed", "4", "--corrupt", "ws"]) == 3
 
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1e-05", "inf"])
+    def test_eps_that_is_not_finite_and_positive_exits_2(self, capsys, eps):
+        assert main(["grad-check", f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: eps must be finite and > 0, got {float(eps)!r}\n"
+        assert captured.out == ""
+
+    def test_nan_error_fails_with_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: float("nan"))
+        assert main(["grad-check"]) == 3
+        captured = capsys.readouterr()
+        assert "max relative gradient error: nan" in captured.out
+        assert captured.err == "FAILED: exceeds 0.0001\n"
+
 
 class TestExportDot:
     def test_writes_dot_with_highlights(self, data_dir, tmp_path, capsys):
@@ -629,6 +643,22 @@ class TestConfigFile:
         code = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        code = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: --config {cfg}: [Errno 2] No such file or directory: '{cfg}'\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff{}")
+        code = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --config {cfg}: 'utf-8' codec can't decode byte 0xff"), err
+        assert not (tmp_path / "x").exists()
 
     def test_train_accepts_shared_config(self, data_dir, tmp_path, capsys):
         # One config file may carry keys for several train branches.

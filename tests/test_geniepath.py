@@ -16,6 +16,7 @@ from fraudring.geniepath import (
     load_params,
     save_params,
     sigmoid,
+    _tensor_spec,
 )
 from fraudring.graph import DeviceSharingGraph
 from reference import (
@@ -85,7 +86,7 @@ def assert_gradients_match(got: GeniePathParams, want: GeniePathParams, g: Devic
     isolated_device = np.any((np.diff(g.csr()[0]) == 0) & ~g.is_account)
     fewer = range(got.n_layers) if isolated_device else [got.n_layers - 1]
     regrouped = {f"layer{t}.{name}" for t in fewer for name in ("w_agg", "attn", "w_src", "w_dst")}
-    atol = 1e-14 * np.abs(want.to_vector()).max()
+    atol = 1e-14 * np.abs(want.vector).max()
     for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
         if name in regrouped:
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=atol, err_msg=name)
@@ -163,11 +164,11 @@ class TestReceptiveField:
             full_dprobs = np.zeros(len(want))
             full_dprobs[rows] = dprobs
             got, ref = backward(params, cache, dprobs), add_at_backward(params, g, features, full_dprobs)
-            atol = 1e-14 * np.abs(ref.to_vector()).max()
+            atol = 1e-14 * np.abs(ref.vector).max()
             for (name, a), (_, b) in zip(got.named_arrays(), ref.named_arrays()):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=atol, err_msg=f"trial {trial} {name}")
             # The scatters into the receptive field add as np.add.at into every node does.
-            assert got.to_vector().tobytes() == cached_add_at_backward(params, cache, dprobs).to_vector().tobytes()
+            assert got.vector.tobytes() == cached_add_at_backward(params, cache, dprobs).vector.tobytes()
             met |= case_traits(g, rows)
         assert met == {"isolated account", "isolated device", "device shared with a non-loss account"}
 
@@ -185,7 +186,7 @@ class TestReceptiveField:
             full_dprobs[rows] = dprobs
             got, ref = backward(params, cache, dprobs), add_at_backward(params, g, features, full_dprobs)
             np.testing.assert_allclose(
-                got.to_vector(), ref.to_vector(), rtol=1e-10, atol=1e-12 * np.abs(ref.to_vector()).max()
+                got.vector, ref.vector, rtol=1e-10, atol=1e-12 * np.abs(ref.vector).max()
             )
 
     def test_each_layer_pools_exactly_its_centre_segments(self):
@@ -400,7 +401,7 @@ class TestBackward:
         g, features, params = fixture_12(seed=13)
         _, cache = forward(params, g, features)
         grads = backward(params, cache, np.zeros(6))
-        assert np.all(grads.to_vector() == 0.0)
+        assert np.all(grads.vector == 0.0)
 
     def test_single_account_loss_reaches_input_projection(self):
         g, features, params = fixture_12(seed=14)
@@ -422,7 +423,7 @@ class TestBackward:
             _, cache = forward(params, g, rng.normal(size=(n_acc, 3)))
             dprobs = rng.normal(size=n_acc)
             got, want = backward(params, cache, dprobs), cached_add_at_backward(params, cache, dprobs)
-            assert got.to_vector().tobytes() == want.to_vector().tobytes(), trial
+            assert got.vector.tobytes() == want.vector.tobytes(), trial
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_account_rows_only_equal_the_full_graph_oracle(self, order):
@@ -444,7 +445,7 @@ class TestBackward:
             np.testing.assert_allclose(probs, want, rtol=1e-12, atol=0)
             got, want = backward(params, cache, dprobs), add_at_backward(params, g, features, dprobs)
             np.testing.assert_allclose(
-                got.to_vector(), want.to_vector(), rtol=1e-10, atol=1e-12 * np.abs(want.to_vector()).max()
+                got.vector, want.vector, rtol=1e-10, atol=1e-12 * np.abs(want.vector).max()
             )
 
     def test_last_layer_pools_the_account_segments_only(self):
@@ -483,6 +484,12 @@ class TestBackward:
         fine = gradient_check(params, g, features, [0, 1], [2, 3], eps=1e-5)
         assert fine <= coarse or fine <= 1e-4
 
+    def test_callers_params_left_unchanged(self):
+        g, features, params = fixture_12(seed=15, p=3, k=4, t=2)
+        before = params.vector.copy()
+        gradient_check(params, g, features, positives=[0, 2], negatives=[1, 3, 4], eps=1e-5, corrupt="ws")
+        assert params.vector.tobytes() == before.tobytes()
+
     def test_overlapping_labels_rejected(self):
         g, features, params = fixture_12(seed=17)
         with pytest.raises(ValueError, match="overlap"):
@@ -509,7 +516,7 @@ class TestParams:
     def test_init_deterministic_and_forget_bias_set(self):
         a = init_params(5, hidden_dim=6, n_layers=2, seed=3)
         b = init_params(5, hidden_dim=6, n_layers=2, seed=3)
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.vector, b.vector)
         assert np.all(a.lstm.bias[6:12] == 1.0)
         assert np.all(a.lstm.bias[:6] == 0.0)
         assert np.all(a.b_out == 0.0)
@@ -521,20 +528,56 @@ class TestParams:
 
     def test_vector_round_trip(self):
         params = init_params(3, hidden_dim=4, n_layers=2, seed=5)
-        vec = params.to_vector()
+        vec = params.vector
         again = params.from_vector(vec)
-        assert np.array_equal(again.to_vector(), vec)
+        assert np.array_equal(again.vector, vec)
 
     def test_from_vector_size_mismatch_rejected(self):
         params = init_params(3, hidden_dim=4, n_layers=2, seed=6)
         with pytest.raises(ValueError, match="entries"):
-            params.from_vector(np.zeros(params.to_vector().size + 1))
+            params.from_vector(np.zeros(params.vector.size + 1))
 
-    def test_validate_rejects_bad_shape(self):
-        params = init_params(3, hidden_dim=4, n_layers=1, seed=7)
-        params.w_out = np.zeros(5)
-        with pytest.raises(ValueError, match="w_out"):
+    def test_wrong_size_vector_rejected_at_construction(self):
+        size = init_params(3, hidden_dim=4, n_layers=1, seed=7).vector.size
+        for vector in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size))):
+            with pytest.raises(ValueError, match="entries"):
+                GeniePathParams(3, 4, 1, vector)
+
+    def test_validate_rejects_non_finite_entries(self):
+        params = init_params(3, hidden_dim=4, n_layers=2, seed=7)
+        params.layers[1].w_dst[2, 3] = np.nan
+        with pytest.raises(ValueError, match="layer1.w_dst"):
             params.validate()
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_each_named_view_writes_into_the_vector_at_its_spec_offset(self, n_layers):
+        params = init_params(3, hidden_dim=4, n_layers=n_layers, seed=9)
+        offset = 0
+        for name, shape in _tensor_spec(3, 4, n_layers):
+            view = params
+            for part in name.split("."):
+                view = params.layers[int(part[5:])] if part.startswith("layer") else getattr(view, part)
+            assert view.shape == shape, name
+            size = view.size
+            before = params.vector.copy()
+            view[:] = -np.arange(1.0, size + 1).reshape(shape)
+            assert np.array_equal(params.vector[offset : offset + size], -np.arange(1.0, size + 1)), name
+            outside = np.r_[0:offset, offset + size : before.size]
+            assert np.array_equal(params.vector[outside], before[outside]), name
+            view += 1.0
+            assert params.vector[offset] == 0.0, name
+            offset += size
+        assert offset == params.vector.size
+
+    def test_copies_share_no_memory_with_their_source(self):
+        params = init_params(3, hidden_dim=4, n_layers=2, seed=10)
+        vec = params.vector.copy()
+        for other in (params.copy(), params.from_vector(params.vector), params.from_vector(vec), params.zeros_like()):
+            assert not np.shares_memory(other.vector, params.vector)
+            assert not np.shares_memory(other.vector, vec)
+            for (name, a), (_, b) in zip(other.named_arrays(), params.named_arrays()):
+                assert not np.shares_memory(a, b), name
+                assert np.shares_memory(a, other.vector), name
 
 
 class TestCheckpoint:
@@ -543,7 +586,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_params(params, path)
         loaded = load_params(path)
-        assert np.array_equal(loaded.to_vector(), params.to_vector())
+        assert np.array_equal(loaded.vector, params.vector)
         assert loaded.n_layers == 3
 
     def test_bad_header_rejected(self, tmp_path):

@@ -195,8 +195,17 @@ class TestTrain:
         params = init_params(4, hidden_dim=4, n_layers=1, seed=0)
         cfg = TrainConfig(epochs=5, learning_rate=0.0, negative_sample_rate=1.0)
         fitted, report = train(ds, params, cfg)
-        assert np.array_equal(fitted.to_vector(), params.to_vector())
+        assert np.array_equal(fitted.vector, params.vector)
         assert report.loss_history == pytest.approx([report.loss_history[0]] * 5)
+
+    @pytest.mark.parametrize("optimizer", [Optimizer.ADAM, Optimizer.SGD])
+    def test_callers_params_left_unchanged(self, optimizer):
+        ds = tiny_dataset()
+        params = init_params(4, hidden_dim=4, n_layers=2, seed=0)
+        before = params.vector.copy()
+        fitted, _ = train(ds, params, TrainConfig(epochs=3, optimizer=optimizer))
+        assert params.vector.tobytes() == before.tobytes()
+        assert not np.array_equal(fitted.vector, before)
 
     def test_tiny_dataset_loss_descends(self):
         ds = tiny_dataset()
@@ -226,7 +235,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=20, seed=5)
         a, rep_a = train(ds, params, cfg)
         b, rep_b = train(ds, params, cfg)
-        assert np.array_equal(a.to_vector(), b.to_vector())
+        assert np.array_equal(a.vector, b.vector)
         assert rep_a.loss_history == rep_b.loss_history
 
     def test_report_shapes_and_counts(self):

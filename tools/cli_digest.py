@@ -17,7 +17,7 @@ package from this checkout's src/, at default settings:
         models directory
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
-    grad-check --seed N
+    grad-check --seed N, with --layers 1, and with --layers 3 --hidden-dim 3
     synth --seed N with --config SYNTH_CONFIG, whose n_rings the flag --n-rings overrides
     train --model gnn | gbdt | node2vec-gbdt --seed N with --config TRAIN_CONFIG, one
         file holding keys of all three models, into its own models directory
@@ -96,6 +96,8 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
         ("export_dot", ["export-dot", "--graph", f"{data}/graph.tsv", "--features", f"{data}/features.tsv",
                         "--out", f"{base}/graph.dot"]),
         ("grad_check", ["grad-check", "--seed", str(seed)]),
+        ("grad_check_layers1", ["grad-check", "--seed", str(seed), "--layers", "1"]),
+        ("grad_check_layers3_k3", ["grad-check", "--seed", str(seed), "--layers", "3", "--hidden-dim", "3"]),
         ("synth_config", ["synth", "--out", f"{base}/data_config", "--seed", str(seed),
                           "--config", f"{base}/synth_config.json", "--n-rings", "6"]),
     ]
