@@ -3,20 +3,24 @@
 Split structure is searched greedily over exact sorted feature values on a
 row/feature subsample each round; leaf values are then a single Newton step
 computed on every training row, which keeps the full-data training loss
-nonincreasing at small learning rates.
+nonincreasing at small learning rates. An ensemble is one flat preorder node
+table, so prediction routes every row through every tree at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ..geniepath import sigmoid
-from ..graph import _open_new, _read_lines
+from ..graph import _numbers, _open_new, _read_lines
 
 L2_LAMBDA = 1.0
+# Rows gbdt_predict_batch routes together: at 500 trees each (trees x rows) work array takes 4 MB.
+BLOCK_ROWS = 1024
 
 
 class ModelFormatError(ValueError):
@@ -48,24 +52,22 @@ class GBDTConfig:
 
 
 @dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class GBDTModel:
+    """The trees as one preorder node table; tree t's nodes run from roots[t] to the next root.
+
+    Node k sends rows with x[feature[k]] < threshold[k] to k + 1 and the others
+    to right[k]. A leaf scores value[k]; its feature is -1, its threshold -inf
+    and right[k] == k, so a row that reached it stays there.
+    """
+
     base_score: float
     learning_rate: float
     n_features: int
-    trees: list[_Node]
+    roots: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    feature: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    threshold: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    value: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    right: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     # Fit-time traces, not serialized: full-data loss after each round and the
     # feature subset each round was allowed to split on.
     train_loss_history: list[float] = field(default_factory=list)
@@ -111,41 +113,6 @@ def _best_split(
     return float(col_gains[j]), int(feats[j]), float(thr)
 
 
-def _build_tree(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    feats: np.ndarray,
-    depth: int,
-    config: GBDTConfig,
-) -> _Node:
-    if depth >= config.max_depth or len(rows) < 2 * config.min_samples_leaf:
-        return _Node()
-    best = _best_split(x, g, h, rows, feats, config.min_samples_leaf)
-    if best is None:
-        return _Node()
-    _, f, thr = best
-    mask = x[rows, f] < thr
-    node = _Node(feature=f, threshold=thr)
-    node.left = _build_tree(x, g, h, rows[mask], feats, depth + 1, config)
-    node.right = _build_tree(x, g, h, rows[~mask], feats, depth + 1, config)
-    return node
-
-
-def _newton_leaf_values(
-    node: _Node, x: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray, out: np.ndarray
-) -> None:
-    """Set each leaf to -G/(H+lambda) over the full-data rows routed to it."""
-    if node.is_leaf:
-        node.value = float(-g[rows].sum() / (h[rows].sum() + L2_LAMBDA))
-        out[rows] = node.value
-        return
-    mask = x[rows, node.feature] < node.threshold
-    _newton_leaf_values(node.left, x, rows[mask], g, h, out)
-    _newton_leaf_values(node.right, x, rows[~mask], g, h, out)
-
-
 def gbdt_fit(x: np.ndarray, y: np.ndarray, config: GBDTConfig) -> GBDTModel:
     """Fit the boosted ensemble; deterministic for a fixed config seed."""
     x = np.asarray(x, dtype=np.float64)
@@ -160,45 +127,65 @@ def gbdt_fit(x: np.ndarray, y: np.ndarray, config: GBDTConfig) -> GBDTModel:
     base = math.log(n_pos / (n - n_pos))
     margins = np.full(n, base)
     rng = np.random.default_rng(config.seed)
-    model = GBDTModel(base, config.learning_rate, p, [])
+    model = GBDTModel(base, config.learning_rate, p)
+    nodes: list[list] = []  # [feature, threshold, value, right] in preorder
+    roots = []
 
     n_rows = max(1, int(round(config.row_sample_rate * n)))
     n_feats = max(1, math.ceil(config.feature_sample_rate * p))
+    contribution = np.zeros(n)
     for _ in range(config.n_trees):
         prob = sigmoid(margins)
         g = prob - y
         h = prob * (1.0 - prob)
         rows = np.sort(rng.choice(n, size=n_rows, replace=False))
         feats = np.sort(rng.choice(p, size=n_feats, replace=False))
-        root = _build_tree(x, g, h, rows, feats, 0, config)
-        contribution = np.zeros(n)
-        _newton_leaf_values(root, x, np.arange(n), g, h, contribution)
+        roots.append(len(nodes))
+        # Preorder growth: sampled rows choose each split, all rows routed to a leaf set its
+        # Newton step. Entries: (sampled, routed, depth, split whose right child it is or -1).
+        stack = [(rows, np.arange(n), 0, -1)]
+        while stack:
+            rows, routed, depth, parent = stack.pop()
+            if parent >= 0:
+                nodes[parent][3] = len(nodes)
+            best = depth < config.max_depth and len(rows) >= 2 * config.min_samples_leaf and _best_split(
+                x, g, h, rows, feats, config.min_samples_leaf
+            )
+            if not best:
+                value = float(-g[routed].sum() / (h[routed].sum() + L2_LAMBDA))
+                contribution[routed] = value
+                nodes.append([-1, -math.inf, value, len(nodes)])
+                continue
+            _, f, thr = best
+            mask, routed_mask = x[rows, f] < thr, x[routed, f] < thr
+            stack.append((rows[~mask], routed[~routed_mask], depth + 1, len(nodes)))
+            stack.append((rows[mask], routed[routed_mask], depth + 1, -1))
+            nodes.append([f, thr, 0.0, -1])
         margins += config.learning_rate * contribution
-        model.trees.append(root)
         model.feature_subsets.append(feats)
         model.train_loss_history.append(float(np.logaddexp(0.0, (1.0 - 2.0 * y) * margins).mean()))
+    model.roots = np.array(roots, dtype=np.int64)
+    model.feature, model.threshold, model.value, model.right = map(np.array, zip(*nodes))
     return model
 
 
-def _tree_predict_batch(node: _Node, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] = node.value
-        return
-    mask = x[rows, node.feature] < node.threshold
-    _tree_predict_batch(node.left, x, rows[mask], out)
-    _tree_predict_batch(node.right, x, rows[~mask], out)
-
-
 def gbdt_predict_batch(model: GBDTModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    """The rows' scores. Each block of rows steps through all trees together, one level per step."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"feature matrix shape {x.shape} does not match model's {model.n_features} features")
-    margins = np.full(x.shape[0], model.base_score)
-    rows = np.arange(x.shape[0])
-    scratch = np.zeros(x.shape[0])
-    for tree in model.trees:
-        _tree_predict_batch(tree, x, rows, scratch)
-        margins += model.learning_rate * scratch
+    skip = model.right - np.arange(len(model.right)) - 1  # from the left child to the right one; -1 at a leaf
+    margins = np.full(len(x), model.base_score)
+    for start in range(0, len(x), BLOCK_ROWS):
+        block = x[start : start + BLOCK_ROWS]
+        nodes = np.repeat(model.roots[:, None], len(block), axis=1)  # (trees, rows); a leaf keeps its rows
+        cells = np.arange(len(block)) * x.shape[1]
+        while ((at := np.take(model.feature, nodes)) >= 0).any():
+            at += cells
+            go_right = ~(np.take(block.ravel(), at) < np.take(model.threshold, nodes))
+            nodes += 1 + np.take(skip, nodes) * go_right
+        for contribution in model.learning_rate * np.take(model.value, nodes):
+            margins[start : start + BLOCK_ROWS] += contribution  # tree by tree, as the fit added them
     return sigmoid(margins)
 
 
@@ -212,107 +199,119 @@ def gbdt_predict(model: GBDTModel, x: np.ndarray) -> float:
 MODEL_HEADER = "gbdt-model v1"
 
 
-def _write_preorder(node: _Node, lines: list[str]) -> None:
-    if node.is_leaf:
-        lines.append(f"leaf {node.value:.17g}")
-        return
-    lines.append(f"split {node.feature} {node.threshold:.17g}")
-    _write_preorder(node.left, lines)
-    _write_preorder(node.right, lines)
-
-
-def _count_nodes(node: _Node) -> int:
-    if node.is_leaf:
-        return 1
-    return 1 + _count_nodes(node.left) + _count_nodes(node.right)
-
-
 def save_gbdt(model: GBDTModel, path: str) -> None:
-    lines = [
-        MODEL_HEADER,
-        f"base_score {model.base_score:.17g}",
-        f"learning_rate {model.learning_rate:.17g}",
-        f"n_features {model.n_features}",
-        f"n_trees {len(model.trees)}",
-    ]
-    for i, tree in enumerate(model.trees):
-        lines.append(f"tree {i} {_count_nodes(tree)}")
-        _write_preorder(tree, lines)
+    columns = zip(model.feature.tolist(), model.threshold.tolist(), model.value.tolist())
+    nodes = [f"split {f} {t:.17g}" if f >= 0 else f"leaf {v:.17g}" for f, t, v in columns]
+    lines = [MODEL_HEADER, f"base_score {model.base_score:.17g}", f"learning_rate {model.learning_rate:.17g}",
+             f"n_features {model.n_features}", f"n_trees {len(model.roots)}"]
+    starts = model.roots.tolist()
+    for i, (start, end) in enumerate(zip(starts, starts[1:] + [len(nodes)])):
+        lines.append(f"tree {i} {end - start}")
+        lines += nodes[start:end]
     lines.append("end")
     with _open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_gbdt(path: str) -> GBDTModel:
+    """Read what save_gbdt writes; the first bad line in the file raises ModelFormatError naming path:line.
+
+    The body is parsed column by column. A tree ends, and a split's right
+    child starts, at the next line whose count of splits minus leaves before
+    it is one less than after the line itself.
+    """
     raw = _read_lines(path)
 
     def fail(lineno: int, message: str) -> ModelFormatError:
         return ModelFormatError(f"{path}:{lineno}: {message}")
 
-    def scalar(lineno: int, key: str, parse) -> float:
+    def scalar(lineno: int, key: str, parse, valid, rule: str):
         if lineno > len(raw):
             raise fail(lineno, f"missing {key}")
         parts = raw[lineno - 1].split()
         if len(parts) != 2 or parts[0] != key:
             raise fail(lineno, f"expected '{key} <value>', got {raw[lineno - 1]!r}")
         try:
-            return parse(parts[1])
+            value = parse(parts[1])
         except ValueError:
             raise fail(lineno, f"bad {key} value {parts[1]!r}") from None
+        if not valid(value):
+            raise fail(lineno, f"{key} {rule}, got {parts[1]!r}")
+        return value
 
     if not raw or raw[0] != MODEL_HEADER:
         raise fail(1, f"expected header {MODEL_HEADER!r}")
-    base = scalar(2, "base_score", float)
-    lr = scalar(3, "learning_rate", float)
-    n_features = int(scalar(4, "n_features", int))
-    n_trees = int(scalar(5, "n_trees", int))
+    base = scalar(2, "base_score", float, math.isfinite, "must be finite")
+    lr = scalar(3, "learning_rate", float, math.isfinite, "must be finite")
+    n_features = scalar(4, "n_features", int, (1).__le__, "must be >= 1")
+    n_trees = scalar(5, "n_trees", int, (0).__le__, "must be >= 0")
 
-    lineno = 5
-    trees: list[_Node] = []
-    for i in range(n_trees):
-        lineno += 1
-        if lineno > len(raw):
-            raise fail(lineno, f"missing tree {i}")
-        parts = raw[lineno - 1].split()
-        if len(parts) != 3 or parts[0] != "tree" or parts[1] != str(i):
-            raise fail(lineno, f"expected 'tree {i} <n_nodes>', got {raw[lineno - 1]!r}")
-        try:
-            n_nodes = int(parts[2])
-        except ValueError:
-            raise fail(lineno, f"bad node count {parts[2]!r} for tree {i}") from None
+    # Body line b is file line b + 6. A split counts +1, a leaf -1, any other line 0.
+    body = raw[5:]
+    m = len(body)
+    fields = list(map(str.split, body))
+    width = np.fromiter(map(len, fields), np.int64, m)
+    tokens = np.array([*chain.from_iterable(fields), ""], dtype=object)
+    first = np.cumsum(width) - width
+    kind = tokens[np.where(width > 0, first, len(tokens) - 1)]
+    sign = ((width == 3) & (kind == "split")).astype(np.int64) - ((width == 2) & (kind == "leaf"))
+    # level[j]: the count over the lines before j. nxt[b]: the first j > b + 1 with level[j] == level[b + 1] - 1, or -1.
+    level = np.concatenate([[0], np.cumsum(sign)])
+    key = np.sort(level * (m + 2) + np.arange(m + 1))
+    at = np.searchsorted(key, (level[1:] - 1) * (m + 2) + np.arange(2, m + 2))
+    hit = key[np.minimum(at, m)]
+    nxt = np.where((at <= m) & (hit // (m + 2) == level[1:] - 1), hit % (m + 2), -1)
 
-        def read_node() -> _Node:
-            nonlocal lineno
-            lineno += 1
-            if lineno > len(raw):
-                raise fail(lineno, f"tree {i} is truncated")
-            fields = raw[lineno - 1].split()
-            if len(fields) == 2 and fields[0] == "leaf":
-                try:
-                    value = float(fields[1])
-                except ValueError:
-                    raise fail(lineno, f"bad leaf value {fields[1]!r}") from None
-                return _Node(value=value)
-            if len(fields) == 3 and fields[0] == "split":
-                try:
-                    feature = int(fields[1])
-                    threshold = float(fields[2])
-                except ValueError:
-                    raise fail(lineno, f"bad split line {raw[lineno - 1]!r}") from None
-                if not (0 <= feature < n_features):
-                    raise fail(lineno, f"split feature {feature} out of range")
-                node = _Node(feature=feature, threshold=threshold)
-                node.left = read_node()
-                node.right = read_node()
-                return node
-            raise fail(lineno, f"bad node line {raw[lineno - 1]!r}")
+    heads, b, after = [], 0, nxt.tolist()  # each tree's line, as far as the trees before it are well formed
+    while len(heads) < n_trees and 0 <= b < m:
+        heads.append(b)
+        b = after[b]
+    errors: list[tuple[int, int, str]] = []  # (body line, precedence, message)
 
-        root = read_node()
-        if _count_nodes(root) != n_nodes:
-            raise fail(lineno, f"tree {i} has {_count_nodes(root)} nodes, header says {n_nodes}")
-        trees.append(root)
+    def check(lines, bad: np.ndarray, precedence: int, message) -> None:
+        """Record the first bad entry i of a column, at body line lines[i]."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            errors.append((int(lines[i]), precedence, message(i)))
 
-    lineno += 1
-    if lineno > len(raw) or raw[lineno - 1] != "end":
-        raise fail(lineno, "missing 'end' terminator")
-    return GBDTModel(base, lr, n_features, trees)
+    if b < 0:
+        errors.append((m, 0, f"tree {len(heads) - 1} is truncated"))
+    elif len(heads) < n_trees:
+        errors.append((m, 0, f"missing tree {len(heads)}"))
+    elif b == m or body[b] != "end":
+        errors.append((b, 0, "missing 'end' terminator"))
+    head_fields = [fields[b] for b in heads]
+    n_good = next((i for i, f in enumerate(head_fields) if len(f) != 3 or f[:2] != ["tree", str(i)]), len(heads))
+    check(heads, np.arange(len(heads)) == n_good, 0, lambda i: f"expected 'tree {i} <n_nodes>', got {body[heads[i]]!r}")
+    counts, good = _numbers([f[2] for f in head_fields[:n_good]], int)
+    check(heads, np.arange(n_good) == good, 0, lambda i: f"bad node count {head_fields[i][2]!r} for tree {i}")
+    sizes = nxt[heads[:good]] - heads[:good] - 1
+    check(sizes + heads[:good], (sizes >= 0) & (sizes != counts), 4,
+          lambda i: f"tree {i} has {sizes[i]} nodes, header says {counts[i]}")
+
+    is_node = np.arange(m) < (b if b >= 0 else m)
+    is_node[heads] = False
+    check(np.arange(m), is_node & (sign == 0), 1, lambda b: f"bad node line {body[b]!r}")
+    leaves = np.flatnonzero(is_node & (sign < 0))
+    texts = tokens[first[leaves] + 1].tolist()
+    values, good = _numbers(texts, float)
+    check(leaves, np.arange(len(leaves)) == good, 1, lambda i: f"bad leaf value {texts[i]!r}")
+    check(leaves, ~np.isfinite(values), 3, lambda i: f"non-finite leaf value {texts[i]!r}")
+    splits = np.flatnonzero(is_node & (sign > 0))
+    features, good = _numbers(tokens[first[splits] + 1].tolist(), int)
+    thresholds, good_t = _numbers(tokens[first[splits] + 2].tolist(), float)
+    good = min(good, good_t)
+    check(splits, np.arange(len(splits)) == good, 1, lambda i: f"bad split line {body[splits[i]]!r}")
+    features, thresholds = features[:good], thresholds[:good]
+    check(splits, (features < 0) | (features >= n_features), 2, lambda i: f"split feature {features[i]} out of range")
+    check(splits, ~np.isfinite(thresholds), 3, lambda i: f"non-finite split threshold {fields[splits[i]][2]!r}")
+    if errors:
+        b, _, message = min(errors)
+        raise fail(b + 6, message)
+
+    index = np.cumsum(is_node) - 1  # node of each body line
+    feature, threshold, value, right = np.full(m, -1), np.full(m, -math.inf), np.zeros(m), index.copy()
+    feature[splits], threshold[splits], right[splits] = features, thresholds, index[nxt[splits]]
+    value[leaves] = values
+    columns = (column[is_node] for column in (feature, threshold, value, right))
+    return GBDTModel(base, lr, n_features, index[np.array(heads, dtype=np.int64) + 1], *columns)

@@ -253,7 +253,9 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of option defaults (flags override it)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
     parser = _Parser(prog="fraudring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,17 +9,23 @@ scattering with np.add.at), cached_add_at_backward (that backward pass over
 the current forward cache), masked_sigmoid, PerEdgeSampler with
 edge_transition_weights (node2vec's alias table per directed edge),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with one
-flat bincount) and allocating_adam_step (the Adam update with a fresh array
-per operation).
+flat bincount), allocating_adam_step (the Adam update with a fresh array
+per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
+node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
+loader, with the loader's non-finite and count checks added), read back into
+the flat layout by flatten_trees.
 """
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
+from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, _best_split
 from fraudring.baselines.node2vec import _alias_build
 from fraudring.features import FeatureFormatError
+from fraudring.geniepath import sigmoid
 
 
 def as_lists(a):
@@ -875,3 +881,208 @@ def allocating_adam_step(w, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e
     m_hat = m / (1.0 - beta1**step)
     v_hat = v / (1.0 - beta2**step)
     w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@dataclass
+class Node:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "Node | None" = None
+    right: "Node | None" = None
+    value: float = 0.0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def _node_build_tree(x, g, h, rows, feats, depth, config):
+    if depth >= config.max_depth or len(rows) < 2 * config.min_samples_leaf:
+        return Node()
+    best = _best_split(x, g, h, rows, feats, config.min_samples_leaf)
+    if best is None:
+        return Node()
+    _, f, thr = best
+    mask = x[rows, f] < thr
+    node = Node(feature=f, threshold=thr)
+    node.left = _node_build_tree(x, g, h, rows[mask], feats, depth + 1, config)
+    node.right = _node_build_tree(x, g, h, rows[~mask], feats, depth + 1, config)
+    return node
+
+
+def _node_leaf_values(node, x, rows, g, h, out):
+    """Set each leaf to -G/(H+lambda) over the full-data rows routed to it."""
+    if node.is_leaf:
+        node.value = float(-g[rows].sum() / (h[rows].sum() + L2_LAMBDA))
+        out[rows] = node.value
+        return
+    mask = x[rows, node.feature] < node.threshold
+    _node_leaf_values(node.left, x, rows[mask], g, h, out)
+    _node_leaf_values(node.right, x, rows[~mask], g, h, out)
+
+
+def node_gbdt_fit(x, y, config):
+    """The boosted ensemble as (base_score, list of Node roots, train_loss_history)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = x.shape
+    n_pos = int(y.sum())
+    base = math.log(n_pos / (n - n_pos))
+    margins = np.full(n, base)
+    rng = np.random.default_rng(config.seed)
+    trees, losses = [], []
+    n_rows = max(1, int(round(config.row_sample_rate * n)))
+    n_feats = max(1, math.ceil(config.feature_sample_rate * p))
+    for _ in range(config.n_trees):
+        prob = sigmoid(margins)
+        g = prob - y
+        h = prob * (1.0 - prob)
+        rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+        feats = np.sort(rng.choice(p, size=n_feats, replace=False))
+        root = _node_build_tree(x, g, h, rows, feats, 0, config)
+        contribution = np.zeros(n)
+        _node_leaf_values(root, x, np.arange(n), g, h, contribution)
+        margins += config.learning_rate * contribution
+        trees.append(root)
+        losses.append(float(np.logaddexp(0.0, (1.0 - 2.0 * y) * margins).mean()))
+    return base, trees, losses
+
+
+def _node_predict(node, x, rows, out):
+    if node.is_leaf:
+        out[rows] = node.value
+        return
+    mask = x[rows, node.feature] < node.threshold
+    _node_predict(node.left, x, rows[mask], out)
+    _node_predict(node.right, x, rows[~mask], out)
+
+
+def node_predict_batch(base_score, learning_rate, trees, x):
+    """Margins (not probabilities), one recursive walk per tree, added tree by tree."""
+    margins = np.full(x.shape[0], base_score)
+    rows = np.arange(x.shape[0])
+    contribution = np.zeros(x.shape[0])
+    for tree in trees:
+        _node_predict(tree, x, rows, contribution)
+        margins += learning_rate * contribution
+    return margins
+
+
+def _count_nodes(node):
+    return 1 if node.is_leaf else 1 + _count_nodes(node.left) + _count_nodes(node.right)
+
+
+def flatten_trees(trees):
+    """(roots, feature, threshold, value, right) of the trees in the flat preorder layout."""
+    roots, feature, threshold, value, right = [], [], [], [], []
+
+    def visit(node):
+        k = len(feature)
+        feature.append(node.feature)
+        threshold.append(-math.inf if node.is_leaf else node.threshold)
+        value.append(node.value)
+        right.append(k)
+        if not node.is_leaf:
+            visit(node.left)
+            right[k] = len(feature)
+            visit(node.right)
+
+    for tree in trees:
+        roots.append(len(feature))
+        visit(tree)
+    return (np.array(roots, dtype=np.int64), np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64), np.array(value, dtype=np.float64),
+            np.array(right, dtype=np.int64))
+
+
+def node_load_gbdt(path):
+    """(base_score, learning_rate, n_features, trees) read one line at a time, Node by Node.
+
+    The first bad line raises ModelFormatError naming path:line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().split("\n")
+    if raw[-1] == "":
+        raw.pop()
+
+    def fail(lineno, message):
+        return ModelFormatError(f"{path}:{lineno}: {message}")
+
+    def scalar(lineno, key, parse):
+        if lineno > len(raw):
+            raise fail(lineno, f"missing {key}")
+        parts = raw[lineno - 1].split()
+        if len(parts) != 2 or parts[0] != key:
+            raise fail(lineno, f"expected '{key} <value>', got {raw[lineno - 1]!r}")
+        try:
+            value = parse(parts[1])
+        except ValueError:
+            raise fail(lineno, f"bad {key} value {parts[1]!r}") from None
+        if parse is float and not math.isfinite(value):
+            raise fail(lineno, f"{key} must be finite, got {parts[1]!r}")
+        if key == "n_features" and value < 1:
+            raise fail(lineno, f"{key} must be >= 1, got {parts[1]!r}")
+        if key == "n_trees" and value < 0:
+            raise fail(lineno, f"{key} must be >= 0, got {parts[1]!r}")
+        return value
+
+    if not raw or raw[0] != MODEL_HEADER:
+        raise fail(1, f"expected header {MODEL_HEADER!r}")
+    base = scalar(2, "base_score", float)
+    lr = scalar(3, "learning_rate", float)
+    n_features = scalar(4, "n_features", int)
+    n_trees = scalar(5, "n_trees", int)
+
+    lineno = 5
+    trees = []
+    for i in range(n_trees):
+        lineno += 1
+        if lineno > len(raw):
+            raise fail(lineno, f"missing tree {i}")
+        parts = raw[lineno - 1].split()
+        if len(parts) != 3 or parts[0] != "tree" or parts[1] != str(i):
+            raise fail(lineno, f"expected 'tree {i} <n_nodes>', got {raw[lineno - 1]!r}")
+        try:
+            n_nodes = int(parts[2])
+        except ValueError:
+            raise fail(lineno, f"bad node count {parts[2]!r} for tree {i}") from None
+
+        def read_node():
+            nonlocal lineno
+            lineno += 1
+            if lineno > len(raw):
+                raise fail(lineno, f"tree {i} is truncated")
+            fields = raw[lineno - 1].split()
+            if len(fields) == 2 and fields[0] == "leaf":
+                try:
+                    value = float(fields[1])
+                except ValueError:
+                    raise fail(lineno, f"bad leaf value {fields[1]!r}") from None
+                if not math.isfinite(value):
+                    raise fail(lineno, f"non-finite leaf value {fields[1]!r}")
+                return Node(value=value)
+            if len(fields) == 3 and fields[0] == "split":
+                try:
+                    feature = int(fields[1])
+                    threshold = float(fields[2])
+                except ValueError:
+                    raise fail(lineno, f"bad split line {raw[lineno - 1]!r}") from None
+                if not (0 <= feature < n_features):
+                    raise fail(lineno, f"split feature {feature} out of range")
+                if not math.isfinite(threshold):
+                    raise fail(lineno, f"non-finite split threshold {fields[2]!r}")
+                node = Node(feature=feature, threshold=threshold)
+                node.left = read_node()
+                node.right = read_node()
+                return node
+            raise fail(lineno, f"bad node line {raw[lineno - 1]!r}")
+
+        root = read_node()
+        if _count_nodes(root) != n_nodes:
+            raise fail(lineno, f"tree {i} has {_count_nodes(root)} nodes, header says {n_nodes}")
+        trees.append(root)
+
+    lineno += 1
+    if lineno > len(raw) or raw[lineno - 1] != "end":
+        raise fail(lineno, "missing 'end' terminator")
+    return base, lr, n_features, trees

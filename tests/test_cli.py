@@ -468,6 +468,20 @@ class TestEvaluate:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, text", [("base_score", "base_score nan"), ("leaf", "leaf inf"), ("n_trees", "n_trees -1")])
+    def test_non_finite_or_negative_model_value_is_data_error(self, data_dir, models_dir, tmp_path, capsys, key, text):
+        partial = tmp_path / "bad-model"
+        partial.mkdir()
+        lines = (models_dir / "gbdt.model").read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} "))
+        lines[i] = text
+        (partial / "gbdt.model").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--data", str(data_dir), "--models", str(partial), "--out", str(out)])
+        assert code == 2
+        assert f"error: {partial / 'gbdt.model'}:{i + 1}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ground_truth_labels_add_audit_line(self, data_dir, models_dir, tmp_path, capsys):
         out = tmp_path / "eval"
         code = main([
@@ -883,3 +897,28 @@ class TestOptionTable:
         assert sorted(documented, key=repr) == sorted(
             (("/".join(row.commands), row.key, cli._default(row)) for row in cli.OPTIONS), key=repr
         )
+
+
+class TestParserReuse:
+    def test_main_twice_with_different_commands_carries_nothing_over(self, data_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        train = ["train", "--model", "gbdt", "--data", str(data_dir), "--out", str(models), "--trees", "2"]
+        assert main([*train, "--max-depth", "2", "--seed", "4"]) == 0
+        assert main(["export-dot", "--graph", str(data_dir / "graph.tsv"), "--out", str(tmp_path / "g.dot")]) == 0
+        first = capsys.readouterr().out
+        assert main(train) == 0
+        second = capsys.readouterr().out
+        assert "2 trees, max depth 2," in first and "2 trees, max depth 5," in second
+        assert main(["synth", "--seed", "1"]) == 1
+        assert "required: --out" in capsys.readouterr().err
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        texts = []
+        for _ in range(2):
+            for command in ([], ["train"], ["evaluate"]):
+                with pytest.raises(SystemExit) as done:
+                    main([*command, "--help"])
+                assert done.value.code == 0
+                texts.append(capsys.readouterr().out)
+        assert texts[:3] == texts[3:] and "--max-depth" in texts[1]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from fraudring.baselines.gbdt import (
     load_gbdt,
     save_gbdt,
 )
-from reference import loop_best_split
+from fraudring.geniepath import sigmoid
+from reference import Node, flatten_trees, loop_best_split, node_gbdt_fit, node_load_gbdt, node_predict_batch
 
 
 def xor_dataset(n=200, seed=0):
@@ -34,18 +36,22 @@ def xor_model():
     return gbdt_fit(x, y, cfg), x, y
 
 
-def tree_depth(node):
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+def node_depths(model):
+    """Each node's depth below its tree's root, from the flat layout."""
+    depth = np.zeros(len(model.feature), dtype=np.int64)
+    for k in np.flatnonzero(model.feature >= 0):  # preorder: a parent before its children
+        depth[k + 1] = depth[model.right[k]] = depth[k] + 1
+    return depth
 
 
-def split_features(node, out):
-    if not node.is_leaf:
-        out.add(node.feature)
-        split_features(node.left, out)
-        split_features(node.right, out)
-    return out
+def tree_slices(model):
+    ends = [*model.roots[1:].tolist(), len(model.feature)]
+    return [slice(start, end) for start, end in zip(model.roots.tolist(), ends)]
+
+
+def split_features(model, tree):
+    features = model.feature[tree]
+    return {int(f) for f in features[features >= 0]}
 
 
 class TestConfig:
@@ -90,7 +96,8 @@ class TestFit:
 
     def test_trees_respect_depth_bound(self):
         model, _, _ = xor_model()
-        assert all(tree_depth(t) <= 3 for t in model.trees)
+        depths = node_depths(model)
+        assert all(depths[tree].max() <= 3 for tree in tree_slices(model))
 
     def test_splits_stay_inside_sampled_feature_subset(self):
         rng = np.random.default_rng(3)
@@ -99,8 +106,8 @@ class TestFit:
         cfg = GBDTConfig(n_trees=40, max_depth=3, feature_sample_rate=0.5, seed=4)
         model = gbdt_fit(x, y, cfg)
         assert len(model.feature_subsets) == 40
-        for tree, feats in zip(model.trees, model.feature_subsets):
-            used = split_features(tree, set())
+        for tree, feats in zip(tree_slices(model), model.feature_subsets):
+            used = split_features(model, tree)
             assert used <= {int(f) for f in feats}
 
     def test_deterministic_for_fixed_seed(self):
@@ -124,16 +131,9 @@ class TestFit:
 
     def test_leaf_values_finite(self):
         model, _, _ = xor_model()
-
-        def check(node):
-            if node.is_leaf:
-                assert math.isfinite(node.value)
-            else:
-                check(node.left)
-                check(node.right)
-
-        for tree in model.trees:
-            check(tree)
+        for tree in tree_slices(model):
+            leaves = model.value[tree][model.feature[tree] < 0]
+            assert len(leaves) and all(math.isfinite(v) for v in leaves)
 
 
 def random_split_block(rng, n, p):
@@ -211,7 +211,7 @@ class TestPredict:
     def test_zero_trees_give_base_rate(self):
         # 3 positives out of 12 -> log-odds of 0.25
         base = math.log(3 / 9)
-        model = GBDTModel(base, 0.1, 4, [])
+        model = GBDTModel(base, 0.1, 4)
         assert gbdt_predict(model, np.zeros(4)) == pytest.approx(0.25, abs=1e-12)
 
     def test_xor_corner_scores_high(self):
@@ -227,7 +227,7 @@ class TestPredict:
         assert np.array_equal(batch, single)
 
     def test_prediction_shape_errors(self):
-        model = GBDTModel(0.0, 0.1, 3, [])
+        model = GBDTModel(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="does not match"):
             gbdt_predict(model, np.zeros(4))
         with pytest.raises(ValueError, match="does not match"):
@@ -313,6 +313,19 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="header says 5"):
             load_gbdt(str(path))
 
+    def test_tree_deeper_than_the_recursion_limit_loads(self, tmp_path):
+        # a left chain of 1500 splits: its leftmost leaf, then each split's right leaf, deepest first
+        depth = 1500
+        lines = ["gbdt-model v1", "base_score 0", "learning_rate 0.5", "n_features 1", "n_trees 1",
+                 f"tree 0 {2 * depth + 1}", *["split 0 0.5"] * depth, "leaf 2", *["leaf 1"] * (depth - 1), "leaf -3",
+                 "end"]
+        path = tmp_path / "deep.model"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = load_gbdt(str(path))
+        assert np.array_equal(gbdt_predict_batch(model, np.array([[0.0], [1.0]])), sigmoid(np.array([1.0, -1.5])))
+        save_gbdt(model, str(tmp_path / "again.model"))
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
     def test_missing_end(self, tmp_path):
         path = tmp_path / "end.model"
         path.write_text(
@@ -322,3 +335,174 @@ class TestSerialization:
         )
         with pytest.raises(ModelFormatError, match="end"):
             load_gbdt(str(path))
+
+
+MODEL_TEXT = (
+    "gbdt-model v1\nbase_score 0\nlearning_rate 0.1\nn_features 2\nn_trees 2\n"
+    "tree 0 3\nsplit 1 0.5\nleaf 1\nleaf -1\ntree 1 1\nleaf 0.25\nend\n"
+)
+
+
+def write_edited(path, edits):
+    lines = MODEL_TEXT.splitlines()
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestNonFiniteModels:
+    @pytest.mark.parametrize(
+        "lineno, text, message",
+        [
+            (2, "base_score nan", "base_score must be finite, got 'nan'"),
+            (3, "learning_rate inf", "learning_rate must be finite, got 'inf'"),
+            (4, "n_features 0", "n_features must be >= 1, got '0'"),
+            (5, "n_trees -1", "n_trees must be >= 0, got '-1'"),
+            (7, "split 0 nan", "non-finite split threshold 'nan'"),
+            (7, "split 2 nan", "split feature 2 out of range"),
+            (8, "leaf inf", "non-finite leaf value 'inf'"),
+            (11, "leaf -inf", "non-finite leaf value '-inf'"),
+        ],
+    )
+    def test_rejected_at_their_line(self, tmp_path, lineno, text, message):
+        path = write_edited(tmp_path / "bad.model", {lineno: text})
+        with pytest.raises(ModelFormatError) as err:
+            load_gbdt(path)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = write_edited(tmp_path / "bad.model", {8: "leaf nan", 10: "tree 1 x"})
+        with pytest.raises(ModelFormatError, match=r"bad\.model:8: non-finite leaf value 'nan'$"):
+            load_gbdt(path)
+
+    def test_finite_edit_loads(self, tmp_path):
+        model = load_gbdt(write_edited(tmp_path / "ok.model", {2: "base_score -1e300", 5: "n_trees 2"}))
+        assert model.base_score == -1e300
+        assert np.all(np.isfinite(gbdt_predict_batch(model, np.array([[0.0, 0.0], [0.0, 1.0]]))))
+
+
+def random_node_tree(rng, depth, p, values, root=True):
+    """A random Node tree of at most depth levels that splits at its root if it may.
+
+    Thresholds are drawn from values, so rows whose feature equals a threshold occur.
+    """
+    if depth == 0 or (not root and rng.random() < 0.3):
+        return Node(value=float(rng.normal()))
+    node = Node(feature=int(rng.integers(p)), threshold=float(rng.choice(values)))
+    node.left = random_node_tree(rng, depth - 1, p, values, False)
+    node.right = random_node_tree(rng, depth - 1, p, values, False)
+    return node
+
+
+def flat_model(base, lr, p, trees):
+    return GBDTModel(base, lr, p, *flatten_trees(trees))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_layout(model, want):
+    got = (model.roots, model.feature, model.threshold, model.value, model.right)
+    return all(same_bits(a, b) for a, b in zip(got, want))
+
+
+class TestFlatLayoutOracles:
+    def test_predict_matches_recursive_walk_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        for trial in range(80):
+            p, n = int(rng.integers(1, 6)), int(rng.integers(0, 40))
+            x = np.round(rng.normal(size=(n, p)), 1)
+            values = np.concatenate([x.ravel(), rng.normal(size=2)])
+            # zero trees, single leaves, stumps, and trees up to depth 9
+            n_trees, depth = [(0, 0), (int(rng.integers(1, 4)), 0), (int(rng.integers(1, 30)), 1),
+                              (int(rng.integers(1, 30)), int(rng.integers(2, 10)))][trial % 4]
+            trees = [random_node_tree(rng, depth, p, values) for _ in range(n_trees)]
+            base, lr = float(rng.normal()), float(rng.uniform(0.01, 1.0))
+            want = sigmoid(node_predict_batch(base, lr, trees, x))
+            model = flat_model(base, lr, p, trees)
+            assert same_bits(gbdt_predict_batch(model, x), want), trial
+            path = str(tmp_path / f"{trial}.model")
+            save_gbdt(model, path)
+            loaded = load_gbdt(path)
+            assert same_layout(loaded, flatten_trees(node_load_gbdt(path)[3])), trial
+            for rows in (1, 3):
+                monkeypatch.setattr(gbdt, "BLOCK_ROWS", rows)
+                assert same_bits(gbdt_predict_batch(loaded, x), want), (trial, rows)
+            monkeypatch.undo()
+
+    def test_predict_sends_nan_right_as_the_recursive_walk(self):
+        trees = [random_node_tree(np.random.default_rng(s), 3, 2, np.array([0.0, 1.0])) for s in range(5)]
+        x = np.array([[np.nan, 0.0], [0.0, np.nan], [np.inf, -np.inf], [1.0, 0.0]])
+        want = sigmoid(node_predict_batch(0.5, 0.3, trees, x))
+        assert same_bits(gbdt_predict_batch(flat_model(0.5, 0.3, 2, trees), x), want)
+
+    def test_fit_matches_node_tree_fit_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for trial in range(16):
+            n, p = int(rng.integers(10, 70)), int(rng.integers(1, 6))
+            x = np.round(rng.normal(size=(n, p)), int(rng.integers(0, 2)))
+            if trial % 2:
+                x[:, 0] = 0.5  # a constant column
+            y = (rng.random(n) < 0.4).astype(np.float64)
+            y[:2] = [0.0, 1.0]
+            min_leaf = int(rng.choice([1, 2, max(1, n // 4), n // 2, n]))
+            cfg = GBDTConfig(
+                n_trees=int(rng.integers(1, 12)), max_depth=int(rng.choice([1, 2, 5, 8])),
+                row_sample_rate=float(rng.choice([0.5, 1.0])), feature_sample_rate=float(rng.choice([0.5, 1.0])),
+                learning_rate=0.3, min_samples_leaf=min_leaf, seed=trial,
+            )
+            model = gbdt_fit(x, y, cfg)
+            base, trees, losses = node_gbdt_fit(x, y, cfg)
+            assert model.base_score == base and model.train_loss_history == losses
+            assert same_layout(model, flatten_trees(trees)), trial
+            assert same_bits(gbdt_predict_batch(model, x), sigmoid(node_predict_batch(base, 0.3, trees, x)))
+
+    def test_mutated_files_fail_or_load_as_the_recursive_loader(self, tmp_path):
+        rng = np.random.default_rng(23)
+        edits = [
+            "", "end", "leaf 0.5", "leaf", "leaf x", "leaf nan", "leaf -inf", "leaf 1 2", " leaf  0.25 ", "leaf 1_0",
+            "split 0 0.5", "split 1 1e400", "split -1 0", "split 3 0", "split 99999999999999999999 0", "split x 0",
+            "split 0", "split\t1\t0.5", "tree 0 3", "tree 1 1", "tree 0 x", "tree 1 x", "tree 1 -1",
+            "tree 0 99999999999999999999", "n_trees 5", "n_trees 0", "n_trees -1", "n_features 0", "n_features 1",
+            "base_score nan", "gbdt-model v1",
+        ]
+        texts = []
+        for seed in range(4):
+            trees = [random_node_tree(rng, int(rng.integers(0, 4)), 3, np.arange(3.0)) for _ in range(seed + 1)]
+            path = str(tmp_path / "base.model")
+            save_gbdt(flat_model(0.1, 0.2, 3, trees), path)
+            texts.append(open(path, encoding="utf-8").read().splitlines())
+        outcomes = set()
+        for trial in range(600):
+            lines = list(texts[trial % len(texts)])
+            for _ in range(int(rng.integers(1, 3))):
+                i = int(rng.integers(len(lines)))
+                op = int(rng.integers(5))
+                if op == 4:
+                    del lines[max(i, 1):]
+                elif op == 0:
+                    lines[i] = str(rng.choice(edits))
+                elif op == 1:
+                    del lines[i]
+                elif op == 2:
+                    lines.insert(i, lines[i])
+                elif lines[i].startswith("tree "):
+                    head, _, count = lines[i].rpartition(" ")
+                    lines[i] = f"{head} {int(count) + int(rng.choice([-1, 1]))}"
+            path = tmp_path / f"m{trial}.model"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                want = node_load_gbdt(str(path))
+            except ModelFormatError as e:
+                with pytest.raises(ModelFormatError) as err:
+                    load_gbdt(str(path))
+                assert str(err.value) == str(e), trial
+                outcomes.add(re.sub(r"'.*'|-?\d+", "#", str(e).split(": ", 1)[1]))
+                continue
+            model = load_gbdt(str(path))
+            assert (model.base_score, model.learning_rate, model.n_features) == want[:3]
+            assert same_layout(model, flatten_trees(want[3])), trial
+            outcomes.add("loaded")
+        assert len(outcomes) >= 18, sorted(outcomes)
