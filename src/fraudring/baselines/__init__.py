@@ -1,6 +1,6 @@
 """Comparison models: feature-only boosted trees and walk-embedding features."""
 
-from .gbdt import GBDTConfig, GBDTModel, gbdt_fit, gbdt_predict, gbdt_predict_batch
+from .gbdt import GBDTConfig, GBDTModel, gbdt_fit, gbdt_predict_batch
 from .node2vec import (
     Embeddings,
     Node2vecConfig,
@@ -13,7 +13,6 @@ __all__ = [
     "GBDTConfig",
     "GBDTModel",
     "gbdt_fit",
-    "gbdt_predict",
     "gbdt_predict_batch",
     "Embeddings",
     "Node2vecConfig",

@@ -189,13 +189,6 @@ def gbdt_predict_batch(model: GBDTModel, x: np.ndarray) -> np.ndarray:
     return sigmoid(margins)
 
 
-def gbdt_predict(model: GBDTModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"feature vector shape {x.shape} does not match model's {model.n_features} features")
-    return float(gbdt_predict_batch(model, x[None, :])[0])
-
-
 MODEL_HEADER = "gbdt-model v1"
 
 

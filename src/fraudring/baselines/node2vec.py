@@ -16,7 +16,7 @@ import numpy as np
 from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
 from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
-from ..train import NumericalError, adam_step, training_rows
+from ..train import NumericalError, adam_step, gbdt_training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
 # Full-batch Adam steps per skip-gram epoch.
@@ -372,18 +372,14 @@ def embed_concat_fit(
 ) -> tuple[GBDTModel, Embeddings]:
     """Fit a GBDT on [embedding, features] rows with the shared label sampling.
 
-    The rows are train.training_rows at negative_sample_rate, drawn from the
-    GBDT seed: positives, then negatives. Returns the fitted model along with
-    the embeddings it consumed.
+    The rows are train.gbdt_training_rows at negative_sample_rate, drawn from
+    the GBDT seed: positives, then negatives. Returns the fitted model along
+    with the embeddings it consumed.
     """
-    positives, negatives = training_rows(
-        ds, negative_sample_rate, np.random.default_rng(gbdt_config.seed)
-    )
+    rows, y = gbdt_training_rows(ds, negative_sample_rate, gbdt_config.seed)
     walks = biased_walks(ds.graph, n2v_config)
     emb = train_embeddings(walks, n2v_config, n_nodes=ds.graph.num_nodes)
 
-    rows = np.concatenate([positives, negatives])
     x = np.hstack([emb.vectors[ds.graph.account_indices()[rows]], ds.features[rows]])
-    y = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
     model = gbdt_fit(x, y, gbdt_config)
     return model, emb

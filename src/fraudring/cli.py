@@ -60,10 +60,10 @@ from .train import (
     NumericalError,
     Optimizer,
     TrainConfig,
+    gbdt_training_rows,
     save_train_report,
     score_accounts,
     train,
-    training_rows,
 )
 
 GNN_CHECKPOINT_FILE = "gnn.ckpt"
@@ -383,9 +383,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     if args.model == "gbdt":
-        positives, negatives = training_rows(ds, opt["negative_rate"], np.random.default_rng(opt["seed"]))
-        labels = np.repeat([1.0, 0.0], [len(positives), len(negatives)])
-        model = gbdt_fit(ds.features[np.concatenate([positives, negatives])], labels, gbdt_config)
+        rows, labels = gbdt_training_rows(ds, opt["negative_rate"], opt["seed"])
+        model = gbdt_fit(ds.features[rows], labels, gbdt_config)
         save_gbdt(model, os.path.join(args.out, GBDT_MODEL_FILE))
         print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
         return 0
@@ -498,10 +497,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    high_risk: set[int] | None = None
-    if args.features:
-        ds = load_features(args.features, g)
-        high_risk = set(g.account_indices()[ds.high_risk].tolist())
+    high_risk = g.account_indices()[load_features(args.features, g).high_risk] if args.features else None
     export_dot(g, args.out, high_risk)
     print(f"wrote {args.out}")
     return 0

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .features import LabeledDataset
-from .graph import DeviceSharingGraph, _bfs_distances, _open_new
+from .graph import DeviceSharingGraph, _hop_counts, _open_new
 
 
 @dataclass(frozen=True)
@@ -200,22 +200,14 @@ def fraud_neighbor_stats(
     """
     is_fraud = np.asarray(is_fraud, dtype=bool)
     accounts = g.account_indices()
-    fraud_seeds = accounts[is_fraud].tolist()
-    regular_seeds = accounts[~is_fraud].tolist()
-    if not fraud_seeds or not regular_seeds:
+    if is_fraud.all() or not is_fraud.any():
         raise ValueError("need both fraud and regular accounts")
 
     fraud_mask = np.zeros(g.num_nodes, dtype=bool)
-    fraud_mask[fraud_seeds] = True
-
-    def average(seeds: list[int]) -> float:
-        total = 0
-        for a in seeds:
-            dist = _bfs_distances(g, a, max_hop)
-            total += int((fraud_mask & (dist > 0)).sum())
-        return total / len(seeds)
-
-    return average(fraud_seeds), average(regular_seeds)
+    fraud_mask[accounts[is_fraud]] = True
+    totals = _hop_counts(g, accounts, max_hop, fraud_mask).sum(axis=1)
+    fraud_avg, regular_avg = (float(totals[side].sum() / side.sum()) for side in (is_fraud, ~is_fraud))
+    return fraud_avg, regular_avg
 
 
 def tag_truth_mismatches(ds: LabeledDataset) -> list[int]:

@@ -251,16 +251,6 @@ def _breadth_forward(
     return h_next, _LayerCache(src, dst, seg_starts, centre_rows, h_centres, h_dst, z, alpha, agg)
 
 
-def breadth_layer(
-    layer: BreadthLayerParams, g: DeviceSharingGraph, h: np.ndarray
-) -> np.ndarray:
-    """One attention-pooling step over every node's neighborhood-plus-self."""
-    h = np.asarray(h, dtype=np.float64)
-    nodes = np.arange(g.num_nodes)
-    h_next, _ = _breadth_forward(layer, h, *_candidates(g, nodes), nodes)
-    return h_next
-
-
 def attention_weights(
     layer: BreadthLayerParams, h_center: np.ndarray, h_neighbors: np.ndarray
 ) -> np.ndarray:
@@ -292,14 +282,6 @@ def _lstm_forward(
         h = o * tanh_c
         c = c_new
     return h, steps
-
-
-def depth_layer(lstm: LSTMParams, sequence: Sequence[np.ndarray]) -> np.ndarray:
-    """Final LSTM hidden state over a (T+1)-long sequence of (n, K) embeddings."""
-    if len(sequence) < 1:
-        raise ValueError("sequence must contain at least one step")
-    h, _ = _lstm_forward(lstm, [np.asarray(x, dtype=np.float64) for x in sequence])
-    return h
 
 
 def forward(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, compress, count, islice, repeat, starmap
 from typing import Collection, Iterable, Iterator, Sequence, TextIO
 
@@ -16,11 +15,6 @@ SECONDS_PER_DAY = 86_400
 
 class GraphFormatError(ValueError):
     """Malformed graph or event file, or a structural rule violated on load."""
-
-
-class CountKind(Enum):
-    ALL = "all"
-    ACCOUNT_ONLY = "account_only"
 
 
 @dataclass(frozen=True)
@@ -343,45 +337,57 @@ def prune_singletons(g: DeviceSharingGraph) -> DeviceSharingGraph:
     return g.subgraph(_kept_nodes(g, component_labels(g)))
 
 
-def _bfs_distances(g: DeviceSharingGraph, start: int, max_depth: int) -> np.ndarray:
-    """Hop distances from start, level by level up to max_depth; -1 for the nodes beyond."""
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = [start]
-    for depth in range(1, max_depth + 1):
-        reached = set(chain.from_iterable(g.neighbors(u).tolist() for u in frontier))
-        frontier = [v for v in reached if dist[v] < 0]
-        dist[frontier] = depth
-    return dist
+def _hop_counts(g: DeviceSharingGraph, seeds: np.ndarray, max_hop: int, counted: np.ndarray) -> np.ndarray:
+    """(len(seeds), max_hop) int64: [i, h - 1] counts the counted nodes at distance exactly h from seeds[i].
+
+    Every seed's frontier expands at once, one hop a step, as sorted keys
+    position * n + node. The graph is bipartite, so the neighbours of the
+    nodes at distance h lie at h - 1 or h + 1: the next frontier is the
+    neighbour keys minus the previous frontier's.
+    """
+    n = g.num_nodes
+    offsets, targets = g.csr()
+    counts = np.zeros((len(seeds), max_hop), dtype=np.int64)
+    previous, frontier = np.zeros(0, dtype=np.int64), np.arange(len(seeds)) * n + seeds
+    for hop in range(max_hop):
+        nodes = frontier % n
+        degree = np.diff(offsets)[nodes]
+        at = np.arange(degree.sum()) + np.repeat(offsets[nodes] - np.cumsum(degree) + degree, degree)
+        reached = _sorted_unique(np.repeat(frontier - nodes, degree) + targets[at])
+        # reached[i] is in previous exactly where its insertion point holds it
+        known = np.append(previous, -1)[np.searchsorted(previous, reached)] == reached
+        previous, frontier = frontier, reached[~known]
+        counts[:, hop] = np.bincount(frontier[counted[frontier % n]] // n, minlength=len(seeds))
+    return counts
 
 
 def khop_neighbor_counts(
     g: DeviceSharingGraph,
     seeds: Collection[int],
     max_hop: int,
-    count_kind: CountKind = CountKind.ALL,
+    counted: np.ndarray | None = None,
 ) -> list[float]:
     """Average number of nodes at shortest-path distance exactly h from the seeds.
 
-    Element h-1 of the result is the mean over seeds of the count at hop h,
-    restricted to account nodes when count_kind is ACCOUNT_ONLY. Seeds must
-    be account nodes.
+    Element h-1 of the result is the mean over the distinct seeds of the
+    count at hop h, counting only the nodes of the bool mask counted if
+    given (g.is_account counts accounts). Seeds are any collection or
+    array of account node indices.
     """
-    if not seeds:
+    seeds = _sorted_unique(np.fromiter(seeds, dtype=np.int64))
+    if not len(seeds):
         raise ValueError("seeds must be nonempty")
     if max_hop < 1:
         raise ValueError("max_hop must be >= 1")
-    seed_list = sorted(set(int(s) for s in seeds))
-    for s in seed_list:
-        if not (0 <= s < g.num_nodes) or not g.is_account[s]:
-            raise ValueError(f"seed {s} is not an Account node")
+    outside = (seeds < 0) | (seeds >= g.num_nodes)
+    not_account = ~np.append(g.is_account, False)[np.where(outside, g.num_nodes, seeds)]
+    if not_account.any():
+        raise ValueError(f"seed {seeds[np.argmax(not_account)]} is not an Account node")
 
-    counted = g.is_account if count_kind is CountKind.ACCOUNT_ONLY else np.ones(g.num_nodes, dtype=bool)
-    totals = np.zeros(max_hop + 1)
-    for s in seed_list:
-        dist = _bfs_distances(g, s, max_hop)
-        totals += np.bincount(dist[counted & (dist > 0)], minlength=max_hop + 1)
-    return (totals[1:] / len(seed_list)).tolist()
+    counted = np.ones(g.num_nodes, dtype=bool) if counted is None else np.asarray(counted, dtype=bool)
+    if counted.shape != (g.num_nodes,):
+        raise ValueError(f"counted mask of shape {counted.shape} for {g.num_nodes} nodes")
+    return (_hop_counts(g, seeds, max_hop, counted).sum(axis=0) / len(seeds)).tolist()
 
 
 def _check_tsv_id(value: str, what: str) -> str:
@@ -469,10 +475,11 @@ def export_dot(
 ) -> None:
     """Emit the graph in DOT: accounts as boxes, devices as ellipses, flagged accounts filled red.
 
-    DOT node n<i> is node i, labelled with its external id, so an account and
-    a device with the same id stay apart.
+    high_risk is any collection or array of the flagged node indices. DOT
+    node n<i> is node i, labelled with its external id, so an account and a
+    device with the same id stay apart.
     """
-    flagged = set(int(i) for i in high_risk) if high_risk else set()
+    flagged = set() if high_risk is None else set(map(int, high_risk))
 
     def quote(name: str) -> str:
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'

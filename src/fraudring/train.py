@@ -98,6 +98,12 @@ def training_rows(
     return positives, sample_negatives(np.flatnonzero(train & ~ds.high_risk), rate, rng)
 
 
+def gbdt_training_rows(ds: LabeledDataset, rate: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The GBDT baselines' (rows, labels): training_rows drawn from seed, positives (1.0) then negatives (0.0)."""
+    positives, negatives = training_rows(ds, rate, np.random.default_rng(seed))
+    return np.concatenate([positives, negatives]), np.repeat([1.0, 0.0], [len(positives), len(negatives)])
+
+
 def train(
     ds: LabeledDataset,
     params: GeniePathParams,

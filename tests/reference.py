@@ -13,7 +13,10 @@ flat bincount), allocating_adam_step (the Adam update with a fresh array
 per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
 loader, with the loader's non-finite and count checks added), read back into
-the flat layout by flatten_trees.
+the flat layout by flatten_trees. gbdt_predict, breadth_layer and depth_layer
+are thin wrappers over the package's batch kernels that only tests call: one
+row's GBDT probability, one attention layer over every node, and the LSTM
+over a sequence.
 """
 import math
 from dataclasses import dataclass
@@ -22,10 +25,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, _best_split
+from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, _best_split, gbdt_predict_batch
 from fraudring.baselines.node2vec import _alias_build
 from fraudring.features import FeatureFormatError
-from fraudring.geniepath import sigmoid
+from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
 
 
 def as_lists(a):
@@ -88,6 +91,22 @@ def scalar_breadth_layer(layer, h, adjacency):
                 agg[c] += w * h[v][c]
         out.append(vtanh(matvec(layer["w_agg"], agg)))
     return out
+
+
+def breadth_layer(layer, g, h):
+    """One attention-pooling step over every node's neighborhood-plus-self, by the package's kernel."""
+    h = np.asarray(h, dtype=np.float64)
+    nodes = np.arange(g.num_nodes)
+    h_next, _ = _breadth_forward(layer, h, *_candidates(g, nodes), nodes)
+    return h_next
+
+
+def depth_layer(lstm, sequence):
+    """Final LSTM hidden state over a (T+1)-long sequence of (n, K) embeddings, by the package's kernel."""
+    if len(sequence) < 1:
+        raise ValueError("sequence must contain at least one step")
+    h, _ = _lstm_forward(lstm, [np.asarray(x, dtype=np.float64) for x in sequence])
+    return h
 
 
 def scalar_lstm(w_x, w_h, bias, xs):
@@ -173,6 +192,15 @@ def bfs_distance_map(adjacency, start, max_depth):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def bfs_hop_counts(adjacency, seed, max_hop, counted):
+    """Counts of the counted nodes at hops 1..max_hop from seed, one breadth-first search."""
+    counts = [0] * max_hop
+    for node, d in bfs_distance_map(adjacency, seed, max_hop).items():
+        if d >= 1 and counted[node]:
+            counts[d - 1] += 1
+    return counts
 
 
 def brute_force_pr_points(scores, labels):
@@ -955,6 +983,14 @@ def _node_predict(node, x, rows, out):
     mask = x[rows, node.feature] < node.threshold
     _node_predict(node.left, x, rows[mask], out)
     _node_predict(node.right, x, rows[~mask], out)
+
+
+def gbdt_predict(model, x):
+    """One feature row's probability, by gbdt_predict_batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.n_features,):
+        raise ValueError(f"feature vector shape {x.shape} does not match model's {model.n_features} features")
+    return float(gbdt_predict_batch(model, x[None, :])[0])
 
 
 def node_predict_batch(base_score, learning_rate, trees, x):

@@ -18,8 +18,8 @@ from fraudring.evaluation import (
     save_report,
     tag_truth_mismatches,
 )
-from reference import brute_force_confusion, brute_force_pr_points, fraction_best_f1
-from util import make_dataset, make_graph
+from reference import bfs_hop_counts, brute_force_confusion, brute_force_pr_points, fraction_best_f1
+from util import adjacency_lists, make_dataset, make_graph, random_bipartite_with_small_parts
 
 
 def random_scored_labels(rng, n, base_rate=0.3, ties=False):
@@ -315,6 +315,25 @@ class TestFraudNeighborStats:
         g = make_graph("AAD", [(0, 2), (1, 2)])
         with pytest.raises(ValueError, match="both fraud and regular"):
             fraud_neighbor_stats(g, [True, True])
+
+    def test_matches_per_seed_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(22)
+        for trial in range(30):
+            g = random_bipartite_with_small_parts(rng, int(rng.integers(1, 25)), int(rng.integers(1, 25)), 0.12)
+            adj = adjacency_lists(g)
+            accounts = g.account_indices().tolist()
+            is_fraud = rng.random(len(accounts)) < 0.4
+            is_fraud[-3:] = [True, False, False]  # the two-account part mixes both; the isolated account is regular
+            fraud_mask = np.zeros(g.num_nodes, dtype=bool)
+            fraud_mask[np.array(accounts)[is_fraud]] = True
+            for max_hop in range(1, 7):
+                totals = [sum(bfs_hop_counts(adj, a, max_hop, fraud_mask)) for a in accounts]
+                want = tuple(
+                    sum(t for t, f in zip(totals, is_fraud.tolist()) if f == side) / int((is_fraud == side).sum())
+                    for side in (True, False)
+                )
+                got = fraud_neighbor_stats(g, is_fraud, max_hop=max_hop)
+                assert got == want and all(type(v) is float for v in got)
 
 
 class TestTagTruthMismatches:

@@ -11,13 +11,20 @@ from fraudring.baselines.gbdt import (
     GBDTModel,
     ModelFormatError,
     gbdt_fit,
-    gbdt_predict,
     gbdt_predict_batch,
     load_gbdt,
     save_gbdt,
 )
 from fraudring.geniepath import sigmoid
-from reference import Node, flatten_trees, loop_best_split, node_gbdt_fit, node_load_gbdt, node_predict_batch
+from reference import (
+    Node,
+    flatten_trees,
+    gbdt_predict,
+    loop_best_split,
+    node_gbdt_fit,
+    node_load_gbdt,
+    node_predict_batch,
+)
 
 
 def xor_dataset(n=200, seed=0):

@@ -8,8 +8,6 @@ from fraudring.geniepath import (
     LSTMParams,
     attention_weights,
     backward,
-    breadth_layer,
-    depth_layer,
     forward,
     gradient_check,
     init_params,
@@ -22,7 +20,9 @@ from fraudring.graph import DeviceSharingGraph
 from reference import (
     add_at_backward,
     as_lists,
+    breadth_layer,
     cached_add_at_backward,
+    depth_layer,
     full_forward,
     masked_sigmoid,
     scalar_attention,

@@ -6,7 +6,6 @@ import pytest
 from fraudring.graph import (
     ClaimEvent,
     ClaimLog,
-    CountKind,
     DeviceSharingGraph,
     GraphFormatError,
     LoginEvent,
@@ -27,13 +26,14 @@ from fraudring.graph import (
 )
 from reference import (
     bfs_distance_map,
+    bfs_hop_counts,
     line_by_line_events,
     line_by_line_graph,
     loop_edge_error,
     naive_build_graph,
     union_find_components,
 )
-from util import adjacency_lists, make_graph, random_bipartite
+from util import adjacency_lists, make_graph, random_bipartite, random_bipartite_with_small_parts
 
 DAY = 86400
 REF = 10_000_000
@@ -438,11 +438,11 @@ class TestComponentsAndPrune:
 class TestKhopCounts:
     def test_star_all_kinds(self):
         g = make_graph("ADDD", [(0, 1), (0, 2), (0, 3)])
-        assert khop_neighbor_counts(g, {0}, 1, CountKind.ALL) == [3.0]
+        assert khop_neighbor_counts(g, {0}, 1) == [3.0]
 
     def test_path_account_only_excludes_devices(self):
         g = make_graph("ADA", [(0, 1), (1, 2)])
-        assert khop_neighbor_counts(g, {0}, 2, CountKind.ACCOUNT_ONLY) == [0.0, 1.0]
+        assert khop_neighbor_counts(g, {0}, 2, g.is_account) == [0.0, 1.0]
 
     def test_device_seed_rejected(self):
         g = make_graph("AD", [(0, 1)])
@@ -453,6 +453,20 @@ class TestKhopCounts:
         g = make_graph("AD", [(0, 1)])
         with pytest.raises(ValueError, match="nonempty"):
             khop_neighbor_counts(g, set(), 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            khop_neighbor_counts(g, np.array([], dtype=np.int64), 1)
+
+    def test_counted_mask_of_another_length_rejected(self):
+        g = make_graph("ADA", [(0, 1), (1, 2)])
+        for counted in (np.ones(8, dtype=bool), [True, False]):
+            with pytest.raises(ValueError, match="counted mask"):
+                khop_neighbor_counts(g, {0}, 2, counted)
+
+    def test_array_seeds_count_like_list_and_set_seeds(self):
+        g = make_graph("ADA", [(0, 1), (1, 2)])
+        assert khop_neighbor_counts(g, np.array([0]), 2) == [1.0, 1.0]
+        for seeds in ([0, 2], {0, 2}, np.array([0, 2]), np.array([2, 0, 2]), g.account_indices()):
+            assert khop_neighbor_counts(g, seeds, 2) == [1.0, 1.0]
 
     def test_matches_bfs_oracle_on_ring_dataset(self):
         from fraudring.synth import SynthConfig, generate
@@ -462,7 +476,7 @@ class TestKhopCounts:
         fraud_seeds = g.account_indices()[sds.dataset.truth].tolist()
         adj = adjacency_lists(g)
         max_hop = 4
-        got = khop_neighbor_counts(g, fraud_seeds, max_hop, CountKind.ACCOUNT_ONLY)
+        got = khop_neighbor_counts(g, fraud_seeds, max_hop, g.is_account)
         totals = [0] * max_hop
         for s in fraud_seeds:
             dist = bfs_distance_map(adj, s, max_hop)
@@ -475,8 +489,24 @@ class TestKhopCounts:
     def test_hop_totals_bounded_by_graph_size(self):
         g = random_bipartite(np.random.default_rng(8), 20, 20, 0.1)
         seeds = [int(i) for i in g.account_indices()]
-        counts = khop_neighbor_counts(g, seeds, 6, CountKind.ALL)
+        counts = khop_neighbor_counts(g, seeds, 6)
         assert sum(counts) <= g.num_nodes - 1
+
+    def test_matches_per_seed_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            g = random_bipartite_with_small_parts(rng, int(rng.integers(1, 25)), int(rng.integers(1, 25)), 0.12)
+            adj = adjacency_lists(g)
+            accounts = g.account_indices()
+            picked = rng.choice(accounts, size=int(rng.integers(1, 2 * len(accounts))))  # repeats included
+            for seeds in (picked, picked.tolist(), set(picked.tolist()), accounts):
+                distinct = sorted(set(np.asarray(list(seeds)).tolist()))
+                for max_hop in range(1, 7):
+                    for counted in (None, g.is_account):
+                        mask = np.ones(g.num_nodes, dtype=bool) if counted is None else counted
+                        per_seed = [bfs_hop_counts(adj, s, max_hop, mask) for s in distinct]
+                        want = [sum(hop) / len(distinct) for hop in zip(*per_seed)]
+                        assert khop_neighbor_counts(g, seeds, max_hop, counted) == want
 
 
 class TestSerialization:
@@ -581,6 +611,16 @@ class TestExportDot:
         flagged = [ln for ln in lines if "fillcolor" in ln]
         assert len(flagged) == 1
         assert '"a2"' in flagged[0]
+
+    def test_array_of_flagged_indices_colors_like_a_set(self, tmp_path):
+        g = make_graph("ADA", [(0, 1), (1, 2)])
+        for as_set, *others in (({0}, [0], np.array([0])), ({0, 2}, [2, 0], np.array([0, 2]))):
+            export_dot(g, tmp_path / "set.dot", as_set)
+            want = (tmp_path / "set.dot").read_text(encoding="utf-8")
+            assert want.count("fillcolor") == len(as_set)
+            for flagged in others:
+                export_dot(g, tmp_path / "other.dot", flagged)
+                assert (tmp_path / "other.dot").read_text(encoding="utf-8") == want
 
 
 class TestGraphLoaderContract:

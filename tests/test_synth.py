@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraudring.features import load_dataset
-from fraudring.graph import ClaimLog, CountKind, LoginLog, build_graph, khop_neighbor_counts, prune_singletons
+from fraudring.graph import ClaimLog, LoginLog, build_graph, khop_neighbor_counts, prune_singletons
 from fraudring.synth import MANIFEST_FILE, SynthConfig, SyntheticDataset, emit, generate
 
 
@@ -49,7 +49,7 @@ class TestTopology:
         # Ring 0 holds the first four accounts created.
         ring0 = fraud[:4]
         for s in ring0:
-            counts = khop_neighbor_counts(g, {s}, 2, CountKind.ACCOUNT_ONLY)
+            counts = khop_neighbor_counts(g, {s}, 2, g.is_account)
             assert counts[0] == 0.0
             assert counts[1] >= 3.0
 
@@ -89,7 +89,7 @@ class TestTopology:
         g = sds.dataset.graph
         regular = g.account_indices()[~sds.dataset.truth].tolist()
         for a in regular:
-            counts = khop_neighbor_counts(g, {a}, 2, CountKind.ACCOUNT_ONLY)
+            counts = khop_neighbor_counts(g, {a}, 2, g.is_account)
             assert counts[1] >= 1.0
 
 
@@ -169,8 +169,8 @@ class TestFeatures:
         ds = sds.dataset
         fraud = ds.graph.account_indices()[ds.truth].tolist()
         regular = ds.graph.account_indices()[~ds.truth].tolist()
-        f = khop_neighbor_counts(ds.graph, fraud, 2, CountKind.ACCOUNT_ONLY)
-        r = khop_neighbor_counts(ds.graph, regular, 2, CountKind.ACCOUNT_ONLY)
+        f = khop_neighbor_counts(ds.graph, fraud, 2, ds.graph.is_account)
+        r = khop_neighbor_counts(ds.graph, regular, 2, ds.graph.is_account)
         assert f[1] > r[1]
 
 

@@ -25,6 +25,14 @@ def random_bipartite(rng: np.random.Generator, n_accounts: int, n_devices: int, 
     return make_graph(kinds, edges)
 
 
+def random_bipartite_with_small_parts(rng: np.random.Generator, n_accounts: int, n_devices: int, edge_prob: float):
+    """random_bipartite plus a two-account component and an isolated account, numbered last."""
+    g = random_bipartite(rng, n_accounts, n_devices, edge_prob)
+    n = g.num_nodes
+    kinds = "".join("A" if account else "D" for account in g.is_account.tolist()) + "AADA"
+    return make_graph(kinds, list(g.edges()) + [(n, n + 2), (n + 1, n + 2)])
+
+
 def adjacency_lists(g: DeviceSharingGraph):
     return [[int(v) for v in g.neighbors(u)] for u in range(g.num_nodes)]
 
