@@ -53,11 +53,7 @@ def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(weights)
     prob = np.ones(n)
     alias = np.arange(n)
-    with np.errstate(over="ignore"):
-        total = weights.sum()
-    if not np.isfinite(total):
-        raise ValueError(f"walk weights sum to {total}; raise return_param or inout_param")
-    scaled = weights * (n / total)
+    scaled = weights * (n / weights.sum())
     small = [i for i in range(n) if scaled[i] < 1.0]
     large = [i for i in range(n) if scaled[i] >= 1.0]
     while small and large:
@@ -70,53 +66,16 @@ def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-class _BiasedSampler:
-    """Alias tables for the (p, q) second-order transition, one per (degree, return slot).
-
-    The graph is bipartite, so no neighbor of cur is adjacent to prev: the
-    weights over cur's sorted neighbors are 1/q, except 1/p at prev's slot.
-    Degree d's tables fill d * d entries from start[d], slot-major.
-    """
-
-    def __init__(self, g: DeviceSharingGraph, p: float, q: float):
-        offsets, targets = g.csr()
-        n = g.num_nodes
-        deg = np.diff(offsets)
-        # keys sorted ascending because CSR iterates src blocks in order with sorted targets
-        self._keys = g._sources() * n + targets
-        self._n = n
-        self._offsets = offsets
-        self._targets = targets
-        self._deg = deg
-
-        degrees = np.unique(deg[deg > 0])
-        sizes = degrees**2
-        self._start = np.zeros(deg.max() + 1, dtype=np.int64)
-        self._start[degrees] = np.cumsum(sizes) - sizes
-        self._prob = np.empty(int(sizes.sum()))
-        self._alias = np.empty(int(sizes.sum()), dtype=np.int64)
-        for d, lo in zip(degrees.tolist(), self._start[degrees].tolist()):
-            for slot in range(d):
-                w = np.full(d, 1.0 / q)
-                w[slot] = 1.0 / p
-                table = slice(lo + slot * d, lo + slot * d + d)
-                self._prob[table], self._alias[table] = _alias_build(w)
-
-    def step(self, prev: np.ndarray, cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        slot = np.searchsorted(self._keys, cur * self._n + prev) - self._offsets[cur]
-        d = self._deg[cur]
-        k = np.minimum((rng.random(len(cur)) * d).astype(np.int64), d - 1)
-        flat = self._start[d] + slot * d + k
-        take = rng.random(len(cur)) < self._prob[flat]
-        choice = np.where(take, k, self._alias[flat])
-        return self._targets[self._offsets[cur] + choice]
-
-
 def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int]]:
     """walks_per_node truncated walks from every node; deterministic per seed.
 
-    Walks from isolated nodes stop immediately. With return_param and
-    inout_param both 1 every step is a uniform neighbor choice.
+    Walks from isolated nodes stop immediately. The first step, and every
+    step when return_param equals inout_param, is a uniform neighbor choice.
+    Otherwise a step from prev to cur weighs 1/p back to prev and 1/q to
+    each other neighbor of cur: the graph is bipartite, so none of them is
+    adjacent to prev. The walker returns with probability
+    1 / (1 + (d - 1) p / q) on one uniform draw, else takes a uniform one of
+    the other d - 1 neighbors in CSR order on a second.
     """
     if g.num_nodes == 0:
         raise ValueError("graph has no nodes")
@@ -124,29 +83,36 @@ def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int
     offsets, targets = g.csr()
     deg = np.diff(offsets)
     n = g.num_nodes
+    p, q = config.return_param, config.inout_param
+    if p != q:
+        # the two weights times p * q / max(p, q): at most 1, so no sum of them overflows
+        back, other = q / max(p, q), p / max(p, q)
+        # keys sorted ascending because CSR iterates src blocks in order with sorted targets
+        keys = g._sources() * n + targets
+
+    def uniform(d: np.ndarray) -> np.ndarray:
+        """One draw per walker: a slot in [0, d)."""
+        return np.minimum((rng.random(len(d)) * d).astype(np.int64), d - 1)
 
     starts = np.tile(np.arange(n), config.walks_per_node)
     paths = np.full((len(starts), config.walk_length), -1, dtype=np.int64)
     paths[:, 0] = starts
 
-    uniform = config.return_param == 1.0 and config.inout_param == 1.0
-    sampler = None if uniform else _BiasedSampler(g, config.return_param, config.inout_param)
-
     active = np.flatnonzero(deg[starts] > 0)
-    if config.walk_length > 1 and len(active):
-        cur = starts[active]
-        k = np.minimum((rng.random(len(cur)) * deg[cur]).astype(np.int64), deg[cur] - 1)
-        nxt = targets[offsets[cur] + k]
-        paths[active, 1] = nxt
-        prev, cur = cur, nxt
-        for step in range(2, config.walk_length):
-            if uniform:
-                k = np.minimum((rng.random(len(cur)) * deg[cur]).astype(np.int64), deg[cur] - 1)
-                nxt = targets[offsets[cur] + k]
-            else:
-                nxt = sampler.step(prev, cur, rng)
-            paths[active, step] = nxt
-            prev, cur = cur, nxt
+    prev = cur = starts[active]
+    for step in range(1, config.walk_length):
+        if step == 1 or p == q:
+            k = uniform(deg[cur])
+        else:
+            d = deg[cur]
+            slot = np.searchsorted(keys, cur * n + prev) - offsets[cur]
+            returns = rng.random(len(cur)) * (back + (d - 1) * other) <= back
+            # a slot among the d - 1 others, skipping prev's; unused when the walker
+            # returns, as it always does at d == 1
+            k = uniform(d - 1)
+            k = np.where(returns, slot, k + (k >= slot))
+        prev, cur = cur, targets[offsets[cur] + k]
+        paths[active, step] = cur
 
     # a walk either fills its row or, from an isolated node, stops at its start
     return [row if row[-1] >= 0 else row[:1] for row in paths.tolist()]

@@ -195,11 +195,13 @@ def fraud_neighbor_stats(
 ) -> tuple[float, float]:
     """Average count of fraud accounts within max_hop hops, around fraud vs regular accounts.
 
-    is_fraud is aligned to g.account_indices(). The center account itself is
-    excluded from its own count.
+    is_fraud is aligned to g.account_indices(); another shape raises
+    ValueError. The center account itself is excluded from its own count.
     """
     is_fraud = np.asarray(is_fraud, dtype=bool)
     accounts = g.account_indices()
+    if is_fraud.shape != accounts.shape:
+        raise ValueError(f"is_fraud mask of shape {is_fraud.shape} for {len(accounts)} accounts")
     if is_fraud.all() or not is_fraud.any():
         raise ValueError("need both fraud and regular accounts")
 

@@ -475,19 +475,25 @@ def export_dot(
 ) -> None:
     """Emit the graph in DOT: accounts as boxes, devices as ellipses, flagged accounts filled red.
 
-    high_risk is any collection or array of the flagged node indices. DOT
-    node n<i> is node i, labelled with its external id, so an account and a
-    device with the same id stay apart.
+    high_risk is any collection or array of the flagged node indices; the
+    first that is not a node raises ValueError. DOT node n<i> is node i,
+    labelled with its external id, so an account and a device with the same
+    id stay apart.
     """
-    flagged = set() if high_risk is None else set(map(int, high_risk))
+    flagged = np.fromiter(() if high_risk is None else high_risk, dtype=np.int64)
+    if (outside := (flagged < 0) | (flagged >= g.num_nodes)).any():
+        first = flagged[np.argmax(outside)]
+        raise ValueError(f"flagged index {first} is not a node of the {g.num_nodes}-node graph")
+    red = np.zeros(g.num_nodes, dtype=bool)
+    red[flagged] = True
 
     def quote(name: str) -> str:
         return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph device_sharing {"]
-    for index, (ext, account) in enumerate(zip(g.ids, g.is_account.tolist())):
+    for index, (ext, account, filled) in enumerate(zip(g.ids, g.is_account.tolist(), red.tolist())):
         attrs = f"label={quote(ext)}, " + ("shape=box" if account else "shape=ellipse")
-        if index in flagged:
+        if filled:
             attrs += ', style=filled, fillcolor="red"'
         lines.append(f"  n{index} [{attrs}];")
     for u, v in g.edges():

@@ -6,10 +6,10 @@ exceptions keep a former numpy version as an exact-arithmetic reference:
 loop_best_split (the GBDT's per-feature loop), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
-the current forward cache), masked_sigmoid, PerEdgeSampler with
-edge_transition_weights (node2vec's alias table per directed edge),
-flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with one
-flat bincount), allocating_adam_step (the Adam update with a fresh array
+the current forward cache), masked_sigmoid, edge_transition_weights
+(node2vec's unnormalized step weights on any graph), flat_key_sgns_loss_grad
+(the skip-gram step scattering its negatives with one flat bincount),
+allocating_adam_step (the Adam update with a fresh array
 per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
 loader, with the loader's non-finite and count checks added), read back into
@@ -26,7 +26,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, _best_split, gbdt_predict_batch
-from fraudring.baselines.node2vec import _alias_build
 from fraudring.features import FeatureFormatError
 from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
 
@@ -822,51 +821,35 @@ def edge_transition_weights(prev, prev_neighbors, cur_neighbors, p, q):
     return w
 
 
-class PerEdgeSampler:
-    """node2vec's second-order step with one alias table per directed edge.
+def scalar_biased_walks(g, config):
+    """biased_walks one walker and one step at a time, over python neighbor lists.
 
-    Drop-in for the sampler biased_walks builds: the same constructor and
-    step, and the same random draws in the same order. Directed edge eid's
-    table is prob and alias from table_ptr[eid] to table_ptr[eid + 1].
+    The draws are biased_walks' own: at every step, one uniform per live
+    walker in walker order, and a second such round on a second-order
+    step. A second-order step from prev to cur returns when
+    u * (b + (d - 1) * o) <= b, with b = q / max(p, q) and o = p / max(p, q)
+    the weights 1/p and 1/q times p * q / max(p, q); otherwise it takes the
+    floor(v * (d - 1))-th of cur's other neighbors.
     """
-
-    def __init__(self, g, p, q):
-        offsets, targets = g.csr()
-        n = g.num_nodes
-        deg = np.diff(offsets)
-        n_directed = len(targets)
-        src_of = np.repeat(np.arange(n), deg)
-        # keys sorted ascending because CSR iterates src blocks in order with sorted targets
-        self.keys = src_of * n + targets
-        self.n = n
-        self.offsets = offsets
-        self.targets = targets
-        self.deg = deg
-
-        table_sizes = deg[targets]
-        self.table_ptr = np.zeros(n_directed + 1, dtype=np.int64)
-        np.cumsum(table_sizes, out=self.table_ptr[1:])
-        self.prob = np.empty(int(table_sizes.sum()))
-        self.alias = np.empty(int(table_sizes.sum()), dtype=np.int64)
-        for eid in range(n_directed):
-            prev = int(src_of[eid])
-            cur = int(targets[eid])
-            cur_nbrs = targets[offsets[cur] : offsets[cur + 1]]
-            prev_nbrs = targets[offsets[prev] : offsets[prev + 1]]
-            w = edge_transition_weights(prev, prev_nbrs, cur_nbrs, p, q)
-            prob, alias = _alias_build(w)
-            lo, hi = self.table_ptr[eid], self.table_ptr[eid + 1]
-            self.prob[lo:hi] = prob
-            self.alias[lo:hi] = alias
-
-    def step(self, prev, cur, rng):
-        eid = np.searchsorted(self.keys, prev * self.n + cur)
-        d = self.deg[cur]
-        k = np.minimum((rng.random(len(cur)) * d).astype(np.int64), d - 1)
-        flat = self.table_ptr[eid] + k
-        take = rng.random(len(cur)) < self.prob[flat]
-        choice = np.where(take, k, self.alias[flat])
-        return self.targets[self.offsets[cur] + choice]
+    rng = np.random.default_rng(config.seed)
+    p, q = config.return_param, config.inout_param
+    back, other = q / max(p, q), p / max(p, q)
+    neighbors = [[int(x) for x in g.neighbors(v)] for v in range(g.num_nodes)]
+    walks = [[v] for _ in range(config.walks_per_node) for v in range(g.num_nodes)]
+    live = [walk for walk in walks if neighbors[walk[0]]]
+    for step in range(1, config.walk_length):
+        first = rng.random(len(live)).tolist()
+        second = None if step == 1 or p == q else rng.random(len(live)).tolist()
+        for i, walk in enumerate(live):
+            options = neighbors[walk[-1]]
+            if second is None:
+                walk.append(options[min(int(first[i] * len(options)), len(options) - 1)])
+            elif first[i] * (back + (len(options) - 1) * other) <= back:
+                walk.append(walk[-2])
+            else:
+                others = [x for x in options if x != walk[-2]]
+                walk.append(others[min(int(second[i] * len(others)), len(others) - 1)])
+    return walks
 
 
 def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):

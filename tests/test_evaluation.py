@@ -316,6 +316,11 @@ class TestFraudNeighborStats:
         with pytest.raises(ValueError, match="both fraud and regular"):
             fraud_neighbor_stats(g, [True, True])
 
+    def test_mask_of_the_wrong_length_rejected(self):
+        g = make_graph("AAD", [(0, 2), (1, 2)])
+        with pytest.raises(ValueError, match=r"is_fraud mask of shape \(3,\) for 2 accounts"):
+            fraud_neighbor_stats(g, [True, False, True])
+
     def test_matches_per_seed_bfs_on_random_graphs(self):
         rng = np.random.default_rng(22)
         for trial in range(30):

@@ -622,6 +622,13 @@ class TestExportDot:
                 export_dot(g, tmp_path / "other.dot", flagged)
                 assert (tmp_path / "other.dot").read_text(encoding="utf-8") == want
 
+    def test_flagged_index_outside_the_graph_rejected(self, tmp_path):
+        g = make_graph("ADA", [(0, 1), (1, 2)])
+        for flagged, first in (({7, -1}, "(7|-1)"), ([2, 7, -1], "7"), (np.array([-1, 0]), "-1")):
+            with pytest.raises(ValueError, match=rf"flagged index {first} is not a node"):
+                export_dot(g, tmp_path / "g.dot", flagged)
+            assert not (tmp_path / "g.dot").exists()
+
 
 class TestGraphLoaderContract:
     NODES = "#nodes\n0\tA\ta0\n1\tD\td1\n2\tA\ta2\n"

@@ -3,13 +3,11 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from fraudring.baselines import node2vec
 from fraudring.baselines.gbdt import GBDTConfig, gbdt_fit, gbdt_predict_batch
 from fraudring.baselines.node2vec import (
     Embeddings,
     Node2vecConfig,
     _alias_build,
-    _BiasedSampler,
     _padded,
     _pair_table,
     _sgns_loss_grad,
@@ -22,10 +20,10 @@ from fraudring.baselines.node2vec import (
 from fraudring.graph import DeviceSharingGraph
 from fraudring.train import sample_negatives
 from reference import (
-    PerEdgeSampler,
     edge_transition_weights,
     flat_key_sgns_loss_grad,
     naive_sgns_loss,
+    scalar_biased_walks,
     window_pairs,
 )
 from util import make_dataset, make_graph, random_bipartite
@@ -195,49 +193,63 @@ def random_device_graph(rng):
 PQ = [(0.25, 4.0), (4.0, 0.5), (0.3, 1.7), (1.7, 0.3), (2.0, 2.0), (0.7, 0.7), (1.0, 3.1), (0.6, 1.0)]
 
 
-class TestSamplerMatchesPerEdgeTables:
-    def test_tables_and_walks_equal_the_per_edge_sampler(self, monkeypatch):
+class TestSecondOrderStep:
+    def test_walks_equal_the_scalar_oracle_and_uniform_walks_when_p_equals_q(self):
         rng = np.random.default_rng(11)
         seen = Counter()
         for trial in range(240):
             g = random_device_graph(rng)
-            p, q = PQ[trial % len(PQ)]
-            offsets, targets = g.csr()
-            deg = np.diff(offsets)
+            deg = np.diff(g.csr()[0])
             seen["isolated"] += bool((deg == 0).any())
             seen["hub"] += bool((deg[~g.is_account] >= 12).any())
             interleaved = bool((np.diff(g.is_account.astype(int)) > 0).any())
             seen["interleaved"] += interleaved
             seen["accounts first"] += not interleaved
 
-            sampler, reference = _BiasedSampler(g, p, q), PerEdgeSampler(g, p, q)
-            for eid, (prev, cur) in enumerate(zip(np.repeat(np.arange(g.num_nodes), deg).tolist(), targets.tolist())):
-                d = int(deg[cur])
-                lo = sampler._start[d] + g.neighbors(cur).tolist().index(prev) * d
-                ref = slice(reference.table_ptr[eid], reference.table_ptr[eid + 1])
-                assert sampler._prob[lo : lo + d].tobytes() == reference.prob[ref].tobytes()
-                assert sampler._alias[lo : lo + d].tobytes() == reference.alias[ref].tobytes()
-
-            cfg = Node2vecConfig(
-                walk_length=int(rng.integers(1, 9)), walks_per_node=3, return_param=p, inout_param=q, seed=trial
-            )
-            walks = biased_walks(g, cfg)
-            with monkeypatch.context() as m:
-                m.setattr(node2vec, "_BiasedSampler", PerEdgeSampler)
-                assert walks == biased_walks(g, cfg)
-            assert all(type(v) is int for walk in walks for v in walk)
+            walk_length = int(rng.integers(1, 9))
+            uniform = biased_walks(g, Node2vecConfig(walk_length=walk_length, walks_per_node=3, seed=trial))
+            for p, q in PQ:
+                cfg = Node2vecConfig(
+                    walk_length=walk_length, walks_per_node=3, return_param=p, inout_param=q, seed=trial
+                )
+                walks = biased_walks(g, cfg)
+                assert walks == scalar_biased_walks(g, cfg)
+                assert all(type(v) is int for walk in walks for v in walk)
+                if p == q:
+                    assert walks == uniform
         assert min(seen.values()) >= 20, seen
 
-    def test_one_alias_build_per_distinct_degree_and_slot(self, monkeypatch):
-        g = random_bipartite(np.random.default_rng(12), 60, 20, 0.15)
-        deg = np.diff(g.csr()[0])
-        calls = []
-        monkeypatch.setattr(node2vec, "_alias_build", lambda w: calls.append(len(w)) or _alias_build(w))
-        sampler = _BiasedSampler(g, 0.5, 3.0)
-        distinct = np.unique(deg[deg > 0])
-        assert calls == [d for d in distinct.tolist() for _ in range(d)]
-        assert len(calls) == distinct.sum() < deg.sum()
-        assert len(sampler._prob) == (distinct**2).sum()
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, q", [(0.25, 4.0), (4.0, 0.5), (1e-308, 2e-308), (1e308, 1e-300)])
+    def test_one_step_frequencies_match_the_transition_weights(self, p, q):
+        # device 4 serves four accounts: a step from it may return or take one of three others
+        g = make_graph("AAAADDD", [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (1, 5), (2, 5), (3, 6)])
+        cfg = Node2vecConfig(walk_length=3, walks_per_node=20_000, return_param=p, inout_param=q, seed=13)
+        counts = transition_counts(biased_walks(g, cfg))
+        checked = 0
+        for (prev, cur), nxt_counts in counts.items():
+            n = sum(nxt_counts.values())
+            if n < 4000:
+                continue
+            cur_neighbors = g.neighbors(cur)
+            w = edge_transition_weights(prev, g.neighbors(prev), cur_neighbors, p, q)
+            w /= w.max()
+            for nxt, expected in zip(cur_neighbors.tolist(), (w / w.sum()).tolist()):
+                assert abs(nxt_counts[nxt] / n - expected) <= 0.02
+            checked += 1
+        assert checked == 16
+
+    def test_steps_at_a_device_shared_by_20000_accounts_follow_edges(self):
+        n = 20_000
+        g = make_graph("A" * n + "DD", [(a, n) for a in range(n)] + [(0, n + 1), (1, n + 1)])
+        cfg = Node2vecConfig(walk_length=9, walks_per_node=1, return_param=0.25, inout_param=4.0, seed=14)
+        walks = np.array(biased_walks(g, cfg))
+        steps = np.stack((walks[:, :-1].ravel(), walks[:, 1:].ravel()), axis=1)
+        edges = np.array(list(g.edges()))
+        assert np.isin(np.sort(steps, axis=1) @ [g.num_nodes, 1], edges @ [g.num_nodes, 1]).all()
+        # each step out of the hub returns with probability 4 / (4 + 19999 / 4): these mostly move on
+        hub_steps = walks[walks[:, 1] == n]
+        assert (hub_steps[:, 2] != hub_steps[:, 0]).mean() > 0.99
 
 
 class TestPadded:

@@ -12,7 +12,8 @@ package from this checkout's src/, at default settings:
     train --model gnn --seed N with --layers 1, and with --layers 3, each into its own
         models directory
     train --model node2vec-gbdt --seed N with --return-param 0.25 --inout-param 4,
-        and with --return-param 0.3 --inout-param 1.7, each into its own models directory
+        with --return-param 0.3 --inout-param 1.7, and with --return-param 2 --inout-param 2,
+        each into its own models directory
     train --model node2vec-gbdt --seed N --dimensions 3 --negative-samples 1, into its own
         models directory
     train --model gbdt --seed N with --max-depth 1, and with --max-depth 8 --min-samples-leaf 1,
@@ -82,8 +83,8 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
         commands.append((f"train_gnn_layers{layers}", [
             "train", "--model", "gnn", "--data", data, "--out", f"{base}/models_layers{layers}",
             "--seed", str(seed), "--layers", layers]))
-    # biased walks: the defaults p = q = 1 never reach the second-order sampler
-    for p, q in (("0.25", "4"), ("0.3", "1.7")):
+    # biased walks: p != q takes the second-order step, p == q other than the default 1 the uniform one
+    for p, q in (("0.25", "4"), ("0.3", "1.7"), ("2", "2")):
         commands.append((f"train_node2vec-gbdt_p{p}_q{q}", [
             "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_p{p}_q{q}",
             "--seed", str(seed), "--return-param", p, "--inout-param", q]))
