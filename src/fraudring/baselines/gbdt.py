@@ -1,10 +1,12 @@
 """Gradient-boosted trees with logistic loss, written directly on numpy.
 
 Split structure is searched greedily over exact sorted feature values on a
-row/feature subsample each round; leaf values are then a single Newton step
-computed on every training row, which keeps the full-data training loss
-nonincreasing at small learning rates. An ensemble is one flat preorder node
-table, so prediction routes every row through every tree at once.
+row/feature subsample each round, read through each column's order: sorted
+once per fit, then partitioned down the tree. Leaf values are then a single
+Newton step computed on every training row, which keeps the full-data
+training loss nonincreasing at small learning rates. An ensemble is one flat
+preorder node table, so prediction routes every row through every tree at
+once.
 """
 
 from __future__ import annotations
@@ -74,51 +76,71 @@ class GBDTModel:
     feature_subsets: list[np.ndarray] = field(default_factory=list)
 
 
+def _sorted_rows(order: np.ndarray, rows: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """(F, R) row ids: row i holds rows in feats[i]'s order, from the (p, n) per-column order of the fit.
+
+    order sorts each column stably, so tied values stay in row id order.
+    """
+    sampled = np.zeros(order.shape[1], dtype=bool)
+    sampled[rows] = True
+    block = order[feats]
+    return block[sampled[block]].reshape(len(feats), len(rows))
+
+
 def _best_split(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    xt: np.ndarray,
+    gh: np.ndarray,
     rows: np.ndarray,
+    srt: np.ndarray,
     feats: np.ndarray,
     min_leaf: int,
 ) -> tuple[float, int, float] | None:
     """Highest-gain (gain, feature, threshold) over all features at once, or None.
 
-    Ties go to the lowest cut position within a feature, then to the earliest
-    feature in feats.
+    xt is x transposed (p, n) and gh stacks g and h as (2, n). rows are the
+    node's rows, ascending; srt[i] holds them ordered by x[:, feats[i]], ties
+    by row id, as a stable sort of the node's block would order them. Ties go
+    to the lowest cut position within a feature, then to the earliest feature
+    in feats. The threshold is the midpoint of the two values either side of
+    the cut, or the upper one where the midpoint rounds onto the lower value
+    or overflows.
     """
-    g_rows = g[rows]
-    h_rows = h[rows]
-    g_total = g_rows.sum()
-    h_total = h_rows.sum()
+    # a cut after position i keeps sorted rows 0..i on the left; both sides need min_leaf rows
+    lo, hi = min_leaf - 1, len(rows) - min_leaf
+    if hi <= lo:
+        return None
+    # two 1-D pairwise sums: a sum along the rows of gh[:, rows] adds in another order
+    g_total = gh[0, rows].sum()
+    h_total = gh[1, rows].sum()
     parent = g_total**2 / (h_total + L2_LAMBDA)
-    block = x[rows[:, None], feats]
-    order = np.argsort(block, axis=0, kind="stable")
-    xs = np.take_along_axis(block, order, axis=0)
-    gl = np.cumsum(g_rows[order], axis=0)[:-1]
-    hl = np.cumsum(h_rows[order], axis=0)[:-1]
-    # a cut after position i keeps sorted rows 0..i on the left
-    n_left = np.arange(1, len(rows))[:, None]
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (len(rows) - n_left >= min_leaf)
+    xs = np.take(xt, srt + feats[:, None] * xt.shape[1])
+    gl, hl = np.cumsum(np.take(gh, srt, axis=1), axis=-1)
+    gl, hl = gl[:, lo:hi], hl[:, lo:hi]
     gains = 0.5 * (
         gl**2 / (hl + L2_LAMBDA) + (g_total - gl) ** 2 / (h_total - hl + L2_LAMBDA) - parent
     )
-    gains[~valid] = -np.inf
-    cut = np.argmax(gains, axis=0)
-    col_gains = gains[cut, np.arange(len(feats))]
+    gains[~(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1])] = -np.inf
+    cut = np.argmax(gains, axis=1)
+    col_gains = gains[np.arange(len(feats)), cut]
     j = int(np.argmax(col_gains))
     if not col_gains[j] > 0.0:
         return None
-    thr = 0.5 * (xs[cut[j], j] + xs[cut[j] + 1, j])
-    return float(col_gains[j]), int(feats[j]), float(thr)
+    below, above = float(xs[j, lo + cut[j]]), float(xs[j, lo + cut[j] + 1])
+    thr = 0.5 * (below + above)
+    return float(col_gains[j]), int(feats[j]), thr if below < thr < math.inf else above
 
 
 def gbdt_fit(x: np.ndarray, y: np.ndarray, config: GBDTConfig) -> GBDTModel:
-    """Fit the boosted ensemble; deterministic for a fixed config seed."""
+    """Fit the boosted ensemble; deterministic for a fixed config seed.
+
+    Each column is sorted once; every node splits its parent's sorted lists.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError(f"need x (n, p) and y (n,); got {x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     n, p = x.shape
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == n:
@@ -133,33 +155,38 @@ def gbdt_fit(x: np.ndarray, y: np.ndarray, config: GBDTConfig) -> GBDTModel:
 
     n_rows = max(1, int(round(config.row_sample_rate * n)))
     n_feats = max(1, math.ceil(config.feature_sample_rate * p))
+    xt = np.ascontiguousarray(x.T)
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+    gh = np.empty((2, n))
+    g, h = gh
+    goes_left = np.zeros(n, dtype=bool)  # the current split's side of each of its rows
     contribution = np.zeros(n)
     for _ in range(config.n_trees):
         prob = sigmoid(margins)
-        g = prob - y
-        h = prob * (1.0 - prob)
+        np.subtract(prob, y, out=g)
+        np.multiply(prob, 1.0 - prob, out=h)
         rows = np.sort(rng.choice(n, size=n_rows, replace=False))
         feats = np.sort(rng.choice(p, size=n_feats, replace=False))
         roots.append(len(nodes))
-        # Preorder growth: sampled rows choose each split, all rows routed to a leaf set its
-        # Newton step. Entries: (sampled, routed, depth, split whose right child it is or -1).
-        stack = [(rows, np.arange(n), 0, -1)]
+        # Preorder growth: sampled rows choose each split, all rows routed to a leaf set its Newton
+        # step. Entries: (sampled, their sorted lists, routed, depth, split whose right child it is or -1).
+        stack = [(rows, _sorted_rows(order, rows, feats), np.arange(n), 0, -1)]
         while stack:
-            rows, routed, depth, parent = stack.pop()
+            rows, srt, routed, depth, parent = stack.pop()
             if parent >= 0:
                 nodes[parent][3] = len(nodes)
-            best = depth < config.max_depth and len(rows) >= 2 * config.min_samples_leaf and _best_split(
-                x, g, h, rows, feats, config.min_samples_leaf
-            )
+            best = depth < config.max_depth and _best_split(xt, gh, rows, srt, feats, config.min_samples_leaf)
             if not best:
                 value = float(-g[routed].sum() / (h[routed].sum() + L2_LAMBDA))
                 contribution[routed] = value
                 nodes.append([-1, -math.inf, value, len(nodes)])
                 continue
             _, f, thr = best
-            mask, routed_mask = x[rows, f] < thr, x[routed, f] < thr
-            stack.append((rows[~mask], routed[~routed_mask], depth + 1, len(nodes)))
-            stack.append((rows[mask], routed[routed_mask], depth + 1, -1))
+            mask, routed_mask = xt[f, rows] < thr, xt[f, routed] < thr
+            goes_left[rows] = mask
+            left = goes_left[srt]  # a stable partition: each child's lists stay sorted
+            stack.append((rows[~mask], srt[~left].reshape(n_feats, -1), routed[~routed_mask], depth + 1, len(nodes)))
+            stack.append((rows[mask], srt[left].reshape(n_feats, -1), routed[routed_mask], depth + 1, -1))
             nodes.append([f, thr, 0.0, -1])
         margins += config.learning_rate * contribution
         model.feature_subsets.append(feats)

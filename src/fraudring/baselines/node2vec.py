@@ -15,12 +15,14 @@ import numpy as np
 
 from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
+from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines, _sorted_unique
 from ..train import NumericalError, adam_step, gbdt_training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
 # Full-batch Adam steps per skip-gram epoch.
 STEPS_PER_EPOCH = 50
+# Walks whose window pairs are counted together: bounds the raw pairs held at once.
+PAIR_CHUNK_WALKS = 4096
 
 
 @dataclass
@@ -189,12 +191,24 @@ def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarra
 
 
 def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairTable | None:
-    """Count the window pairs of the padded walks once; None when they hold no pair."""
-    raw_centers, raw_contexts = _walk_pairs(padded, window)
-    if len(raw_centers) == 0:
+    """Count the window pairs of the padded walks once; None when they hold no pair.
+
+    The pairs are counted PAIR_CHUNK_WALKS walks at a time and the counts merged,
+    so only one block's raw pairs are ever held.
+    """
+    keys, counts, total = np.empty(0, np.int64), np.empty(0, np.int64), 0
+    for start in range(0, len(padded), PAIR_CHUNK_WALKS):
+        raw_centers, raw_contexts = _walk_pairs(padded[start : start + PAIR_CHUNK_WALKS], window)
+        total += len(raw_centers)
+        block_keys, block_counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
+        merged = _sorted_unique(np.concatenate([keys, block_keys]))
+        merged_counts = np.zeros(len(merged), np.int64)
+        merged_counts[np.searchsorted(merged, keys)] = counts
+        merged_counts[np.searchsorted(merged, block_keys)] += block_counts
+        keys, counts = merged, merged_counts
+    if total == 0:
         return None
-    keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
-    weight = counts / len(raw_centers)
+    weight = counts / total
     center = keys // n_nodes
     context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)

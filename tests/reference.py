@@ -3,12 +3,15 @@
 Everything here is written scalar-first with plain python containers and the
 math module, deliberately avoiding the vectorized code paths under test. The
 exceptions keep a former numpy version as an exact-arithmetic reference:
-loop_best_split (the GBDT's per-feature loop), full_forward and
+loop_best_split (the GBDT's per-feature loop), block_sort_best_split (its
+split search sorting each node's block), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
 the current forward cache), masked_sigmoid, edge_transition_weights
-(node2vec's unnormalized step weights on any graph), flat_key_sgns_loss_grad
-(the skip-gram step scattering its negatives with one flat bincount),
+(node2vec's unnormalized step weights on any graph), one_shot_pair_table
+(node2vec's window pair counts from one np.unique over all raw pairs),
+flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
+one flat bincount),
 allocating_adam_step (the Adam update with a fresh array
 per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
@@ -25,7 +28,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, _best_split, gbdt_predict_batch
+from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch
+from fraudring.baselines.node2vec import _PairTable, _flat_keys, _walk_pairs
 from fraudring.features import FeatureFormatError
 from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
 
@@ -256,9 +260,47 @@ def loop_best_split(x, g, h, rows, feats, min_leaf, l2_lambda=1.0):
         )
         j = int(np.argmax(gains))
         if gains[j] > 0.0 and (best is None or gains[j] > best[0]):
-            thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
-            best = (float(gains[j]), int(f), float(thr))
+            best = (float(gains[j]), int(f), cut_threshold(xs[cut[j]], xs[cut[j] + 1]))
     return best
+
+
+def cut_threshold(below, above):
+    """The midpoint of two sorted values, or the upper one where the midpoint is not strictly between."""
+    below, above = float(below), float(above)
+    mid = 0.5 * (below + above)
+    return mid if below < mid < math.inf else above
+
+
+def block_sort_best_split(x, g, h, rows, feats, min_leaf):
+    """GBDT split search that stably sorts the node's (rows x feats) block: (gain, feature, threshold) or None.
+
+    The search as it was before columns were sorted once per fit. Ties go to
+    the lowest cut position within a feature, then to the earliest feature in
+    feats.
+    """
+    g_rows = g[rows]
+    h_rows = h[rows]
+    g_total = g_rows.sum()
+    h_total = h_rows.sum()
+    parent = g_total**2 / (h_total + L2_LAMBDA)
+    block = x[rows[:, None], feats]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    gl = np.cumsum(g_rows[order], axis=0)[:-1]
+    hl = np.cumsum(h_rows[order], axis=0)[:-1]
+    # a cut after position i keeps sorted rows 0..i on the left
+    n_left = np.arange(1, len(rows))[:, None]
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (len(rows) - n_left >= min_leaf)
+    gains = 0.5 * (
+        gl**2 / (hl + L2_LAMBDA) + (g_total - gl) ** 2 / (h_total - hl + L2_LAMBDA) - parent
+    )
+    gains[~valid] = -np.inf
+    cut = np.argmax(gains, axis=0)
+    col_gains = gains[cut, np.arange(len(feats))]
+    j = int(np.argmax(col_gains))
+    if not col_gains[j] > 0.0:
+        return None
+    return float(col_gains[j]), int(feats[j]), cut_threshold(xs[cut[j], j], xs[cut[j] + 1, j])
 
 
 def fraction_best_f1(scores, labels):
@@ -852,6 +894,22 @@ def scalar_biased_walks(g, config):
     return walks
 
 
+def one_shot_pair_table(padded, window, n_nodes, d):
+    """node2vec's window pair table from one np.unique over every raw pair at once; None when there is none."""
+    raw_centers, raw_contexts = _walk_pairs(padded, window)
+    if len(raw_centers) == 0:
+        return None
+    keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
+    weight = counts / len(raw_centers)
+    center = keys // n_nodes
+    context = keys % n_nodes
+    mass = np.bincount(center, weights=weight, minlength=n_nodes)
+    centers = np.flatnonzero(mass)
+    return _PairTable(
+        center, context, weight, centers, mass[centers], _flat_keys(center, d), _flat_keys(context, d)
+    )
+
+
 def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):
     """The skip-gram loss and gradients as _sgns_loss_grad computed them with one bincount per scatter.
 
@@ -910,7 +968,7 @@ class Node:
 def _node_build_tree(x, g, h, rows, feats, depth, config):
     if depth >= config.max_depth or len(rows) < 2 * config.min_samples_leaf:
         return Node()
-    best = _best_split(x, g, h, rows, feats, config.min_samples_leaf)
+    best = block_sort_best_split(x, g, h, rows, feats, config.min_samples_leaf)
     if best is None:
         return Node()
     _, f, thr = best

@@ -18,6 +18,7 @@ from fraudring.baselines.gbdt import (
 from fraudring.geniepath import sigmoid
 from reference import (
     Node,
+    block_sort_best_split,
     flatten_trees,
     gbdt_predict,
     loop_best_split,
@@ -136,6 +137,34 @@ class TestFit:
         with pytest.raises(ValueError, match="got"):
             gbdt_fit(x, np.zeros(9), GBDTConfig(n_trees=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        x, y = np.arange(10.0).reshape(5, 2), np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gbdt_fit(x, y, GBDTConfig(n_trees=1))
+        x[3, 1] = 0.0
+        y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gbdt_fit(x, y, GBDTConfig(n_trees=1))
+
+    @pytest.mark.parametrize("below, above", [
+        (1.0, np.nextafter(1.0, 2.0)),  # the midpoint rounds onto the lower value
+        (1e308, 1.5e308),  # the midpoint overflows to inf
+        (-1.5e308, -1e308),  # ... and to -inf
+    ])
+    def test_separable_column_splits_at_the_upper_value(self, tmp_path, below, above):
+        x = np.array([[below]] * 6 + [[above]] * 6)
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        cfg = GBDTConfig(n_trees=5, max_depth=1, row_sample_rate=1.0, feature_sample_rate=1.0,
+                         learning_rate=0.5, min_samples_leaf=1)
+        model = gbdt_fit(x, y, cfg)
+        assert model.threshold[model.feature >= 0].tolist() == [above] * 5
+        scores = gbdt_predict_batch(model, x)
+        assert scores[6:].min() > 0.5 > scores[:6].max()
+        save_gbdt(model, str(tmp_path / "gbdt.model"))
+        assert np.array_equal(gbdt_predict_batch(load_gbdt(str(tmp_path / "gbdt.model")), x), scores)
+
     def test_leaf_values_finite(self):
         model, _, _ = xor_model()
         for tree in tree_slices(model):
@@ -153,6 +182,12 @@ def random_split_block(rng, n, p):
     return x, prob - y, prob * (1.0 - prob)
 
 
+def presorted_split(x, g, h, rows, feats, min_leaf):
+    """gbdt._best_split on the sorted lists gbdt_fit hands the root of a tree over rows and feats."""
+    srt = gbdt._sorted_rows(np.argsort(x, axis=0, kind="stable").T, rows, feats)
+    return gbdt._best_split(np.ascontiguousarray(x.T), np.stack([g, h]), rows, srt, feats, min_leaf)
+
+
 class TestSplitSearch:
     def test_matches_per_feature_loop_on_random_blocks(self):
         rng = np.random.default_rng(11)
@@ -166,16 +201,51 @@ class TestSplitSearch:
             for min_leaf in (1, len(rows) // 2, (len(rows) + 1) // 2, len(rows) // 2 + 1, 3):
                 min_leaf = max(1, min_leaf)
                 want = loop_best_split(x, g, h, rows, feats, min_leaf, L2_LAMBDA)
-                got = gbdt._best_split(x, g, h, rows, feats, min_leaf)
+                got = presorted_split(x, g, h, rows, feats, min_leaf)
                 assert got == want, (trial, min_leaf)
                 found += want is not None
         assert found >= 300
+
+    def test_matches_block_sort_on_random_blocks(self):
+        """Bit for bit against the search that sorts every node's block, on the lists of a node deep in a tree."""
+        rng = np.random.default_rng(14)
+        found = 0
+        for trial in range(300):
+            n, p = int(rng.integers(2, 50)), int(rng.integers(1, 6))
+            x = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(n, p))  # -0.0 ties with 0.0
+            x[:, rng.integers(p)] = 0.5  # a constant column
+            if trial % 3:
+                x[:, 0] += np.round(rng.normal(size=n), 1)
+            prob = rng.uniform(0.05, 0.95, size=n)
+            g, h = prob - (rng.random(n) < 0.4), prob * (1.0 - prob)
+            feats = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+            # the node's lists, cut down from the whole block's as a split would partition them
+            node = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            srt = gbdt._sorted_rows(np.argsort(x, axis=0, kind="stable").T, np.arange(n), feats)
+            keep = np.isin(srt, node)
+            srt = srt[keep].reshape(len(feats), len(node))
+            r = len(node)
+            for min_leaf in {1, max(1, r // 2), r // 2 + 1}:
+                want = block_sort_best_split(x, g, h, node, feats, min_leaf)
+                got = gbdt._best_split(np.ascontiguousarray(x.T), np.stack([g, h]), node, srt, feats, min_leaf)
+                assert got == want, (trial, min_leaf)
+                found += want is not None
+        assert found >= 300
+
+    @pytest.mark.parametrize("below, above", [(1.0, np.nextafter(1.0, 2.0)), (1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_threshold_is_the_upper_value_when_the_midpoint_is_not_between(self, below, above):
+        x = np.array([[below], [below], [above], [above]])
+        g, h = np.array([1.0, 1.0, -1.0, -1.0]), np.full(4, 0.25)
+        rows, feats = np.arange(4), np.array([0])
+        want = loop_best_split(x, g, h, rows, feats, 1, L2_LAMBDA)
+        assert want[1:] == (0, above)
+        assert presorted_split(x, g, h, rows, feats, 1) == want == block_sort_best_split(x, g, h, rows, feats, 1)
 
     def test_equal_columns_tie_to_first_feature(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.full(4, 0.25)
-        gain, feature, threshold = gbdt._best_split(x, g, h, np.arange(4), np.array([0, 1]), 1)
+        gain, feature, threshold = presorted_split(x, g, h, np.arange(4), np.array([0, 1]), 1)
         assert (feature, threshold) == (0, 1.5)
         assert gain > 0.0
 
@@ -186,13 +256,32 @@ class TestSplitSearch:
         h = np.full(4, 0.25)
         rows, feats = np.arange(4), np.array([0, 1])
         want = loop_best_split(x, g, h, rows, feats, 1, L2_LAMBDA)
-        assert gbdt._best_split(x, g, h, rows, feats, 1) == want
+        assert presorted_split(x, g, h, rows, feats, 1) == want
         assert want[1:] == (0, 0.5)
 
     def test_zero_gain_is_no_split(self):
         x = np.arange(12.0).reshape(6, 2)
         zero = np.zeros(6)
-        assert gbdt._best_split(x, zero, np.full(6, 0.25), np.arange(6), np.array([0, 1]), 1) is None
+        assert presorted_split(x, zero, np.full(6, 0.25), np.arange(6), np.array([0, 1]), 1) is None
+
+    def test_fit_hands_every_node_its_rows_sorted_by_value_then_row_id(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(300, 5))
+        y = (x[:, 0] + rng.normal(size=300) > 0).astype(np.float64)
+        seen = []
+
+        def checked(xt, gh, rows, srt, feats, min_leaf):
+            values = xt[feats[:, None], srt]
+            assert np.array_equal(np.sort(srt, axis=1), np.broadcast_to(rows, srt.shape))
+            ties = values[:, 1:] == values[:, :-1]
+            assert (values[:, 1:] >= values[:, :-1]).all() and (srt[:, 1:] > srt[:, :-1])[ties].all()
+            seen.append(len(rows))
+            return gbdt_split(xt, gh, rows, srt, feats, min_leaf)
+
+        gbdt_split = gbdt._best_split
+        monkeypatch.setattr(gbdt, "_best_split", checked)
+        gbdt_fit(x, y, GBDTConfig(n_trees=8, max_depth=4, min_samples_leaf=3, seed=16))
+        assert len(seen) > 8 * 3 and min(seen) < 100
 
     def test_fit_writes_identical_model_with_loop_oracle(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(12)
@@ -204,8 +293,8 @@ class TestSplitSearch:
         monkeypatch.setattr(
             gbdt,
             "_best_split",
-            lambda x, g, h, rows, feats, min_leaf: loop_best_split(
-                x, g, h, rows, feats, min_leaf, L2_LAMBDA
+            lambda xt, gh, rows, srt, feats, min_leaf: loop_best_split(
+                xt.T, gh[0], gh[1], rows, feats, min_leaf, L2_LAMBDA
             ),
         )
         save_gbdt(gbdt_fit(x, y, cfg), str(tmp_path / "loop.model"))

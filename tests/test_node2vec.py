@@ -3,6 +3,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from fraudring.baselines import node2vec
 from fraudring.baselines.gbdt import GBDTConfig, gbdt_fit, gbdt_predict_batch
 from fraudring.baselines.node2vec import (
     Embeddings,
@@ -23,6 +24,7 @@ from reference import (
     edge_transition_weights,
     flat_key_sgns_loss_grad,
     naive_sgns_loss,
+    one_shot_pair_table,
     scalar_biased_walks,
     window_pairs,
 )
@@ -380,6 +382,30 @@ class TestWeightedObjective:
             rel = np.abs(analytic - fd) / np.maximum(1e-8, np.abs(analytic) + np.abs(fd))
             assert rel.max() <= 1e-4
             assert np.abs(analytic).max() > 1e-3
+
+
+class TestChunkedPairTable:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_one_shot_table_at_any_chunk_size(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes, window, d = int(rng.integers(3, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        # walks of lengths 1 to 8; a length-1 walk is one from an isolated node
+        walks = [rng.integers(0, n_nodes, size=rng.integers(1, 9)).tolist() for _ in range(int(rng.integers(5, 40)))]
+        walks[int(rng.integers(len(walks)))] = [0]
+        padded = _padded(walks)
+        want = one_shot_pair_table(padded, window, n_nodes, d)
+        # one and two walks, a size that does not divide the walk count, and one above it
+        for chunk in (1, 2, next(k for k in range(3, len(walks)) if len(walks) % k), len(walks) + 5):
+            monkeypatch.setattr(node2vec, "PAIR_CHUNK_WALKS", chunk)
+            got = _pair_table(padded, window, n_nodes, d)
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), chunk
+
+    def test_walks_without_pairs_give_none_at_any_chunk_size(self, monkeypatch):
+        padded = _padded([[0], [3], [1], [2], [4]])
+        for chunk in (1, 2, 3, 9):
+            monkeypatch.setattr(node2vec, "PAIR_CHUNK_WALKS", chunk)
+            assert _pair_table(padded, 2, 5, 3) is None
+        assert one_shot_pair_table(padded, 2, 5, 3) is None
 
 
 class TestStepMatchesFlatKeyReference:

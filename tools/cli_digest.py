@@ -16,8 +16,9 @@ package from this checkout's src/, at default settings:
         each into its own models directory
     train --model node2vec-gbdt --seed N --dimensions 3 --negative-samples 1, into its own
         models directory
-    train --model gbdt --seed N with --max-depth 1, and with --max-depth 8 --min-samples-leaf 1,
-        each into its own models directory and followed by evaluate on it
+    train --model gbdt --seed N with --max-depth 1, with --max-depth 8 --min-samples-leaf 1, and
+        with --row-sample 1 --feature-sample 1, each into its own models directory and followed
+        by evaluate on it
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N, with --layers 1, and with --layers 3 --hidden-dim 3
@@ -92,8 +93,9 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     commands.append(("train_node2vec-gbdt_d3_k1", [
         "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_d3_k1",
         "--seed", str(seed), "--dimensions", "3", "--negative-samples", "1"]))
-    # the GBDT as stumps and as trees deeper than the default 5, each scored by evaluate
-    for name, flags in (("depth1", ["--max-depth", "1"]), ("depth8_leaf1", ["--max-depth", "8", "--min-samples-leaf", "1"])):
+    # the GBDT as stumps, as trees deeper than the default 5, and on every row and feature, each scored by evaluate
+    for name, flags in (("depth1", ["--max-depth", "1"]), ("depth8_leaf1", ["--max-depth", "8", "--min-samples-leaf", "1"]),
+                        ("full_sample", ["--row-sample", "1", "--feature-sample", "1"])):
         folder = f"{base}/models_gbdt_{name}"
         commands += [
             (f"train_gbdt_{name}", ["train", "--model", "gbdt", "--data", data, "--out", folder, "--seed", str(seed),
