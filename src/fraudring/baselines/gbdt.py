@@ -21,8 +21,9 @@ from ..geniepath import sigmoid
 from ..graph import _numbers, _open_new, _read_lines
 
 L2_LAMBDA = 1.0
-# Rows gbdt_predict_batch routes together: at 500 trees each (trees x rows) work array takes 4 MB.
-BLOCK_ROWS = 1024
+# (tree, row) cells gbdt_predict_batch routes together, at least one row: each work array
+# takes at most 256 KB, so a level's arrays stay in cache and are reused by malloc.
+BLOCK_CELLS = 2**15
 
 
 class ModelFormatError(ValueError):
@@ -202,17 +203,24 @@ def gbdt_predict_batch(model: GBDTModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"feature matrix shape {x.shape} does not match model's {model.n_features} features")
     skip = model.right - np.arange(len(model.right)) - 1  # from the left child to the right one; -1 at a leaf
-    margins = np.full(len(x), model.base_score)
-    for start in range(0, len(x), BLOCK_ROWS):
-        block = x[start : start + BLOCK_ROWS]
+    margins = np.empty(len(x))
+    rows = max(1, BLOCK_CELLS // max(1, len(model.roots)))
+    for start in range(0, len(x), rows):
+        block = x[start : start + rows]
         nodes = np.repeat(model.roots[:, None], len(block), axis=1)  # (trees, rows); a leaf keeps its rows
         cells = np.arange(len(block)) * x.shape[1]
         while ((at := np.take(model.feature, nodes)) >= 0).any():
             at += cells
             go_right = ~(np.take(block.ravel(), at) < np.take(model.threshold, nodes))
-            nodes += 1 + np.take(skip, nodes) * go_right
-        for contribution in model.learning_rate * np.take(model.value, nodes):
-            margins[start : start + BLOCK_ROWS] += contribution  # tree by tree, as the fit added them
+            step = np.take(skip, nodes)
+            step *= go_right
+            step += 1
+            nodes += step
+        # the base score, then tree by tree as the fit added them: accumulate adds in order
+        terms = np.empty((len(nodes) + 1, len(block)))
+        terms[0] = model.base_score
+        np.multiply(np.take(model.value, nodes), model.learning_rate, out=terms[1:])
+        margins[start : start + rows] = np.add.accumulate(terms, axis=0)[-1]
     return sigmoid(margins)
 
 

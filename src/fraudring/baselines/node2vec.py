@@ -15,14 +15,14 @@ import numpy as np
 
 from ..features import LabeledDataset, _real_values
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines, _sorted_unique
+from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
 from ..train import NumericalError, adam_step, gbdt_training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
 # Full-batch Adam steps per skip-gram epoch.
 STEPS_PER_EPOCH = 50
-# Walks whose window pairs are counted together: bounds the raw pairs held at once.
-PAIR_CHUNK_WALKS = 4096
+# Raw window pairs counted together: a block of whole walks holds at most this many, or one walk.
+PAIR_BUDGET = 2**18
 
 
 @dataclass
@@ -116,8 +116,10 @@ def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int
         prev, cur = cur, targets[offsets[cur] + k]
         paths[active, step] = cur
 
-    # a walk either fills its row or, from an isolated node, stops at its start
-    return [row if row[-1] >= 0 else row[:1] for row in paths.tolist()]
+    # one shared int per node, not a fresh one per step; a walk either fills its
+    # row or, from an isolated node, stops at its start
+    rows = np.array(range(n), dtype=object)[paths].tolist()
+    return [row if filled else row[:1] for row, filled in zip(rows, (paths[:, -1] >= 0).tolist())]
 
 
 @dataclass
@@ -144,25 +146,32 @@ def _padded(walks: Sequence[Sequence[int]]) -> np.ndarray:
 def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) of every window pair, both ways round; padded as _padded builds it.
 
-    Walks of one length need no padding, so a list of them will do.
+    Walks of one length need no padding, so a list of them will do. For each
+    offset in turn come the pairs forward, then the same pairs reversed, each
+    in walk-major order; both arrays are filled in place.
     """
-    padded = np.asarray(padded)
-    longest = padded.shape[1]
-    centers: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
-    for off in range(1, window + 1):
-        if off >= longest:
-            break
-        a = padded[:, :-off].ravel()
-        b = padded[:, off:].ravel()
-        ok = (a >= 0) & (b >= 0)
-        centers.append(a[ok])
-        contexts.append(b[ok])
-        centers.append(b[ok])
-        contexts.append(a[ok])
-    if not centers:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(centers), np.concatenate(contexts)
+    padded = np.ascontiguousarray(padded, dtype=np.int64)
+    valid = padded >= 0
+    # per offset, the steps i and i + off of every pair of live steps, as masks over the flat walks
+    masks = []
+    for off in range(1, min(window + 1, padded.shape[1])):
+        head = np.zeros_like(valid)
+        tail = np.zeros_like(valid)
+        np.logical_and(valid[:, :-off], valid[:, off:], out=head[:, :-off])
+        tail[:, off:] = head[:, :-off]
+        masks.append((head.ravel(), tail.ravel(), np.count_nonzero(head)))
+    total = 2 * sum(k for _, _, k in masks)
+    centers = np.empty(total, dtype=np.int64)
+    contexts = np.empty(total, dtype=np.int64)
+    flat = padded.ravel()
+    at = 0
+    for head, tail, k in masks:
+        np.compress(head, flat, out=centers[at : at + k])
+        np.compress(tail, flat, out=contexts[at : at + k])
+        centers[at + k : at + 2 * k] = contexts[at : at + k]
+        contexts[at + k : at + 2 * k] = centers[at : at + k]
+        at += 2 * k
+    return centers, contexts
 
 
 class _PairTable(NamedTuple):
@@ -193,21 +202,44 @@ def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarra
 def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairTable | None:
     """Count the window pairs of the padded walks once; None when they hold no pair.
 
-    The pairs are counted PAIR_CHUNK_WALKS walks at a time and the counts merged,
-    so only one block's raw pairs are ever held.
+    The walks are taken in blocks of at most PAIR_BUDGET raw pairs (or one
+    walk, if it alone holds more), and each block's sorted counts merged into
+    the running table, so only one block's raw pairs are ever held.
     """
-    keys, counts, total = np.empty(0, np.int64), np.empty(0, np.int64), 0
-    for start in range(0, len(padded), PAIR_CHUNK_WALKS):
-        raw_centers, raw_contexts = _walk_pairs(padded[start : start + PAIR_CHUNK_WALKS], window)
-        total += len(raw_centers)
-        block_keys, block_counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
-        merged = _sorted_unique(np.concatenate([keys, block_keys]))
-        merged_counts = np.zeros(len(merged), np.int64)
-        merged_counts[np.searchsorted(merged, keys)] = counts
-        merged_counts[np.searchsorted(merged, block_keys)] += block_counts
-        keys, counts = merged, merged_counts
+    # bounds[j]: the raw pairs of the walks before walk j
+    bounds = np.zeros(len(padded) + 1, np.int64)
+    valid = padded >= 0
+    for off in range(1, min(window + 1, padded.shape[1])):
+        bounds[1:] += 2 * np.count_nonzero(valid[:, :-off] & valid[:, off:], axis=1)
+    del valid
+    np.cumsum(bounds, out=bounds)
+    total = int(bounds[-1])
     if total == 0:
         return None
+    keys, counts = np.empty(0, np.int64), np.empty(0, np.int64)
+    start = 0
+    while start < len(padded):
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + PAIR_BUDGET, side="right")) - 1)
+        block_keys, raw_contexts = _walk_pairs(padded[start:stop], window)
+        start = stop
+        # the centers become the pair keys in place, sorted and run-length counted
+        block_keys *= n_nodes
+        block_keys += raw_contexts
+        del raw_contexts
+        block_keys.sort()
+        first = np.ones(len(block_keys), bool)
+        np.not_equal(block_keys[1:], block_keys[:-1], out=first[1:])
+        firsts = np.flatnonzero(first)
+        block_counts = np.diff(np.append(firsts, len(block_keys)))
+        block_keys = block_keys[firsts]
+        # add the counts of keys already in the table, and insert the others in order
+        at = np.searchsorted(keys, block_keys)
+        seen = at < len(keys)
+        seen[seen] = keys[at[seen]] == block_keys[seen]
+        counts[at[seen]] += block_counts[seen]
+        unseen = ~seen
+        keys = np.insert(keys, at[unseen], block_keys[unseen])
+        counts = np.insert(counts, at[unseen], block_counts[unseen])
     weight = counts / total
     center = keys // n_nodes
     context = keys % n_nodes

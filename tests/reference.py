@@ -8,8 +8,10 @@ split search sorting each node's block), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
 the current forward cache), masked_sigmoid, edge_transition_weights
-(node2vec's unnormalized step weights on any graph), one_shot_pair_table
-(node2vec's window pair counts from one np.unique over all raw pairs),
+(node2vec's unnormalized step weights on any graph), per_offset_walk_pairs
+(node2vec's raw window pairs as one concatenation of per-offset arrays),
+one_shot_pair_table (node2vec's window pair counts from one np.unique over
+all raw pairs),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
 one flat bincount),
 allocating_adam_step (the Adam update with a fresh array
@@ -29,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch
-from fraudring.baselines.node2vec import _PairTable, _flat_keys, _walk_pairs
+from fraudring.baselines.node2vec import _PairTable, _flat_keys
 from fraudring.features import FeatureFormatError
 from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
 
@@ -894,9 +896,24 @@ def scalar_biased_walks(g, config):
     return walks
 
 
+def per_offset_walk_pairs(padded, window):
+    """(center, context) of every window pair of the padded walks: per offset, the pairs forward then reversed."""
+    padded = np.asarray(padded)
+    centers, contexts = [], []
+    for off in range(1, min(window + 1, padded.shape[1])):
+        a = padded[:, :-off].ravel()
+        b = padded[:, off:].ravel()
+        ok = (a >= 0) & (b >= 0)
+        centers += [a[ok], b[ok]]
+        contexts += [b[ok], a[ok]]
+    if not centers:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(centers), np.concatenate(contexts)
+
+
 def one_shot_pair_table(padded, window, n_nodes, d):
     """node2vec's window pair table from one np.unique over every raw pair at once; None when there is none."""
-    raw_centers, raw_contexts = _walk_pairs(padded, window)
+    raw_centers, raw_contexts = per_offset_walk_pairs(padded, window)
     if len(raw_centers) == 0:
         return None
     keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,7 +506,10 @@ def same_layout(model, want):
 
 
 class TestFlatLayoutOracles:
-    def test_predict_matches_recursive_walk_bit_for_bit(self, tmp_path, monkeypatch):
+    # one cell and seven route one row per block past that many trees
+    @pytest.mark.parametrize("cells", [1, 7, 64, gbdt.BLOCK_CELLS])
+    def test_predict_matches_recursive_walk_bit_for_bit(self, tmp_path, monkeypatch, cells):
+        monkeypatch.setattr(gbdt, "BLOCK_CELLS", cells)
         rng = np.random.default_rng(21)
         for trial in range(80):
             p, n = int(rng.integers(1, 6)), int(rng.integers(0, 40))
@@ -523,10 +527,22 @@ class TestFlatLayoutOracles:
             save_gbdt(model, path)
             loaded = load_gbdt(path)
             assert same_layout(loaded, flatten_trees(node_load_gbdt(path)[3])), trial
-            for rows in (1, 3):
-                monkeypatch.setattr(gbdt, "BLOCK_ROWS", rows)
-                assert same_bits(gbdt_predict_batch(loaded, x), want), (trial, rows)
-            monkeypatch.undo()
+            assert same_bits(gbdt_predict_batch(loaded, x), want), trial
+
+    @pytest.mark.parametrize("scale", [1, 4, 16])
+    def test_predict_peak_memory_does_not_grow_with_rows(self, scale):
+        rng = np.random.default_rng(24)
+        values = rng.normal(size=50)
+        model = flat_model(0.1, 0.3, 4, [random_node_tree(rng, 3, 4, values) for _ in range(500)])
+        x = rng.normal(size=(1000 * scale, 4))
+        tracemalloc.start()
+        try:
+            gbdt_predict_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the margins and the sigmoid's temporaries take a few floats a row; the routing arrays a fixed budget
+        assert peak - 64 * len(x) <= 8 * gbdt.BLOCK_CELLS * 8
 
     def test_predict_sends_nan_right_as_the_recursive_walk(self):
         trees = [random_node_tree(np.random.default_rng(s), 3, 2, np.array([0.0, 1.0])) for s in range(5)]

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from fraudring.baselines.node2vec import (
     _padded,
     _pair_table,
     _sgns_loss_grad,
+    _walk_pairs,
     biased_walks,
     embed_concat_fit,
     load_embeddings,
@@ -25,6 +27,7 @@ from reference import (
     flat_key_sgns_loss_grad,
     naive_sgns_loss,
     one_shot_pair_table,
+    per_offset_walk_pairs,
     scalar_biased_walks,
     window_pairs,
 )
@@ -103,6 +106,14 @@ class TestWalkShapes:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="no nodes"):
             biased_walks(DeviceSharingGraph([], [], []), Node2vecConfig())
+
+    def test_walks_share_one_int_object_per_node(self):
+        g = random_bipartite(np.random.default_rng(5), 300, 120, 0.02)
+        walks = biased_walks(g, Node2vecConfig(walk_length=6, walks_per_node=3, seed=5))
+        steps = [v for walk in walks for v in walk]
+        assert all(type(v) is int for v in steps)
+        # nodes above 256 are not in python's small-int cache, so only sharing gives one object each
+        assert len({id(v) for v in steps}) == len(set(steps)) > 256
 
 
 class TestWalkBias:
@@ -384,28 +395,84 @@ class TestWeightedObjective:
             assert np.abs(analytic).max() > 1e-3
 
 
+def random_padded(rng, n_nodes, n_walks, longest=8):
+    """Walks of lengths 1 to longest over n_nodes nodes, padded; a length-1 walk is one from an isolated node."""
+    walks = [rng.integers(0, n_nodes, size=rng.integers(1, longest + 1)).tolist() for _ in range(n_walks)]
+    walks[int(rng.integers(n_walks))] = [0]
+    return _padded(walks)
+
+
+class TestWalkPairs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_per_offset_concatenation(self, seed):
+        rng = np.random.default_rng(seed)
+        padded = random_padded(rng, int(rng.integers(3, 30)), int(rng.integers(1, 40)))
+        # windows below, at and above the longest walk
+        for window in (1, 2, 7, 8, 12):
+            got, want = _walk_pairs(padded, window), per_offset_walk_pairs(padded, window)
+            assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_gaps_inside_walks_and_a_list_of_equal_walks(self):
+        rng = np.random.default_rng(6)
+        walks = rng.integers(0, 9, size=(11, 7))
+        holed = np.where(rng.random(walks.shape) < 0.3, -1, walks)
+        for padded in (walks.tolist(), holed):
+            got, want = _walk_pairs(padded, 3), per_offset_walk_pairs(padded, 3)
+            assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_walks_without_pairs_give_empty_arrays(self):
+        for padded in (_padded([[0], [3]]), np.full((2, 4), -1)):
+            centers, contexts = _walk_pairs(padded, 2)
+            assert centers.dtype == contexts.dtype == np.int64 and len(centers) == len(contexts) == 0
+
+
 class TestChunkedPairTable:
     @pytest.mark.parametrize("seed", range(6))
-    def test_equals_the_one_shot_table_at_any_chunk_size(self, monkeypatch, seed):
+    def test_equals_the_one_shot_table_at_any_budget(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         n_nodes, window, d = int(rng.integers(3, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        # walks of lengths 1 to 8; a length-1 walk is one from an isolated node
-        walks = [rng.integers(0, n_nodes, size=rng.integers(1, 9)).tolist() for _ in range(int(rng.integers(5, 40)))]
-        walks[int(rng.integers(len(walks)))] = [0]
-        padded = _padded(walks)
+        padded = random_padded(rng, n_nodes, int(rng.integers(5, 40)))
         want = one_shot_pair_table(padded, window, n_nodes, d)
-        # one and two walks, a size that does not divide the walk count, and one above it
-        for chunk in (1, 2, next(k for k in range(3, len(walks)) if len(walks) % k), len(walks) + 5):
-            monkeypatch.setattr(node2vec, "PAIR_CHUNK_WALKS", chunk)
-            got = _pair_table(padded, window, n_nodes, d)
-            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), chunk
+        total = len(per_offset_walk_pairs(padded, window)[0])
+        blocks = []
 
-    def test_walks_without_pairs_give_none_at_any_chunk_size(self, monkeypatch):
+        def recorded(block, w):
+            pairs = _walk_pairs(block, w)
+            blocks.append((len(block), len(pairs[0])))
+            return pairs
+
+        monkeypatch.setattr(node2vec, "_walk_pairs", recorded)
+        # one and two pairs, a budget that does not divide the pair count, and one above it
+        for budget in (1, 2, next(k for k in range(3, total) if total % k), total + 5):
+            monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
+            blocks.clear()
+            got = _pair_table(padded, window, n_nodes, d)
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), budget
+            assert sum(walks for walks, _ in blocks) == len(padded)
+            # a block holds at most the budget, unless it is one walk holding more
+            assert all(pairs <= budget or walks == 1 for walks, pairs in blocks), budget
+        assert len(blocks) == 1
+
+    def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):
         padded = _padded([[0], [3], [1], [2], [4]])
-        for chunk in (1, 2, 3, 9):
-            monkeypatch.setattr(node2vec, "PAIR_CHUNK_WALKS", chunk)
+        for budget in (1, 2, 3, 9):
+            monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
             assert _pair_table(padded, 2, 5, 3) is None
         assert one_shot_pair_table(padded, 2, 5, 3) is None
+
+    @pytest.mark.parametrize("scale", [1, 4, 16])
+    def test_peak_memory_stays_within_the_pair_budget(self, scale):
+        rng = np.random.default_rng(scale)
+        # every 7th walk is isolated; the other 3,428 of 20 steps hold 2.2 budgets of raw pairs
+        padded = rng.integers(0, 50, size=(4000 * scale, 20))
+        padded[::7, 1:] = -1
+        tracemalloc.start()
+        try:
+            _pair_table(padded, 5, 50, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * node2vec.PAIR_BUDGET * 8
 
 
 class TestStepMatchesFlatKeyReference:
