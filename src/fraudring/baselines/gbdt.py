@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from ..geniepath import sigmoid
-from ..graph import _numbers, _open_new, _read_lines
+from ..textio import numbers, open_new, raise_first, read_lines
 
 L2_LAMBDA = 1.0
 # (tree, row) cells gbdt_predict_batch routes together, at least one row: each work array
@@ -237,7 +237,7 @@ def save_gbdt(model: GBDTModel, path: str) -> None:
         lines.append(f"tree {i} {end - start}")
         lines += nodes[start:end]
     lines.append("end")
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -248,7 +248,7 @@ def load_gbdt(path: str) -> GBDTModel:
     child starts, at the next line whose count of splits minus leaves before
     it is one less than after the line itself.
     """
-    raw = _read_lines(path)
+    raw = read_lines(path)
 
     def fail(lineno: int, message: str) -> ModelFormatError:
         return ModelFormatError(f"{path}:{lineno}: {message}")
@@ -311,7 +311,7 @@ def load_gbdt(path: str) -> GBDTModel:
     head_fields = [fields[b] for b in heads]
     n_good = next((i for i, f in enumerate(head_fields) if len(f) != 3 or f[:2] != ["tree", str(i)]), len(heads))
     check(heads, np.arange(len(heads)) == n_good, 0, lambda i: f"expected 'tree {i} <n_nodes>', got {body[heads[i]]!r}")
-    counts, good = _numbers([f[2] for f in head_fields[:n_good]], int)
+    counts, good = numbers([f[2] for f in head_fields[:n_good]], int)
     check(heads, np.arange(n_good) == good, 0, lambda i: f"bad node count {head_fields[i][2]!r} for tree {i}")
     sizes = nxt[heads[:good]] - heads[:good] - 1
     check(sizes + heads[:good], (sizes >= 0) & (sizes != counts), 4,
@@ -322,20 +322,18 @@ def load_gbdt(path: str) -> GBDTModel:
     check(np.arange(m), is_node & (sign == 0), 1, lambda b: f"bad node line {body[b]!r}")
     leaves = np.flatnonzero(is_node & (sign < 0))
     texts = tokens[first[leaves] + 1].tolist()
-    values, good = _numbers(texts, float)
+    values, good = numbers(texts, float)
     check(leaves, np.arange(len(leaves)) == good, 1, lambda i: f"bad leaf value {texts[i]!r}")
     check(leaves, ~np.isfinite(values), 3, lambda i: f"non-finite leaf value {texts[i]!r}")
     splits = np.flatnonzero(is_node & (sign > 0))
-    features, good = _numbers(tokens[first[splits] + 1].tolist(), int)
-    thresholds, good_t = _numbers(tokens[first[splits] + 2].tolist(), float)
+    features, good = numbers(tokens[first[splits] + 1].tolist(), int)
+    thresholds, good_t = numbers(tokens[first[splits] + 2].tolist(), float)
     good = min(good, good_t)
     check(splits, np.arange(len(splits)) == good, 1, lambda i: f"bad split line {body[splits[i]]!r}")
     features, thresholds = features[:good], thresholds[:good]
     check(splits, (features < 0) | (features >= n_features), 2, lambda i: f"split feature {features[i]} out of range")
     check(splits, ~np.isfinite(thresholds), 3, lambda i: f"non-finite split threshold {fields[splits[i]][2]!r}")
-    if errors:
-        b, _, message = min(errors)
-        raise fail(b + 6, message)
+    raise_first(path, errors, ModelFormatError, 5, lambda line: True)
 
     index = np.cumsum(is_node) - 1  # node of each body line
     feature, threshold, value, right = np.full(m, -1), np.full(m, -math.inf), np.zeros(m), index.copy()

@@ -13,9 +13,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..features import LabeledDataset, _real_values
+from ..features import LabeledDataset
 from ..geniepath import sigmoid
-from ..graph import DeviceSharingGraph, _open_new, _raise_first, _read_lines
+from ..graph import DeviceSharingGraph
+from ..textio import open_new, raise_first, read_lines, real_values
 from ..train import NumericalError, adam_step, gbdt_training_rows
 from .gbdt import GBDTConfig, GBDTModel, gbdt_fit
 
@@ -344,7 +345,7 @@ def train_embeddings(
 def save_embeddings(emb: Embeddings, g: DeviceSharingGraph, path: str) -> None:
     """TSV of node external id and vector, one row per node in node order, accounts and devices alike."""
     row = "%s" + "\t%.17g" * emb.vectors.shape[1] + "\n"
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.writelines(row % (ext, *values) for ext, values in zip(g.ids, emb.vectors.tolist()))
 
 
@@ -354,14 +355,14 @@ def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
     The first bad line raises ValueError naming path:line. Within a line the checks go:
     the id, numbers, finiteness, a width other than the first row's.
     """
-    rows = list(filter(str.strip, _read_lines(path)))
+    rows = list(filter(str.strip, read_lines(path)))
     widths = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
     fields = np.array("\t".join(rows).split("\t") if rows else [], dtype=object)
     starts = np.cumsum(widths + 1) - (widths + 1)
     ids = fields[starts].tolist()
     errors: list[tuple[int, int, str]] = []
     value_rows = np.repeat(np.arange(len(ids)), widths)
-    values = _real_values(np.delete(fields, starts).tolist(), value_rows, "embedding", errors)
+    values = real_values(np.delete(fields, starts).tolist(), value_rows, "embedding", errors)
     k = next(compress(count(), map(str.__ne__, ids, g.ids)), min(len(ids), g.num_nodes))
     if k < len(ids) and ids[k] not in g.ids:
         errors.append((k, 0, f"unknown node id {ids[k]!r}"))
@@ -370,10 +371,15 @@ def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
         errors.append((k, 0, f"row for node id {ids[k]!r} out of place; {expected}"))
     if (wrong := widths != widths[:1]).any():
         errors.append((int(np.argmax(wrong)), 5, "inconsistent embedding width"))
-    _raise_first(path, errors, 0, str.strip, ValueError)
+    raise_first(path, errors, ValueError, 0, str.strip)
     if not ids or len(ids) < g.num_nodes:
         raise ValueError(f"{path}: embeddings missing for some graph nodes")
     return Embeddings(values.reshape(len(ids), int(widths[0])), [])
+
+
+def concat_rows(emb: Embeddings, ds: LabeledDataset, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """The node2vec-gbdt input of the dataset rows, every row by default: [account embedding, features]."""
+    return np.hstack([emb.vectors[ds.graph.account_indices()[rows]], ds.features[rows]])
 
 
 def embed_concat_fit(
@@ -392,6 +398,5 @@ def embed_concat_fit(
     walks = biased_walks(ds.graph, n2v_config)
     emb = train_embeddings(walks, n2v_config, n_nodes=ds.graph.num_nodes)
 
-    x = np.hstack([emb.vectors[ds.graph.account_indices()[rows]], ds.features[rows]])
-    model = gbdt_fit(x, y, gbdt_config)
+    model = gbdt_fit(concat_rows(emb, ds, rows), y, gbdt_config)
     return model, emb

@@ -26,6 +26,7 @@ from .baselines.gbdt import (
 )
 from .baselines.node2vec import (
     Node2vecConfig,
+    concat_rows,
     embed_concat_fit,
     load_embeddings,
     save_embeddings,
@@ -46,10 +47,10 @@ from .geniepath import (
 )
 from .graph import (
     WindowConfig,
-    _kept_nodes,
     build_graph,
     component_labels,
     export_dot,
+    kept_nodes,
     load_claim_events,
     load_graph,
     load_login_events,
@@ -334,7 +335,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
         print(f"nodes: {g.num_nodes}, edges: {g.edge_count} (pruning skipped)")
     else:
         labels = component_labels(g)
-        keep = _kept_nodes(g, labels)
+        keep = kept_nodes(g, labels)
         dropped = np.count_nonzero(~keep & (labels == np.arange(g.num_nodes)))
         pruned = g.subgraph(keep)
         print(
@@ -422,8 +423,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     emb_path = os.path.join(args.models, EMBEDDINGS_FILE)
     if os.path.exists(n2v_path) and os.path.exists(emb_path):
         model = load_gbdt(n2v_path)
-        emb = load_embeddings(emb_path, ds.graph)
-        x = np.hstack([emb.vectors[ds.graph.account_indices()], ds.features])
+        x = concat_rows(load_embeddings(emb_path, ds.graph), ds)
         if model.n_features != x.shape[1]:
             raise ValueError(
                 f"node2vec-gbdt model expects {model.n_features} columns, "
@@ -453,7 +453,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _grad_check_fixture(nodes: int, seed: int):
-    n_regular = max(1, (nodes - 6) // 2)
+    """A 3-account ring on 3 devices, plus (nodes - 6) // 2 regular accounts with one private device each."""
+    if nodes < 8:
+        raise ValueError(f"nodes must be >= 8, got {nodes!r}")
+    n_regular = (nodes - 6) // 2
     config = SynthConfig(
         n_regular_accounts=n_regular,
         n_rings=1,

@@ -9,7 +9,8 @@ from typing import Mapping
 import numpy as np
 
 from .features import LabeledDataset
-from .graph import DeviceSharingGraph, _hop_counts, _open_new
+from .graph import DeviceSharingGraph, sorted_unique
+from .textio import open_new
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,30 @@ def compare_models(
     return EvalReport(rows, curves, label_source=label_source)
 
 
+def _hop_counts(g: DeviceSharingGraph, seeds: np.ndarray, max_hop: int, counted: np.ndarray) -> np.ndarray:
+    """(len(seeds), max_hop) int64: [i, h - 1] counts the counted nodes at distance exactly h from seeds[i].
+
+    Every seed's frontier expands at once, one hop a step, as sorted keys
+    position * n + node. The graph is bipartite, so the neighbours of the
+    nodes at distance h lie at h - 1 or h + 1: the next frontier is the
+    neighbour keys minus the previous frontier's.
+    """
+    n = g.num_nodes
+    offsets, targets = g.csr()
+    counts = np.zeros((len(seeds), max_hop), dtype=np.int64)
+    previous, frontier = np.zeros(0, dtype=np.int64), np.arange(len(seeds)) * n + seeds
+    for hop in range(max_hop):
+        nodes = frontier % n
+        degree = np.diff(offsets)[nodes]
+        at = np.arange(degree.sum()) + np.repeat(offsets[nodes] - np.cumsum(degree) + degree, degree)
+        reached = sorted_unique(np.repeat(frontier - nodes, degree) + targets[at])
+        # reached[i] is in previous exactly where its insertion point holds it
+        known = np.append(previous, -1)[np.searchsorted(previous, reached)] == reached
+        previous, frontier = frontier, reached[~known]
+        counts[:, hop] = np.bincount(frontier[counted[frontier % n]] // n, minlength=len(seeds))
+    return counts
+
+
 def fraud_neighbor_stats(
     g: DeviceSharingGraph, is_fraud: np.ndarray, max_hop: int = 2
 ) -> tuple[float, float]:
@@ -220,7 +245,7 @@ def tag_truth_mismatches(ds: LabeledDataset) -> list[int]:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("model\tthreshold\tprecision\trecall\tf1\tde\n")
         for row in report.rows:
             fh.write(
@@ -230,7 +255,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def save_pr_curves(report: EvalReport, path: str) -> None:
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("model\tthreshold\tprecision\trecall\n")
         for name, curve in report.pr_curves.items():
             for threshold, prec, rec in curve:

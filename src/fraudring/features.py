@@ -10,10 +10,8 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .graph import (
-    DeviceSharingGraph, _first_outside, _kept_nodes, _numbers, _open_new, _raise_first, _read_lines, _split_rows,
-    component_labels, load_graph,
-)
+from .graph import DeviceSharingGraph, component_labels, kept_nodes, load_graph
+from .textio import first_outside, open_new, raise_first, read_lines, real_values, split_rows
 
 GRAPH_FILE = "graph.tsv"
 FEATURES_FILE = "features.tsv"
@@ -109,7 +107,7 @@ def prune_dataset(ds: LabeledDataset) -> LabeledDataset:
 
     Pruning keeps the relative node order, so the kept rows stay aligned.
     """
-    keep = _kept_nodes(ds.graph, component_labels(ds.graph))
+    keep = kept_nodes(ds.graph, component_labels(ds.graph))
     rows = keep[ds.graph.account_indices()]
     out = LabeledDataset(
         ds.graph.subgraph(keep),
@@ -130,21 +128,8 @@ def save_features(ds: LabeledDataset, path: str) -> None:
         tag = Tag.HIGH_RISK if tagged else Tag.NO_OBSERVABLE_RISK
         values = "\t".join(f"{v:.9g}" for v in row)
         lines.append(f"{ext}\t{tag.value}\t{values}")
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _real_values(texts: list[str], rows: np.ndarray, what: str, errors: list) -> np.ndarray:
-    """The texts as float() reads them; text i lies on row rows[i].
-
-    Adds the first non-numeric text to errors at precedence 3, and the first non-finite one at 4.
-    """
-    values, bad = _numbers(texts, float)
-    if bad < len(texts):
-        errors.append((int(rows[bad]), 3, f"non-numeric {what} value"))
-    if not (finite := np.isfinite(values)).all():
-        errors.append((int(rows[np.argmin(finite)]), 4, f"non-finite {what} value"))
-    return values
 
 
 def _account_order(path: str, graph: DeviceSharingGraph, ids: list[str], errors: list) -> np.ndarray:
@@ -163,7 +148,7 @@ def _account_order(path: str, graph: DeviceSharingGraph, ids: list[str], errors:
     if repeated.any():
         bad = int(np.argmax(repeated))
         errors.append((bad, 5, f"duplicate row for account {ids[bad]!r}"))
-    _raise_first(path, errors, 1, str.strip, FeatureFormatError)
+    raise_first(path, errors, FeatureFormatError, 1, str.strip)
     if len(rows) < len(row_of):
         missing = sorted(row_of.keys() - set(ids), key=row_of.get)
         raise FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")
@@ -176,16 +161,16 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
     The split starts as all-Train. Within a line the checks go: field count, account id,
     tag, numbers, finiteness, an account an earlier line has.
     """
-    raw = _read_lines(path)
+    raw = read_lines(path)
     if not raw:
         raise FeatureFormatError(f"{path}:1: empty features file")
     header = raw[0].split("\t")
     if len(header) < 3 or header[0] != "account_id" or header[1] != "tag":
         raise FeatureFormatError(f"{path}:1: bad header {raw[0]!r}")
-    (ids, tags, *columns), errors = _split_rows(list(filter(str.strip, raw[1:])), len(header), "fields")
-    if (bad := _first_outside(tags, (Tag.HIGH_RISK.value, Tag.NO_OBSERVABLE_RISK.value))) is not None:
+    (ids, tags, *columns), errors = split_rows(list(filter(str.strip, raw[1:])), len(header), "fields")
+    if (bad := first_outside(tags, (Tag.HIGH_RISK.value, Tag.NO_OBSERVABLE_RISK.value))) is not None:
         errors.append((bad, 2, f"unknown tag {tags[bad]!r}"))
-    values = [_real_values(texts, np.arange(len(ids)), "feature", errors) for texts in columns]
+    values = [real_values(texts, np.arange(len(ids)), "feature", errors) for texts in columns]
     order = _account_order(path, graph, ids, errors)
     high_risk = np.fromiter(map(Tag.HIGH_RISK.value.__eq__, tags), bool, len(tags))[order]
     return LabeledDataset(graph, np.column_stack(values)[order], high_risk, np.zeros(len(order), dtype=bool))
@@ -194,7 +179,7 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
 def save_ground_truth(ds: LabeledDataset, path: str) -> None:
     if ds.truth is None:
         raise ValueError("dataset has no ground truth to save")
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("account_id\tis_fraud\n")
         for ext, flag in zip(_account_rows(ds.graph), ds.truth):
             fh.write(f"{ext}\t{1 if flag else 0}\n")
@@ -205,11 +190,11 @@ def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:
 
     Within a line the checks go: field count, account id, is_fraud, an account an earlier line has.
     """
-    raw = _read_lines(path)
+    raw = read_lines(path)
     if not raw or raw[0] != "account_id\tis_fraud":
         raise FeatureFormatError(f"{path}:1: bad ground-truth header")
-    (ids, flags), errors = _split_rows(list(filter(str.strip, raw[1:])), 2, "fields")
-    if (bad := _first_outside(flags, ("0", "1"))) is not None:
+    (ids, flags), errors = split_rows(list(filter(str.strip, raw[1:])), 2, "fields")
+    if (bad := first_outside(flags, ("0", "1"))) is not None:
         errors.append((bad, 2, f"is_fraud must be 0 or 1, got {flags[bad]!r}"))
     order = _account_order(path, graph, ids, errors)
     return np.fromiter(map("1".__eq__, flags), bool, len(flags))[order]

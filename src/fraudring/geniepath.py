@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DeviceSharingGraph, _open_new, _read_lines
+from .graph import DeviceSharingGraph
+from .textio import open_new, read_lines
 
 
 class CheckpointFormatError(ValueError):
@@ -451,14 +452,14 @@ def _log_likelihoods(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> tup
     return np.log(p[pos]), np.log(1.0 - p[neg])
 
 
-def _clamped_bce(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
+def clamped_bce(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> float:
     """Cross-entropy over the positive and negative rows: minus their summed log-likelihoods."""
     log_pos, log_neg = _log_likelihoods(probs, pos, neg)
     return float(-log_pos.sum() - log_neg.sum())
 
 
-def _bce_dprobs(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """d _clamped_bce / d probs, evaluated at the clamped probabilities."""
+def bce_dprobs(probs: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """d clamped_bce / d probs, evaluated at the clamped probabilities."""
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     d = np.zeros_like(probs)
     d[pos] = -1.0 / p[pos]
@@ -497,7 +498,7 @@ def gradient_check(
 
     rows = np.flatnonzero(pos_mask | neg_mask)
     probs, cache = forward(params, g, features, rows)
-    grads = backward(params, cache, _bce_dprobs(probs, pos_mask[rows], neg_mask[rows]))
+    grads = backward(params, cache, bce_dprobs(probs, pos_mask[rows], neg_mask[rows]))
     if corrupt is not None:
         if corrupt != "ws":
             raise ValueError(f"unknown corruption target {corrupt!r}")
@@ -536,12 +537,16 @@ def save_params(params: GeniePathParams, path: str) -> None:
         for row in rows:
             lines.append(" ".join(f"{v:.17g}" for v in row))
     lines.append("end")
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_params(path: str) -> GeniePathParams:
-    raw = _read_lines(path)
+    """Read what save_params writes; the first bad line raises CheckpointFormatError naming path:line.
+
+    Each tensor row is checked as it is read: numbers, value count, finiteness.
+    """
+    raw = read_lines(path)
 
     def fail(lineno: int, message: str) -> CheckpointFormatError:
         return CheckpointFormatError(f"{path}:{lineno}: {message}")
@@ -585,11 +590,10 @@ def load_params(path: str) -> GeniePathParams:
                 raise fail(lineno, f"non-numeric value in tensor {name}") from None
             if row.size != n_cols:
                 raise fail(lineno, f"tensor {name} row has {row.size} values, expected {n_cols}")
+            if not np.all(np.isfinite(row)):
+                raise fail(lineno, f"tensor {name} contains non-finite values")
             rows.append(row)
-        block = np.concatenate(rows)
-        if not np.all(np.isfinite(block)):
-            raise fail(lineno, f"tensor {name} contains non-finite values")
-        blocks.append(block)
+        blocks.append(np.concatenate(rows))
 
     lineno += 1
     if lineno > len(raw) or raw[lineno - 1] != "end":

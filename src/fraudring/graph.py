@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
-from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat, starmap
-from typing import Collection, Iterable, Iterator, Sequence, TextIO
+from itertools import chain, compress, count, starmap
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .textio import check_tsv_id, first_outside, numbers, open_new, raise_first, read_lines, split_rows
 
 SECONDS_PER_DAY = 86_400
 
@@ -134,7 +134,7 @@ class DeviceSharingGraph:
             raise ValueError(bad[1])
         # Each undirected edge once, as the key lo * n + hi; both directions of
         # the sorted keys, sorted again, are the CSR layout.
-        keys = _sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        keys = sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
         self.edge_count = len(keys)
         both = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
         self._offsets = np.zeros(n + 1, dtype=np.int64)
@@ -214,7 +214,7 @@ def build_graph(claims: ClaimLog, logins: LoginLog, window: WindowConfig) -> Dev
         device_ids, login_device, logins.timestamps[in_device], len(accounts)
     )
 
-    pairs = _sorted_unique(login_account * len(device_ids) + login_device)
+    pairs = sorted_unique(login_account * len(device_ids) + login_device)
     edges = np.column_stack((account_node[pairs // len(device_ids)], device_node[pairs % len(device_ids)]))
     is_account = np.arange(len(accounts) + len(devices)) < len(accounts)
     return DeviceSharingGraph(accounts + devices, is_account, edges)
@@ -263,7 +263,7 @@ def _first_duplicate(ids: list[str], is_account: np.ndarray) -> tuple[int, str] 
     return None
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
+def sorted_unique(values: np.ndarray) -> np.ndarray:
     """np.unique by sorting: numpy's hash-based unique left about 1 MB more resident per process."""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
@@ -315,7 +315,7 @@ def component_labels(g: DeviceSharingGraph) -> np.ndarray:
         labels = lowest
 
 
-def _kept_nodes(g: DeviceSharingGraph, labels: np.ndarray) -> np.ndarray:
+def kept_nodes(g: DeviceSharingGraph, labels: np.ndarray) -> np.ndarray:
     """Mask of the nodes whose component holds at least two accounts: what pruning keeps."""
     return np.bincount(labels[g.is_account], minlength=g.num_nodes)[labels] >= 2
 
@@ -334,72 +334,13 @@ def prune_singletons(g: DeviceSharingGraph) -> DeviceSharingGraph:
     Surviving nodes keep their relative order; indices are re-densified.
     Idempotent.
     """
-    return g.subgraph(_kept_nodes(g, component_labels(g)))
-
-
-def _hop_counts(g: DeviceSharingGraph, seeds: np.ndarray, max_hop: int, counted: np.ndarray) -> np.ndarray:
-    """(len(seeds), max_hop) int64: [i, h - 1] counts the counted nodes at distance exactly h from seeds[i].
-
-    Every seed's frontier expands at once, one hop a step, as sorted keys
-    position * n + node. The graph is bipartite, so the neighbours of the
-    nodes at distance h lie at h - 1 or h + 1: the next frontier is the
-    neighbour keys minus the previous frontier's.
-    """
-    n = g.num_nodes
-    offsets, targets = g.csr()
-    counts = np.zeros((len(seeds), max_hop), dtype=np.int64)
-    previous, frontier = np.zeros(0, dtype=np.int64), np.arange(len(seeds)) * n + seeds
-    for hop in range(max_hop):
-        nodes = frontier % n
-        degree = np.diff(offsets)[nodes]
-        at = np.arange(degree.sum()) + np.repeat(offsets[nodes] - np.cumsum(degree) + degree, degree)
-        reached = _sorted_unique(np.repeat(frontier - nodes, degree) + targets[at])
-        # reached[i] is in previous exactly where its insertion point holds it
-        known = np.append(previous, -1)[np.searchsorted(previous, reached)] == reached
-        previous, frontier = frontier, reached[~known]
-        counts[:, hop] = np.bincount(frontier[counted[frontier % n]] // n, minlength=len(seeds))
-    return counts
-
-
-def khop_neighbor_counts(
-    g: DeviceSharingGraph,
-    seeds: Collection[int],
-    max_hop: int,
-    counted: np.ndarray | None = None,
-) -> list[float]:
-    """Average number of nodes at shortest-path distance exactly h from the seeds.
-
-    Element h-1 of the result is the mean over the distinct seeds of the
-    count at hop h, counting only the nodes of the bool mask counted if
-    given (g.is_account counts accounts). Seeds are any collection or
-    array of account node indices.
-    """
-    seeds = _sorted_unique(np.fromiter(seeds, dtype=np.int64))
-    if not len(seeds):
-        raise ValueError("seeds must be nonempty")
-    if max_hop < 1:
-        raise ValueError("max_hop must be >= 1")
-    outside = (seeds < 0) | (seeds >= g.num_nodes)
-    not_account = ~np.append(g.is_account, False)[np.where(outside, g.num_nodes, seeds)]
-    if not_account.any():
-        raise ValueError(f"seed {seeds[np.argmax(not_account)]} is not an Account node")
-
-    counted = np.ones(g.num_nodes, dtype=bool) if counted is None else np.asarray(counted, dtype=bool)
-    if counted.shape != (g.num_nodes,):
-        raise ValueError(f"counted mask of shape {counted.shape} for {g.num_nodes} nodes")
-    return (_hop_counts(g, seeds, max_hop, counted).sum(axis=0) / len(seeds)).tolist()
-
-
-def _check_tsv_id(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value or "\r" in value or not value:
-        raise ValueError(f"{what} {value!r} must be nonempty and free of tabs/newlines")
-    return value
+    return g.subgraph(kept_nodes(g, component_labels(g)))
 
 
 def save_graph(g: DeviceSharingGraph, path: str) -> None:
     """Write the graph as UTF-8 TSV: a #nodes section, a blank line, a #edges section."""
     for ext in g.ids:
-        _check_tsv_id(ext, "external id")
+        check_tsv_id(ext, "external id")
     kinds = np.where(g.is_account, "A", "D").tolist()
     rows = chain(
         ["#nodes"],
@@ -407,7 +348,7 @@ def save_graph(g: DeviceSharingGraph, path: str) -> None:
         ["", "#edges"],
         starmap("{}\t{}".format, g.edges()),
     )
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(rows) + "\n")
 
 
@@ -419,7 +360,7 @@ def load_graph(path: str) -> DeviceSharingGraph:
     The node section ends at the first blank or whitespace-only line; such edge lines
     are skipped but counted.
     """
-    lines = _read_lines(path)
+    lines = read_lines(path)
     stripped = list(map(str.strip, lines))
     if not lines or stripped[0] != "#nodes":
         raise GraphFormatError(f"{path}:1: expected '#nodes' header")
@@ -436,35 +377,35 @@ def load_graph(path: str) -> DeviceSharingGraph:
 
 def _node_columns(path: str, rows: list[str]) -> tuple[list[str], np.ndarray]:
     """The ids and the account mask of graph.tsv's node lines, from file line 2 on."""
-    (index_texts, kinds, ids), errors = _split_rows(rows, 3, "tab-separated node fields")
-    index, bad = _numbers(index_texts)
+    (index_texts, kinds, ids), errors = split_rows(rows, 3, "tab-separated node fields")
+    index, bad = numbers(index_texts)
     if bad < len(index_texts):
         errors.append((bad, 1, f"node index {index_texts[bad]!r} is not an integer"))
     out_of_order = np.flatnonzero(index != np.arange(len(index)))
     if len(out_of_order):
         row = int(out_of_order[0])
         errors.append((row, 2, f"node index {index[row]} out of order; expected {row}"))
-    if (row := _first_outside(kinds, ("A", "D"))) is not None:
+    if (row := first_outside(kinds, ("A", "D"))) is not None:
         errors.append((row, 3, f"unknown node kind {kinds[row]!r}; expected A or D"))
     if "" in ids:
         errors.append((ids.index(""), 4, "empty external id"))
     is_account = np.fromiter(map("A".__eq__, kinds), bool, len(kinds))
     if dup := _first_duplicate(ids, is_account):
         errors.append((dup[0], 5, dup[1]))
-    _raise_first(path, errors, 1)
+    raise_first(path, errors, GraphFormatError, 1)
     return ids, is_account
 
 
 def _edge_pairs(path: str, rows: list[str], first: int, is_account: np.ndarray) -> np.ndarray:
     """The (m, 2) edges of graph.tsv's nonblank edge lines, from 0-based file line first on."""
-    (u_texts, v_texts), errors = _split_rows(rows, 2, "tab-separated edge fields")
-    (u, bad_u), (v, bad_v) = _numbers(u_texts), _numbers(v_texts)
+    (u_texts, v_texts), errors = split_rows(rows, 2, "tab-separated edge fields")
+    (u, bad_u), (v, bad_v) = numbers(u_texts), numbers(v_texts)
     m = min(bad_u, bad_v)
     if m < len(u_texts):
         errors.append((m, 1, "edge endpoints %r are not integers" % (u_texts[m] + "\t" + v_texts[m])))
     if bad := _first_bad_edge(u[:m], v[:m], is_account, written=True):
         errors.append((bad[0], 2, bad[1]))
-    _raise_first(path, errors, first, str.strip)
+    raise_first(path, errors, GraphFormatError, first, str.strip)
     return np.column_stack((u, v))
 
 
@@ -499,91 +440,15 @@ def export_dot(
     for u, v in g.edges():
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         for ev in events:
-            _check_tsv_id(ev.account_external_id, "account id")
+            check_tsv_id(ev.account_external_id, "account id")
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
-
-
-def _open_new(path: str) -> TextIO:
-    """path opened for UTF-8 writing as a new file: ext4 flushes a truncated old one on close, a wait per save."""
-    with suppress(FileNotFoundError):
-        os.unlink(path)
-    return open(path, "w", encoding="utf-8")
-
-
-def _read_lines(path: str) -> list[str]:
-    """A UTF-8 file's lines, as str.splitlines gives them but split at "\n" only.
-
-    Text mode already folds "\r\n" and "\r"; splitlines would also split at
-    characters the savers do not escape, such as U+2028.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _split_rows(rows: list[str], width: int, what: str) -> tuple[list[list[str]], list[tuple[int, int, str]]]:
-    """The rows in width columns, up to the first row with another field count, and that row's error.
-
-    Errors are (row, precedence, message). The rows list is emptied once
-    joined, so that the lines and their fields are not held at once.
-    """
-    counts = list(map(str.count, rows, repeat("\t")))
-    errors = []
-    if counts.count(width - 1) != len(counts):
-        bad = next(i for i, c in enumerate(counts) if c != width - 1)
-        errors.append((bad, 0, f"expected {width} {what}, got {counts[bad] + 1}"))
-        del rows[bad:]
-    joined = "\t".join(rows)
-    rows.clear()
-    del counts
-    fields = joined.split("\t") if joined else []
-    del joined
-    return [fields[j::width] for j in range(width)], errors
-
-
-def _numbers(texts: list[str], parse: type = int) -> tuple[np.ndarray, int]:
-    """The texts as parse (int or float) reads them, up to the first it rejects, and that row (len(texts) if none).
-
-    Floats are float64. Ints are int64 if every text parses within int64, else
-    Python ints in an object array.
-    """
-    dtype = np.int64 if parse is int else np.float64
-    try:
-        return np.fromiter(map(parse, texts), dtype, len(texts)), len(texts)
-    except (ValueError, OverflowError):
-        values: list = []
-        with suppress(ValueError):
-            values.extend(map(parse, texts))
-        return np.array(values, dtype=object if parse is int else dtype), len(values)
-
-
-def _first_outside(texts: list[str], allowed: tuple[str, ...]) -> int | None:
-    """The row of the first text that is none of allowed, or None."""
-    if sum(map(texts.count, allowed)) == len(texts):
-        return None
-    return next(i for i, text in enumerate(texts) if text not in allowed)
-
-
-def _raise_first(path: str, errors: list, first: int = 0, keep=None, error: type = GraphFormatError) -> None:
-    """Raise the earliest (row, precedence, message) error as error naming path:line.
-
-    Rows count the file's lines from 0-based line first on that keep passes,
-    by default the nonempty ones; the file is read again to find the line.
-    """
-    if errors:
-        row, _, message = min(errors)
-        lines = _read_lines(path)[first:]
-        numbers = compress(count(first + 1), map(keep, lines) if keep else lines)
-        raise error(f"{path}:{next(islice(numbers, row, None))}: {message}")
 
 
 def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
@@ -593,19 +458,19 @@ def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], n
     with path:line; within a line a wrong field count comes first, then the
     first empty id, then the timestamp.
     """
-    columns, errors = _split_rows(list(filter(None, _read_lines(path))), len(id_names) + 1, "fields")
+    columns, errors = split_rows(list(filter(None, read_lines(path))), len(id_names) + 1, "fields")
     n = len(columns[-1])
     empty = [col.index("") if "" in col else n for col in columns[:-1]]
     if min(empty) < n:
         errors.append((min(empty), 1, f"empty {id_names[empty.index(min(empty))]}"))
-    timestamps, bad = _numbers(columns[-1])
+    timestamps, bad = numbers(columns[-1])
     if bad < n:
         errors.append((bad, 2, f"timestamp {columns[-1][bad]!r} is not an integer"))
     outside = (timestamps < -(2**63)) | (timestamps >= 2**63)
     if outside.any():
         row = int(np.argmax(outside))
         errors.append((row, 2, f"timestamp {columns[-1][row]!r} is outside the int64 range"))
-    _raise_first(path, errors)
+    raise_first(path, errors, GraphFormatError)
     return columns[:-1], timestamps
 
 
@@ -615,10 +480,10 @@ def load_claim_events(path: str) -> ClaimLog:
 
 
 def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         for ev in events:
-            _check_tsv_id(ev.account_external_id, "account id")
-            _check_tsv_id(ev.device_umid, "device umid")
+            check_tsv_id(ev.account_external_id, "account id")
+            check_tsv_id(ev.device_umid, "device umid")
             fh.write(f"{ev.account_external_id}\t{ev.device_umid}\t{ev.timestamp}\n")
 
 

@@ -26,9 +26,10 @@ from .features import (
     save_ground_truth,
 )
 from .graph import (
-    ClaimEvent, ClaimLog, LoginEvent, LoginLog, WindowConfig, _kept_nodes, _open_new, build_graph, component_labels,
+    ClaimEvent, ClaimLog, LoginEvent, LoginLog, WindowConfig, build_graph, component_labels, kept_nodes,
     save_claim_events, save_graph, save_login_events,
 )
+from .textio import open_new
 
 MANIFEST_FILE = "synth_manifest.json"
 
@@ -202,7 +203,7 @@ def generate(config: SynthConfig) -> SyntheticDataset:
     check_dataset(dataset)
 
     accounts = graph.account_indices()
-    dropped = accounts[~_kept_nodes(graph, component_labels(graph))[accounts]]
+    dropped = accounts[~kept_nodes(graph, component_labels(graph))[accounts]]
     prunable = sorted(graph.ids[i] for i in dropped.tolist())
 
     return SyntheticDataset(dataset, claims, logins, window, prunable, config)
@@ -223,6 +224,6 @@ def emit(sds: SyntheticDataset, out_dir: str) -> None:
         "seed": sds.config.seed,
         "n_prunable_accounts": sds.n_prunable_accounts,
     }
-    with _open_new(os.path.join(out_dir, MANIFEST_FILE)) as fh:
+    with open_new(os.path.join(out_dir, MANIFEST_FILE)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

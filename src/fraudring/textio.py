@@ -1,0 +1,110 @@
+"""The text-file toolkit every format shares: new-file writes, line reads, column parsing, first-error reports.
+
+Loaders collect (row, precedence, message) errors while they parse whole
+columns, then raise_first reports the earliest as path:line.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import suppress
+from itertools import chain, compress, count, islice, repeat
+from typing import TextIO
+
+import numpy as np
+
+
+def open_new(path: str) -> TextIO:
+    """path opened for UTF-8 writing as a new file: ext4 flushes a truncated old one on close, a wait per save."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "w", encoding="utf-8")
+
+
+def read_lines(path: str) -> list[str]:
+    """A UTF-8 file's lines, as str.splitlines gives them but split at "\n" only.
+
+    Text mode already folds "\r\n" and "\r"; splitlines would also split at
+    characters the savers do not escape, such as U+2028.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def check_tsv_id(value: str, what: str) -> str:
+    if "\t" in value or "\n" in value or "\r" in value or not value:
+        raise ValueError(f"{what} {value!r} must be nonempty and free of tabs/newlines")
+    return value
+
+
+def split_rows(rows: list[str], width: int, what: str) -> tuple[list[list[str]], list[tuple[int, int, str]]]:
+    """The rows in width columns, up to the first row with another field count, and that row's error.
+
+    Errors are (row, precedence, message). The rows list is emptied once
+    joined, so that the lines and their fields are not held at once.
+    """
+    counts = list(map(str.count, rows, repeat("\t")))
+    errors = []
+    if counts.count(width - 1) != len(counts):
+        bad = next(i for i, c in enumerate(counts) if c != width - 1)
+        errors.append((bad, 0, f"expected {width} {what}, got {counts[bad] + 1}"))
+        del rows[bad:]
+    joined = "\t".join(rows)
+    rows.clear()
+    del counts
+    fields = joined.split("\t") if joined else []
+    del joined
+    return [fields[j::width] for j in range(width)], errors
+
+
+def numbers(texts: list[str], parse: type = int) -> tuple[np.ndarray, int]:
+    """The texts as parse (int or float) reads them, up to the first it rejects, and that row (len(texts) if none).
+
+    Floats are float64. Ints are int64 if every text parses within int64, else
+    Python ints in an object array.
+    """
+    dtype = np.int64 if parse is int else np.float64
+    try:
+        return np.fromiter(map(parse, texts), dtype, len(texts)), len(texts)
+    except (ValueError, OverflowError):
+        values: list = []
+        with suppress(ValueError):
+            values.extend(map(parse, texts))
+        return np.array(values, dtype=object if parse is int else dtype), len(values)
+
+
+def real_values(texts: list[str], rows: np.ndarray, what: str, errors: list) -> np.ndarray:
+    """The texts as float() reads them; text i lies on row rows[i].
+
+    Adds the first non-numeric text to errors at precedence 3, and the first non-finite one at 4.
+    """
+    values, bad = numbers(texts, float)
+    if bad < len(texts):
+        errors.append((int(rows[bad]), 3, f"non-numeric {what} value"))
+    if not (finite := np.isfinite(values)).all():
+        errors.append((int(rows[np.argmin(finite)]), 4, f"non-finite {what} value"))
+    return values
+
+
+def first_outside(texts: list[str], allowed: tuple[str, ...]) -> int | None:
+    """The row of the first text that is none of allowed, or None."""
+    if sum(map(texts.count, allowed)) == len(texts):
+        return None
+    return next(i for i, text in enumerate(texts) if text not in allowed)
+
+
+def raise_first(path: str, errors: list, error: type, first: int = 0, keep=None) -> None:
+    """Raise the earliest (row, precedence, message) error as error naming path:line.
+
+    Rows count the file's lines from 0-based line first on that keep passes,
+    by default the nonempty ones, and go on counting lines past the file's
+    end; the file is read again to find the line.
+    """
+    if errors:
+        row, _, message = min(errors)
+        lines = read_lines(path)[first:]
+        line_numbers = compress(count(first + 1), chain(map(keep, lines) if keep else lines, repeat(True)))
+        raise error(f"{path}:{next(islice(line_numbers, row, None))}: {message}")

@@ -9,8 +9,8 @@ from enum import Enum
 import numpy as np
 
 from .features import LabeledDataset
-from .graph import _open_new
-from .geniepath import GeniePathParams, _bce_dprobs, _clamped_bce, backward, forward
+from .geniepath import GeniePathParams, backward, bce_dprobs, clamped_bce, forward
+from .textio import open_new
 
 
 # Adam's moment decay rates and denominator guard.
@@ -128,8 +128,8 @@ def train(
         rows = np.sort(np.concatenate([pos_rows, neg_rows]))
         pos, neg = np.searchsorted(rows, pos_rows), np.searchsorted(rows, neg_rows)
         probs, cache = forward(params, ds.graph, ds.features, rows)
-        epoch_loss = _clamped_bce(probs, pos, neg)
-        grads = backward(params, cache, _bce_dprobs(probs, pos, neg))
+        epoch_loss = clamped_bce(probs, pos, neg)
+        grads = backward(params, cache, bce_dprobs(probs, pos, neg))
         if not np.isfinite(epoch_loss) or not np.all(np.isfinite(grads.vector)):
             raise NumericalError(f"non-finite loss or gradient at epoch {epoch}")
 
@@ -151,7 +151,7 @@ def score_accounts(ds: LabeledDataset, params: GeniePathParams) -> np.ndarray:
 
 
 def save_train_report(report: TrainReport, path: str) -> None:
-    with _open_new(path) as fh:
+    with open_new(path) as fh:
         fh.write("epoch\tloss\tn_sampled_neg\n")
         for epoch, (ls, n) in enumerate(zip(report.loss_history, report.sampled_negative_counts)):
             fh.write(f"{epoch}\t{ls:.17g}\t{n}\n")

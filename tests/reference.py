@@ -18,10 +18,10 @@ allocating_adam_step (the Adam update with a fresh array
 per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
 loader, with the loader's non-finite and count checks added), read back into
-the flat layout by flatten_trees. gbdt_predict, breadth_layer and depth_layer
-are thin wrappers over the package's batch kernels that only tests call: one
-row's GBDT probability, one attention layer over every node, and the LSTM
-over a sequence.
+the flat layout by flatten_trees. gbdt_predict, breadth_layer, depth_layer and
+khop_neighbor_counts are thin wrappers over the package's batch kernels that
+only tests call: one row's GBDT probability, one attention layer over every
+node, the LSTM over a sequence, and the mean hop counts around a set of seeds.
 """
 import math
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ import numpy as np
 
 from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch
 from fraudring.baselines.node2vec import _PairTable, _flat_keys
+from fraudring.evaluation import _hop_counts
 from fraudring.features import FeatureFormatError
 from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
 
@@ -206,6 +207,31 @@ def bfs_hop_counts(adjacency, seed, max_hop, counted):
         if d >= 1 and counted[node]:
             counts[d - 1] += 1
     return counts
+
+
+def khop_neighbor_counts(g, seeds, max_hop, counted=None):
+    """Average number of nodes at shortest-path distance exactly h from the seeds.
+
+    Element h-1 of the result is the mean over the distinct seeds of the
+    count at hop h, counting only the nodes of the bool mask counted if
+    given (g.is_account counts accounts). Seeds are any collection or
+    array of account node indices. A wrapper over the package's
+    evaluation._hop_counts that only tests call.
+    """
+    seeds = np.unique(np.fromiter(seeds, dtype=np.int64))
+    if not len(seeds):
+        raise ValueError("seeds must be nonempty")
+    if max_hop < 1:
+        raise ValueError("max_hop must be >= 1")
+    outside = (seeds < 0) | (seeds >= g.num_nodes)
+    not_account = ~np.append(g.is_account, False)[np.where(outside, g.num_nodes, seeds)]
+    if not_account.any():
+        raise ValueError(f"seed {seeds[np.argmax(not_account)]} is not an Account node")
+
+    counted = np.ones(g.num_nodes, dtype=bool) if counted is None else np.asarray(counted, dtype=bool)
+    if counted.shape != (g.num_nodes,):
+        raise ValueError(f"counted mask of shape {counted.shape} for {g.num_nodes} nodes")
+    return (_hop_counts(g, seeds, max_hop, counted).sum(axis=0) / len(seeds)).tolist()
 
 
 def brute_force_pr_points(scores, labels):

@@ -1,9 +1,12 @@
 import filecmp
+import importlib
+import inspect
 import json
 import os
 import pathlib
 import re
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -569,6 +572,19 @@ class TestGradCheck:
         assert captured.err == f"error: eps must be finite and > 0, got {float(eps)!r}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("nodes", ["0", "-1", "7"])
+    def test_fewer_than_8_nodes_exits_2(self, monkeypatch, capsys, nodes):
+        monkeypatch.setattr(cli, "generate", lambda config: pytest.fail("the fixture was built"))
+        assert main(["grad-check", f"--nodes={nodes}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: nodes must be >= 8, got {int(nodes)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("nodes, built", [("8", 8), ("9", 8), ("13", 12)])
+    def test_nodes_round_down_to_even_from_8(self, capsys, nodes, built):
+        assert main(["grad-check", "--nodes", nodes]) == 0
+        assert f"({built} nodes, hidden dim 4, 2 layers, eps 1e-05)" in capsys.readouterr().out
+
     def test_nan_error_fails_with_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: float("nan"))
         assert main(["grad-check"]) == 3
@@ -881,6 +897,21 @@ class TestOptionTable:
             "window": n2v.window, "return_param": n2v.return_param, "inout_param": n2v.inout_param,
             "negative_samples": n2v.negative_samples, "n2v_epochs": n2v.epochs, "step_size": n2v.step_size,
         }
+
+    def test_perfbench_names_of_the_package_resolve(self):
+        """Every function perfbench wraps (tracing.TRACED) or calls (makeup.py) is a function of its module."""
+        path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        tracing = types.ModuleType("perfbench_tracing")
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+        called = [
+            ("fraudring.graph", "prune_singletons"),
+            ("fraudring.graph", "connected_components"),
+            ("fraudring.baselines.node2vec", "biased_walks"),
+            ("fraudring.baselines.node2vec", "_walk_pairs"),
+        ]
+        assert tracing.TRACED
+        for module, name in [(module, name) for module, name, _ in tracing.TRACED] + called:
+            assert inspect.isfunction(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
 
     def test_readme_defaults_table_matches_the_options(self):
         readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -641,3 +643,37 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="end"):
             load_params(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, row", [("w_in", 0), ("w_in", 7), ("lstm.w_x", 30), ("lstm.bias", 0)])
+    def test_non_finite_value_names_its_own_line(self, tmp_path, value, name, row):
+        # the default training shape: w_in is 16 rows of 12, on file lines 4-19
+        params = init_params(12, hidden_dim=16, n_layers=2, seed=0)
+        path = tmp_path / "gnn.ckpt"
+        save_params(params, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        header = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {name} "))
+        fields = lines[header + 1 + row].split()
+        fields[len(fields) // 2] = value
+        lines[header + 1 + row] = " ".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        line = header + 2 + row
+        with pytest.raises(CheckpointFormatError, match=rf"gnn\.ckpt:{line}: tensor {name} contains non-finite values$"):
+            load_params(path)
+
+    def test_row_checks_go_numbers_then_width_then_finiteness(self, tmp_path):
+        params = init_params(3, hidden_dim=2, n_layers=1, seed=13)
+        path = tmp_path / "model.ckpt"
+        save_params(params, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[2] == "tensor w_in 2 3"
+        for text, message in (
+            ("nan 1 x", "non-numeric value in tensor w_in"),
+            ("nan 1", "tensor w_in row has 2 values, expected 3"),
+            ("nan 1 2", "tensor w_in contains non-finite values"),
+        ):
+            lines[3] = text
+            path.write_text("\n".join(lines), encoding="utf-8")
+            with pytest.raises(CheckpointFormatError, match=rf"model\.ckpt:4: {re.escape(message)}$"):
+                load_params(path)
+

@@ -15,7 +15,6 @@ from fraudring.graph import (
     component_labels,
     connected_components,
     export_dot,
-    khop_neighbor_counts,
     load_claim_events,
     load_graph,
     load_login_events,
@@ -27,6 +26,7 @@ from fraudring.graph import (
 from reference import (
     bfs_distance_map,
     bfs_hop_counts,
+    khop_neighbor_counts,
     line_by_line_events,
     line_by_line_graph,
     loop_edge_error,

@@ -15,6 +15,7 @@ from fraudring.baselines.node2vec import (
     _sgns_loss_grad,
     _walk_pairs,
     biased_walks,
+    concat_rows,
     embed_concat_fit,
     load_embeddings,
     save_embeddings,
@@ -624,3 +625,13 @@ class TestEmbedConcatFit:
         n2v = Node2vecConfig(dimensions=4, walk_length=8, walks_per_node=10, window=2, seed=0)
         with pytest.raises(ValueError, match="no tagged high-risk"):
             embed_concat_fit(ds, n2v, GBDTConfig(n_trees=10, seed=1), 0.25)
+
+    def test_rows_of_the_whole_layout_are_the_training_layout(self):
+        ds = self.dataset()
+        emb = Embeddings(np.random.default_rng(3).normal(size=(ds.graph.num_nodes, 4)), [])
+        rows = np.array([4, 0, 8, 0, 2])
+        whole = concat_rows(emb, ds)
+        assert np.array_equal(whole[:, :4], emb.vectors[ds.graph.account_indices()])
+        assert np.array_equal(whole[:, 4:], ds.features)
+        assert np.array_equal(concat_rows(emb, ds, rows), whole[rows])
+

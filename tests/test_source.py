@@ -1,8 +1,8 @@
 """Static checks over the package source.
 
 No module-level import, private definition or public method goes unused, no
-code splits text with str.splitlines, and every file the package writes is
-opened by graph._open_new.
+module imports another module's private name, no code splits text with
+str.splitlines, and every file the package writes is opened by textio.open_new.
 """
 import ast
 import pathlib
@@ -132,6 +132,43 @@ def test_no_unreferenced_private_defs():
     assert unreferenced_private_defs(sources) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Single-underscore names imported from a module of the package (a relative import, at any depth)."""
+    return [
+        f"line {n.lineno}: {'.' * n.level}{n.module or ''} {alias.name}"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.ImportFrom) and n.level
+        for alias in n.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_private_import_checker_flags_only_underscore_names_of_the_package():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .graph import _kept, build\n"
+        "from ..textio import open_new\n"
+        "from ..geniepath import _bce as bce, sigmoid\n"
+        "from . import _hidden, cli\n"
+        "from .version import __version__\n"
+        "def f():\n"
+        "    from .graph import _late\n"
+        "    return _exit, _kept, build, open_new, bce, sigmoid, _hidden, cli, __version__, _late\n"
+    )
+    assert private_imports(source) == [
+        "line 3: .graph _kept",
+        "line 5: ..geniepath _bce",
+        "line 6: . _hidden",
+        "line 9: .graph _late",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 ROOT = SRC.parent.parent
 READERS = ("src", "tests", "perfbench", "tools")
 
@@ -233,10 +270,10 @@ def test_no_splitlines_in_source(path):
 
 
 def writing_opens(source: str) -> list[str]:
-    """Lines that call open with a mode that writes, outside _open_new: an output must be a new file."""
+    """Lines that call open with a mode that writes, outside open_new: an output must be a new file."""
     tree = ast.parse(source)
     exempt = {
-        id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_open_new" for n in ast.walk(f)
+        id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "open_new" for n in ast.walk(f)
     }
     found = []
     for n in ast.walk(tree):
@@ -250,7 +287,7 @@ def writing_opens(source: str) -> list[str]:
 
 def test_writing_open_checker_flags_only_writes_outside_open_new():
     source = (
-        "def _open_new(path):\n"
+        "def open_new(path):\n"
         "    return open(path, 'w')\n"
         "def f(path, mode):\n"
         "    a = open(path)\n"

