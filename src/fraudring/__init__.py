@@ -9,6 +9,7 @@ from .graph import (
     ClaimEvent,
     ClaimLog,
     DeviceSharingGraph,
+    IdColumn,
     LoginEvent,
     LoginLog,
     WindowConfig,
@@ -22,6 +23,7 @@ __all__ = [
     "ClaimEvent",
     "ClaimLog",
     "DeviceSharingGraph",
+    "IdColumn",
     "LabeledDataset",
     "LoginEvent",
     "LoginLog",

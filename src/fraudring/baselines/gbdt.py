@@ -248,7 +248,7 @@ def load_gbdt(path: str) -> GBDTModel:
     child starts, at the next line whose count of splits minus leaves before
     it is one less than after the line itself.
     """
-    raw = read_lines(path)
+    raw = read_lines(path, ModelFormatError)
 
     def fail(lineno: int, message: str) -> ModelFormatError:
         return ModelFormatError(f"{path}:{lineno}: {message}")

@@ -399,7 +399,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ds = _prepare_dataset(args.data, _resolve(args, "evaluate"))
+    opt = _resolve(args, "evaluate")
+    ds = _prepare_dataset(args.data, opt)
+    labels = evaluation.label_column(ds, args.labels)[ds.is_test]
+    if not labels.any():
+        raise ValueError(
+            f"test_fraction {opt['test_fraction']} gives a Test split of {len(labels)} accounts, "
+            f"{np.count_nonzero(labels)} positive under --labels {args.labels}; scoring needs a positive"
+        )
     scores: dict[str, np.ndarray] = {}
 
     ckpt = os.path.join(args.models, GNN_CHECKPOINT_FILE)

@@ -161,7 +161,7 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
     The split starts as all-Train. Within a line the checks go: field count, account id,
     tag, numbers, finiteness, an account an earlier line has.
     """
-    raw = read_lines(path)
+    raw = read_lines(path, FeatureFormatError)
     if not raw:
         raise FeatureFormatError(f"{path}:1: empty features file")
     header = raw[0].split("\t")
@@ -190,7 +190,7 @@ def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:
 
     Within a line the checks go: field count, account id, is_fraud, an account an earlier line has.
     """
-    raw = read_lines(path)
+    raw = read_lines(path, FeatureFormatError)
     if not raw or raw[0] != "account_id\tis_fraud":
         raise FeatureFormatError(f"{path}:1: bad ground-truth header")
     (ids, flags), errors = split_rows(list(filter(str.strip, raw[1:])), 2, "fields")

@@ -546,7 +546,7 @@ def load_params(path: str) -> GeniePathParams:
 
     Each tensor row is checked as it is read: numbers, value count, finiteness.
     """
-    raw = read_lines(path)
+    raw = read_lines(path, CheckpointFormatError)
 
     def fail(lineno: int, message: str) -> CheckpointFormatError:
         return CheckpointFormatError(f"{path}:{lineno}: {message}")

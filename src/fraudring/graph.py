@@ -8,7 +8,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .textio import check_tsv_id, first_outside, numbers, open_new, raise_first, read_lines, split_rows
+from .textio import check_tsv_id, first_outside, numbers, open_new, raise_first, read_bytes, read_lines, split_rows
 
 SECONDS_PER_DAY = 86_400
 
@@ -30,8 +30,32 @@ class LoginEvent:
     timestamp: int
 
 
+@dataclass(frozen=True, eq=False)
+class IdColumn:
+    """A column of ids as its distinct ids and one int64 code per row: row i holds ids[codes[i]].
+
+    Two columns are equal when their rows are, whatever order each keeps its distinct ids in.
+    """
+
+    ids: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def from_values(cls, values: list[str]) -> IdColumn:
+        ids, (codes,) = _codes(values)
+        return cls(ids, codes)
+
+    def values(self) -> list[str]:
+        return list(map(self.ids.__getitem__, self.codes.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IdColumn):
+            return NotImplemented
+        return self.values() == other.values()
+
+
 class _EventColumns:
-    """Equality for the columnar logs: lists compare as lists, arrays element by element."""
+    """Equality for the columnar logs: id columns compare by rows, arrays element by element."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -44,34 +68,35 @@ class _EventColumns:
 
 @dataclass(frozen=True, eq=False)
 class ClaimLog(_EventColumns):
-    """A claim log in columns: row i is a claim by accounts[i] at timestamps[i] (int64)."""
+    """A claim log in columns: claim i is by account accounts.values()[i] at timestamps[i] (int64)."""
 
-    accounts: list[str]
+    accounts: IdColumn
     timestamps: np.ndarray
 
     @classmethod
     def from_events(cls, events: Iterable[ClaimEvent]) -> ClaimLog:
         events = list(events)
         return cls(
-            [ev.account_external_id for ev in events],
+            IdColumn.from_values([ev.account_external_id for ev in events]),
             np.array([ev.timestamp for ev in events], dtype=np.int64),
         )
 
 
 @dataclass(frozen=True, eq=False)
 class LoginLog(_EventColumns):
-    """A login log in columns: row i is accounts[i] logging into devices[i] at timestamps[i] (int64)."""
+    """A login log in columns: login i is by account accounts.values()[i] into device devices.values()[i]
+    at timestamps[i] (int64)."""
 
-    accounts: list[str]
-    devices: list[str]
+    accounts: IdColumn
+    devices: IdColumn
     timestamps: np.ndarray
 
     @classmethod
     def from_events(cls, events: Iterable[LoginEvent]) -> LoginLog:
         events = list(events)
         return cls(
-            [ev.account_external_id for ev in events],
-            [ev.device_umid for ev in events],
+            IdColumn.from_values([ev.account_external_id for ev in events]),
+            IdColumn.from_values([ev.device_umid for ev in events]),
             np.array([ev.timestamp for ev in events], dtype=np.int64),
         )
 
@@ -201,8 +226,10 @@ def build_graph(claims: ClaimLog, logins: LoginLog, window: WindowConfig) -> Dev
     is deterministic: accounts first, ordered by first in-window claim time
     then external id; devices next, by first in-window login time then UMID.
     """
-    account_ids, (claim_account, login_account) = _codes(claims.accounts, logins.accounts)
-    device_ids, (login_device,) = _codes(logins.devices)
+    # One list of the two logs' distinct account ids, and each log's codes into it.
+    account_ids, (claim_merged, login_merged) = _codes(claims.accounts.ids, logins.accounts.ids)
+    claim_account, login_account = claim_merged[claims.accounts.codes], login_merged[logins.accounts.codes]
+    device_ids, login_device = logins.devices.ids, logins.devices.codes
 
     in_claim = (claims.timestamps >= window.claim_start) & (claims.timestamps < window.reference_time)
     accounts, account_node = _ordered_nodes(account_ids, claim_account[in_claim], claims.timestamps[in_claim], 0)
@@ -360,7 +387,7 @@ def load_graph(path: str) -> DeviceSharingGraph:
     The node section ends at the first blank or whitespace-only line; such edge lines
     are skipped but counted.
     """
-    lines = read_lines(path)
+    lines = read_lines(path, GraphFormatError)
     stripped = list(map(str.strip, lines))
     if not lines or stripped[0] != "#nodes":
         raise GraphFormatError(f"{path}:1: expected '#nodes' header")
@@ -451,27 +478,124 @@ def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
             fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
 
 
-def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[list[str]], np.ndarray]:
-    """Columns of an event TSV: one list per id field, and the int64 timestamps.
+# Zero bytes after an event file's last newline: a timestamp's digits are
+# read up to 17 bytes past its end, and an 8-byte word from any field's start.
+_PAD = 24
+# _LOW_BYTES[r] keeps the first r bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
+
+def _read_events(path: str, id_names: Sequence[str]) -> tuple[list[IdColumn], np.ndarray]:
+    """Columns of an event TSV: one IdColumn per id field, and the int64 timestamps.
+
+    The file is read once as bytes, and its lines, fields and timestamps are
+    found as arrays. A byte that is not UTF-8 fails first, naming its line.
     Blank lines are skipped but counted. The first bad line in file order fails
     with path:line; within a line a wrong field count comes first, then the
     first empty id, then the timestamp.
     """
-    columns, errors = split_rows(list(filter(None, read_lines(path))), len(id_names) + 1, "fields")
-    n = len(columns[-1])
-    empty = [col.index("") if "" in col else n for col in columns[:-1]]
-    if min(empty) < n:
-        errors.append((min(empty), 1, f"empty {id_names[empty.index(min(empty))]}"))
-    timestamps, bad = numbers(columns[-1])
-    if bad < n:
-        errors.append((bad, 2, f"timestamp {columns[-1][bad]!r} is not an integer"))
-    outside = (timestamps < -(2**63)) | (timestamps >= 2**63)
-    if outside.any():
-        row = int(np.argmax(outside))
-        errors.append((row, 2, f"timestamp {columns[-1][row]!r} is outside the int64 range"))
-    raise_first(path, errors, GraphFormatError)
-    return columns[:-1], timestamps
+    data = read_bytes(path, GraphFormatError)
+    data += (b"\n" if data and not data.endswith(b"\n") else b"") + bytes(_PAD)
+    text = np.frombuffer(data, np.uint8)
+    lines, bounds, errors = _event_fields(text, len(id_names) + 1)
+    empty = np.diff(bounds[:, :-1], axis=1) == 1
+    if empty.any():
+        row = int(np.argmax(empty.any(axis=1)))
+        errors.append((row, 1, f"empty {id_names[int(np.argmax(empty[row]))]}"))
+    timestamps = _timestamps(text, bounds[:, -2] + 1, bounds[:, -1], errors)
+    if errors:
+        row, _, message = min(errors)
+        raise GraphFormatError(f"{path}:{lines[row] + 1}: {message}")
+    # words[i] is the little-endian 8-byte word at text[i].
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    return [_id_column(text, words, bounds[:, j] + 1, bounds[:, j + 1]) for j in range(len(id_names))], timestamps
+
+
+def _event_fields(text: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The 0-based file lines of the nonblank lines, the field bounds of those before the first
+    without width fields, and that line's error.
+
+    Field j of row i spans bounds[i, j] + 1 to bounds[i, j + 1], between the
+    tabs or newlines around it.
+    """
+    breaks = np.flatnonzero((text == ord("\t")) | (text == ord("\n")))
+    ends = np.flatnonzero(text[breaks] == ord("\n"))  # line i ends at breaks[ends[i]]
+    previous = np.concatenate(([-1], breaks[ends[:-1]]))
+    lines = np.flatnonzero(breaks[ends] - previous > 1)
+    counts = np.diff(ends, prepend=-1)[lines]
+    wrong = np.flatnonzero(counts != width)
+    n = int(wrong[0]) if len(wrong) else len(lines)
+    errors = [(n, 0, f"expected {width} fields, got {counts[n]}")] if n < len(lines) else []
+    last = ends[lines[:n]]
+    bounds = np.column_stack([previous[lines[:n]]] + [breaks[last - k] for k in range(width - 1, -1, -1)])
+    return lines, bounds, errors
+
+
+def _timestamps(text: np.ndarray, starts: np.ndarray, ends: np.ndarray, errors: list) -> np.ndarray:
+    """The int64 values of the timestamp fields text[starts:ends].
+
+    Fields matching -?[0-9]{1,18} are parsed as arrays, every other by int() on
+    its text. Adds the first field int() rejects or that falls outside int64 to
+    errors at precedence 2.
+    """
+    negative = text[starts] == ord("-")
+    first = starts + negative
+    digits = ends - first
+    plain = (digits >= 1) & (digits <= 18)
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(int(digits.max(where=plain, initial=0))):
+        live = digits > k
+        digit = text[first + k] - np.uint8(ord("0"))
+        plain &= (digit < 10) | ~live
+        values = np.where(live, values * 10 + digit, values)
+    values = np.where(negative, -values, values)
+    for row in np.flatnonzero(~plain).tolist():
+        field = text[starts[row]:ends[row]].tobytes().decode("utf-8")
+        try:
+            value = int(field)
+        except ValueError:
+            errors.append((row, 2, f"timestamp {field!r} is not an integer"))
+            break
+        if not -(2**63) <= value < 2**63:
+            errors.append((row, 2, f"timestamp {field!r} is outside the int64 range"))
+            break
+        values[row] = value
+    return values
+
+
+def _id_column(text: np.ndarray, words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> IdColumn:
+    """The id fields text[starts:ends] as an IdColumn, its ids in an order their bytes fix.
+
+    Equal ids are found exactly from their bytes: ranked by length, then by
+    each 8-byte word in turn, each rank refining the last. The words alone
+    would not do: they read an id's missing bytes as zeros. Every id is
+    nonempty.
+    """
+    lengths = ends - starts
+    codes = (np.cumsum(np.bincount(lengths) > 0) - 1)[lengths]
+    firsts = np.zeros(0, dtype=np.int64)
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        word = words[np.minimum(starts + offset, len(words) - 1)] & _LOW_BYTES[np.clip(lengths - offset, 0, 8)]
+        word_codes, firsts = _dense_ranks(word)
+        if not np.array_equal(codes[firsts][word_codes], codes):  # a word follows two ranks
+            word_codes, firsts = _dense_ranks(codes * len(firsts) + word_codes)
+        codes = word_codes
+    spans = lengths[firsts] + 1
+    last = np.cumsum(spans) - 1
+    joined = text[np.arange(spans.sum()) + np.repeat(starts[firsts] - (last + 1 - spans), spans)]
+    joined[last] = ord("\n")
+    return IdColumn(joined.tobytes().decode("utf-8").split("\n")[:-1], codes)
+
+
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, and one row holding each distinct key, in key order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
 
 
 def load_claim_events(path: str) -> ClaimLog:

@@ -21,14 +21,33 @@ def open_new(path: str) -> TextIO:
     return open(path, "w", encoding="utf-8")
 
 
-def read_lines(path: str) -> list[str]:
+def read_bytes(path: str, error: type = ValueError) -> bytes:
+    """A UTF-8 file's bytes with its line breaks as text mode reads them: "\r\n" and "\r" become "\n".
+
+    A byte that is not UTF-8 raises error naming path:line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = data[:e.start]
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise error(f"{path}:{line}: byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def read_lines(path: str, error: type = ValueError) -> list[str]:
     """A UTF-8 file's lines, as str.splitlines gives them but split at "\n" only.
 
-    Text mode already folds "\r\n" and "\r"; splitlines would also split at
-    characters the savers do not escape, such as U+2028.
+    Line breaks are read as text mode reads them; splitlines would also split
+    at characters the savers do not escape, such as U+2028. A byte that is
+    not UTF-8 raises error naming path:line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_bytes(path, error).decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

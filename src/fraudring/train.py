@@ -73,13 +73,15 @@ def adam_step(w: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, ste
 def sample_negatives(pool: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Fixed-size uniform sample, without replacement, of the ascending pool rows.
 
-    Sample size is round(rate * len(pool)); the sample comes back ascending.
+    Sample size is round(rate * len(pool)), which must not be 0; the sample comes back ascending.
     """
     if not (0.0 < rate <= 1.0):
         raise ValueError("rate must lie in (0, 1]")
     if not len(pool):
         raise ValueError("no untagged accounts to sample negatives from")
     n = int(round(rate * len(pool)))
+    if not n:
+        raise ValueError(f"negative rate {rate} draws no negatives from {len(pool)} untagged Train accounts")
     return np.sort(pool[rng.choice(len(pool), size=n, replace=False)])
 
 

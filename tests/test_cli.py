@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from fraudring import cli
+from fraudring import train as train_module
+from fraudring.baselines import node2vec
 from fraudring.baselines.gbdt import GBDTConfig
 from fraudring.baselines.node2vec import Node2vecConfig
 from fraudring.cli import main
@@ -415,6 +417,23 @@ class TestTrain:
             assert f"{path}:7: non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "gbdt" / "gbdt.model").exists()
 
+    @pytest.mark.parametrize("model", sorted(FAST_TRAIN))
+    def test_negative_rate_that_draws_no_negatives_fails_before_training(
+        self, data_dir, tmp_path, capsys, monkeypatch, model
+    ):
+        for module, name in ((train_module, "forward"), (node2vec, "biased_walks"), (cli, "gbdt_fit")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("training started"))
+        ds = cli._prepare_dataset(str(data_dir), {"no_prune": False, "test_fraction": 0.3, "split_seed": 0})
+        pool = np.count_nonzero(~ds.is_test & ~ds.high_risk)
+        out = tmp_path / "models"
+        code = main(
+            ["train", "--model", model, "--data", str(data_dir), "--out", str(out), "--negative-rate", "0.001"]
+            + FAST_TRAIN[model]
+        )
+        assert code == 2
+        assert f"error: negative rate 0.001 draws no negatives from {pool} untagged Train accounts" in capsys.readouterr().err
+        assert not os.listdir(out)
+
     def test_unknown_model_is_usage_error(self, data_dir, tmp_path, capsys):
         code = main(
             ["train", "--model", "svm", "--data", str(data_dir), "--out", str(tmp_path)]
@@ -483,6 +502,26 @@ class TestEvaluate:
         assert code == 2
         assert f"error: {partial / 'gbdt.model'}:{i + 1}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("labels", ["tags", "ground-truth"])
+    def test_test_split_without_a_positive_fails_before_any_model_loads(
+        self, data_dir, models_dir, tmp_path, capsys, monkeypatch, labels
+    ):
+        for name in ("load_params", "load_gbdt", "load_embeddings"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a model was loaded"))
+        ds = cli._prepare_dataset(str(data_dir), {"no_prune": False, "test_fraction": 0.3, "split_seed": 0})
+        positives = np.count_nonzero(ds.high_risk)
+        # floor(size * fraction) Test accounts per tag: none at all, then only untagged ones
+        for fraction, n_test in ((0.5 / len(ds.high_risk), 0), (1.0 / (len(ds.high_risk) - positives), 1)):
+            assert positives * fraction < 1
+            out = tmp_path / "reports"
+            code = main(["evaluate", "--data", str(data_dir), "--models", str(models_dir), "--out", str(out),
+                         "--labels", labels, "--test-fraction", str(fraction)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"error: test_fraction {fraction} gives a Test split of {n_test} accounts, 0 positive" in err
+            assert f"under --labels {labels}" in err
+            assert not out.exists()
 
     def test_ground_truth_labels_add_audit_line(self, data_dir, models_dir, tmp_path, capsys):
         out = tmp_path / "eval"

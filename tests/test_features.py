@@ -17,18 +17,25 @@ from fraudring.features import (
     split_train_test,
     train_feature_stats,
 )
+from fraudring.baselines.gbdt import GBDTConfig, ModelFormatError, gbdt_fit, load_gbdt, save_gbdt
 from fraudring.baselines.node2vec import Embeddings, load_embeddings, save_embeddings
+from fraudring.geniepath import CheckpointFormatError, init_params, load_params, save_params
 from fraudring.graph import (
     ClaimEvent,
     ClaimLog,
     DeviceSharingGraph,
+    GraphFormatError,
     LoginEvent,
     LoginLog,
     WindowConfig,
     build_graph,
+    load_claim_events,
+    load_graph,
+    load_login_events,
     prune_singletons,
     save_claim_events,
     save_graph,
+    save_login_events,
 )
 from reference import line_by_line_embeddings, line_by_line_features, line_by_line_ground_truth
 from util import make_graph, random_bipartite, make_dataset
@@ -423,11 +430,67 @@ class TestLineBreaksInIds:
 
     @pytest.mark.parametrize("bad", ["a\rb", "a\tb", "a\nb", ""])
     def test_savers_reject_ids_a_loader_would_split(self, tmp_path, bad):
-        g = build_graph(ClaimLog([bad], np.array([950])), LoginLog([], [], np.array([], dtype=np.int64)), WindowConfig(1000))
+        g = build_graph(ClaimLog.from_events([ClaimEvent(bad, 950)]), LoginLog.from_events([]), WindowConfig(1000))
         with pytest.raises(ValueError, match="must be nonempty and free of"):
             save_graph(g, tmp_path / "graph.tsv")
         with pytest.raises(ValueError, match="must be nonempty and free of"):
             save_claim_events([ClaimEvent(bad, 1)], tmp_path / "claims.tsv")
+
+
+class TestBytesThatAreNotUtf8:
+    """Every loader names the line of a byte that is not UTF-8, counting "\r\n" and "\r" as one line break each."""
+
+    @staticmethod
+    def write(tmp_path, name, g):
+        """Write file name through its saver; return (path, loader, the loader's error type)."""
+        path = str(tmp_path / name)
+        if name == "claims.tsv":
+            save_claim_events([ClaimEvent(f"a{i}", i) for i in range(4)], path)
+            return path, load_claim_events, GraphFormatError
+        if name == "logins.tsv":
+            save_login_events([LoginEvent(f"a{i}", f"d{i}", i) for i in range(4)], path)
+            return path, load_login_events, GraphFormatError
+        if name == "graph.tsv":
+            save_graph(g, path)
+            return path, load_graph, GraphFormatError
+        ds = make_dataset(g, np.arange(6.0).reshape(3, 2), high_risk=[True, False, True], truth=[True, False, False])
+        if name == "features.tsv":
+            save_features(ds, path)
+            return path, lambda p: load_features(p, g), FeatureFormatError
+        if name == "ground_truth.tsv":
+            save_ground_truth(ds, path)
+            return path, lambda p: load_ground_truth(p, g), FeatureFormatError
+        if name == "embeddings.tsv":
+            save_embeddings(Embeddings(np.ones((g.num_nodes, 2)), []), g, path)
+            return path, lambda p: load_embeddings(p, g), ValueError
+        if name == "gbdt.model":
+            save_gbdt(gbdt_fit(ds.features, ds.high_risk.astype(float), GBDTConfig(n_trees=2, min_samples_leaf=1)), path)
+            return path, load_gbdt, ModelFormatError
+        save_params(init_params(2, hidden_dim=2, n_layers=1), path)
+        return path, load_params, CheckpointFormatError
+
+    @pytest.mark.parametrize(
+        "name",
+        ["claims.tsv", "logins.tsv", "graph.tsv", "features.tsv", "ground_truth.tsv", "embeddings.tsv", "gbdt.model",
+         "gnn.ckpt"],
+    )
+    def test_loader_names_the_line(self, tmp_path, name):
+        path, loader, error = self.write(tmp_path, name, star_graph(3))
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        # Line 1 ends "\r\n" and line 2 "\r"; line 3 starts with a byte no UTF-8 text starts with.
+        data = lines[0] + b"\r\n" + lines[1] + b"\r\xff" + b"\n".join(lines[2:])
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(error) as excinfo:
+            loader(path)
+        assert str(excinfo.value) == f"{path}:3: byte 0xff is not UTF-8 (invalid start byte)"
+
+    def test_a_cut_character_names_its_line(self, tmp_path):
+        path = tmp_path / "claims.tsv"
+        path.write_bytes("a\u00e9\t1\nb\t2\n".encode("utf-8") + "\u00e9".encode("utf-8")[:1] + b"\t3\n")
+        with pytest.raises(GraphFormatError, match=r":3: byte 0xc3 is not UTF-8 \(invalid continuation byte\)$"):
+            load_claim_events(path)
 
 
 class TestDatasetAssembly:

@@ -8,6 +8,7 @@ from fraudring.graph import (
     ClaimLog,
     DeviceSharingGraph,
     GraphFormatError,
+    IdColumn,
     LoginEvent,
     LoginLog,
     WindowConfig,
@@ -38,6 +39,14 @@ from util import adjacency_lists, make_graph, random_bipartite, random_bipartite
 DAY = 86400
 REF = 10_000_000
 WINDOW = WindowConfig(reference_time=REF)
+
+
+def claim_log(accounts, timestamps):
+    return ClaimLog(IdColumn.from_values(accounts), np.array(timestamps, dtype=np.int64))
+
+
+def login_log(accounts, devices, timestamps):
+    return LoginLog(IdColumn.from_values(accounts), IdColumn.from_values(devices), np.array(timestamps, dtype=np.int64))
 
 
 def build(claims, logins, window=WINDOW):
@@ -261,19 +270,19 @@ class TestEventLoaderContract:
         path.write_text("\na1\t1\n\n\na2\t2\n\n\tx\n", encoding="utf-8")
         assert self.load_error(path, load_claim_events) == f"{path}:7: empty account id"
         path.write_text("\na1\t1\n\n\na2\t2\n\n", encoding="utf-8")
-        assert load_claim_events(path) == ClaimLog(["a1", "a2"], np.array([1, 2]))
+        assert load_claim_events(path) == claim_log(["a1", "a2"], [1, 2])
 
     def test_crlf_lines_keep_their_numbers_and_values(self, tmp_path):
         path = tmp_path / "logins.tsv"
         path.write_bytes(b"a1\td1\t1\r\n\r\na2\td2\t2\r\n")
-        assert load_login_events(path) == LoginLog(["a1", "a2"], ["d1", "d2"], np.array([1, 2]))
+        assert load_login_events(path) == login_log(["a1", "a2"], ["d1", "d2"], [1, 2])
         path.write_bytes(b"a1\td1\t1\r\n\r\na2\td2\t2\r\na3\td3\tx\r\n")
         assert self.load_error(path, load_login_events) == f"{path}:4: timestamp 'x' is not an integer"
 
     def test_every_int_spelling_still_parses(self, tmp_path):
         path = tmp_path / "claims.tsv"
         path.write_text("a1\t+5\na2\t 7\na3\t1_000\na4\t-3 \n", encoding="utf-8")
-        assert load_claim_events(path) == ClaimLog(["a1", "a2", "a3", "a4"], np.array([5, 7, 1000, -3]))
+        assert load_claim_events(path) == claim_log(["a1", "a2", "a3", "a4"], [5, 7, 1000, -3])
 
     @pytest.mark.parametrize("text", [str(2**63), str(-(2**63) - 1), "1" + "0" * 30])
     def test_timestamp_outside_int64_names_line(self, tmp_path, text):
@@ -289,20 +298,44 @@ class TestEventLoaderContract:
 
     def test_random_files_match_the_line_by_line_reader(self, tmp_path):
         rng = np.random.default_rng(25)
-        pieces = ["a1", "d1", "", "7", "+7", " 8", "x", "\r", str(2**63), "1_0", "\u00e9"]
-        for trial in range(300):
+        # Ids of one to three 8-byte words that share prefixes, or differ by a trailing NUL.
+        prefix = "abcdefghijklmnopq"
+        ids = ["a1", "a1\x00", "abcdefgh\x00", "abcdefghijklmnopz", "\u00e9", "\U0001f600", "\ufeff"]
+        ids += [prefix[:size] for size in (7, 8, 9, 16, 17)]
+        stamps = ["7", "+7", " 8", "1_0", "-0", "007", "\u0661\u0662", "9" * 18, "-" + "9" * 18, "1" * 19]
+        int64_ends = [str(sign * 2**63 + step) for sign in (1, -1) for step in (-1, 0, 1)]
+        # A field is one of its kind nine times in ten, so that about half the files load.
+        pieces = ids + stamps + int64_ends + ["9" * 19, "9" * 20, "", "x", "\r", "\r\n"]
+        for trial in range(600):
             path = tmp_path / f"logins{trial}.tsv"
-            lines = []
-            for _ in range(rng.integers(0, 8)):
-                width = 3 if rng.random() < 0.8 else rng.integers(1, 5)
-                lines.append("\t".join(pieces[rng.integers(len(pieces))] for _ in range(width)))
-            path.write_text("\n".join(lines) + ("\n" if rng.random() < 0.5 else ""), encoding="utf-8")
+            text = "\ufeff" if rng.random() < 0.1 else ""
+            for _ in range(rng.integers(0, 10) if trial else 0):
+                width = 3 if rng.random() < 0.9 else rng.integers(1, 5)
+                kinds = [ids] * (width - 1) + [stamps]
+                kinds = [kind if rng.random() < 0.9 else pieces for kind in kinds]
+                text += "\t".join(kind[rng.integers(len(kind))] for kind in kinds)
+                text += ["\n", "\r\n", "\r"][rng.integers(3)]
+            if rng.random() < 0.5:
+                text = text[:-1]
+            path.write_bytes(text.encode("utf-8"))
             want = line_by_line_events(path, ["account id", "device umid"])
             if isinstance(want, str):
                 assert self.load_error(path, load_login_events) == want, trial
             else:
-                (accounts, devices), timestamps = want
-                assert load_login_events(path) == LoginLog(accounts, devices, np.array(timestamps, dtype=np.int64))
+                assert load_login_events(path) == login_log(*want[0], want[1]), trial
+
+    def test_ids_sharing_their_first_16_bytes_stay_apart(self, tmp_path):
+        rng = np.random.default_rng(27)
+        stems = [f"0123456789abcdef{i}" for i in range(5_000)]
+        ids = stems + [stem + "\x00" for stem in stems]
+        rows = rng.permutation(np.repeat(np.arange(len(ids)), 2)).tolist()
+        path = tmp_path / "claims.tsv"
+        path.write_text("".join(f"{ids[r]}\t{r}\n" for r in rows), encoding="utf-8")
+        log = load_claim_events(path)
+        assert sorted(log.accounts.ids) == sorted(ids)
+        assert log == claim_log([ids[r] for r in rows], rows)
+        (accounts,), timestamps = line_by_line_events(path, ["account id"])
+        assert log == claim_log(accounts, timestamps)
 
 
 class TestGraphStructure:

@@ -25,6 +25,10 @@ def test_cli_digest_is_reproducible(tmp_path):
         assert (tmp_path / "a" / "seed0" / "logs" / f"{name}.rc").read_text() == "0\n", name
     for written in ("seed0/built.tsv", "seed0/models/gnn.ckpt", "seed0/reports_tags/report.tsv", "seed0/graph.dot"):
         assert written in paths
+    messy = (tmp_path / "a" / "seed0" / "messy_logs" / "logins.tsv").read_bytes()
+    assert b"\r\n\r\n" in messy and b"\t+" in messy and b"\t " in messy
+    built = tmp_path / "a" / "seed0" / "built.tsv"
+    assert (tmp_path / "a" / "seed0" / "built_messy_logs.tsv").read_bytes() == built.read_bytes()
 
 
 def test_seed_lists_and_ranges():

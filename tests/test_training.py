@@ -85,6 +85,11 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="no untagged"):
             sample_negatives(np.array([], dtype=np.int64), 0.5, np.random.default_rng(0))
 
+    def test_rate_that_draws_no_negatives_rejected(self):
+        with pytest.raises(ValueError, match="^negative rate 0.01 draws no negatives from 49 untagged Train accounts$"):
+            sample_negatives(np.arange(49), 0.01, np.random.default_rng(0))
+        assert len(sample_negatives(np.arange(51), 0.01, np.random.default_rng(0))) == 1
+
     def test_bad_rate_rejected(self):
         for rate in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="rate"):

@@ -8,6 +8,9 @@ package from this checkout's src/, at default settings:
 
     synth --seed N
     build-graph on synth's logs, pruned and with --no-prune
+    build-graph, pruned, on a copy of synth's logs with CRLF line endings, a blank line
+        after every 100th line and every 7th timestamp written as +N or " N "; its graph
+        must equal the one built from the clean logs
     train --model gnn | gbdt | node2vec-gbdt --seed N
     train --model gnn --seed N with --layers 1, and with --layers 3, each into its own
         models directory
@@ -28,7 +31,8 @@ package from this checkout's src/, at default settings:
     evaluate --config TRAIN_CONFIG on those models
 
 The two config files are written into each seed's directory as
-synth_config.json and train_config.json.
+synth_config.json and train_config.json, the rewritten logs into its
+messy_logs directory.
 
 Commands run inside OUTDIR with relative paths, so the outputs do not depend
 on where OUTDIR is. Each command's stdout, stderr and exit code are saved next
@@ -67,6 +71,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def write_messy_logs(data: str, out: str) -> None:
+    """Synth's claims.tsv and logins.tsv in data, rewritten into out in spellings the reader takes alike.
+
+    Lines end in CRLF, a blank line follows every 100th line, and the
+    timestamp of every 7th line is written as +N, and of every 14th as " N ".
+    """
+    os.makedirs(out)
+    for name in ("claims.tsv", "logins.tsv"):
+        with open(os.path.join(data, name), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[:-1]
+        rows = []
+        for number, line in enumerate(lines, start=1):
+            if number % 7 == 0:
+                head, _, stamp = line.rpartition("\t")
+                line = f"{head}\t{f' {stamp} ' if number % 14 == 0 else f'+{stamp}'}"
+            rows.append(line)
+            if number % 100 == 0:
+                rows.append("")
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="\r\n") as fh:
+            fh.write("\n".join(rows) + "\n")
+
+
 def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of the commands after synth for one seed, relative to the output directory."""
     base = f"seed{seed}"
@@ -75,6 +101,9 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     commands = [
         ("build_graph", ["build-graph", *logs, "--out", f"{base}/built.tsv"]),
         ("build_graph_no_prune", ["build-graph", *logs, "--no-prune", "--out", f"{base}/built_no_prune.tsv"]),
+        ("build_graph_messy_logs", ["build-graph", "--claims", f"{base}/messy_logs/claims.tsv",
+                                    "--logins", f"{base}/messy_logs/logins.tsv", "--reference-time", reference_time,
+                                    "--out", f"{base}/built_messy_logs.tsv"]),
     ]
     for model in ("gnn", "gbdt", "node2vec-gbdt"):
         commands.append((f"train_{model}", ["train", "--model", model, "--data", data, "--out", models,
@@ -156,6 +185,7 @@ def digest(out_dir: str, seeds: list[int]) -> list[str]:
             run(main, "synth", ["synth", "--out", f"seed{seed}/data", "--seed", str(seed)], log_dir)
             with open(f"seed{seed}/data/synth_manifest.json", encoding="utf-8") as fh:
                 reference_time = str(json.load(fh)["reference_time"])
+            write_messy_logs(f"seed{seed}/data", f"seed{seed}/messy_logs")
             for name, argv in chain(seed, reference_time):
                 run(main, name, argv, log_dir)
         lines = []
