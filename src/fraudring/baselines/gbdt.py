@@ -52,6 +52,8 @@ class GBDTConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

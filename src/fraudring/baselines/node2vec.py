@@ -49,6 +49,8 @@ class Node2vecConfig:
         for name in ("return_param", "inout_param"):
             if 1 / getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must have a finite reciprocal")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

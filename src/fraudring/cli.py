@@ -40,6 +40,7 @@ from .features import (
     split_train_test,
 )
 from .geniepath import (
+    check_shape,
     gradient_check,
     init_params,
     load_params,
@@ -356,7 +357,12 @@ def _prepare_dataset(data_dir: str, opt: Mapping[str, Any]) -> LabeledDataset:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    """Train one model. Every option is checked before any data loads, whichever model reads it."""
     opt = _resolve(args, "train")
+    config = _make(TrainConfig, "train", opt)
+    gbdt_config = _make(GBDTConfig, "train", opt, seed=opt["seed"])
+    n2v_config = _make(Node2vecConfig, "train", opt, seed=opt["seed"])
+    check_shape(opt["hidden_dim"], opt["layers"])
     ds = _prepare_dataset(args.data, opt)
     os.makedirs(args.out, exist_ok=True)
 
@@ -364,7 +370,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         params = init_params(
             ds.feature_dim, hidden_dim=opt["hidden_dim"], n_layers=opt["layers"], seed=opt["seed"]
         )
-        config = _make(TrainConfig, "train", opt)
         print(
             f"training gnn: {config.epochs} epochs, learning rate {config.learning_rate}, "
             f"hidden dim {opt['hidden_dim']}, {opt['layers']} layers, "
@@ -376,7 +381,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"loss: {report.loss_history[0]:.6g} -> {report.loss_history[-1]:.6g}")
         return 0
 
-    gbdt_config = _make(GBDTConfig, "train", opt, seed=opt["seed"])
     print(
         f"gbdt configuration: {gbdt_config.n_trees} trees, max depth {gbdt_config.max_depth}, "
         f"row sampling rate {gbdt_config.row_sample_rate}, feature sampling rate "
@@ -384,14 +388,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     if args.model == "gbdt":
-        rows, labels = gbdt_training_rows(ds, opt["negative_rate"], opt["seed"])
+        rows, labels = gbdt_training_rows(ds, config.negative_sample_rate, opt["seed"])
         model = gbdt_fit(ds.features[rows], labels, gbdt_config)
         save_gbdt(model, os.path.join(args.out, GBDT_MODEL_FILE))
         print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
         return 0
 
-    n2v_config = _make(Node2vecConfig, "train", opt, seed=opt["seed"])
-    model, emb = embed_concat_fit(ds, n2v_config, gbdt_config, opt["negative_rate"])
+    model, emb = embed_concat_fit(ds, n2v_config, gbdt_config, config.negative_sample_rate)
     save_embeddings(emb, ds.graph, os.path.join(args.out, EMBEDDINGS_FILE))
     save_gbdt(model, os.path.join(args.out, N2V_MODEL_FILE))
     print(f"training loss: {model.train_loss_history[0]:.6g} -> {model.train_loss_history[-1]:.6g}")
@@ -411,7 +414,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     ckpt = os.path.join(args.models, GNN_CHECKPOINT_FILE)
     if os.path.exists(ckpt):
-        scores["gnn"] = score_accounts(ds, load_params(ckpt))
+        # every account's forward, then its Test rows: a forward at those rows alone may differ in the last bits
+        scores["gnn"] = score_accounts(ds, load_params(ckpt))[ds.is_test]
     else:
         print(f"warning: {ckpt} not found; omitting gnn", file=sys.stderr)
 
@@ -422,7 +426,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"gbdt model expects {model.n_features} features, dataset has {ds.feature_dim}"
             )
-        scores["gbdt"] = gbdt_predict_batch(model, ds.features)
+        scores["gbdt"] = gbdt_predict_batch(model, ds.features[ds.is_test])
     else:
         print(f"warning: {gbdt_path} not found; omitting gbdt", file=sys.stderr)
 
@@ -430,7 +434,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     emb_path = os.path.join(args.models, EMBEDDINGS_FILE)
     if os.path.exists(n2v_path) and os.path.exists(emb_path):
         model = load_gbdt(n2v_path)
-        x = concat_rows(load_embeddings(emb_path, ds.graph), ds)
+        x = concat_rows(load_embeddings(emb_path, ds.graph), ds, ds.is_test)
         if model.n_features != x.shape[1]:
             raise ValueError(
                 f"node2vec-gbdt model expects {model.n_features} columns, "

@@ -167,14 +167,18 @@ def compare_models(
 ) -> EvalReport:
     """Table of per-model metrics on the Test split at each model's F1-best threshold.
 
-    Each model's scores are aligned to the dataset rows.
+    Each model's scores are aligned to the Test rows, in dataset order;
+    scores of any other length raise ValueError naming the model.
     """
     test_accounts = ds.graph.account_indices()[ds.is_test].tolist()
+    for name, test_scores in model_scores.items():
+        if len(test_scores) != len(test_accounts):
+            raise ValueError(f"{name}: {len(test_scores)} scores for {len(test_accounts)} Test accounts")
     labels = dict(zip(test_accounts, label_column(ds, label_source)[ds.is_test].tolist()))
     rows: list[ModelRow] = []
     curves: dict[str, list[tuple[float, float, float]]] = {}
-    for name, all_scores in model_scores.items():
-        scores = dict(zip(test_accounts, all_scores[ds.is_test].tolist()))
+    for name, test_scores in model_scores.items():
+        scores = dict(zip(test_accounts, np.asarray(test_scores).tolist()))
         threshold, best = best_f1_threshold(scores, labels)
         counts = confusion(scores, labels, threshold)
         rows.append(

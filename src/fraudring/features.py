@@ -91,6 +91,8 @@ def split_train_test(ds: LabeledDataset, test_fraction: float, seed: int) -> Lab
     """Stratified random split: each tag class contributes floor(size * fraction) Test accounts."""
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie in (0, 1)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     is_test = np.zeros(len(ds.high_risk), dtype=bool)
     rng = np.random.default_rng(seed)
     for tag, tagged in ((Tag.HIGH_RISK, True), (Tag.NO_OBSERVABLE_RISK, False)):

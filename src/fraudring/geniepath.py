@@ -127,12 +127,20 @@ def _tensor_spec(feature_dim: int, hidden_dim: int, n_layers: int) -> list[tuple
     return spec
 
 
+def check_shape(hidden_dim: int, n_layers: int) -> None:
+    """The rule init_params applies to the model's width and depth, checked without building arrays."""
+    for name, value in (("hidden_dim", hidden_dim), ("n_layers", n_layers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def init_params(
     feature_dim: int, hidden_dim: int, n_layers: int, seed: int = 0
 ) -> GeniePathParams:
     """Uniform(-a, a) init with a = sqrt(6 / (fan_in + fan_out)); forget-gate bias +1."""
-    if feature_dim < 1 or hidden_dim < 1 or n_layers < 1:
-        raise ValueError("feature_dim, hidden_dim, and n_layers must be >= 1")
+    if feature_dim < 1:
+        raise ValueError("feature_dim must be >= 1")
+    check_shape(hidden_dim, n_layers)
     rng = np.random.default_rng(seed)
     params = GeniePathParams(feature_dim, hidden_dim, n_layers)
     for name, view in params.named_arrays():

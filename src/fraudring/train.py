@@ -3,6 +3,7 @@ a fresh downsample of the untagged pool as negatives each epoch."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,10 +41,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if not (0.0 < self.negative_sample_rate <= 1.0):
             raise ValueError("negative_sample_rate must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -15,7 +15,9 @@ all raw pairs),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
 one flat bincount),
 allocating_adam_step (the Adam update with a fresh array
-per operation), and the GBDT as trees of Node objects: node_gbdt_fit,
+per operation), all_row_scores and all_row_compare_models (evaluate scoring
+every dataset row with every model and keeping the Test rows only in the
+report), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
 loader, with the loader's non-finite and count checks added), read back into
 the flat layout by flatten_trees. gbdt_predict, breadth_layer, depth_layer and
@@ -30,11 +32,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch
-from fraudring.baselines.node2vec import _PairTable, _flat_keys
-from fraudring.evaluation import _hop_counts
+from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch, load_gbdt
+from fraudring.baselines.node2vec import _PairTable, _flat_keys, concat_rows, load_embeddings
+from fraudring.evaluation import (
+    EvalReport,
+    ModelRow,
+    _hop_counts,
+    best_f1_threshold,
+    confusion,
+    detection_expansion,
+    label_column,
+    pr_curve,
+    precision,
+    recall,
+)
 from fraudring.features import FeatureFormatError
-from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, sigmoid
+from fraudring.geniepath import _breadth_forward, _candidates, _lstm_forward, load_params, sigmoid
+from fraudring.train import score_accounts
 
 
 def as_lists(a):
@@ -1206,3 +1220,26 @@ def node_load_gbdt(path):
     if lineno > len(raw) or raw[lineno - 1] != "end":
         raise fail(lineno, "missing 'end' terminator")
     return base, lr, n_features, trees
+
+
+def all_row_scores(ds, gnn_ckpt, gbdt_path, n2v_path, emb_path):
+    """Each model's probability of every dataset row, from its files."""
+    return {
+        "gnn": score_accounts(ds, load_params(gnn_ckpt)),
+        "gbdt": gbdt_predict_batch(load_gbdt(gbdt_path), ds.features),
+        "node2vec-gbdt": gbdt_predict_batch(load_gbdt(n2v_path), concat_rows(load_embeddings(emb_path, ds.graph), ds)),
+    }
+
+
+def all_row_compare_models(ds, all_scores, label_source):
+    """compare_models on scores of every dataset row, each model's Test rows picked out here."""
+    test_accounts = ds.graph.account_indices()[ds.is_test].tolist()
+    labels = dict(zip(test_accounts, label_column(ds, label_source)[ds.is_test].tolist()))
+    rows, curves = [], {}
+    for name, scores_of_all in all_scores.items():
+        scores = dict(zip(test_accounts, scores_of_all[ds.is_test].tolist()))
+        threshold, best = best_f1_threshold(scores, labels)
+        counts = confusion(scores, labels, threshold)
+        rows.append(ModelRow(name, threshold, precision(counts), recall(counts), best, detection_expansion(counts)))
+        curves[name] = pr_curve(scores, labels)
+    return EvalReport(rows, curves, label_source=label_source)

@@ -2,6 +2,7 @@ import filecmp
 import importlib
 import inspect
 import json
+import math
 import os
 import pathlib
 import re
@@ -17,7 +18,8 @@ from fraudring.baselines import node2vec
 from fraudring.baselines.gbdt import GBDTConfig
 from fraudring.baselines.node2vec import Node2vecConfig
 from fraudring.cli import main
-from fraudring.features import load_dataset
+from fraudring.features import load_dataset, split_train_test
+from fraudring.geniepath import check_shape
 from fraudring.graph import (
     ClaimEvent,
     ClaimLog,
@@ -29,8 +31,11 @@ from fraudring.graph import (
     save_claim_events,
     save_login_events,
 )
+from fraudring.baselines import gbdt
+from fraudring.evaluation import save_pr_curves, save_report
 from fraudring.train import TrainConfig
-from reference import union_find_components
+from reference import all_row_compare_models, all_row_scores, union_find_components
+from util import make_dataset, make_graph
 
 DAY = 86_400
 
@@ -69,6 +74,21 @@ def models_dir(tmp_path_factory, data_dir):
             ["train", "--model", model, "--data", str(data_dir), "--out", str(out)] + flags
         )
         assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def scored_dir(tmp_path_factory):
+    """A dataset, and models whose scores of its Test accounts are all distinct, in data/ and models/."""
+    out = tmp_path_factory.mktemp("cli-scored")
+    assert main(["synth", "--out", str(out / "data"), "--n-regular", "300", "--n-rings", "6", "--seed", "3"]) == 0
+    boost = ["--trees", "20", "--max-depth", "3", "--gbdt-learning-rate", "0.3", "--min-samples-leaf", "2"]
+    for model, flags in (
+        ("gnn", ["--epochs", "5", "--hidden-dim", "4"]),
+        ("gbdt", boost),
+        ("node2vec-gbdt", boost + FAST_TRAIN["node2vec-gbdt"][4:]),
+    ):
+        assert main(["train", "--model", model, "--data", str(out / "data"), "--out", str(out / "models"), *flags]) == 0
     return out
 
 
@@ -442,6 +462,52 @@ class TestTrain:
         assert "usage error" in capsys.readouterr().err
 
 
+EXTREMES = {int: (0, -1, 2**63), float: (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324)}
+NUMERIC_TRAIN_ROWS = [row for row in cli._rows("train") if row.type in EXTREMES]
+# two tagged and two untagged accounts, which any valid test fraction splits
+SPLITTABLE = make_dataset(make_graph("AAAA", []), np.zeros((4, 1)), high_risk=[True, True, False, False])
+
+
+# the train options no config class owns: the check each meets, and the name its message gives it
+UNOWNED = {
+    "hidden_dim": (lambda v: check_shape(v, 1), "hidden_dim"),
+    "layers": (lambda v: check_shape(1, v), "n_layers"),
+    "test_fraction": (lambda v: split_train_test(SPLITTABLE, v, 0), "test_fraction"),
+    "split_seed": (lambda v: split_train_test(SPLITTABLE, 0.3, v), "seed"),
+}
+
+
+def owner_rejects(row, value):
+    """Whether the config class, or for an unowned option the function, that the option feeds rejects value."""
+    check = UNOWNED[row.key][0] if row.owner is None else (lambda v: row.owner(**{row.field: v}))
+    try:
+        check(value)
+    except ValueError:
+        return True
+    return False
+
+
+class TestTrainOptionChecks:
+    @pytest.mark.parametrize("row", NUMERIC_TRAIN_ROWS, ids=[row.key for row in NUMERIC_TRAIN_ROWS])
+    def test_a_value_its_owner_rejects_exits_2_under_every_model(self, data_dir, tmp_path, capsys, monkeypatch, row):
+        for module, name in ((train_module, "forward"), (node2vec, "biased_walks"), (cli, "gbdt_fit")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("training started"))
+        if row.key not in ("test_fraction", "split_seed"):  # split_train_test checks these, after the load
+            monkeypatch.setattr(cli, "load_dataset", lambda *args: pytest.fail("data loaded before the checks"))
+        name = row.field if row.owner is not None else UNOWNED[row.key][1]
+        rejected = [value for value in EXTREMES[row.type] if owner_rejects(row, value)]
+        assert rejected
+        out = tmp_path / "models"
+        for value in rejected:
+            for model in sorted(FAST_TRAIN):
+                # --flag=value, so that argparse reads -inf as a value
+                argv = ["train", "--model", model, "--data", str(data_dir), "--out", str(out), f"{row.flag}={value}"]
+                assert main(argv) == 2, (model, value)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and name in err, (model, value, err)
+                assert not out.exists()
+
+
 class TestEvaluate:
     def test_full_report_with_all_models(self, data_dir, models_dir, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -458,6 +524,25 @@ class TestEvaluate:
         assert (out / "pr_curves.tsv").exists()
         saved = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(saved) == 4
+
+    @pytest.mark.parametrize("labels", ["tags", "ground-truth"])
+    def test_reports_equal_the_all_row_oracle(self, scored_dir, tmp_path, monkeypatch, capsys, labels):
+        data, models = scored_dir / "data", scored_dir / "models"
+        # blocks of 7 rows, so the Test rows and the whole dataset are cut into different blocks
+        monkeypatch.setattr(gbdt, "BLOCK_CELLS", 7 * len(gbdt.load_gbdt(str(models / cli.GBDT_MODEL_FILE)).roots))
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--data", str(data), "--models", str(models), "--out", str(out), "--labels", labels]
+        assert main(argv) == 0
+        ds = cli._prepare_dataset(str(data), {"no_prune": False, "test_fraction": 0.3, "split_seed": 0})
+        files = (cli.GNN_CHECKPOINT_FILE, cli.GBDT_MODEL_FILE, cli.N2V_MODEL_FILE, cli.EMBEDDINGS_FILE)
+        all_scores = all_row_scores(ds, *(str(models / name) for name in files))
+        for scores in all_scores.values():
+            assert len(np.unique(scores[ds.is_test])) == np.count_nonzero(ds.is_test) < len(scores)
+        report = all_row_compare_models(ds, all_scores, labels)
+        save_report(report, str(tmp_path / cli.REPORT_FILE))
+        save_pr_curves(report, str(tmp_path / cli.PR_CURVES_FILE))
+        for name in (cli.REPORT_FILE, cli.PR_CURVES_FILE):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_missing_model_warns_and_omits(self, data_dir, models_dir, tmp_path, capsys):
         partial = tmp_path / "partial"

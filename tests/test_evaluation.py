@@ -238,7 +238,7 @@ class TestCompareModels:
     def test_identical_scores_identical_rows(self):
         ds = scored_dataset()
         scores = 0.1 * np.arange(8)
-        report = compare_models(ds, {"one": scores, "two": scores.copy()})
+        report = compare_models(ds, {"one": scores[ds.is_test], "two": scores[ds.is_test].copy()})
         a, b = report.rows
         assert (a.threshold, a.precision, a.recall, a.f1, a.detection_expansion) == (
             b.threshold,
@@ -255,7 +255,7 @@ class TestCompareModels:
         # Scores chosen so Test accounts {1, 2, 4, 5, 6, 7} split cleanly:
         # tags say 1, 2 positive; give them and 7 high scores.
         scores = np.array([(0.9 if a in (1, 2, 7) else 0.1) for a in range(8)])
-        report = compare_models(ds, {"m": scores}, label_source="tags")
+        report = compare_models(ds, {"m": scores[ds.is_test]}, label_source="tags")
         row = report.rows[0]
         # at t=0.9: tp=2 (1, 2), fp=1 (7), fn=0 -> precision 2/3, recall 1
         assert row.threshold == 0.9
@@ -267,7 +267,7 @@ class TestCompareModels:
     def test_ground_truth_source_changes_labels(self):
         ds = scored_dataset()
         scores = np.array([(0.9 if a in (1, 2, 7) else 0.1) for a in range(8)])
-        report = compare_models(ds, {"m": scores}, label_source="ground-truth")
+        report = compare_models(ds, {"m": scores[ds.is_test]}, label_source="ground-truth")
         row = report.rows[0]
         # truth marks 1, 2, 7 fraud: perfect at t=0.9
         assert row.f1 == 1.0
@@ -276,9 +276,15 @@ class TestCompareModels:
     def test_pr_curves_cover_each_model(self):
         ds = scored_dataset()
         report = compare_models(
-            ds, {"a": 0.1 * np.arange(8), "b": np.full(8, 0.5)}
+            ds, {"a": (0.1 * np.arange(8))[ds.is_test], "b": np.full(8, 0.5)[ds.is_test]}
         )
         assert set(report.pr_curves) == {"a", "b"}
+
+    def test_scores_of_every_row_rejected_naming_the_model(self):
+        ds = scored_dataset()
+        scores = 0.1 * np.arange(8)
+        with pytest.raises(ValueError, match=r"^all-rows: 8 scores for 6 Test accounts$"):
+            compare_models(ds, {"test-rows": scores[ds.is_test], "all-rows": scores})
 
 
 class TestFraudNeighborStats:

@@ -523,6 +523,12 @@ class TestParams:
         assert np.all(a.lstm.bias[:6] == 0.0)
         assert np.all(a.b_out == 0.0)
 
+    @pytest.mark.parametrize("args, name", [((0, 4, 1), "feature_dim"), ((3, 0, 1), "hidden_dim"),
+                                            ((3, 4, -1), "n_layers")])
+    def test_init_names_the_size_below_one(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            init_params(*args)
+
     def test_glorot_bounds(self):
         params = init_params(8, hidden_dim=4, n_layers=1, seed=4)
         bound = np.sqrt(6.0 / (8 + 4))
