@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from typing import NamedTuple, Sequence
+from itertools import compress, count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,11 +71,13 @@ def _alias_build(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int]]:
+def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> np.ndarray:
     """walks_per_node truncated walks from every node; deterministic per seed.
 
-    Walks from isolated nodes stop immediately. The first step, and every
-    step when return_param equals inout_param, is a uniform neighbor choice.
+    Returns an int64 (walks x walk_length) array whose row k is a walk from
+    node k mod num_nodes. A walk from an isolated node stops immediately: its
+    row is -1 after the start. The first step, and every step when
+    return_param equals inout_param, is a uniform neighbor choice.
     Otherwise a step from prev to cur weighs 1/p back to prev and 1/q to
     each other neighbor of cur: the graph is bipartite, so none of them is
     adjacent to prev. The walker returns with probability
@@ -118,11 +120,7 @@ def biased_walks(g: DeviceSharingGraph, config: Node2vecConfig) -> list[list[int
             k = np.where(returns, slot, k + (k >= slot))
         prev, cur = cur, targets[offsets[cur] + k]
         paths[active, step] = cur
-
-    # one shared int per node, not a fresh one per step; a walk either fills its
-    # row or, from an isolated node, stops at its start
-    rows = np.array(range(n), dtype=object)[paths].tolist()
-    return [row if filled else row[:1] for row, filled in zip(rows, (paths[:, -1] >= 0).tolist())]
+    return paths
 
 
 @dataclass
@@ -137,23 +135,12 @@ class Embeddings:
         return int(self.vectors.shape[1])
 
 
-def _padded(walks: Sequence[Sequence[int]]) -> np.ndarray:
-    """The walks as rows of one array, -1 past each walk's end."""
-    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
-    filled = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.full(filled.shape, -1, dtype=np.int64)
-    padded[filled] = np.fromiter(chain.from_iterable(walks), np.int64, lengths.sum())
-    return padded
-
-
 def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) of every window pair, both ways round; padded as _padded builds it.
+    """(center, context) of every window pair, both ways round, of int64 walks padded with -1.
 
-    Walks of one length need no padding, so a list of them will do. For each
-    offset in turn come the pairs forward, then the same pairs reversed, each
-    in walk-major order; both arrays are filled in place.
+    For each offset in turn come the pairs forward, then the same pairs
+    reversed, each in walk-major order; both arrays are filled in place.
     """
-    padded = np.ascontiguousarray(padded, dtype=np.int64)
     valid = padded >= 0
     # per offset, the steps i and i + off of every pair of live steps, as masks over the flat walks
     masks = []
@@ -290,10 +277,8 @@ def _sgns_loss_grad(
     return loss, d_center, d_context
 
 
-def train_embeddings(
-    walks: Sequence[Sequence[int]], config: Node2vecConfig, n_nodes: int | None = None
-) -> Embeddings:
-    """Skip-gram with negative sampling over walk co-occurrence windows.
+def train_embeddings(walks: np.ndarray, config: Node2vecConfig, n_nodes: int) -> Embeddings:
+    """Skip-gram with negative sampling over the window pairs of walks as biased_walks returns them.
 
     The window pairs are counted once; each epoch then takes STEPS_PER_EPOCH
     full-batch Adam steps of size step_size on the per-pair loss averaged over
@@ -303,21 +288,18 @@ def train_embeddings(
     each epoch's steps. A non-finite loss, gradient or table raises
     NumericalError.
     """
-    if not walks:
+    if len(walks) == 0:
         raise ValueError("walks must be nonempty")
-    padded = _padded(walks)
-    if n_nodes is None:
-        n_nodes = 1 + int(padded.max())
     rng = np.random.default_rng(config.seed)
     d = config.dimensions
     w_center = rng.uniform(-0.5 / d, 0.5 / d, size=(n_nodes, d))
     w_context = np.zeros((n_nodes, d))
 
-    pairs = _pair_table(padded, config.window, n_nodes, d)
+    pairs = _pair_table(walks, config.window, n_nodes, d)
     if pairs is None:
         return Embeddings(w_center, [])
 
-    tokens = np.bincount(padded[padded >= 0], minlength=n_nodes)
+    tokens = np.bincount(walks[walks >= 0], minlength=n_nodes)
     noise_prob, noise_alias = _alias_build(tokens**0.75)
     draws = (len(pairs.centers), config.negative_samples)
 
@@ -398,7 +380,7 @@ def embed_concat_fit(
     """
     rows, y = gbdt_training_rows(ds, negative_sample_rate, gbdt_config.seed)
     walks = biased_walks(ds.graph, n2v_config)
-    emb = train_embeddings(walks, n2v_config, n_nodes=ds.graph.num_nodes)
+    emb = train_embeddings(walks, n2v_config, ds.graph.num_nodes)
 
     model = gbdt_fit(concat_rows(emb, ds, rows), y, gbdt_config)
     return model, emb

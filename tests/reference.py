@@ -8,7 +8,9 @@ split search sorting each node's block), full_forward and
 add_at_backward (the GNN forward pass over every node and its backward pass
 scattering with np.add.at), cached_add_at_backward (that backward pass over
 the current forward cache), masked_sigmoid, edge_transition_weights
-(node2vec's unnormalized step weights on any graph), per_offset_walk_pairs
+(node2vec's unnormalized step weights on any graph), padded_walks (walk
+lists as one array padded with -1, as node2vec built its skip-gram input
+while its walks were lists), per_offset_walk_pairs
 (node2vec's raw window pairs as one concatenation of per-offset arrays),
 one_shot_pair_table (node2vec's window pair counts from one np.unique over
 all raw pairs),
@@ -25,6 +27,7 @@ khop_neighbor_counts are thin wrappers over the package's batch kernels that
 only tests call: one row's GBDT probability, one attention layer over every
 node, the LSTM over a sequence, and the mean hop counts around a set of seeds.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -934,6 +937,15 @@ def scalar_biased_walks(g, config):
                 others = [x for x in options if x != walk[-2]]
                 walk.append(others[min(int(second[i] * len(others)), len(others) - 1)])
     return walks
+
+
+def padded_walks(walks, length=None):
+    """The walks as rows of one int64 array, -1 past each walk's end; length columns, by default the longest walk's."""
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    filled = np.arange(lengths.max() if length is None else length) < lengths[:, None]
+    padded = np.full(filled.shape, -1, dtype=np.int64)
+    padded[filled] = np.fromiter(itertools.chain.from_iterable(walks), np.int64, lengths.sum())
+    return padded
 
 
 def per_offset_walk_pairs(padded, window):

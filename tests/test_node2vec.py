@@ -10,7 +10,6 @@ from fraudring.baselines.node2vec import (
     Embeddings,
     Node2vecConfig,
     _alias_build,
-    _padded,
     _pair_table,
     _sgns_loss_grad,
     _walk_pairs,
@@ -28,6 +27,7 @@ from reference import (
     flat_key_sgns_loss_grad,
     naive_sgns_loss,
     one_shot_pair_table,
+    padded_walks,
     per_offset_walk_pairs,
     scalar_biased_walks,
     window_pairs,
@@ -95,26 +95,41 @@ class TestWalkShapes:
     def test_isolated_node_walk_stops_immediately(self):
         g = make_graph("AAD", [(1, 2)])
         walks = biased_walks(g, Node2vecConfig(walk_length=8, walks_per_node=3, seed=2))
-        assert [w for w in walks if w[0] == 0] == [[0], [0], [0]]
+        assert walks[walks[:, 0] == 0].tolist() == [[0] + [-1] * 7] * 3
 
     def test_deterministic_per_seed(self):
         g = five_node_fixture()
         cfg = Node2vecConfig(walk_length=10, walks_per_node=4, seed=3)
-        assert biased_walks(g, cfg) == biased_walks(g, cfg)
+        assert np.array_equal(biased_walks(g, cfg), biased_walks(g, cfg))
         other = Node2vecConfig(walk_length=10, walks_per_node=4, seed=4)
-        assert biased_walks(g, cfg) != biased_walks(g, other)
+        assert not np.array_equal(biased_walks(g, cfg), biased_walks(g, other))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="no nodes"):
             biased_walks(DeviceSharingGraph([], [], []), Node2vecConfig())
 
-    def test_walks_share_one_int_object_per_node(self):
+    def test_walks_are_one_int64_array_of_node_ids(self):
         g = random_bipartite(np.random.default_rng(5), 300, 120, 0.02)
         walks = biased_walks(g, Node2vecConfig(walk_length=6, walks_per_node=3, seed=5))
-        steps = [v for walk in walks for v in walk]
-        assert all(type(v) is int for v in steps)
-        # nodes above 256 are not in python's small-int cache, so only sharing gives one object each
-        assert len({id(v) for v in steps}) == len(set(steps)) > 256
+        assert type(walks) is np.ndarray and walks.dtype == np.int64 and walks.flags.c_contiguous
+        assert walks.shape == (3 * g.num_nodes, 6)
+        assert np.array_equal(walks[:, 0], np.tile(np.arange(g.num_nodes), 3))
+        # -1 fills exactly the rows after a start with no neighbor
+        isolated = np.diff(g.csr()[0])[walks[:, 0]] == 0
+        assert isolated.any() and np.array_equal(walks[:, 1:] < 0, np.repeat(isolated[:, None], 5, axis=1))
+        assert len(np.unique(walks[walks >= 0])) > 256
+
+    def test_peak_memory_is_within_three_times_the_walks(self):
+        g = random_bipartite(np.random.default_rng(6), 600, 240, 0.01)
+        for p, q in ((1.0, 1.0), (0.25, 4.0)):
+            cfg = Node2vecConfig(return_param=p, inout_param=q, seed=6)
+            tracemalloc.start()
+            try:
+                walks = biased_walks(g, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * walks.nbytes, (p, q, peak / walks.nbytes)
 
 
 class TestWalkBias:
@@ -227,10 +242,10 @@ class TestSecondOrderStep:
                     walk_length=walk_length, walks_per_node=3, return_param=p, inout_param=q, seed=trial
                 )
                 walks = biased_walks(g, cfg)
-                assert walks == scalar_biased_walks(g, cfg)
-                assert all(type(v) is int for walk in walks for v in walk)
+                assert np.array_equal(walks, padded_walks(scalar_biased_walks(g, cfg), walk_length))
+                assert walks.dtype == np.int64
                 if p == q:
-                    assert walks == uniform
+                    assert np.array_equal(walks, uniform)
         assert min(seen.values()) >= 20, seen
 
     @pytest.mark.filterwarnings("error")
@@ -257,7 +272,7 @@ class TestSecondOrderStep:
         n = 20_000
         g = make_graph("A" * n + "DD", [(a, n) for a in range(n)] + [(0, n + 1), (1, n + 1)])
         cfg = Node2vecConfig(walk_length=9, walks_per_node=1, return_param=0.25, inout_param=4.0, seed=14)
-        walks = np.array(biased_walks(g, cfg))
+        walks = biased_walks(g, cfg)
         steps = np.stack((walks[:, :-1].ravel(), walks[:, 1:].ravel()), axis=1)
         edges = np.array(list(g.edges()))
         assert np.isin(np.sort(steps, axis=1) @ [g.num_nodes, 1], edges @ [g.num_nodes, 1]).all()
@@ -269,7 +284,8 @@ class TestSecondOrderStep:
 class TestPadded:
     def test_rows_hold_the_walks_then_minus_one(self):
         walks = [[3, 1, 4], [5], [], [9, 2]]
-        assert _padded(walks).tolist() == [[3, 1, 4], [5, -1, -1], [-1, -1, -1], [9, 2, -1]]
+        assert padded_walks(walks).tolist() == [[3, 1, 4], [5, -1, -1], [-1, -1, -1], [9, 2, -1]]
+        assert padded_walks(walks, 4).tolist() == [[3, 1, 4, -1], [5, -1, -1, -1], [-1] * 4, [9, 2, -1, -1]]
 
 
 class TestAliasTable:
@@ -329,7 +345,19 @@ class TestEmbeddings:
 
     def test_empty_walks_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            train_embeddings([], self.cfg())
+            train_embeddings(np.empty((0, 10), np.int64), self.cfg(), n_nodes=3)
+
+    def test_walk_array_trains_as_the_padded_walk_lists(self):
+        # account 0 has no device, so its walks are -1 after the start
+        g = make_graph("AAAAADD", [(1, 5), (2, 5), (3, 6), (4, 6), (2, 6)])
+        cfg = self.cfg()
+        walks = biased_walks(g, cfg)
+        lists = [row[:1] if row[-1] < 0 else row for row in walks.tolist()]
+        assert [len(w) for w in lists if w[0] == 0] == [1] * cfg.walks_per_node
+        assert np.array_equal(walks, padded_walks(lists))
+        got = train_embeddings(walks, cfg, n_nodes=g.num_nodes)
+        want = train_embeddings(padded_walks(lists), cfg, n_nodes=g.num_nodes)
+        assert got.vectors.tobytes() == want.vectors.tobytes() and got.epoch_losses == want.epoch_losses
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dimensions"):
@@ -344,14 +372,14 @@ class TestWeightedObjective:
 
     def tables(self, seed, n_negatives):
         rng = np.random.default_rng(seed)
-        pairs = _pair_table(_padded(self.walks), self.window, 5, 3)
+        pairs = _pair_table(padded_walks(self.walks), self.window, 5, 3)
         w_center = rng.normal(scale=0.7, size=(5, 3))
         w_context = rng.normal(scale=0.7, size=(5, 3))
         negatives = rng.integers(0, 5, size=(len(pairs.centers), n_negatives))
         return pairs, w_center, w_context, negatives
 
     def test_counted_pairs_cover_every_raw_pair(self):
-        pairs = _pair_table(_padded(self.walks), self.window, 5, 3)
+        pairs = _pair_table(padded_walks(self.walks), self.window, 5, 3)
         raw = Counter(zip(*window_pairs(self.walks, self.window)))
         total = sum(raw.values())
         got = {
@@ -400,7 +428,7 @@ def random_padded(rng, n_nodes, n_walks, longest=8):
     """Walks of lengths 1 to longest over n_nodes nodes, padded; a length-1 walk is one from an isolated node."""
     walks = [rng.integers(0, n_nodes, size=rng.integers(1, longest + 1)).tolist() for _ in range(n_walks)]
     walks[int(rng.integers(n_walks))] = [0]
-    return _padded(walks)
+    return padded_walks(walks)
 
 
 class TestWalkPairs:
@@ -413,16 +441,16 @@ class TestWalkPairs:
             got, want = _walk_pairs(padded, window), per_offset_walk_pairs(padded, window)
             assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    def test_gaps_inside_walks_and_a_list_of_equal_walks(self):
+    def test_gaps_inside_walks_and_walks_without_gaps(self):
         rng = np.random.default_rng(6)
         walks = rng.integers(0, 9, size=(11, 7))
         holed = np.where(rng.random(walks.shape) < 0.3, -1, walks)
-        for padded in (walks.tolist(), holed):
+        for padded in (walks, holed):
             got, want = _walk_pairs(padded, 3), per_offset_walk_pairs(padded, 3)
             assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_walks_without_pairs_give_empty_arrays(self):
-        for padded in (_padded([[0], [3]]), np.full((2, 4), -1)):
+        for padded in (padded_walks([[0], [3]]), np.full((2, 4), -1)):
             centers, contexts = _walk_pairs(padded, 2)
             assert centers.dtype == contexts.dtype == np.int64 and len(centers) == len(contexts) == 0
 
@@ -455,7 +483,7 @@ class TestChunkedPairTable:
         assert len(blocks) == 1
 
     def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):
-        padded = _padded([[0], [3], [1], [2], [4]])
+        padded = padded_walks([[0], [3], [1], [2], [4]])
         for budget in (1, 2, 3, 9):
             monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
             assert _pair_table(padded, 2, 5, 3) is None
@@ -488,7 +516,7 @@ class TestStepMatchesFlatKeyReference:
         # walks over part of the nodes only, of lengths 1 to 8
         visited = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
         walks = [rng.choice(visited, size=rng.integers(1, 9)).tolist() for _ in range(3 * n_nodes)]
-        pairs = _pair_table(_padded(walks), 3, n_nodes, d)
+        pairs = _pair_table(padded_walks(walks), 3, n_nodes, d)
         assert len(pairs.centers) < n_nodes
         w_center = rng.normal(scale=2.0, size=(n_nodes, d))
         w_context = rng.normal(scale=2.0, size=(n_nodes, d))

@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
+import sys
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
 
@@ -31,6 +33,26 @@ def test_cli_digest_is_reproducible(tmp_path):
     assert b"\r\n\r\n" in messy and b"\t+" in messy and b"\t " in messy
     built = tmp_path / "a" / "seed0" / "built.tsv"
     assert (tmp_path / "a" / "seed0" / "built_messy_logs.tsv").read_bytes() == built.read_bytes()
+
+
+def run_perfbench(*argv):
+    """Run a perfbench script on one BLAS thread; its exit code and stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    script = TOOL.parent.parent / "perfbench" / argv[0]
+    done = subprocess.run([sys.executable, str(script), *argv[1:]], env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def test_perfbench_selftest_and_makeup_run_on_the_package():
+    """The traced round counts from the package's real results, and makeup pairs the walks biased_walks returns."""
+    code, out = run_perfbench("selftest.py")
+    assert code == 0, out
+    assert "PASS" in out and "FAIL" not in out, out
+    code, out = run_perfbench("makeup.py", "--workload", "desk-1x", "--seed", "0")
+    assert code == 0, out
+    heads = ["accounts ", "components ", "maximum degree ", "login lines ", "skip-gram pairs per epoch "]
+    lines = out.splitlines()
+    assert len(lines) == len(heads) and all(map(str.startswith, lines, heads)), out
 
 
 def test_seed_lists_and_ranges():

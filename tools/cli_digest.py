@@ -22,6 +22,8 @@ package from this checkout's src/, at default settings:
     train --model gbdt --seed N with --max-depth 1, with --max-depth 8 --min-samples-leaf 1, and
         with --row-sample 1 --feature-sample 1, each into its own models directory and followed
         by evaluate on it
+    train --model node2vec-gbdt --seed N --no-prune, into its own models directory, followed by
+        evaluate --no-prune on it
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N, with --layers 1, and with --layers 3 --hidden-dim 3
@@ -132,6 +134,13 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
             (f"evaluate_gbdt_{name}", ["evaluate", "--data", data, "--models", folder,
                                        "--out", f"{base}/reports_gbdt_{name}"]),
         ]
+    # the unpruned graph keeps the singleton components the default run drops, and their walks
+    commands += [
+        ("train_node2vec-gbdt_no_prune", ["train", "--model", "node2vec-gbdt", "--data", data, "--no-prune",
+                                          "--out", f"{base}/models_no_prune", "--seed", str(seed)]),
+        ("evaluate_no_prune", ["evaluate", "--data", data, "--models", f"{base}/models_no_prune", "--no-prune",
+                               "--out", f"{base}/reports_no_prune"]),
+    ]
     for labels in ("tags", "ground-truth"):
         commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
                                                 "--out", f"{base}/reports_{labels}", "--labels", labels]))
