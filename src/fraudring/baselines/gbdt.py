@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from ..geniepath import sigmoid
-from ..textio import numbers, open_new, raise_first, read_lines
+from ..textio import open_new, read_lines
 
 L2_LAMBDA = 1.0
 # (tree, row) cells gbdt_predict_batch routes together, at least one row: each work array
@@ -246,9 +245,9 @@ def save_gbdt(model: GBDTModel, path: str) -> None:
 def load_gbdt(path: str) -> GBDTModel:
     """Read what save_gbdt writes; the first bad line in the file raises ModelFormatError naming path:line.
 
-    The body is parsed column by column. A tree ends, and a split's right
-    child starts, at the next line whose count of splits minus leaves before
-    it is one less than after the line itself.
+    Each tree's nodes are read in preorder and checked as each is read. A
+    stack holds the splits whose right child is still to come; the tree ends
+    when it is empty. Nothing after the 'end' line is read.
     """
     raw = read_lines(path, ModelFormatError)
 
@@ -276,70 +275,61 @@ def load_gbdt(path: str) -> GBDTModel:
     n_features = scalar(4, "n_features", int, (1).__le__, "must be >= 1")
     n_trees = scalar(5, "n_trees", int, (0).__le__, "must be >= 0")
 
-    # Body line b is file line b + 6. A split counts +1, a leaf -1, any other line 0.
-    body = raw[5:]
-    m = len(body)
-    fields = list(map(str.split, body))
-    width = np.fromiter(map(len, fields), np.int64, m)
-    tokens = np.array([*chain.from_iterable(fields), ""], dtype=object)
-    first = np.cumsum(width) - width
-    kind = tokens[np.where(width > 0, first, len(tokens) - 1)]
-    sign = ((width == 3) & (kind == "split")).astype(np.int64) - ((width == 2) & (kind == "leaf"))
-    # level[j]: the count over the lines before j. nxt[b]: the first j > b + 1 with level[j] == level[b + 1] - 1, or -1.
-    level = np.concatenate([[0], np.cumsum(sign)])
-    key = np.sort(level * (m + 2) + np.arange(m + 1))
-    at = np.searchsorted(key, (level[1:] - 1) * (m + 2) + np.arange(2, m + 2))
-    hit = key[np.minimum(at, m)]
-    nxt = np.where((at <= m) & (hit // (m + 2) == level[1:] - 1), hit % (m + 2), -1)
-
-    heads, b, after = [], 0, nxt.tolist()  # each tree's line, as far as the trees before it are well formed
-    while len(heads) < n_trees and 0 <= b < m:
-        heads.append(b)
-        b = after[b]
-    errors: list[tuple[int, int, str]] = []  # (body line, precedence, message)
-
-    def check(lines, bad: np.ndarray, precedence: int, message) -> None:
-        """Record the first bad entry i of a column, at body line lines[i]."""
-        if bad.any():
-            i = int(np.argmax(bad))
-            errors.append((int(lines[i]), precedence, message(i)))
-
-    if b < 0:
-        errors.append((m, 0, f"tree {len(heads) - 1} is truncated"))
-    elif len(heads) < n_trees:
-        errors.append((m, 0, f"missing tree {len(heads)}"))
-    elif b == m or body[b] != "end":
-        errors.append((b, 0, "missing 'end' terminator"))
-    head_fields = [fields[b] for b in heads]
-    n_good = next((i for i, f in enumerate(head_fields) if len(f) != 3 or f[:2] != ["tree", str(i)]), len(heads))
-    check(heads, np.arange(len(heads)) == n_good, 0, lambda i: f"expected 'tree {i} <n_nodes>', got {body[heads[i]]!r}")
-    counts, good = numbers([f[2] for f in head_fields[:n_good]], int)
-    check(heads, np.arange(n_good) == good, 0, lambda i: f"bad node count {head_fields[i][2]!r} for tree {i}")
-    sizes = nxt[heads[:good]] - heads[:good] - 1
-    check(sizes + heads[:good], (sizes >= 0) & (sizes != counts), 4,
-          lambda i: f"tree {i} has {sizes[i]} nodes, header says {counts[i]}")
-
-    is_node = np.arange(m) < (b if b >= 0 else m)
-    is_node[heads] = False
-    check(np.arange(m), is_node & (sign == 0), 1, lambda b: f"bad node line {body[b]!r}")
-    leaves = np.flatnonzero(is_node & (sign < 0))
-    texts = tokens[first[leaves] + 1].tolist()
-    values, good = numbers(texts, float)
-    check(leaves, np.arange(len(leaves)) == good, 1, lambda i: f"bad leaf value {texts[i]!r}")
-    check(leaves, ~np.isfinite(values), 3, lambda i: f"non-finite leaf value {texts[i]!r}")
-    splits = np.flatnonzero(is_node & (sign > 0))
-    features, good = numbers(tokens[first[splits] + 1].tolist(), int)
-    thresholds, good_t = numbers(tokens[first[splits] + 2].tolist(), float)
-    good = min(good, good_t)
-    check(splits, np.arange(len(splits)) == good, 1, lambda i: f"bad split line {body[splits[i]]!r}")
-    features, thresholds = features[:good], thresholds[:good]
-    check(splits, (features < 0) | (features >= n_features), 2, lambda i: f"split feature {features[i]} out of range")
-    check(splits, ~np.isfinite(thresholds), 3, lambda i: f"non-finite split threshold {fields[splits[i]][2]!r}")
-    raise_first(path, errors, ModelFormatError, 5, lambda line: True)
-
-    index = np.cumsum(is_node) - 1  # node of each body line
-    feature, threshold, value, right = np.full(m, -1), np.full(m, -math.inf), np.zeros(m), index.copy()
-    feature[splits], threshold[splits], right[splits] = features, thresholds, index[nxt[splits]]
-    value[leaves] = values
-    columns = (column[is_node] for column in (feature, threshold, value, right))
-    return GBDTModel(base, lr, n_features, index[np.array(heads, dtype=np.int64) + 1], *columns)
+    roots, feature, threshold, value, right = [], [], [], [], []
+    lineno = 5
+    for i in range(n_trees):
+        lineno += 1
+        if lineno > len(raw):
+            raise fail(lineno, f"missing tree {i}")
+        parts = raw[lineno - 1].split()
+        if len(parts) != 3 or parts[:2] != ["tree", str(i)]:
+            raise fail(lineno, f"expected 'tree {i} <n_nodes>', got {raw[lineno - 1]!r}")
+        try:
+            n_nodes = int(parts[2])
+        except ValueError:
+            raise fail(lineno, f"bad node count {parts[2]!r} for tree {i}") from None
+        roots.append(len(feature))
+        stack = [-1]  # for each node still to come: the split whose right child it is, or -1
+        while stack:
+            parent = stack.pop()
+            lineno += 1
+            if lineno > len(raw):
+                raise fail(lineno, f"tree {i} is truncated")
+            k = len(feature)
+            if parent >= 0:
+                right[parent] = k
+            fields = raw[lineno - 1].split()
+            if len(fields) == 2 and fields[0] == "leaf":
+                try:
+                    leaf = float(fields[1])
+                except ValueError:
+                    raise fail(lineno, f"bad leaf value {fields[1]!r}") from None
+                if not math.isfinite(leaf):
+                    raise fail(lineno, f"non-finite leaf value {fields[1]!r}")
+                feature.append(-1)
+                threshold.append(-math.inf)
+                value.append(leaf)
+                right.append(k)
+            elif len(fields) == 3 and fields[0] == "split":
+                try:
+                    f, thr = int(fields[1]), float(fields[2])
+                except ValueError:
+                    raise fail(lineno, f"bad split line {raw[lineno - 1]!r}") from None
+                if not 0 <= f < n_features:
+                    raise fail(lineno, f"split feature {f} out of range")
+                if not math.isfinite(thr):
+                    raise fail(lineno, f"non-finite split threshold {fields[2]!r}")
+                feature.append(f)
+                threshold.append(thr)
+                value.append(0.0)
+                right.append(-1)
+                stack += (k, -1)
+            else:
+                raise fail(lineno, f"bad node line {raw[lineno - 1]!r}")
+        if len(feature) - roots[-1] != n_nodes:
+            raise fail(lineno, f"tree {i} has {len(feature) - roots[-1]} nodes, header says {n_nodes}")
+    lineno += 1
+    if lineno > len(raw) or raw[lineno - 1] != "end":
+        raise fail(lineno, "missing 'end' terminator")
+    return GBDTModel(base, lr, n_features, np.array(roots, dtype=np.int64), np.array(feature, dtype=np.int64),
+                     np.array(threshold), np.array(value), np.array(right, dtype=np.int64))

@@ -355,7 +355,7 @@ def load_embeddings(path: str, g: DeviceSharingGraph) -> Embeddings:
         errors.append((k, 0, f"row for node id {ids[k]!r} out of place; {expected}"))
     if (wrong := widths != widths[:1]).any():
         errors.append((int(np.argmax(wrong)), 5, "inconsistent embedding width"))
-    raise_first(path, errors, ValueError, 0, str.strip)
+    raise_first(path, errors, ValueError)
     if not ids or len(ids) < g.num_nodes:
         raise ValueError(f"{path}: embeddings missing for some graph nodes")
     return Embeddings(values.reshape(len(ids), int(widths[0])), [])

@@ -150,7 +150,7 @@ def _account_order(path: str, graph: DeviceSharingGraph, ids: list[str], errors:
     if repeated.any():
         bad = int(np.argmax(repeated))
         errors.append((bad, 5, f"duplicate row for account {ids[bad]!r}"))
-    raise_first(path, errors, FeatureFormatError, 1, str.strip)
+    raise_first(path, errors, FeatureFormatError, 1)
     if len(rows) < len(row_of):
         missing = sorted(row_of.keys() - set(ids), key=row_of.get)
         raise FeatureFormatError(f"{path}: no row for {len(missing)} graph account(s), e.g. {missing[:5]}")

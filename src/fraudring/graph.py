@@ -432,7 +432,7 @@ def _edge_pairs(path: str, rows: list[str], first: int, is_account: np.ndarray) 
         errors.append((m, 1, "edge endpoints %r are not integers" % (u_texts[m] + "\t" + v_texts[m])))
     if bad := _first_bad_edge(u[:m], v[:m], is_account, written=True):
         errors.append((bad[0], 2, bad[1]))
-    raise_first(path, errors, GraphFormatError, first, str.strip)
+    raise_first(path, errors, GraphFormatError, first)
     return np.column_stack((u, v))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from itertools import chain, compress, count, islice, repeat
+from itertools import compress, count, islice, repeat
 from typing import TextIO
 
 import numpy as np
@@ -115,15 +115,13 @@ def first_outside(texts: list[str], allowed: tuple[str, ...]) -> int | None:
     return next(i for i, text in enumerate(texts) if text not in allowed)
 
 
-def raise_first(path: str, errors: list, error: type, first: int = 0, keep=None) -> None:
+def raise_first(path: str, errors: list, error: type, first: int = 0) -> None:
     """Raise the earliest (row, precedence, message) error as error naming path:line.
 
-    Rows count the file's lines from 0-based line first on that keep passes,
-    by default the nonempty ones, and go on counting lines past the file's
-    end; the file is read again to find the line.
+    Rows count the file's lines that are not blank or whitespace-only, from
+    0-based line first on; the file is read again to find the line.
     """
     if errors:
         row, _, message = min(errors)
-        lines = read_lines(path)[first:]
-        line_numbers = compress(count(first + 1), chain(map(keep, lines) if keep else lines, repeat(True)))
+        line_numbers = compress(count(first + 1), map(str.strip, read_lines(path)[first:]))
         raise error(f"{path}:{next(islice(line_numbers, row, None))}: {message}")

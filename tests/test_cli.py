@@ -50,9 +50,11 @@ SMALL_SYNTH = [
 
 FAST_TRAIN = {
     "gnn": ["--epochs", "5", "--hidden-dim", "4", "--layers", "1"],
-    "gbdt": ["--trees", "10", "--max-depth", "3"],
+    # a learning rate and leaf size at which the 27 kept accounts of SMALL_SYNTH give trees that split
+    "gbdt": ["--trees", "10", "--max-depth", "3", "--gbdt-learning-rate", "0.3", "--min-samples-leaf", "2"],
     "node2vec-gbdt": [
-        "--trees", "10", "--max-depth", "3", "--dimensions", "4",
+        "--trees", "10", "--max-depth", "3", "--gbdt-learning-rate", "0.3", "--min-samples-leaf", "2",
+        "--dimensions", "4",
         "--walk-length", "6", "--walks-per-node", "4", "--window", "2",
         "--n2v-epochs", "1",
     ],
@@ -86,7 +88,7 @@ def scored_dir(tmp_path_factory):
     for model, flags in (
         ("gnn", ["--epochs", "5", "--hidden-dim", "4"]),
         ("gbdt", boost),
-        ("node2vec-gbdt", boost + FAST_TRAIN["node2vec-gbdt"][4:]),
+        ("node2vec-gbdt", boost + FAST_TRAIN["node2vec-gbdt"][8:]),
     ):
         assert main(["train", "--model", model, "--data", str(out / "data"), "--out", str(out / "models"), *flags]) == 0
     return out
@@ -355,8 +357,7 @@ class TestTrain:
     def test_gbdt_echoes_configuration(self, data_dir, tmp_path, capsys):
         out = tmp_path / "gbdt"
         code = main(
-            ["train", "--model", "gbdt", "--data", str(data_dir), "--out", str(out)]
-            + FAST_TRAIN["gbdt"]
+            ["train", "--model", "gbdt", "--data", str(data_dir), "--out", str(out), "--trees", "10", "--max-depth", "3"]
         )
         assert code == 0
         text = capsys.readouterr().out
@@ -388,8 +389,8 @@ class TestTrain:
     def test_non_finite_hyperparameter_is_data_error(self, data_dir, tmp_path, capsys, model, flag, value, message):
         out = tmp_path / "models"
         code = main(
-            ["train", "--model", model, "--data", str(data_dir), "--out", str(out), flag, value]
-            + FAST_TRAIN[model]
+            ["train", "--model", model, "--data", str(data_dir), "--out", str(out)]
+            + FAST_TRAIN[model] + [flag, value]
         )
         assert code == 2
         assert message in capsys.readouterr().err
@@ -524,6 +525,11 @@ class TestEvaluate:
         assert (out / "pr_curves.tsv").exists()
         saved = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(saved) == 4
+        for name in ("gbdt.model", "node2vec_gbdt.model"):
+            assert any(line.startswith("split ") for line in (models_dir / name).read_text(encoding="utf-8").split("\n"))
+        curves = (out / "pr_curves.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        for model in ("gnn", "gbdt", "node2vec-gbdt"):
+            assert sum(line.split("\t")[0] == model for line in curves) >= 2, model
 
     @pytest.mark.parametrize("labels", ["tags", "ground-truth"])
     def test_reports_equal_the_all_row_oracle(self, scored_dir, tmp_path, monkeypatch, capsys, labels):
@@ -641,6 +647,34 @@ class TestEvaluate:
         assert code == 2
         assert "expects 5 features, dataset has 6" in capsys.readouterr().err
 
+
+    def test_account_without_a_login_is_an_isolated_node_end_to_end(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("claims.tsv", "logins.tsv", "features.tsv", "ground_truth.tsv"):
+            shutil.copy(data_dir / name, data / name)
+        with open(data_dir / "synth_manifest.json", encoding="utf-8") as fh:
+            ref = json.load(fh)["reference_time"]
+        features = (data / "features.tsv").read_text(encoding="utf-8").splitlines()
+        values = features[1].split("\t", 2)[2]
+        for name, row in (("claims.tsv", f"LONER\t{ref - DAY}"), ("features.tsv", f"LONER\tNO_OBSERVABLE_RISK\t{values}"),
+                          ("ground_truth.tsv", "LONER\t0")):
+            with open(data / name, "a", encoding="utf-8") as fh:
+                fh.write(row + "\n")
+        codes = [main(["build-graph", "--claims", str(data / "claims.tsv"), "--logins", str(data / "logins.tsv"),
+                       "--reference-time", str(ref), "--out", str(data / "graph.tsv"), "--no-prune"])]
+        models = tmp_path / "models"
+        for model, flags in FAST_TRAIN.items():
+            codes.append(main(["train", "--model", model, "--data", str(data), "--out", str(models), "--no-prune"]
+                              + flags))
+        out = tmp_path / "eval"
+        codes.append(main(["evaluate", "--data", str(data), "--models", str(models), "--out", str(out), "--no-prune"]))
+        assert codes == [0] * 5, capsys.readouterr().err
+        g = load_graph(str(data / "graph.tsv"))
+        assert np.diff(g.csr()[0])[g.ids.index("LONER")] == 0
+        embeddings = (models / "embeddings.tsv").read_text(encoding="utf-8").splitlines()
+        assert sum(line.startswith("LONER\t") for line in embeddings) == 1
+        assert len((out / "report.tsv").read_text(encoding="utf-8").splitlines()[1:]) == 3
 
     def test_account_id_equal_to_a_device_umid_keeps_its_embedding(self, tmp_path, capsys):
         data = tmp_path / "data"

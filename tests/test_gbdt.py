@@ -359,6 +359,19 @@ class TestSerialization:
         save_gbdt(load_gbdt(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_crlf_loads_the_same_arrays_and_lines_after_end_are_not_read(self, tmp_path):
+        model, _ = self.fit_small()
+        path = tmp_path / "gbdt.model"
+        save_gbdt(model, str(path))
+        want = load_gbdt(str(path))
+        text = path.read_text(encoding="utf-8")
+        for name, edited in (("crlf", text.replace("\n", "\r\n")), ("tail", text + "leaf nan\ntree 0 x\n\nnot a model\n")):
+            (tmp_path / name).write_text(edited, encoding="utf-8", newline="")
+            got = load_gbdt(str(tmp_path / name))
+            scalars = (got.base_score, got.learning_rate, got.n_features)
+            assert scalars == (want.base_score, want.learning_rate, want.n_features), name
+            assert same_layout(got, (want.roots, want.feature, want.threshold, want.value, want.right)), name
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("not a model\n", encoding="utf-8")

@@ -597,6 +597,17 @@ class TestCheckpoint:
         assert np.array_equal(loaded.vector, params.vector)
         assert loaded.n_layers == 3
 
+    def test_crlf_loads_the_same_arrays_and_lines_after_end_are_not_read(self, tmp_path):
+        params = init_params(4, hidden_dim=3, n_layers=2, seed=14)
+        path = tmp_path / "model.ckpt"
+        save_params(params, path)
+        text = path.read_text(encoding="utf-8")
+        for name, edited in (("crlf", text.replace("\n", "\r\n")), ("tail", text + "nan x\ntensor w_in 9\n\nend\n")):
+            (tmp_path / name).write_text(edited, encoding="utf-8", newline="")
+            loaded = load_params(tmp_path / name)
+            assert (loaded.feature_dim, loaded.hidden_dim, loaded.n_layers) == (4, 3, 2), name
+            assert loaded.vector.tobytes() == params.vector.tobytes(), name
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_text("something else\n", encoding="utf-8")
