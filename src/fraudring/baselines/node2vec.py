@@ -136,10 +136,10 @@ class Embeddings:
 
 
 def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) of every window pair, both ways round, of int64 walks padded with -1.
+    """(center, context) of every forward window pair, step i and step i + off, of int64 walks padded with -1.
 
-    For each offset in turn come the pairs forward, then the same pairs
-    reversed, each in walk-major order; both arrays are filled in place.
+    The pairs come offset by offset, each in walk-major order; both arrays are
+    filled in place. Every pair also counts reversed, which the caller adds.
     """
     valid = padded >= 0
     # per offset, the steps i and i + off of every pair of live steps, as masks over the flat walks
@@ -150,7 +150,7 @@ def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray
         np.logical_and(valid[:, :-off], valid[:, off:], out=head[:, :-off])
         tail[:, off:] = head[:, :-off]
         masks.append((head.ravel(), tail.ravel(), np.count_nonzero(head)))
-    total = 2 * sum(k for _, _, k in masks)
+    total = sum(k for _, _, k in masks)
     centers = np.empty(total, dtype=np.int64)
     contexts = np.empty(total, dtype=np.int64)
     flat = padded.ravel()
@@ -158,9 +158,7 @@ def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray
     for head, tail, k in masks:
         np.compress(head, flat, out=centers[at : at + k])
         np.compress(tail, flat, out=contexts[at : at + k])
-        centers[at + k : at + 2 * k] = contexts[at : at + k]
-        contexts[at + k : at + 2 * k] = centers[at : at + k]
-        at += 2 * k
+        at += k
     return centers, contexts
 
 
@@ -189,12 +187,25 @@ def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarra
     return np.bincount(keys, weights=rows.ravel(), minlength=n_nodes * d).reshape(n_nodes, d)
 
 
+def _merge_counts(
+    keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray, new_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted table (keys, counts) with the distinct sorted new_keys' counts added, inserting keys it lacks."""
+    at = np.searchsorted(keys, new_keys)
+    seen = at < len(keys)
+    seen[seen] = keys[at[seen]] == new_keys[seen]
+    counts[at[seen]] += new_counts[seen]
+    unseen = ~seen
+    return np.insert(keys, at[unseen], new_keys[unseen]), np.insert(counts, at[unseen], new_counts[unseen])
+
+
 def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairTable | None:
-    """Count the window pairs of the padded walks once; None when they hold no pair.
+    """Count the window pairs of the padded walks once, both ways round; None when they hold no pair.
 
     The walks are taken in blocks of at most PAIR_BUDGET raw pairs (or one
-    walk, if it alone holds more), and each block's sorted counts merged into
-    the running table, so only one block's raw pairs are ever held.
+    walk, if it alone holds more). Each block's forward pairs are sorted and
+    counted, and merged into the running table twice: as they are, and
+    reversed with the same counts. So only one block's forward pairs are ever held.
     """
     # bounds[j]: the raw pairs of the walks before walk j
     bounds = np.zeros(len(padded) + 1, np.int64)
@@ -222,14 +233,10 @@ def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairT
         firsts = np.flatnonzero(first)
         block_counts = np.diff(np.append(firsts, len(block_keys)))
         block_keys = block_keys[firsts]
-        # add the counts of keys already in the table, and insert the others in order
-        at = np.searchsorted(keys, block_keys)
-        seen = at < len(keys)
-        seen[seen] = keys[at[seen]] == block_keys[seen]
-        counts[at[seen]] += block_counts[seen]
-        unseen = ~seen
-        keys = np.insert(keys, at[unseen], block_keys[unseen])
-        counts = np.insert(counts, at[unseen], block_counts[unseen])
+        keys, counts = _merge_counts(keys, counts, block_keys, block_counts)
+        reversed_keys = block_keys % n_nodes * n_nodes + block_keys // n_nodes
+        order = np.argsort(reversed_keys)
+        keys, counts = _merge_counts(keys, counts, reversed_keys[order], block_counts[order])
     weight = counts / total
     center = keys // n_nodes
     context = keys % n_nodes

@@ -125,11 +125,11 @@ def prune_dataset(ds: LabeledDataset) -> LabeledDataset:
 def save_features(ds: LabeledDataset, path: str) -> None:
     """Write the features TSV keyed by account external id, values at 9 significant digits."""
     header = "account_id\ttag\t" + "\t".join(f"f{j}" for j in range(ds.feature_dim))
+    row_format = "\t".join(["%s", "%s"] + ["%.9g"] * ds.feature_dim)
+    tags = (Tag.NO_OBSERVABLE_RISK.value, Tag.HIGH_RISK.value)
     lines = [header]
-    for ext, tagged, row in zip(_account_rows(ds.graph), ds.high_risk, ds.features):
-        tag = Tag.HIGH_RISK if tagged else Tag.NO_OBSERVABLE_RISK
-        values = "\t".join(f"{v:.9g}" for v in row)
-        lines.append(f"{ext}\t{tag.value}\t{values}")
+    for ext, tagged, row in zip(_account_rows(ds.graph), ds.high_risk.tolist(), ds.features):
+        lines.append(row_format % (ext, tags[tagged], *row.tolist()))
     with open_new(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -181,10 +181,9 @@ def load_features(path: str, graph: DeviceSharingGraph) -> LabeledDataset:
 def save_ground_truth(ds: LabeledDataset, path: str) -> None:
     if ds.truth is None:
         raise ValueError("dataset has no ground truth to save")
+    rows = map("{}\t{:d}\n".format, _account_rows(ds.graph), ds.truth.tolist())
     with open_new(path) as fh:
-        fh.write("account_id\tis_fraud\n")
-        for ext, flag in zip(_account_rows(ds.graph), ds.truth):
-            fh.write(f"{ext}\t{1 if flag else 0}\n")
+        fh.write("account_id\tis_fraud\n" + "".join(rows))
 
 
 def load_ground_truth(path: str, graph: DeviceSharingGraph) -> np.ndarray:

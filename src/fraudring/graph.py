@@ -472,10 +472,9 @@ def export_dot(
 
 
 def save_claim_events(events: Sequence[ClaimEvent], path: str) -> None:
+    lines = [f"{check_tsv_id(ev.account_external_id, 'account id')}\t{ev.timestamp}\n" for ev in events]
     with open_new(path) as fh:
-        for ev in events:
-            check_tsv_id(ev.account_external_id, "account id")
-            fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
+        fh.write("".join(lines))
 
 
 # Zero bytes after an event file's last newline: a timestamp's digits are
@@ -604,11 +603,13 @@ def load_claim_events(path: str) -> ClaimLog:
 
 
 def save_login_events(events: Sequence[LoginEvent], path: str) -> None:
+    lines = [
+        f"{check_tsv_id(ev.account_external_id, 'account id')}\t{check_tsv_id(ev.device_umid, 'device umid')}"
+        f"\t{ev.timestamp}\n"
+        for ev in events
+    ]
     with open_new(path) as fh:
-        for ev in events:
-            check_tsv_id(ev.account_external_id, "account id")
-            check_tsv_id(ev.device_umid, "device umid")
-            fh.write(f"{ev.account_external_id}\t{ev.device_umid}\t{ev.timestamp}\n")
+        fh.write("".join(lines))
 
 
 def load_login_events(path: str) -> LoginLog:

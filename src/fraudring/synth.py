@@ -9,6 +9,7 @@ never the other direction.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ from .features import (
     save_ground_truth,
 )
 from .graph import (
-    ClaimEvent, ClaimLog, LoginEvent, LoginLog, WindowConfig, build_graph, component_labels, kept_nodes,
-    save_claim_events, save_graph, save_login_events,
+    ClaimEvent, ClaimLog, IdColumn, LoginEvent, LoginLog, WindowConfig, build_graph, component_labels,
+    kept_nodes, save_claim_events, save_graph, save_login_events,
 )
 from .textio import open_new
 
@@ -76,6 +77,10 @@ class SynthConfig:
             raise ValueError("config yields zero accounts")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if not math.isfinite(self.fraud_feature_shift):
+            raise ValueError("fraud_feature_shift must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -92,14 +97,6 @@ class SyntheticDataset:
     @property
     def n_prunable_accounts(self) -> int:
         return len(self.prunable_account_ids)
-
-
-def _account_id(i: int) -> str:
-    return f"A{i:05d}"
-
-
-def _device_id(i: int) -> str:
-    return f"D{i:05d}"
 
 
 def generate(config: SynthConfig) -> SyntheticDataset:
@@ -134,66 +131,59 @@ def generate(config: SynthConfig) -> SyntheticDataset:
     flip_coin = rng.random(n_fraud) < config.tag_miss_rate
 
     # Account creation order: ring members first (ring by ring), then regular.
-    ring_of = np.full(n_accounts, -1, dtype=np.int64)
-    pos = 0
-    for r, k in enumerate(ring_sizes):
-        ring_of[pos : pos + int(k)] = r
-        pos += int(k)
-
-    window = WindowConfig(reference_time=REFERENCE_TIME)
-    claims = [
-        ClaimEvent(_account_id(i), window.claim_start + i) for i in range(n_accounts)
-    ]
-
+    ring_starts = np.cumsum(ring_sizes) - ring_sizes
     # Device creation order: ring devices (ring by ring), then private devices
-    # per regular account. Each device's first login pins its node order; all
-    # later logins land strictly after every first login.
-    device_owner_logins: list[tuple[int, int]] = []  # (device, account) first login
-    extra_logins: list[tuple[int, int]] = []
+    # per regular account. Device d's first login, by its owner, is login d and
+    # pins its node order; all later logins land strictly after every first login.
+    owner = np.concatenate([
+        np.repeat(ring_starts, ring_device_counts),
+        np.repeat(np.arange(n_fraud, n_accounts), regular_device_counts),
+    ])
+    n_devices = len(owner)
+    extra_device: list[int] = []
+    extra_account: list[int] = []
     dev = 0
-    pos = 0
-    for r in range(config.n_rings):
-        members = list(range(pos, pos + int(ring_sizes[r])))
-        pos += int(ring_sizes[r])
-        for _ in range(int(ring_device_counts[r])):
-            device_owner_logins.append((dev, members[0]))
-            extra_logins.extend((dev, a) for a in members[1:])
-            dev += 1
-
-    first_private_device = np.full(n_regular, -1, dtype=np.int64)
-    for j in range(n_regular):
-        account = n_fraud + j
-        first_private_device[j] = dev
-        for _ in range(int(regular_device_counts[j])):
-            device_owner_logins.append((dev, account))
-            dev += 1
-
+    for start, size, count in zip(ring_starts.tolist(), ring_sizes.tolist(), ring_device_counts.tolist()):
+        for d in range(dev, dev + count):
+            extra_device += [d] * (size - 1)
+            extra_account += range(start + 1, start + size)
+        dev += count
     if n_regular >= 2:
-        for j in range(n_regular):
-            if not share_coin[j]:
-                continue
-            partner = int(partner_draw[j])
-            if partner >= j:
-                partner += 1
-            extra_logins.append((int(first_private_device[j]), n_fraud + partner))
+        sharers = np.flatnonzero(share_coin)
+        partners = partner_draw[sharers]
+        partners += partners >= sharers
+        first_private_device = dev + np.cumsum(regular_device_counts) - regular_device_counts
+        extra_device += first_private_device[sharers].tolist()
+        extra_account += (n_fraud + partners).tolist()
 
-    n_devices = dev
-    logins = [
-        LoginEvent(_account_id(a), _device_id(d), window.device_start + d)
-        for d, a in device_owner_logins
-    ]
-    logins += [
-        LoginEvent(_account_id(a), _device_id(d), window.device_start + n_devices + s)
-        for s, (d, a) in enumerate(extra_logins)
-    ]
+    login_account = np.concatenate([owner, np.array(extra_account, dtype=np.int64)])
+    login_device = np.concatenate([np.arange(n_devices), np.array(extra_device, dtype=np.int64)])
+    window = WindowConfig(reference_time=REFERENCE_TIME)
+    claim_times = window.claim_start + np.arange(n_accounts)
+    login_times = window.device_start + np.arange(len(login_account))
 
-    graph = build_graph(ClaimLog.from_events(claims), LoginLog.from_events(logins), window)
+    # Each id is formatted once; the events and the logs share the strings.
+    account_ids = [f"A{i:05d}" for i in range(n_accounts)]
+    device_ids = [f"D{i:05d}" for i in range(n_devices)]
+    claims = list(map(ClaimEvent, account_ids, claim_times.tolist()))
+    logins = list(map(
+        LoginEvent,
+        map(account_ids.__getitem__, login_account.tolist()),
+        map(device_ids.__getitem__, login_device.tolist()),
+        login_times.tolist(),
+    ))
+
+    graph = build_graph(
+        ClaimLog(IdColumn(account_ids, np.arange(n_accounts)), claim_times),
+        LoginLog(IdColumn(account_ids, login_account), IdColumn(device_ids, login_device), login_times),
+        window,
+    )
     if graph.num_nodes != n_accounts + n_devices:
         raise AssertionError("generated events did not reproduce the designed node set")
 
+    ring_of = np.repeat(np.arange(config.n_rings), ring_sizes)
     features = base
-    for i in range(n_fraud):
-        features[i, :n_shift] += config.fraud_feature_shift + ring_offsets[int(ring_of[i])]
+    features[:n_fraud, :n_shift] += config.fraud_feature_shift + ring_offsets[ring_of]
 
     # Accounts are nodes 0..n_accounts-1, so dataset rows are account indices.
     truth = np.arange(n_accounts) < n_fraud

@@ -10,8 +10,9 @@ scattering with np.add.at), cached_add_at_backward (that backward pass over
 the current forward cache), masked_sigmoid, edge_transition_weights
 (node2vec's unnormalized step weights on any graph), padded_walks (walk
 lists as one array padded with -1, as node2vec built its skip-gram input
-while its walks were lists), per_offset_walk_pairs
-(node2vec's raw window pairs as one concatenation of per-offset arrays),
+while its walks were lists), per_offset_walk_pairs and
+per_offset_forward_pairs (node2vec's raw window pairs, both ways round or
+forward only, as one concatenation of per-offset arrays),
 one_shot_pair_table (node2vec's window pair counts from one np.unique over
 all raw pairs),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
@@ -22,7 +23,10 @@ every dataset row with every model and keeping the Test rows only in the
 report), and the GBDT as trees of Node objects: node_gbdt_fit,
 node_predict_batch and node_load_gbdt (the recursive tree growth, predictor and
 loader, with the loader's non-finite and count checks added), read back into
-the flat layout by flatten_trees. gbdt_predict, breadth_layer, depth_layer and
+the flat layout by flatten_trees. per_value_save_features,
+per_value_save_ground_truth, per_event_save_claim_events and
+per_event_save_login_events are the savers as they wrote one value or event
+at a time. gbdt_predict, breadth_layer, depth_layer and
 khop_neighbor_counts are thin wrappers over the package's batch kernels that
 only tests call: one row's GBDT probability, one attention layer over every
 node, the LSTM over a sequence, and the mean hop counts around a set of seeds.
@@ -666,6 +670,45 @@ def line_by_line_ground_truth(path, graph):
     return truth
 
 
+def per_value_save_features(ds, path):
+    """The features TSV with each value formatted on its own, as f"{v:.9g}" of the numpy scalar."""
+    header = "account_id\ttag\t" + "\t".join(f"f{j}" for j in range(ds.feature_dim))
+    lines = [header]
+    for ext, tagged, row in zip(_reference_account_rows(ds.graph), ds.high_risk, ds.features):
+        tag = "HIGH_RISK" if tagged else "NO_OBSERVABLE_RISK"
+        values = "\t".join(f"{v:.9g}" for v in row)
+        lines.append(f"{ext}\t{tag}\t{values}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def per_value_save_ground_truth(ds, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("account_id\tis_fraud\n")
+        for ext, flag in zip(_reference_account_rows(ds.graph), ds.truth):
+            fh.write(f"{ext}\t{1 if flag else 0}\n")
+
+
+def _reference_tsv_id(value, what):
+    if "\t" in value or "\n" in value or "\r" in value or not value:
+        raise ValueError(f"{what} {value!r} must be nonempty and free of tabs/newlines")
+
+
+def per_event_save_claim_events(events, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for ev in events:
+            _reference_tsv_id(ev.account_external_id, "account id")
+            fh.write(f"{ev.account_external_id}\t{ev.timestamp}\n")
+
+
+def per_event_save_login_events(events, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for ev in events:
+            _reference_tsv_id(ev.account_external_id, "account id")
+            _reference_tsv_id(ev.device_umid, "device umid")
+            fh.write(f"{ev.account_external_id}\t{ev.device_umid}\t{ev.timestamp}\n")
+
+
 def line_by_line_embeddings(path, g):
     """An embeddings TSV read one line at a time: the (num_nodes, d) vectors.
 
@@ -946,6 +989,19 @@ def padded_walks(walks, length=None):
     padded = np.full(filled.shape, -1, dtype=np.int64)
     padded[filled] = np.fromiter(itertools.chain.from_iterable(walks), np.int64, lengths.sum())
     return padded
+
+
+def per_offset_forward_pairs(padded, window):
+    """(center, context) of every forward window pair, steps i and i + off, of the padded walks: offset by offset."""
+    padded = np.asarray(padded)
+    centers, contexts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for off in range(1, min(window + 1, padded.shape[1])):
+        a = padded[:, :-off].ravel()
+        b = padded[:, off:].ravel()
+        ok = (a >= 0) & (b >= 0)
+        centers.append(a[ok])
+        contexts.append(b[ok])
+    return np.concatenate(centers), np.concatenate(contexts)
 
 
 def per_offset_walk_pairs(padded, window):

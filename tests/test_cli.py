@@ -124,6 +124,23 @@ class TestSynth:
         assert "8 fraud" in text
         assert "will be pruned" in text
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fraud_shift_is_data_error_before_any_file(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--out", str(out), f"--fraud-shift={value}"]) == 2
+        assert "fraud_feature_shift must be finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_negative_seed_is_data_error_naming_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert main(["grad-check", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 class TestBuildGraph:
     def write_events(self, tmp_path):

@@ -37,7 +37,13 @@ from fraudring.graph import (
     save_graph,
     save_login_events,
 )
-from reference import line_by_line_embeddings, line_by_line_features, line_by_line_ground_truth
+from reference import (
+    line_by_line_embeddings,
+    line_by_line_features,
+    line_by_line_ground_truth,
+    per_value_save_features,
+    per_value_save_ground_truth,
+)
 from util import make_graph, random_bipartite, make_dataset
 
 
@@ -254,6 +260,59 @@ class TestGroundTruthFiles:
         path.write_text("account_id\tis_fraud\na1\t1\n", encoding="utf-8")
         with pytest.raises(FeatureFormatError, match=r"gt\.tsv: no row for 1 graph account\(s\), e\.g\. \['a0'\]"):
             load_ground_truth(path, star_graph(2))
+
+
+# -0.0, subnormals, the largest magnitudes, non-finite values and exact decimals
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e300, -1e300, 1.7976931348623157e308,
+    np.nan, np.inf, -np.inf, 0.1, 123456789.0, 1e16, -1.5,
+]
+
+
+def random_feature_dataset(rng):
+    """A dataset over a random bipartite graph whose features mix edge values, values with a 5 in their 10th
+    significant digit (they round at the 9th), and normal draws."""
+    g = random_bipartite(rng, int(rng.integers(1, 40)), int(rng.integers(1, 6)), 0.3)
+    n, dim = len(g.account_indices()), int(rng.integers(1, 9))
+    x = rng.normal(scale=10.0 ** rng.integers(-5, 6), size=(n, dim))
+    digits = rng.integers(10**8, 10**9, size=(n, dim)) * 10 + 5
+    tenth_digit = digits * 10.0 ** rng.integers(-20, 10, size=(n, dim))
+    x = np.where(rng.random((n, dim)) < 0.3, tenth_digit * rng.choice([-1.0, 1.0], size=(n, dim)), x)
+    x = np.where(rng.random((n, dim)) < 0.3, rng.choice(EDGE_VALUES, size=(n, dim)), x)
+    return make_dataset(g, x, high_risk=rng.random(n) < 0.4, truth=rng.random(n) < 0.2)
+
+
+class TestSaversMatchPerValueOracles:
+    """The savers write the bytes that formatting one value at a time wrote."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_features_and_ground_truth_are_byte_identical(self, tmp_path, seed):
+        ds = random_feature_dataset(np.random.default_rng(seed))
+        for save, oracle, name in (
+            (save_features, per_value_save_features, "features.tsv"),
+            (save_ground_truth, per_value_save_ground_truth, "ground_truth.tsv"),
+        ):
+            save(ds, tmp_path / name)
+            oracle(ds, tmp_path / f"oracle_{name}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"oracle_{name}").read_bytes(), name
+
+    def test_every_edge_value_is_written_as_the_oracle_writes_it(self, tmp_path):
+        n = len(EDGE_VALUES)
+        ds = make_dataset(star_graph(n), np.array([EDGE_VALUES, EDGE_VALUES[::-1]]).T)
+        save_features(ds, tmp_path / "f.tsv")
+        per_value_save_features(ds, tmp_path / "oracle.tsv")
+        assert (tmp_path / "f.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
+        assert "-0\t" in (tmp_path / "f.tsv").read_text(encoding="utf-8")
+
+    def test_integer_and_float32_features_match_the_oracle(self, tmp_path):
+        g = star_graph(3)
+        ds = make_dataset(g, np.zeros((3, 2)), high_risk=[True, False, True], truth=[False, True, False])
+        ds.features = np.array([[1, -2], [3, 2**40], [0, 7]], dtype=np.int64)
+        for features in (ds.features, ds.features.astype(np.float32) / 3):
+            ds.features = features
+            save_features(ds, tmp_path / "f.tsv")
+            per_value_save_features(ds, tmp_path / "oracle.tsv")
+            assert (tmp_path / "f.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes(), features.dtype
 
 
 class TestLoadersMatchLineByLine:

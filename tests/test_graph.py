@@ -32,6 +32,8 @@ from reference import (
     line_by_line_graph,
     loop_edge_error,
     naive_build_graph,
+    per_event_save_claim_events,
+    per_event_save_login_events,
     union_find_components,
 )
 from util import adjacency_lists, make_graph, random_bipartite, random_bipartite_with_small_parts
@@ -604,6 +606,34 @@ class TestSerialization:
         path = tmp_path / "logins.tsv"
         save_login_events(events, path)
         assert load_login_events(path) == LoginLog.from_events(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_event_savers_write_the_per_event_oracles_bytes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        names = ["a", "é", "x y", "\u2028", "#", "0"]
+        ids = [f"{rng.choice(names)}{i}" for i in range(int(rng.integers(1, 30)))]
+        times = rng.integers(-(2**63), 2**63 - 1, size=200, endpoint=True).tolist() + [0, -1, 2**63 - 1]
+        claims = [ClaimEvent(str(rng.choice(ids)), t) for t in rng.choice(times, size=50).tolist()]
+        logins = [LoginEvent(str(rng.choice(ids)), str(rng.choice(ids)), t) for t in rng.choice(times, size=50).tolist()]
+        for save, oracle, events in (
+            (save_claim_events, per_event_save_claim_events, claims),
+            (save_login_events, per_event_save_login_events, logins),
+        ):
+            for subset in (events, events[:1], []):
+                save(subset, tmp_path / "got.tsv")
+                oracle(subset, tmp_path / "want.tsv")
+                assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_login_saver_raises_on_the_first_bad_id_in_event_order(self, tmp_path):
+        events = [LoginEvent("a1", "d1", 1), LoginEvent("a2", "d\t2", 2), LoginEvent("", "d3", 3)]
+        for save in (save_login_events, per_event_save_login_events):
+            with pytest.raises(ValueError, match=r"^device umid 'd\\t2' must be nonempty"):
+                save(events, tmp_path / "logins.tsv")
+        with pytest.raises(ValueError, match=r"^account id '' must be nonempty"):
+            save_login_events(events[:1] + events[2:], tmp_path / "logins.tsv")
+        # within one event the account id comes first
+        with pytest.raises(ValueError, match=r"^account id 'a\\n' must be nonempty"):
+            save_login_events([LoginEvent("a\n", "\r", 1)], tmp_path / "logins.tsv")
 
     def test_claim_empty_account_id_names_line(self, tmp_path):
         path = tmp_path / "claims.tsv"

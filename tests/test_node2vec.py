@@ -28,6 +28,7 @@ from reference import (
     naive_sgns_loss,
     one_shot_pair_table,
     padded_walks,
+    per_offset_forward_pairs,
     per_offset_walk_pairs,
     scalar_biased_walks,
     window_pairs,
@@ -438,7 +439,7 @@ class TestWalkPairs:
         padded = random_padded(rng, int(rng.integers(3, 30)), int(rng.integers(1, 40)))
         # windows below, at and above the longest walk
         for window in (1, 2, 7, 8, 12):
-            got, want = _walk_pairs(padded, window), per_offset_walk_pairs(padded, window)
+            got, want = _walk_pairs(padded, window), per_offset_forward_pairs(padded, window)
             assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_gaps_inside_walks_and_walks_without_gaps(self):
@@ -446,7 +447,7 @@ class TestWalkPairs:
         walks = rng.integers(0, 9, size=(11, 7))
         holed = np.where(rng.random(walks.shape) < 0.3, -1, walks)
         for padded in (walks, holed):
-            got, want = _walk_pairs(padded, 3), per_offset_walk_pairs(padded, 3)
+            got, want = _walk_pairs(padded, 3), per_offset_forward_pairs(padded, 3)
             assert all(a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_walks_without_pairs_give_empty_arrays(self):
@@ -478,8 +479,8 @@ class TestChunkedPairTable:
             got = _pair_table(padded, window, n_nodes, d)
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), budget
             assert sum(walks for walks, _ in blocks) == len(padded)
-            # a block holds at most the budget, unless it is one walk holding more
-            assert all(pairs <= budget or walks == 1 for walks, pairs in blocks), budget
+            # a block holds at most the budget of raw pairs, twice its forward pairs, unless it is one walk holding more
+            assert all(2 * pairs <= budget or walks == 1 for walks, pairs in blocks), budget
         assert len(blocks) == 1
 
     def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):

@@ -59,6 +59,26 @@ class TestTopology:
         rebuilt = build_graph(ClaimLog.from_events(sds.claims), LoginLog.from_events(sds.logins), sds.window)
         assert rebuilt == sds.dataset.graph
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_rings=0),
+            dict(n_regular_accounts=0),
+            dict(n_regular_accounts=1, family_share_prob=1.0),
+            dict(n_regular_accounts=2, family_share_prob=1.0),
+            dict(n_regular_accounts=2, family_share_prob=0.0),
+            dict(family_share_prob=0.0),
+            dict(family_share_prob=1.0),
+            dict(ring_size_range=(2, 2), devices_per_ring_range=(1, 1), regular_devices_per_account_range=(1, 1)),
+            dict(ring_size_range=(2, 9), devices_per_ring_range=(1, 7), regular_devices_per_account_range=(3, 3)),
+        ],
+    )
+    def test_graph_from_own_columns_equals_the_events_round_trip(self, overrides):
+        for seed in range(3):
+            sds = generate(small_config(seed=seed, **overrides))
+            rebuilt = build_graph(ClaimLog.from_events(sds.claims), LoginLog.from_events(sds.logins), sds.window)
+            assert rebuilt == sds.dataset.graph
+
     def test_node_index_matches_creation_order(self):
         sds = generate(small_config(seed=3))
         g = sds.dataset.graph
@@ -193,6 +213,16 @@ class TestConfigValidation:
             SynthConfig(tag_miss_rate=1.0)
         with pytest.raises(ValueError):
             SynthConfig(family_share_prob=-0.1)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraud_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="^fraud_feature_shift must be finite$"):
+            SynthConfig(fraud_feature_shift=shift)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SynthConfig(seed=-1)
+        assert SynthConfig(seed=0).seed == 0
 
 
 class TestEmit:
