@@ -176,12 +176,12 @@ def _candidates(g: DeviceSharingGraph, centres: np.ndarray) -> tuple[np.ndarray,
 
 
 @dataclass
-class _LayerCache:
-    """One breadth layer's candidates and the intermediates its backward pass reads.
+class _Segments:
+    """What backward() reads of every breadth layer.
 
-    Candidate j is input row dst[j] in the list of centre row src[j];
-    centre_rows are the centres' input rows. The rows of h_centres and of
-    the layer output are the layer's centres.
+    Candidate j is input row dst[j] in the list of centre row src[j], with
+    attention weight alpha[j]; centre_rows are the centres' input rows. The
+    rows of h_centres and of agg are the layer's centres.
     """
 
     src: np.ndarray
@@ -189,10 +189,32 @@ class _LayerCache:
     seg_starts: np.ndarray
     centre_rows: np.ndarray
     h_centres: np.ndarray
-    h_dst: np.ndarray
-    z: np.ndarray
     alpha: np.ndarray
     agg: np.ndarray
+
+
+@dataclass
+class _LayerCache(_Segments):
+    """A layer above the first: h_dst and z hold each candidate's input row and its tanh term."""
+
+    h_dst: np.ndarray
+    z: np.ndarray
+
+
+@dataclass
+class _InputLayerCache(_Segments):
+    """Layer 0, from per-node tables (see _input_layer_forward).
+
+    accounts are the candidates whose node is an account. z_self is the tanh
+    term of each centre's self entry, z_centre that of the other entries
+    around an account centre, and z_input, at the input rows, that of the
+    entries naming an account around a device centre.
+    """
+
+    accounts: np.ndarray
+    z_self: np.ndarray
+    z_centre: np.ndarray
+    z_input: np.ndarray
 
 
 @dataclass
@@ -217,6 +239,7 @@ class ForwardCache:
     rows, and each layer below adds its successor's centres' neighbours.
     row_pos[t] places those accounts in nodes[t]. input_accounts are the
     account positions in nodes[0], and features their feature rows.
+    layer_caches[0] is layer 0's _InputLayerCache, the others _LayerCache.
     """
 
     nodes: list[np.ndarray]
@@ -224,7 +247,7 @@ class ForwardCache:
     input_accounts: np.ndarray
     features: np.ndarray
     h_stack: list[np.ndarray]
-    layer_caches: list[_LayerCache]
+    layer_caches: list[_Segments]
     lstm_steps: list[_LSTMStepCache]
     h_final: np.ndarray
     logits: np.ndarray
@@ -234,6 +257,24 @@ class ForwardCache:
 def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """a's rows at the ascending rows; a itself when they are all of its rows."""
     return a if len(rows) == len(a) else np.take(a, rows, axis=0)
+
+
+def _scores(z: np.ndarray, attn: np.ndarray) -> np.ndarray:
+    """attn . z[j] for each row j, summed in the same order whatever the row count.
+
+    OpenBLAS's gemv sums the last n % 4 rows of an n-row product in another
+    order, and numpy's one-row product differs again, so z @ attn would
+    depend on the rows beside a row: per-node tables could not equal it
+    over candidates.
+    """
+    return np.einsum("ij,j->i", z, attn)
+
+
+def _segment_softmax(scores: np.ndarray, src: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
+    seg_max = np.maximum.reduceat(scores, seg_starts)
+    shifted = np.exp(scores - seg_max[src])
+    denom = np.add.reduceat(shifted, seg_starts)
+    return shifted / denom[src]
 
 
 def _breadth_forward(
@@ -250,14 +291,53 @@ def _breadth_forward(
     dst_term = h @ layer.w_dst.T
     h_dst = np.take(h, dst, axis=0)
     z = np.tanh(np.take(src_term, src, axis=0) + np.take(dst_term, dst, axis=0))
-    scores = z @ layer.attn
-    seg_max = np.maximum.reduceat(scores, seg_starts)
-    shifted = np.exp(scores - seg_max[src])
-    denom = np.add.reduceat(shifted, seg_starts)
-    alpha = shifted / denom[src]
+    alpha = _segment_softmax(_scores(z, layer.attn), src, seg_starts)
     agg = np.add.reduceat(alpha[:, None] * h_dst, seg_starts, axis=0)
     h_next = np.tanh(agg @ layer.w_agg.T)
-    return h_next, _LayerCache(src, dst, seg_starts, centre_rows, h_centres, h_dst, z, alpha, agg)
+    return h_next, _LayerCache(src, dst, seg_starts, centre_rows, h_centres, alpha, agg, h_dst, z)
+
+
+def _input_layer_forward(
+    layer: BreadthLayerParams,
+    h: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    seg_starts: np.ndarray,
+    centre_rows: np.ndarray,
+    is_account: np.ndarray,
+) -> tuple[np.ndarray, _InputLayerCache]:
+    """_breadth_forward of layer 0, whose input h is zero at the device rows (is_account False).
+
+    Every edge joins an account to a device, so each candidate but a
+    centre's self entry has a zero row on one side of
+    tanh(w_src h_u + w_dst h_v): its score is a value of its centre (an
+    account) or of its own row (around a device). Adding that exact zero
+    changes nothing, so the scores, the weights and agg equal
+    _breadth_forward's, and no (candidates x hidden) array is built.
+    """
+    h_centres = _take_rows(h, centre_rows)
+    src_term = h_centres @ layer.w_src.T
+    dst_term = h @ layer.w_dst.T
+    z_self = np.tanh(src_term + np.take(dst_term, centre_rows, axis=0))
+    z_centre = np.tanh(src_term)
+    z_input = np.tanh(dst_term)
+    scores = np.take(_scores(z_centre, layer.attn), src) + np.take(_scores(z_input, layer.attn), dst)
+    scores[seg_starts] = _scores(z_self, layer.attn)
+    alpha = _segment_softmax(scores, src, seg_starts)
+    # A device centre's list names its self entry, a zero row, then
+    # accounts; it is summed whole. An account centre's other entries are
+    # zero rows, which add exactly nothing, so its list is cut to its self
+    # entry. reduceat groups a sum by position, so cutting only whole tails
+    # keeps every sum's bits.
+    named = is_account[dst]
+    accounts = np.flatnonzero(named)
+    named[seg_starts] = True
+    kept = np.flatnonzero(named)
+    agg = np.add.reduceat(alpha[kept, None] * np.take(h, dst[kept], axis=0), np.searchsorted(kept, seg_starts), axis=0)
+    h_next = np.tanh(agg @ layer.w_agg.T)
+    return h_next, _InputLayerCache(
+        src, dst, seg_starts, centre_rows, h_centres, alpha, agg, accounts, z_self, z_centre, z_input
+    )
 
 
 def attention_weights(
@@ -331,16 +411,18 @@ def forward(
         nodes.insert(0, inputs)
         row_pos.insert(0, input_row[nodes[-1]])
 
-    input_accounts = np.flatnonzero(g.is_account[nodes[0]])
+    is_input_account = g.is_account[nodes[0]]
+    input_accounts = np.flatnonzero(is_input_account)
     account_row = np.cumsum(g.is_account) - 1
     input_features = features[account_row[nodes[0][input_accounts]]]
     h0 = np.zeros((len(nodes[0]), params.hidden_dim))
     h0[input_accounts] = np.tanh(input_features @ params.w_in.T)
 
-    h_stack = [h0]
-    xs = [_take_rows(h0, row_pos[0])]
-    layer_caches: list[_LayerCache] = []
-    for layer, layer_candidates, pos in zip(params.layers, candidates, row_pos[1:]):
+    h_next, cache = _input_layer_forward(params.layers[0], h0, *candidates[0], is_input_account)
+    h_stack = [h0, h_next]
+    xs = [_take_rows(h0, row_pos[0]), _take_rows(h_next, row_pos[1])]
+    layer_caches: list[_Segments] = [cache]
+    for layer, layer_candidates, pos in zip(params.layers[1:], candidates[1:], row_pos[2:]):
         h_next, cache = _breadth_forward(layer, h_stack[-1], *layer_candidates)
         h_stack.append(h_next)
         xs.append(_take_rows(h_next, pos))
@@ -358,9 +440,13 @@ def forward(
 def backward(
     params: GeniePathParams, cache: ForwardCache, dprobs: np.ndarray
 ) -> GeniePathParams:
-    """Exact gradients of a scalar loss given its gradient at the probabilities forward() returned."""
+    """Exact gradients of a scalar loss given its gradient at the probabilities forward() returned.
+
+    Over no rows they are all zero.
+    """
     grads = params.zeros_like()
-    k = params.hidden_dim
+    if not len(cache.probs):
+        return grads
 
     dlogits = np.asarray(dprobs, dtype=np.float64) * cache.probs * (1.0 - cache.probs)
     grads.w_out[:] = cache.h_final.T @ dlogits
@@ -394,57 +480,119 @@ def backward(
 
     dh_out = dxs[-1]
     for t in range(params.n_layers - 1, -1, -1):
-        layer = params.layers[t]
-        lc = cache.layer_caches[t]
-
+        layer, lc = params.layers[t], cache.layer_caches[t]
         dpre_out = dh_out * (1.0 - cache.h_stack[t + 1] ** 2)
         grads.layers[t].w_agg += dpre_out.T @ lc.agg
-        dagg_per_cand = np.take(dpre_out @ layer.w_agg, lc.src, axis=0)
-        dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
-        seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
-        dscores = lc.alpha * (dalpha - seg_dot[lc.src])
-
-        grads.layers[t].attn += lc.z.T @ dscores
-        dpre = np.square(lc.z)
-        np.subtract(1.0, dpre, out=dpre)
-        dpre *= dscores[:, None] * layer.attn
-        grads.layers[t].w_src += dpre.T @ np.take(lc.h_centres, lc.src, axis=0)
-        grads.layers[t].w_dst += dpre.T @ lc.h_dst
-
-        # The gradient at the layer's input rows. Layer 0's input is zero at
-        # devices, so there only its account rows take one: the candidates
-        # and centres at devices drop out.
-        n_rows = len(cache.h_stack[t])
-        dst, centre_rows, row_pos = lc.dst, lc.centre_rows, cache.row_pos[t]
-        cands = sums = slice(None)
-        if t == 0:
-            n_rows = len(cache.input_accounts)
-            account = np.full(len(cache.h_stack[0]), -1)
-            account[cache.input_accounts] = np.arange(n_rows)
-            dst, centre_rows, row_pos = account[dst], account[centre_rows], account[row_pos]
-            cands, sums = dst >= 0, centre_rows >= 0
-            dst, centre_rows = dst[cands], centre_rows[sums]
-        # The scatter into rows as np.bincount over flat (row, dim) keys:
-        # first every entry of an (n_rows, k) array, then every entry of a
-        # (candidates, k) array, keyed by the candidate's row. bincount adds
-        # in input order, as np.add.at does, so the sums round the same way.
-        # values holds the addends in the same layout, rows being its
-        # candidate part.
-        keys = np.concatenate([np.arange(n_rows * k), (dst[:, None] * k + np.arange(k)).ravel()])
-        values = np.empty(len(keys))
-        head, rows = values[: n_rows * k].reshape(n_rows, k), values[n_rows * k :].reshape(-1, k)
-        # Into each candidate's row go its attention-weighted row, then the
-        # segment sums of the w_src rows at the centres, then its w_dst row.
-        np.multiply(lc.alpha[cands, None], dagg_per_cand[cands], out=rows)
-        head[:] = np.bincount(keys[n_rows * k :], values[n_rows * k :], minlength=n_rows * k).reshape(n_rows, k)
-        head[centre_rows] += np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)[sums]
-        np.matmul(dpre[cands], layer.w_dst, out=rows)
-        dh_out = np.bincount(keys, values, minlength=n_rows * k).reshape(n_rows, k)
-        dh_out[row_pos] += dxs[t]
+        dagg = dpre_out @ layer.w_agg
+        if t:
+            dh_out = _breadth_backward(layer, grads.layers[t], lc, cache.h_stack[t], dagg)
+            dh_out[cache.row_pos[t]] += dxs[t]
+        else:
+            dh_out = _input_layer_backward(layer, grads.layers[0], lc, cache.h_stack[0], dagg, cache.input_accounts)
+            dh_out[np.searchsorted(cache.input_accounts, cache.row_pos[0])] += dxs[0]
 
     dpre_in = dh_out * (1.0 - cache.h_stack[0][cache.input_accounts] ** 2)
     grads.w_in[:] = dpre_in.T @ cache.features
     return grads
+
+
+def _softmax_backward(alpha: np.ndarray, dalpha: np.ndarray, src: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
+    """The gradient at the scores of _segment_softmax, given the one at its weights alpha."""
+    seg_dot = np.add.reduceat(alpha * dalpha, seg_starts)
+    return alpha * (dalpha - seg_dot[src])
+
+
+def _tanh_backward(z: np.ndarray, dscores: np.ndarray, attn: np.ndarray) -> np.ndarray:
+    """The gradient at the pre-tanh rows of the tanh terms z, given the one at their scores attn . z."""
+    dpre = np.square(z)
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= dscores[:, None] * attn
+    return dpre
+
+
+def _breadth_backward(
+    layer: BreadthLayerParams, grad: BreadthLayerParams, lc: _LayerCache, h: np.ndarray, dagg: np.ndarray
+) -> np.ndarray:
+    """Adds the layer's attention gradients to grad; returns the gradient at its input rows h.
+
+    dagg is the gradient at lc.agg.
+    """
+    n_rows, k = h.shape
+    dagg_per_cand = np.take(dagg, lc.src, axis=0)
+    dscores = _softmax_backward(lc.alpha, np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst), lc.src, lc.seg_starts)
+    grad.attn += lc.z.T @ dscores
+    dpre = _tanh_backward(lc.z, dscores, layer.attn)
+    # A segment's candidates share their centre's row, so w_src's gradient
+    # and the centre rows' gradient read each segment's sum once.
+    dpre_seg = np.add.reduceat(dpre, lc.seg_starts, axis=0)
+    grad.w_src += dpre_seg.T @ lc.h_centres
+    grad.w_dst += dpre.T @ lc.h_dst
+
+    # The scatter into rows as np.bincount over flat (row, dim) keys: first
+    # every entry of an (n_rows, k) array, then every entry of a
+    # (candidates, k) array, keyed by the candidate's row. bincount adds in
+    # input order, as np.add.at does, so the sums round the same way.
+    # values holds the addends in the same layout, rows being its candidate
+    # part. Into each candidate's row go its attention-weighted row, then
+    # the centre rows' gradient, then its w_dst row.
+    keys = np.concatenate([np.arange(n_rows * k), (lc.dst[:, None] * k + np.arange(k)).ravel()])
+    values = np.empty(len(keys))
+    head, rows = values[: n_rows * k].reshape(n_rows, k), values[n_rows * k :].reshape(-1, k)
+    np.multiply(lc.alpha[:, None], dagg_per_cand, out=rows)
+    head[:] = np.bincount(keys[n_rows * k :], values[n_rows * k :], minlength=n_rows * k).reshape(n_rows, k)
+    head[lc.centre_rows] += dpre_seg @ layer.w_src
+    np.matmul(dpre, layer.w_dst, out=rows)
+    return np.bincount(keys, values, minlength=n_rows * k).reshape(n_rows, k)
+
+
+def _input_layer_backward(
+    layer: BreadthLayerParams,
+    grad: BreadthLayerParams,
+    lc: _InputLayerCache,
+    h: np.ndarray,
+    dagg: np.ndarray,
+    input_accounts: np.ndarray,
+) -> np.ndarray:
+    """_breadth_backward of layer 0 from its per-node tables; returns the gradient at the input_accounts rows of h.
+
+    The input is zero at the devices, so only the account rows take a
+    gradient, and only the account candidates carry one through agg.
+    """
+    acc, k = lc.accounts, h.shape[1]
+    dagg_acc = np.take(dagg, lc.src[acc], axis=0)
+    dalpha = np.zeros(len(lc.src))
+    dalpha[acc] = np.einsum("ij,ij->i", dagg_acc, np.take(h, lc.dst[acc], axis=0))
+    dscores = _softmax_backward(lc.alpha, dalpha, lc.src, lc.seg_starts)
+    # Each score is a value of a node, so its gradient gathers per node: at
+    # the self entries, and of the other entries by centre and by input row.
+    # Both sums take every other entry. A device's tanh terms and input row
+    # are zero, so what lands at a device adds nothing to the weights'
+    # gradients, and its input gradient is dropped.
+    d_self = dscores[lc.seg_starts]
+    dscores[lc.seg_starts] = 0.0
+    d_centre = np.bincount(lc.src, dscores, minlength=len(lc.seg_starts))
+    d_input = np.bincount(lc.dst, dscores, minlength=len(h))
+    grad.attn += lc.z_self.T @ d_self + lc.z_centre.T @ d_centre + lc.z_input.T @ d_input
+
+    # The gradients at the pre-tanh terms: w_src's input is the centre row,
+    # w_dst's the input row, and a self entry's is both.
+    dpre_self = _tanh_backward(lc.z_self, d_self, layer.attn)
+    dpre_src = _tanh_backward(lc.z_centre, d_centre, layer.attn)
+    dpre_src += dpre_self
+    dpre_dst = _tanh_backward(lc.z_input, d_input, layer.attn)
+    dpre_dst[lc.centre_rows] += dpre_self
+    grad.w_src += dpre_src.T @ lc.h_centres
+    grad.w_dst += dpre_dst.T @ h
+
+    dh = dpre_dst @ layer.w_dst
+    dh[lc.centre_rows] += dpre_src @ layer.w_src
+    # alpha * dagg into the account candidates' rows, as np.bincount over
+    # flat (account row, dim) keys, which adds as np.add.at does.
+    account = np.full(len(h), -1)
+    account[input_accounts] = np.arange(len(input_accounts))
+    keys = (account[lc.dst[acc]][:, None] * k + np.arange(k)).ravel()
+    scattered = np.bincount(keys, (lc.alpha[acc, None] * dagg_acc).ravel(), minlength=len(input_accounts) * k)
+    return scattered.reshape(-1, k) + np.take(dh, input_accounts, axis=0)
 
 
 PROB_CLAMP = 1e-12
@@ -490,9 +638,9 @@ def gradient_check(
     backward over the positive and negative rows alone. The finite
     difference of each parameter is the math.fsum of the per-row
     cross-entropy differences of the full forward, divided by 2 * eps.
-    positives/negatives index rows of the account feature matrix. The
-    corrupt hook deliberately breaks one analytic gradient block (test
-    fixture). eps must be finite and > 0.
+    positives/negatives index rows of the account feature matrix; at least
+    one of them must be non-empty. The corrupt hook deliberately breaks one
+    analytic gradient block (test fixture). eps must be finite and > 0.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps!r}")
@@ -505,6 +653,8 @@ def gradient_check(
         raise ValueError("positive and negative sets overlap")
 
     rows = np.flatnonzero(pos_mask | neg_mask)
+    if not len(rows):
+        raise ValueError("positives and negatives are both empty: the check needs a labelled row")
     probs, cache = forward(params, g, features, rows)
     grads = backward(params, cache, bce_dprobs(probs, pos_mask[rows], neg_mask[rows]))
     if corrupt is not None:

@@ -767,7 +767,7 @@ def full_forward(params, g, features):
     h_stack, layer_caches = [h], []
     for layer in params.layers:
         z = np.tanh((h @ layer.w_src.T)[cand_src] + (h @ layer.w_dst.T)[cand_dst])
-        scores = z @ layer.attn
+        scores = np.einsum("ij,j->i", z, layer.attn)
         shifted = np.exp(scores - np.maximum.reduceat(scores, seg_starts)[cand_src])
         alpha = shifted / np.add.reduceat(shifted, seg_starts)[cand_src]
         agg = np.add.reduceat(alpha[:, None] * h[cand_dst], seg_starts, axis=0)
@@ -829,8 +829,71 @@ def _head_and_lstm_backward(params, cache, dprobs, grads):
     return dxs
 
 
+def _input_layer_add_at(layer, grad, h, is_account_row, lc, dagg):
+    """geniepath's layer-0 backward with an np.add.at scatter: the gradient at every row of h.
+
+    The rows of h are the layer's input, zero where is_account_row is
+    False. lc holds the candidate lists (centre src, row dst, seg_starts),
+    the centres' rows centre_rows, the weights alpha and the tanh tables
+    z_self, z_centre and z_input of geniepath's _InputLayerCache. Each score
+    gradient is summed per node, in candidate order.
+    """
+    src, dst, seg_starts, alpha = lc.src, lc.dst, lc.seg_starts, lc.alpha
+    acc = np.flatnonzero(is_account_row[dst])
+    dagg_acc = dagg[src[acc]]
+    dalpha = np.zeros(len(src))
+    dalpha[acc] = np.einsum("ij,ij->i", dagg_acc, h[dst[acc]])
+    seg_dot = np.add.reduceat(alpha * dalpha, seg_starts)
+    dscores = alpha * (dalpha - seg_dot[src])
+    other = np.ones(len(src), dtype=bool)
+    other[seg_starts] = False
+    d_self = dscores[seg_starts]
+    d_centre, d_input = np.zeros(len(seg_starts)), np.zeros(len(h))
+    np.add.at(d_centre, src[other], dscores[other])
+    np.add.at(d_input, dst[other], dscores[other])
+    grad.attn += lc.z_self.T @ d_self + lc.z_centre.T @ d_centre + lc.z_input.T @ d_input
+
+    dpre_self = (1.0 - lc.z_self**2) * (d_self[:, None] * layer.attn)
+    dpre_src = (1.0 - lc.z_centre**2) * (d_centre[:, None] * layer.attn) + dpre_self
+    dpre_dst = (1.0 - lc.z_input**2) * (d_input[:, None] * layer.attn)
+    dpre_dst[lc.centre_rows] += dpre_self
+    grad.w_src += dpre_src.T @ h[lc.centre_rows]
+    grad.w_dst += dpre_dst.T @ h
+
+    dh = np.zeros_like(h)
+    np.add.at(dh, dst[acc], alpha[acc, None] * dagg_acc)
+    rest = dpre_dst @ layer.w_dst
+    rest[lc.centre_rows] += dpre_src @ layer.w_src
+    return dh + rest
+
+
+def _breadth_add_at(layer, grad, lc, dst, centres, dagg, dh_prev):
+    """geniepath's backward of a layer above the first, scattering into dh_prev's rows dst and centres with np.add.at.
+
+    lc holds the candidate lists (centre src, seg_starts), the weights
+    alpha, the centres' rows h_centres and the candidates' rows h_dst and
+    tanh terms z.
+    """
+    dagg_per_cand = dagg[lc.src]
+    dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
+    np.add.at(dh_prev, dst, lc.alpha[:, None] * dagg_per_cand)
+    seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
+    dscores = lc.alpha * (dalpha - seg_dot[lc.src])
+    grad.attn += lc.z.T @ dscores
+    dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
+    dpre_seg = np.add.reduceat(dpre, lc.seg_starts, axis=0)
+    grad.w_src += dpre_seg.T @ lc.h_centres
+    grad.w_dst += dpre.T @ lc.h_dst
+    dh_prev[centres] += dpre_seg @ layer.w_src
+    np.add.at(dh_prev, dst, dpre @ layer.w_dst)
+
+
 def add_at_backward(params, g, features, dprobs):
-    """geniepath.backward as it scattered into every node with np.add.at, after full_forward."""
+    """geniepath.backward as it scattered into every node with np.add.at, after full_forward.
+
+    Layer 0 sums its score gradients per node, as geniepath's does; its
+    tanh tables are full_forward's terms at every node.
+    """
     _, cache = full_forward(params, g, features)
     grads = params.zeros_like()
     k = params.hidden_dim
@@ -843,30 +906,22 @@ def add_at_backward(params, g, features, dprobs):
 
     for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
-        lc = cache.layer_caches[t]
         h = cache.h_stack[t]
-        h_next = cache.h_stack[t + 1]
-
-        dpre_out = dh_node * (1.0 - h_next**2)
-        grads.layers[t].w_agg += dpre_out.T @ lc.agg
+        lists = SimpleNamespace(src=cache.cand_src, dst=cache.cand_dst, seg_starts=cache.seg_starts,
+                                centre_rows=np.arange(n), h_centres=h, h_dst=h[cache.cand_dst],
+                                **vars(cache.layer_caches[t]))
+        dpre_out = dh_node * (1.0 - cache.h_stack[t + 1] ** 2)
+        grads.layers[t].w_agg += dpre_out.T @ lists.agg
         dagg = dpre_out @ layer.w_agg
-
-        dagg_per_cand = dagg[cache.cand_src]
-        dalpha = np.einsum("ij,ij->i", dagg_per_cand, h[cache.cand_dst])
-        dh_prev = np.zeros((n, k))
-        np.add.at(dh_prev, cache.cand_dst, lc.alpha[:, None] * dagg_per_cand)
-
-        seg_dot = np.add.reduceat(lc.alpha * dalpha, cache.seg_starts)
-        dscores = lc.alpha * (dalpha - seg_dot[cache.cand_src])
-
-        grads.layers[t].attn += lc.z.T @ dscores
-        dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
-
-        grads.layers[t].w_src += dpre.T @ h[cache.cand_src]
-        grads.layers[t].w_dst += dpre.T @ h[cache.cand_dst]
-        dh_prev += np.add.reduceat(dpre @ layer.w_src, cache.seg_starts, axis=0)
-        np.add.at(dh_prev, cache.cand_dst, dpre @ layer.w_dst)
-
+        if t:
+            dh_prev = np.zeros((n, k))
+            _breadth_add_at(layer, grads.layers[t], lists, cache.cand_dst, np.arange(n), dagg, dh_prev)
+        else:
+            src_term, dst_term = h @ layer.w_src.T, h @ layer.w_dst.T
+            lists.z_self, lists.z_centre, lists.z_input = (
+                np.tanh(src_term + dst_term), np.tanh(src_term), np.tanh(dst_term)
+            )
+            dh_prev = _input_layer_add_at(layer, grads.layers[0], h, g.is_account, lists, dagg)
         dh_prev[accounts] += dxs[t]
         dh_node = dh_prev
 
@@ -896,26 +951,18 @@ def cached_add_at_backward(params, cache, dprobs):
     for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
         lc = cache.layer_caches[t]
-        dst, centres = cache.nodes[t][lc.dst], cache.nodes[t + 1]
-
+        centres = cache.nodes[t + 1]
         dpre_out = dh_node[centres] * (1.0 - cache.h_stack[t + 1] ** 2)
         grads.layers[t].w_agg += dpre_out.T @ lc.agg
-        dagg_per_cand = (dpre_out @ layer.w_agg)[lc.src]
-        dalpha = np.einsum("ij,ij->i", dagg_per_cand, lc.h_dst)
+        dagg = dpre_out @ layer.w_agg
         dh_prev = np.zeros((n, k))
-        np.add.at(dh_prev, dst, lc.alpha[:, None] * dagg_per_cand)
-
-        seg_dot = np.add.reduceat(lc.alpha * dalpha, lc.seg_starts)
-        dscores = lc.alpha * (dalpha - seg_dot[lc.src])
-
-        grads.layers[t].attn += lc.z.T @ dscores
-        dpre = (dscores[:, None] * layer.attn) * (1.0 - lc.z**2)
-
-        grads.layers[t].w_src += dpre.T @ lc.h_centres[lc.src]
-        grads.layers[t].w_dst += dpre.T @ lc.h_dst
-        dh_prev[centres] += np.add.reduceat(dpre @ layer.w_src, lc.seg_starts, axis=0)
-        np.add.at(dh_prev, dst, dpre @ layer.w_dst)
-
+        if t:
+            _breadth_add_at(layer, grads.layers[t], lc, cache.nodes[t][lc.dst], centres, dagg, dh_prev)
+        else:
+            h = cache.h_stack[0]
+            is_account_row = np.zeros(len(h), dtype=bool)
+            is_account_row[cache.input_accounts] = True
+            dh_prev[cache.nodes[0]] = _input_layer_add_at(layer, grads.layers[0], h, is_account_row, lc, dagg)
         dh_prev[row_nodes] += dxs[t]
         dh_node = dh_prev
 

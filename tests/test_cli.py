@@ -7,6 +7,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -370,6 +372,22 @@ class TestTrain:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert filecmp.cmp(a / "gnn.ckpt", b / "gnn.ckpt", shallow=False)
+
+    def test_gnn_checkpoint_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Synth's default size at the default width: the GNN's products over
+        # candidates and nodes have thousands of rows, past the size at which
+        # OpenBLAS splits a product between threads.
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data)]) == 0
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        run = "import sys; from fraudring.cli import main; sys.exit(main(sys.argv[1:]))"
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            argv = ["train", "--model", "gnn", "--data", str(data), "--out", str(tmp_path / threads), "--epochs", "20"]
+            done = subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        assert (tmp_path / "1" / "gnn.ckpt").read_bytes() == (tmp_path / "2" / "gnn.ckpt").read_bytes()
 
     def test_gbdt_echoes_configuration(self, data_dir, tmp_path, capsys):
         out = tmp_path / "gbdt"

@@ -16,6 +16,7 @@ from fraudring.geniepath import (
     load_params,
     save_params,
     sigmoid,
+    _breadth_forward,
     _tensor_spec,
 )
 from fraudring.graph import DeviceSharingGraph
@@ -215,6 +216,44 @@ class TestReceptiveField:
         for rows in ([1, 0], [2, 2], [-1], [6]):
             with pytest.raises(ValueError, match="ascending account rows"):
                 forward(params, g, features, np.array(rows))
+
+
+class TestInputLayer:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_equals_the_per_candidate_layer_bit_for_bit(self, order):
+        # Layer 0 scores its candidates from per-node tables. _breadth_forward,
+        # which runs the layers above it, builds every candidate's tanh term.
+        # On the same input rows and lists the two give the same weights, sums
+        # and outputs, and every (rows x hidden) array layer 0 keeps has a row
+        # per node, none a row per candidate.
+        seed = 60 + ORDERS.index(order)
+        cases = [(g, params, features, None) for _, g, params, features, _ in oracle_cases(seed, order, 9)]
+        for trials, hidden_dim in ((36, None), (9, 16)):
+            cases += [case[1:5] for case in receptive_field_cases(seed, order, trials, hidden_dim)]
+        met = set()
+        for g, params, features, rows in cases:
+            for loss_rows in [None] if rows is None else [rows, rows[:0]]:
+                _, cache = forward(params, g, features, loss_rows)
+                lc = cache.layer_caches[0]
+                h1, want = _breadth_forward(
+                    params.layers[0], cache.h_stack[0], lc.src, lc.dst, lc.seg_starts, lc.centre_rows
+                )
+                assert lc.alpha.tobytes() == want.alpha.tobytes()
+                assert lc.agg.tobytes() == want.agg.tobytes()
+                assert cache.h_stack[1].tobytes() == h1.tobytes()
+                per_node = {len(cache.nodes[0]), len(cache.nodes[1])}
+                for name, value in vars(lc).items():
+                    assert value.ndim == 1 or value.shape[0] in per_node, name
+                if len(lc.src) not in per_node:
+                    met.add("more candidates than nodes")
+                n_rows = len(cache.nodes[-1])
+                met |= {f"{params.n_layers} layers", f"hidden {params.hidden_dim}", f"{min(n_rows, 2)} rows"}
+                met |= case_traits(g, np.arange(n_rows) if loss_rows is None else loss_rows)
+        assert met >= {
+            "more candidates than nodes", "isolated account", "isolated device", "1 layers", "2 layers",
+            "3 layers", "hidden 1", "hidden 2", "hidden 3", "hidden 4", "hidden 5", "hidden 16", "0 rows",
+            "1 rows", "2 rows",
+        }
 
 
 class TestAttention:
@@ -438,9 +477,9 @@ class TestBackward:
     @pytest.mark.parametrize("order", ORDERS)
     def test_default_width_agrees_with_the_full_graph_oracle(self, order):
         # From hidden size 8 up, OpenBLAS's gemv sums the rows past the last
-        # multiple of four in another order. The last layer's attention
-        # scores are such a product over fewer rows than the oracle's, so
-        # they, and all that follows from them, may differ in the last bits.
+        # multiple of four in another order, so a product over other rows
+        # than the oracle's may differ in the last bits, and all that follows
+        # from it. The attention scores are no such product (_scores).
         for _, g, params, features, dprobs in oracle_cases(10 + ORDERS.index(order), order, 12, hidden_dim=16):
             probs, cache = forward(params, g, features)
             want, _ = full_forward(params, g, features)
@@ -464,6 +503,13 @@ class TestBackward:
         assert last.src.tolist() == [0, 0, 0, 1, 1, 1, 2]
         assert last.seg_starts.tolist() == [0, 3, 6]
         assert cache.h_stack[-1].shape == (3, 2)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_no_rows_give_zero_gradients(self, n_layers):
+        g, features, params = fixture_12(seed=19, t=n_layers)
+        probs, cache = forward(params, g, features, np.zeros(0, dtype=np.int64))
+        assert probs.shape == (0,)
+        assert backward(params, cache, np.zeros(0)).vector.tobytes() == params.zeros_like().vector.tobytes()
 
     def test_finite_difference_agreement(self):
         g, features, params = fixture_12(seed=15, p=3, k=4, t=2)
@@ -496,6 +542,11 @@ class TestBackward:
         g, features, params = fixture_12(seed=17)
         with pytest.raises(ValueError, match="overlap"):
             gradient_check(params, g, features, [0, 1], [1, 2], eps=1e-5)
+
+    def test_empty_label_sets_rejected(self):
+        g, features, params = fixture_12(seed=19)
+        with pytest.raises(ValueError, match="positives and negatives are both empty"):
+            gradient_check(params, g, features, [], [], eps=1e-5)
 
     def test_unknown_corruption_target_rejected(self):
         g, features, params = fixture_12(seed=18)
