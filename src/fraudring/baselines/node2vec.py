@@ -165,7 +165,9 @@ def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray
 class _PairTable(NamedTuple):
     """Distinct window pairs weighted by count / total pairs, and each center's summed weight.
 
-    center_keys and context_keys are the pairs' flat node*d+dim scatter keys.
+    The pairs are sorted by (center, context). The table is symmetric: rev
+    holds the position of each pair's reverse, which has the same weight.
+    center_keys are the pairs' flat center*d+dim scatter keys.
     """
 
     center: np.ndarray
@@ -174,7 +176,7 @@ class _PairTable(NamedTuple):
     centers: np.ndarray
     center_weight: np.ndarray
     center_keys: np.ndarray
-    context_keys: np.ndarray
+    rev: np.ndarray
 
 
 def _flat_keys(index: np.ndarray, d: int) -> np.ndarray:
@@ -242,9 +244,8 @@ def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairT
     context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)
     centers = np.flatnonzero(mass)
-    return _PairTable(
-        center, context, weight, centers, mass[centers], _flat_keys(center, d), _flat_keys(context, d)
-    )
+    rev = np.searchsorted(keys, context * n_nodes + center)
+    return _PairTable(center, context, weight, centers, mass[centers], _flat_keys(center, d), rev)
 
 
 def _sgns_loss_grad(
@@ -257,30 +258,45 @@ def _sgns_loss_grad(
     center_weight[i] * softplus(u_c . v_neg). This is the per-pair loss
     averaged over every raw pair, with each pair's negatives shared by all
     pairs of its center.
+
+    The positive pairs are finished, and their gathered rows freed, before the
+    negatives are gathered. Context node o's positive gradient is the sum of
+    u_c * g(c, o) over its pairs in c order; the table holds those terms as
+    the pairs (o, c) keyed by center, in the same order, so the sum goes
+    through rev and center_keys. Both gradients come back C-contiguous.
     """
     n, d = w_center.shape
     u_pair = np.take(w_center, pairs.center, axis=0)
     v_pair = np.take(w_context, pairs.context, axis=0)
     s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
-    u = np.take(w_center, pairs.centers, axis=0)
-    v_neg = np.take(w_context, negatives, axis=0)
-    s_neg = np.einsum("cd,ckd->ck", u, v_neg)
+    del u_pair
     # one exp(-|s|) per score array serves softplus(x) = max(x, 0) + log1p(exp(-|x|)) and the sigmoid
     e_pos = np.exp(-np.abs(s_pos))
-    e_neg = np.exp(-np.abs(s_neg))
-    loss = float(
-        pairs.weight @ (np.maximum(-s_pos, 0.0) + np.log1p(e_pos))
-        + pairs.center_weight @ (np.maximum(s_neg, 0.0) + np.log1p(e_neg)).sum(axis=1)
-    )
-    g_pos = (pairs.weight * (sigmoid(s_pos, e_pos) - 1.0))[:, None]
-    g_neg = pairs.center_weight[:, None] * sigmoid(s_neg, e_neg)
+    positive = pairs.weight @ (np.maximum(-s_pos, 0.0) + np.log1p(e_pos))
+    g_pos = pairs.weight * (sigmoid(s_pos, e_pos) - 1.0)
+    del s_pos, e_pos
     # the gathered rows are not needed after this, so scale them in place
-    d_center = _scatter_rows(pairs.center_keys, np.multiply(v_pair, g_pos, out=v_pair), n)
-    d_center[pairs.centers] += np.einsum("ck,ckd->cd", g_neg, v_neg)
-    d_context = _scatter_rows(pairs.context_keys, np.multiply(u_pair, g_pos, out=u_pair), n)
-    # the negatives one dimension at a time, each bin summed in (center, draw) order
+    d_center = _scatter_rows(pairs.center_keys, np.multiply(v_pair, g_pos[:, None], out=v_pair), n)
+    del v_pair
+    u_rev = np.take(w_center, pairs.context, axis=0)
+    d_context = _scatter_rows(pairs.center_keys, np.multiply(u_rev, g_pos[pairs.rev, None], out=u_rev), n)
+    del u_rev, g_pos
+
+    # a graph without isolated nodes makes every node a center, and the center rows a view
+    rows = slice(None) if len(pairs.centers) == n else pairs.centers
+    u = w_center[rows]
+    v_neg = np.take(w_context, negatives, axis=0)
+    s_neg = np.einsum("cd,ckd->ck", u, v_neg)
+    e_neg = np.exp(-np.abs(s_neg))
+    loss = float(positive + pairs.center_weight @ (np.maximum(s_neg, 0.0) + np.log1p(e_neg)).sum(axis=1))
+    g_neg = pairs.center_weight[:, None] * sigmoid(s_neg, e_neg)
+    d_center[rows] += np.einsum("ck,ckd->cd", g_neg, v_neg)
+    # the negatives one dimension at a time, each bin summed in (center, draw) order, over contiguous rows
+    u_t = np.ascontiguousarray(u.T)
+    d_neg = np.empty((d, n))
     for j in range(d):
-        d_context[:, j] += np.bincount(negatives.ravel(), (g_neg * u[:, j, None]).ravel(), minlength=n)
+        d_neg[j] = np.bincount(negatives.ravel(), (g_neg * u_t[j, :, None]).ravel(), minlength=n)
+    d_context += d_neg.T
     return loss, d_center, d_context
 
 

@@ -14,7 +14,7 @@ while its walks were lists), per_offset_walk_pairs and
 per_offset_forward_pairs (node2vec's raw window pairs, both ways round or
 forward only, as one concatenation of per-offset arrays),
 one_shot_pair_table (node2vec's window pair counts from one np.unique over
-all raw pairs),
+all raw pairs, each pair's reverse found through a dict),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
 one flat bincount),
 allocating_adam_step (the Adam update with a fresh array
@@ -1077,9 +1077,9 @@ def one_shot_pair_table(padded, window, n_nodes, d):
     context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)
     centers = np.flatnonzero(mass)
-    return _PairTable(
-        center, context, weight, centers, mass[centers], _flat_keys(center, d), _flat_keys(context, d)
-    )
+    position = {pair: i for i, pair in enumerate(zip(center.tolist(), context.tolist()))}
+    rev = np.array([position[o, c] for c, o in zip(center.tolist(), context.tolist())], dtype=np.int64)
+    return _PairTable(center, context, weight, centers, mass[centers], _flat_keys(center, d), rev)
 
 
 def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):

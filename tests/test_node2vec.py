@@ -483,6 +483,36 @@ class TestChunkedPairTable:
             assert all(2 * pairs <= budget or walks == 1 for walks, pairs in blocks), budget
         assert len(blocks) == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rev_points_at_each_pairs_reverse_at_any_budget(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes, window = int(rng.integers(3, 30)), int(rng.integers(1, 5))
+        padded = random_padded(rng, n_nodes, int(rng.integers(5, 40)))
+        total = len(per_offset_walk_pairs(padded, window)[0])
+        for budget in (1, 2, next(k for k in range(3, total) if total % k), total + 5):
+            monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
+            pairs = _pair_table(padded, window, n_nodes, 2)
+            assert pairs.rev.dtype == np.int64, budget
+            assert np.array_equal(pairs.center[pairs.rev], pairs.context), budget
+            assert np.array_equal(pairs.context[pairs.rev], pairs.center), budget
+            assert pairs.weight[pairs.rev].tobytes() == pairs.weight.tobytes(), budget
+            assert np.array_equal(pairs.rev[pairs.rev], np.arange(len(pairs.rev))), budget
+
+    def test_a_node_two_steps_from_itself_is_its_own_reverse(self):
+        # A-D-A: (A, D) and (D, A) at offset 1 and (A, A) at offset 2, each counted both ways round
+        pairs = _pair_table(padded_walks([[0, 1, 0]]), 2, 2, 3)
+        assert list(zip(pairs.center.tolist(), pairs.context.tolist())) == [(0, 0), (0, 1), (1, 0)]
+        assert pairs.weight.tolist() == [2 / 6, 2 / 6, 2 / 6]
+        assert pairs.rev.tolist() == [0, 2, 1]
+
+    def test_per_pair_fields_hold_d_plus_4_words_a_pair(self):
+        rng = np.random.default_rng(3)
+        d = 16
+        pairs = _pair_table(rng.integers(0, 50, size=(200, 20)), 5, 50, d)
+        per_pair = [a.nbytes for a in pairs if a is not pairs.centers and a is not pairs.center_weight]
+        # center, context, weight, rev and the d center keys; the context keys went with rev
+        assert sum(per_pair) == len(pairs.center) * (d + 4) * 8
+
     def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):
         padded = padded_walks([[0], [3], [1], [2], [4]])
         for budget in (1, 2, 3, 9):
@@ -505,20 +535,28 @@ class TestChunkedPairTable:
         assert peak <= 4 * node2vec.PAIR_BUDGET * 8
 
 
+# (seed, nodes, dimensions, draws per center) of the step comparisons
+STEP_CASES = [(0, 12, 16, 5), (1, 9, 1, 3), (2, 7, 4, 0), (3, 7, 4, 1), (4, 50, 8, 6), (5, 20, 3, 2)]
+
+
 class TestStepMatchesFlatKeyReference:
     """_sgns_loss_grad against the one-bincount scatter it replaced, over random pair tables."""
 
     @pytest.mark.parametrize(
-        "seed, n_nodes, d, k",
-        [(0, 12, 16, 5), (1, 9, 1, 3), (2, 7, 4, 0), (3, 7, 4, 1), (4, 50, 8, 6), (5, 20, 3, 2)],
+        "seed, n_nodes, d, k, every_node",
+        [pytest.param(*case, False, id="-".join(map(str, case))) for case in STEP_CASES]
+        + [pytest.param(*case, True, id="all_centers-" + "-".join(map(str, case))) for case in STEP_CASES],
     )
-    def test_gradients_equal_bit_for_bit(self, seed, n_nodes, d, k):
+    def test_gradients_equal_bit_for_bit(self, seed, n_nodes, d, k, every_node):
         rng = np.random.default_rng(seed)
-        # walks over part of the nodes only, of lengths 1 to 8
-        visited = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
+        # walks of lengths 1 to 8 over part of the nodes, or over all with a two-step walk from each
+        some = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
+        visited = np.arange(n_nodes) if every_node else some
         walks = [rng.choice(visited, size=rng.integers(1, 9)).tolist() for _ in range(3 * n_nodes)]
+        if every_node:
+            walks += [[node, rng.choice(visited)] for node in range(n_nodes)]
         pairs = _pair_table(padded_walks(walks), 3, n_nodes, d)
-        assert len(pairs.centers) < n_nodes
+        assert (len(pairs.centers) == n_nodes) == every_node
         w_center = rng.normal(scale=2.0, size=(n_nodes, d))
         w_context = rng.normal(scale=2.0, size=(n_nodes, d))
         # repeated draws, and every other center drawn as its own negative
@@ -529,6 +567,28 @@ class TestStepMatchesFlatKeyReference:
         assert d_center.tobytes() == want_center.tobytes()
         assert d_context.tobytes() == want_context.tobytes()
         assert loss == pytest.approx(want_loss, rel=1e-12)
+
+    def test_negatives_are_gathered_after_the_pairs_are_done(self):
+        rng = np.random.default_rng(0)
+        n_nodes, d = 40, 16
+        pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes, d)
+        n_pairs, n_centers = len(pairs.center), len(pairs.centers)
+        # as many draws as pairs: the negatives' gathered rows weigh as much as one block of pair rows
+        negatives = rng.integers(0, n_nodes, size=(n_centers, n_pairs // n_centers))
+        assert negatives.size == n_pairs
+        w_center = rng.normal(size=(n_nodes, d))
+        w_context = rng.normal(size=(n_nodes, d))
+        tracemalloc.start()
+        try:
+            _sgns_loss_grad(w_center, w_context, pairs, negatives)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Words held at once: at most the two gathered blocks of pair rows (2 P d), a few per-pair
+        # or per-draw vectors (8 P, with P draws) and four (n x d) tables: the two gradients, the
+        # negatives' transposed context gradient and the transposed center rows. Holding the
+        # negatives' P d words of rows beside both pair blocks takes 3 P d, more than the bound.
+        assert peak <= ((2 * d + 8) * n_pairs + 4 * n_nodes * d) * 8
 
 
 class TestEmbeddingFiles:

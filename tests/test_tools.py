@@ -5,6 +5,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
+from fraudring.graph import load_graph
+
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
 
 
@@ -33,6 +37,15 @@ def test_cli_digest_is_reproducible(tmp_path):
     assert b"\r\n\r\n" in messy and b"\t+" in messy and b"\t " in messy
     built = tmp_path / "a" / "seed0" / "built.tsv"
     assert (tmp_path / "a" / "seed0" / "built_messy_logs.tsv").read_bytes() == built.read_bytes()
+    # the account whose logins were dropped is an isolated node that keeps an embedding row
+    loginless = tmp_path / "a" / "seed0" / "loginless"
+    dropped = (loginless / "claims.tsv").read_text(encoding="utf-8").split("\t", 1)[0]
+    assert f"\n{dropped}\t".encode() not in b"\n" + (loginless / "logins.tsv").read_bytes()
+    graph = load_graph(str(loginless / "graph.tsv"))
+    assert np.diff(graph.csr()[0])[graph.ids.index(dropped)] == 0
+    embeddings = (tmp_path / "a" / "seed0" / "models_loginless" / "embeddings.tsv").read_text(encoding="utf-8")
+    assert sum(line.startswith(f"{dropped}\t") for line in embeddings.splitlines()) == 1
+    assert "seed0/reports_loginless/report.tsv" in paths
 
 
 def run_perfbench(*argv):

@@ -24,6 +24,9 @@ package from this checkout's src/, at default settings:
         by evaluate on it
     train --model node2vec-gbdt --seed N --no-prune, into its own models directory, followed by
         evaluate --no-prune on it
+    build-graph --no-prune on a copy of synth's logs without the logins of claims.tsv's first
+        account, which leaves that account an isolated node, then train --model node2vec-gbdt
+        --seed N --no-prune and evaluate --no-prune on that graph, into their own directories
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N, with --layers 1, and with --layers 3 --hidden-dim 3
@@ -34,7 +37,8 @@ package from this checkout's src/, at default settings:
 
 The two config files are written into each seed's directory as
 synth_config.json and train_config.json, the rewritten logs into its
-messy_logs directory.
+messy_logs directory, and the dataset without one account's logins into its
+loginless directory.
 
 Commands run inside OUTDIR with relative paths, so the outputs do not depend
 on where OUTDIR is. Each command's stdout, stderr and exit code are saved next
@@ -50,6 +54,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -93,6 +98,19 @@ def write_messy_logs(data: str, out: str) -> None:
                 rows.append("")
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="\r\n") as fh:
             fh.write("\n".join(rows) + "\n")
+
+
+def write_loginless_data(data: str, out: str) -> None:
+    """Synth's dataset in data copied into out, without the login lines of claims.tsv's first account."""
+    os.makedirs(out)
+    for name in ("claims.tsv", "features.tsv", "ground_truth.tsv"):
+        shutil.copy(os.path.join(data, name), os.path.join(out, name))
+    with open(os.path.join(data, "claims.tsv"), encoding="utf-8") as fh:
+        dropped = fh.readline().split("\t", 1)[0] + "\t"
+    with open(os.path.join(data, "logins.tsv"), encoding="utf-8") as fh:
+        kept = [line for line in fh if not line.startswith(dropped)]
+    with open(os.path.join(out, "logins.tsv"), "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
 
 
 def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
@@ -140,6 +158,17 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
                                           "--out", f"{base}/models_no_prune", "--seed", str(seed)]),
         ("evaluate_no_prune", ["evaluate", "--data", data, "--models", f"{base}/models_no_prune", "--no-prune",
                                "--out", f"{base}/reports_no_prune"]),
+    ]
+    # an account without a login is an isolated node, so the skip-gram sees a node that is no center
+    loginless = f"{base}/loginless"
+    commands += [
+        ("build_graph_loginless", ["build-graph", "--claims", f"{loginless}/claims.tsv", "--logins",
+                                   f"{loginless}/logins.tsv", "--reference-time", reference_time, "--no-prune",
+                                   "--out", f"{loginless}/graph.tsv"]),
+        ("train_node2vec-gbdt_loginless", ["train", "--model", "node2vec-gbdt", "--data", loginless, "--no-prune",
+                                           "--out", f"{base}/models_loginless", "--seed", str(seed)]),
+        ("evaluate_loginless", ["evaluate", "--data", loginless, "--models", f"{base}/models_loginless",
+                                "--no-prune", "--out", f"{base}/reports_loginless"]),
     ]
     for labels in ("tags", "ground-truth"):
         commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
@@ -195,6 +224,7 @@ def digest(out_dir: str, seeds: list[int]) -> list[str]:
             with open(f"seed{seed}/data/synth_manifest.json", encoding="utf-8") as fh:
                 reference_time = str(json.load(fh)["reference_time"])
             write_messy_logs(f"seed{seed}/data", f"seed{seed}/messy_logs")
+            write_loginless_data(f"seed{seed}/data", f"seed{seed}/loginless")
             for name, argv in chain(seed, reference_time):
                 run(main, name, argv, log_dir)
         lines = []
