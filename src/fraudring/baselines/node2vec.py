@@ -167,7 +167,10 @@ class _PairTable(NamedTuple):
 
     The pairs are sorted by (center, context). The table is symmetric: rev
     holds the position of each pair's reverse, which has the same weight.
-    center_keys are the pairs' flat center*d+dim scatter keys.
+    by_count lists the centers by falling pair count, ties by node id. Slab m
+    holds the m-th pair of each center that has more than m pairs, so its
+    centers are the first slabs[m] of by_count; order lists the pairs'
+    positions slab by slab, each slab in by_count order.
     """
 
     center: np.ndarray
@@ -175,18 +178,10 @@ class _PairTable(NamedTuple):
     weight: np.ndarray
     centers: np.ndarray
     center_weight: np.ndarray
-    center_keys: np.ndarray
     rev: np.ndarray
-
-
-def _flat_keys(index: np.ndarray, d: int) -> np.ndarray:
-    return (index[:, None] * d + np.arange(d)).ravel()
-
-
-def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_nodes: int) -> np.ndarray:
-    """(n_nodes, d) sums of rows grouped by node, as one flat bincount over node*d+dim keys."""
-    d = rows.shape[1]
-    return np.bincount(keys, weights=rows.ravel(), minlength=n_nodes * d).reshape(n_nodes, d)
+    by_count: np.ndarray
+    slabs: np.ndarray
+    order: np.ndarray
 
 
 def _merge_counts(
@@ -201,7 +196,7 @@ def _merge_counts(
     return np.insert(keys, at[unseen], new_keys[unseen]), np.insert(counts, at[unseen], new_counts[unseen])
 
 
-def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairTable | None:
+def _pair_table(padded: np.ndarray, window: int, n_nodes: int) -> _PairTable | None:
     """Count the window pairs of the padded walks once, both ways round; None when they hold no pair.
 
     The walks are taken in blocks of at most PAIR_BUDGET raw pairs (or one
@@ -240,12 +235,21 @@ def _pair_table(padded: np.ndarray, window: int, n_nodes: int, d: int) -> _PairT
         order = np.argsort(reversed_keys)
         keys, counts = _merge_counts(keys, counts, reversed_keys[order], block_counts[order])
     weight = counts / total
+    del counts
     center = keys // n_nodes
     context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)
     centers = np.flatnonzero(mass)
     rev = np.searchsorted(keys, context * n_nodes + center)
-    return _PairTable(center, context, weight, centers, mass[centers], _flat_keys(center, d), rev)
+    del keys
+    runs = np.bincount(center, minlength=n_nodes)[centers]
+    rank = np.argsort(-runs, kind="stable")
+    slabs = len(centers) - np.cumsum(np.bincount(runs))[:-1]
+    # slot j of slab m holds pair m of by_count[j]'s run, which starts after the runs of the centers before it
+    slab = np.repeat(np.arange(len(slabs)), slabs)
+    slot = np.arange(len(center)) - np.repeat(np.cumsum(slabs) - slabs, slabs)
+    order = (np.cumsum(runs) - runs)[rank][slot] + slab
+    return _PairTable(center, context, weight, centers, mass[centers], rev, centers[rank], slabs, order)
 
 
 def _sgns_loss_grad(
@@ -259,28 +263,50 @@ def _sgns_loss_grad(
     averaged over every raw pair, with each pair's negatives shared by all
     pairs of its center.
 
-    The positive pairs are finished, and their gathered rows freed, before the
-    negatives are gathered. Context node o's positive gradient is the sum of
-    u_c * g(c, o) over its pairs in c order; the table holds those terms as
-    the pairs (o, c) keyed by center, in the same order, so the sum goes
-    through rev and center_keys. Both gradients come back C-contiguous.
+    The positive pairs are taken slab by slab, so no (pairs x d) array is
+    held: slab m's center rows are the first slabs[m] rows of
+    w_center[by_count]. A first pass scores the pairs. A second adds each
+    slab's context rows times g onto the first slabs[m] rows of a (centers x
+    d) sum that starts at 0.0, so each center's rows are summed in table
+    order, as a bincount over the pairs would. Context node o's positive
+    gradient is the sum of u_c * g(c, o) over its pairs in c order; the table
+    holds those terms as the pairs (o, c), in the same order, so the second
+    pass sums them through rev alike. The negatives are gathered after that.
+    Both gradients come back C-contiguous.
     """
     n, d = w_center.shape
-    u_pair = np.take(w_center, pairs.center, axis=0)
-    v_pair = np.take(w_context, pairs.context, axis=0)
-    s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
-    del u_pair
-    # one exp(-|s|) per score array serves softplus(x) = max(x, 0) + log1p(exp(-|x|)) and the sigmoid
+    u_by_count = w_center.take(pairs.by_count, axis=0)
+    contexts = pairs.context[pairs.order]
+    # each slab's size and its positions in contexts
+    slabs = [(k, slice(stop - k, stop)) for k, stop in zip(pairs.slabs.tolist(), np.cumsum(pairs.slabs).tolist())]
+    s_pos = np.empty(len(contexts))
+    for k, at in slabs:
+        np.einsum("bd,bd->b", u_by_count[:k], w_context.take(contexts[at], axis=0), out=s_pos[at])
+    # one exp(-|s|) serves softplus(x) = max(x, 0) + log1p(exp(-|x|)) and the sigmoid
     e_pos = np.exp(-np.abs(s_pos))
-    positive = pairs.weight @ (np.maximum(-s_pos, 0.0) + np.log1p(e_pos))
-    g_pos = pairs.weight * (sigmoid(s_pos, e_pos) - 1.0)
+    # a pair vector in table order: the loss sums there, and g of each pair's reverse is read from there
+    by_pair = np.empty(len(contexts))
+    by_pair[pairs.order] = np.maximum(-s_pos, 0.0) + np.log1p(e_pos)
+    positive = pairs.weight @ by_pair
+    g_pos = pairs.weight[pairs.order]
+    g_pos *= sigmoid(s_pos, e_pos) - 1.0
     del s_pos, e_pos
-    # the gathered rows are not needed after this, so scale them in place
-    d_center = _scatter_rows(pairs.center_keys, np.multiply(v_pair, g_pos[:, None], out=v_pair), n)
-    del v_pair
-    u_rev = np.take(w_center, pairs.context, axis=0)
-    d_context = _scatter_rows(pairs.center_keys, np.multiply(u_rev, g_pos[pairs.rev, None], out=u_rev), n)
-    del u_rev, g_pos
+    by_pair[pairs.order] = g_pos
+    g_rev = by_pair[pairs.rev[pairs.order]]
+    del by_pair
+    sums = np.zeros_like(u_by_count)
+    sums_rev = np.zeros_like(u_by_count)
+    for k, at in slabs:
+        v = w_context.take(contexts[at], axis=0)
+        sums[:k] += np.multiply(v, g_pos[at, None], out=v)
+        u = w_center.take(contexts[at], axis=0)
+        sums_rev[:k] += np.multiply(u, g_rev[at, None], out=u)
+    del contexts, g_pos, g_rev, u_by_count
+    d_center = np.zeros((n, d))
+    d_center[pairs.by_count] = sums
+    d_context = np.zeros((n, d))
+    d_context[pairs.by_count] = sums_rev
+    del sums, sums_rev
 
     # a graph without isolated nodes makes every node a center, and the center rows a view
     rows = slice(None) if len(pairs.centers) == n else pairs.centers
@@ -318,11 +344,13 @@ def train_embeddings(walks: np.ndarray, config: Node2vecConfig, n_nodes: int) ->
     w_center = rng.uniform(-0.5 / d, 0.5 / d, size=(n_nodes, d))
     w_context = np.zeros((n_nodes, d))
 
-    pairs = _pair_table(walks, config.window, n_nodes, d)
+    pairs = _pair_table(walks, config.window, n_nodes)
     if pairs is None:
         return Embeddings(w_center, [])
 
     tokens = np.bincount(walks[walks >= 0], minlength=n_nodes)
+    # the steps need only the pair table and the token counts, so a caller that kept no reference frees the walks
+    del walks
     noise_prob, noise_alias = _alias_build(tokens**0.75)
     draws = (len(pairs.centers), config.negative_samples)
 
@@ -402,8 +430,7 @@ def embed_concat_fit(
     with the embeddings it consumed.
     """
     rows, y = gbdt_training_rows(ds, negative_sample_rate, gbdt_config.seed)
-    walks = biased_walks(ds.graph, n2v_config)
-    emb = train_embeddings(walks, n2v_config, ds.graph.num_nodes)
+    emb = train_embeddings(biased_walks(ds.graph, n2v_config), n2v_config, ds.graph.num_nodes)
 
     model = gbdt_fit(concat_rows(emb, ds, rows), y, gbdt_config)
     return model, emb

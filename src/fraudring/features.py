@@ -108,8 +108,12 @@ def prune_dataset(ds: LabeledDataset) -> LabeledDataset:
     """Drop the components with fewer than two accounts from the graph, and those accounts' rows.
 
     Pruning keeps the relative node order, so the kept rows stay aligned.
+    When every node is kept, the checked input itself comes back.
     """
     keep = kept_nodes(ds.graph, component_labels(ds.graph))
+    if keep.all():
+        check_dataset(ds)
+        return ds
     rows = keep[ds.graph.account_indices()]
     out = LabeledDataset(
         ds.graph.subgraph(keep),

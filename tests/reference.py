@@ -14,7 +14,8 @@ while its walks were lists), per_offset_walk_pairs and
 per_offset_forward_pairs (node2vec's raw window pairs, both ways round or
 forward only, as one concatenation of per-offset arrays),
 one_shot_pair_table (node2vec's window pair counts from one np.unique over
-all raw pairs, each pair's reverse found through a dict),
+all raw pairs, each pair's reverse found through a dict and the slabs
+through a python sort of the centers),
 flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
 one flat bincount),
 allocating_adam_step (the Adam update with a fresh array
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fraudring.baselines.gbdt import L2_LAMBDA, MODEL_HEADER, ModelFormatError, gbdt_predict_batch, load_gbdt
-from fraudring.baselines.node2vec import _PairTable, _flat_keys, concat_rows, load_embeddings
+from fraudring.baselines.node2vec import _PairTable, concat_rows, load_embeddings
 from fraudring.evaluation import (
     EvalReport,
     ModelRow,
@@ -1066,8 +1067,12 @@ def per_offset_walk_pairs(padded, window):
     return np.concatenate(centers), np.concatenate(contexts)
 
 
-def one_shot_pair_table(padded, window, n_nodes, d):
-    """node2vec's window pair table from one np.unique over every raw pair at once; None when there is none."""
+def one_shot_pair_table(padded, window, n_nodes):
+    """node2vec's window pair table from one np.unique over every raw pair at once; None when there is none.
+
+    Each pair's reverse is found through a dict; the slabs through a python
+    sort of the centers by falling pair count, ties by node id.
+    """
     raw_centers, raw_contexts = per_offset_walk_pairs(padded, window)
     if len(raw_centers) == 0:
         return None
@@ -1079,7 +1084,16 @@ def one_shot_pair_table(padded, window, n_nodes, d):
     centers = np.flatnonzero(mass)
     position = {pair: i for i, pair in enumerate(zip(center.tolist(), context.tolist()))}
     rev = np.array([position[o, c] for c, o in zip(center.tolist(), context.tolist())], dtype=np.int64)
-    return _PairTable(center, context, weight, centers, mass[centers], _flat_keys(center, d), rev)
+    runs = {}
+    for i, c in enumerate(center.tolist()):
+        runs.setdefault(c, []).append(i)
+    by_count = sorted(runs, key=lambda c: (-len(runs[c]), c))
+    slabs = [sum(len(runs[c]) > m for c in by_count) for m in range(len(runs[by_count[0]]))]
+    order = [runs[c][m] for m, k in enumerate(slabs) for c in by_count[:k]]
+    return _PairTable(
+        center, context, weight, centers, mass[centers], rev,
+        *(np.array(a, dtype=np.int64) for a in (by_count, slabs, order)),
+    )
 
 
 def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):

@@ -593,6 +593,14 @@ class TestDatasetAssembly:
         assert out.is_test.tolist() == [False, True]
         assert out.truth.tolist() == [True, False]
 
+    def test_prune_dataset_returns_an_already_pruned_dataset_itself(self):
+        g = make_graph("AAADD", [(0, 3), (1, 3), (2, 4)])
+        pruned = prune_dataset(make_dataset(g, np.array([[1.0], [2.0], [3.0]])))
+        assert prune_dataset(pruned) is pruned
+        pruned.is_test = pruned.is_test[1:]
+        with pytest.raises(ValueError, match="is_test must be a boolean column of 2 rows"):
+            prune_dataset(pruned)
+
     def test_prune_dataset_keeps_the_rows_external_id_matching_keeps(self):
         rng = np.random.default_rng(13)
         for trial in range(30):

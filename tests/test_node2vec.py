@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -360,6 +361,25 @@ class TestEmbeddings:
         want = train_embeddings(padded_walks(lists), cfg, n_nodes=g.num_nodes)
         assert got.vectors.tobytes() == want.vectors.tobytes() and got.epoch_losses == want.epoch_losses
 
+    def test_walks_are_freed_before_the_first_step(self, monkeypatch):
+        g = two_rings()
+        cfg = self.cfg(epochs=1)
+        refs, alive = [], []
+        step = node2vec._sgns_loss_grad
+
+        def walks():
+            out = biased_walks(g, cfg)
+            refs.append(weakref.ref(out))
+            return out
+
+        def probed(*args):
+            alive.append(refs[0]() is not None)
+            return step(*args)
+
+        monkeypatch.setattr(node2vec, "_sgns_loss_grad", probed)
+        train_embeddings(walks(), cfg, n_nodes=g.num_nodes)
+        assert alive and not alive[0]
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dimensions"):
             Node2vecConfig(dimensions=0)
@@ -373,14 +393,14 @@ class TestWeightedObjective:
 
     def tables(self, seed, n_negatives):
         rng = np.random.default_rng(seed)
-        pairs = _pair_table(padded_walks(self.walks), self.window, 5, 3)
+        pairs = _pair_table(padded_walks(self.walks), self.window, 5)
         w_center = rng.normal(scale=0.7, size=(5, 3))
         w_context = rng.normal(scale=0.7, size=(5, 3))
         negatives = rng.integers(0, 5, size=(len(pairs.centers), n_negatives))
         return pairs, w_center, w_context, negatives
 
     def test_counted_pairs_cover_every_raw_pair(self):
-        pairs = _pair_table(padded_walks(self.walks), self.window, 5, 3)
+        pairs = _pair_table(padded_walks(self.walks), self.window, 5)
         raw = Counter(zip(*window_pairs(self.walks, self.window)))
         total = sum(raw.values())
         got = {
@@ -460,9 +480,9 @@ class TestChunkedPairTable:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_one_shot_table_at_any_budget(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        n_nodes, window, d = int(rng.integers(3, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        n_nodes, window = int(rng.integers(3, 30)), int(rng.integers(1, 5))
         padded = random_padded(rng, n_nodes, int(rng.integers(5, 40)))
-        want = one_shot_pair_table(padded, window, n_nodes, d)
+        want = one_shot_pair_table(padded, window, n_nodes)
         total = len(per_offset_walk_pairs(padded, window)[0])
         blocks = []
 
@@ -476,7 +496,7 @@ class TestChunkedPairTable:
         for budget in (1, 2, next(k for k in range(3, total) if total % k), total + 5):
             monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
             blocks.clear()
-            got = _pair_table(padded, window, n_nodes, d)
+            got = _pair_table(padded, window, n_nodes)
             assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)), budget
             assert sum(walks for walks, _ in blocks) == len(padded)
             # a block holds at most the budget of raw pairs, twice its forward pairs, unless it is one walk holding more
@@ -491,7 +511,7 @@ class TestChunkedPairTable:
         total = len(per_offset_walk_pairs(padded, window)[0])
         for budget in (1, 2, next(k for k in range(3, total) if total % k), total + 5):
             monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
-            pairs = _pair_table(padded, window, n_nodes, 2)
+            pairs = _pair_table(padded, window, n_nodes)
             assert pairs.rev.dtype == np.int64, budget
             assert np.array_equal(pairs.center[pairs.rev], pairs.context), budget
             assert np.array_equal(pairs.context[pairs.rev], pairs.center), budget
@@ -500,25 +520,36 @@ class TestChunkedPairTable:
 
     def test_a_node_two_steps_from_itself_is_its_own_reverse(self):
         # A-D-A: (A, D) and (D, A) at offset 1 and (A, A) at offset 2, each counted both ways round
-        pairs = _pair_table(padded_walks([[0, 1, 0]]), 2, 2, 3)
+        pairs = _pair_table(padded_walks([[0, 1, 0]]), 2, 2)
         assert list(zip(pairs.center.tolist(), pairs.context.tolist())) == [(0, 0), (0, 1), (1, 0)]
         assert pairs.weight.tolist() == [2 / 6, 2 / 6, 2 / 6]
         assert pairs.rev.tolist() == [0, 2, 1]
 
-    def test_per_pair_fields_hold_d_plus_4_words_a_pair(self):
-        rng = np.random.default_rng(3)
-        d = 16
-        pairs = _pair_table(rng.integers(0, 50, size=(200, 20)), 5, 50, d)
-        per_pair = [a.nbytes for a in pairs if a is not pairs.centers and a is not pairs.center_weight]
-        # center, context, weight, rev and the d center keys; the context keys went with rev
-        assert sum(per_pair) == len(pairs.center) * (d + 4) * 8
+    def test_per_pair_fields_hold_the_same_bytes_at_any_width(self, monkeypatch):
+        walks = np.random.default_rng(3).integers(0, 50, size=(200, 20))
+        tables = []
+
+        def recorded(*args):
+            tables.append(_pair_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(node2vec, "_pair_table", recorded)
+        monkeypatch.setattr(node2vec, "STEPS_PER_EPOCH", 1)
+        for d in (1, 16):
+            train_embeddings(walks, Node2vecConfig(dimensions=d, epochs=1), 50)
+        narrow, wide = tables
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(narrow, wide))
+        per_center = ("centers", "center_weight", "by_count", "slabs")
+        per_pair = [getattr(wide, name).nbytes for name in wide._fields if name not in per_center]
+        # center, context, weight, rev and order: no field grows with d
+        assert sum(per_pair) <= len(wide.center) * 8 * 8
 
     def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):
         padded = padded_walks([[0], [3], [1], [2], [4]])
         for budget in (1, 2, 3, 9):
             monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
-            assert _pair_table(padded, 2, 5, 3) is None
-        assert one_shot_pair_table(padded, 2, 5, 3) is None
+            assert _pair_table(padded, 2, 5) is None
+        assert one_shot_pair_table(padded, 2, 5) is None
 
     @pytest.mark.parametrize("scale", [1, 4, 16])
     def test_peak_memory_stays_within_the_pair_budget(self, scale):
@@ -528,7 +559,7 @@ class TestChunkedPairTable:
         padded[::7, 1:] = -1
         tracemalloc.start()
         try:
-            _pair_table(padded, 5, 50, 16)
+            _pair_table(padded, 5, 50)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,26 +568,36 @@ class TestChunkedPairTable:
 
 # (seed, nodes, dimensions, draws per center) of the step comparisons
 STEP_CASES = [(0, 12, 16, 5), (1, 9, 1, 3), (2, 7, 4, 0), (3, 7, 4, 1), (4, 50, 8, 6), (5, 20, 3, 2)]
+HUB_STEP_CASES = [(6, 60, 16, 5), (7, 45, 3, 2), (8, 80, 1, 0)]
 
 
 class TestStepMatchesFlatKeyReference:
     """_sgns_loss_grad against the one-bincount scatter it replaced, over random pair tables."""
 
     @pytest.mark.parametrize(
-        "seed, n_nodes, d, k, every_node",
-        [pytest.param(*case, False, id="-".join(map(str, case))) for case in STEP_CASES]
-        + [pytest.param(*case, True, id="all_centers-" + "-".join(map(str, case))) for case in STEP_CASES],
+        "seed, n_nodes, d, k, walks_over",
+        [pytest.param(*case, "some", id="-".join(map(str, case))) for case in STEP_CASES]
+        + [pytest.param(*case, "all", id="all_centers-" + "-".join(map(str, case))) for case in STEP_CASES]
+        + [pytest.param(*case, "hub", id="hub-" + "-".join(map(str, case))) for case in HUB_STEP_CASES],
     )
-    def test_gradients_equal_bit_for_bit(self, seed, n_nodes, d, k, every_node):
+    def test_gradients_equal_bit_for_bit(self, seed, n_nodes, d, k, walks_over):
         rng = np.random.default_rng(seed)
-        # walks of lengths 1 to 8 over part of the nodes, or over all with a two-step walk from each
-        some = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
-        visited = np.arange(n_nodes) if every_node else some
-        walks = [rng.choice(visited, size=rng.integers(1, 9)).tolist() for _ in range(3 * n_nodes)]
-        if every_node:
-            walks += [[node, rng.choice(visited)] for node in range(n_nodes)]
-        pairs = _pair_table(padded_walks(walks), 3, n_nodes, d)
-        assert (len(pairs.centers) == n_nodes) == every_node
+        if walks_over == "hub":
+            # every walk passes through node 0, so its run of pairs is several times the next center's
+            walks = [[a, 0, b] for a, b in rng.integers(1, n_nodes, size=(2 * n_nodes, 2)).tolist()]
+        else:
+            # walks of lengths 1 to 8 over part of the nodes, or over all with a two-step walk from each
+            some = rng.choice(n_nodes, size=max(2, 2 * n_nodes // 3), replace=False)
+            visited = np.arange(n_nodes) if walks_over == "all" else some
+            walks = [rng.choice(visited, size=rng.integers(1, 9)).tolist() for _ in range(3 * n_nodes)]
+            if walks_over == "all":
+                walks += [[node, rng.choice(visited)] for node in range(n_nodes)]
+        pairs = _pair_table(padded_walks(walks), 3, n_nodes)
+        if walks_over == "hub":
+            runs = np.sort(np.bincount(pairs.center))
+            assert pairs.by_count[0] == 0 and runs[-1] >= 3 * runs[-2], runs[-2:]
+        else:
+            assert (len(pairs.centers) == n_nodes) == (walks_over == "all")
         w_center = rng.normal(scale=2.0, size=(n_nodes, d))
         w_context = rng.normal(scale=2.0, size=(n_nodes, d))
         # repeated draws, and every other center drawn as its own negative
@@ -571,7 +612,7 @@ class TestStepMatchesFlatKeyReference:
     def test_negatives_are_gathered_after_the_pairs_are_done(self):
         rng = np.random.default_rng(0)
         n_nodes, d = 40, 16
-        pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes, d)
+        pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes)
         n_pairs, n_centers = len(pairs.center), len(pairs.centers)
         # as many draws as pairs: the negatives' gathered rows weigh as much as one block of pair rows
         negatives = rng.integers(0, n_nodes, size=(n_centers, n_pairs // n_centers))
@@ -589,6 +630,30 @@ class TestStepMatchesFlatKeyReference:
         # negatives' transposed context gradient and the transposed center rows. Holding the
         # negatives' P d words of rows beside both pair blocks takes 3 P d, more than the bound.
         assert peak <= ((2 * d + 8) * n_pairs + 4 * n_nodes * d) * 8
+
+
+    def test_step_holds_no_pairs_by_d_array(self):
+        rng = np.random.default_rng(1)
+        n_nodes, d, k = 40, 16, 2
+        pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes)
+        n_pairs = len(pairs.center)
+        assert n_pairs >= 20 * n_nodes
+        negatives = rng.integers(0, n_nodes, size=(len(pairs.centers), k))
+        w_center = rng.normal(size=(n_nodes, d))
+        w_context = rng.normal(size=(n_nodes, d))
+        tracemalloc.start()
+        try:
+            _sgns_loss_grad(w_center, w_context, pairs, negatives)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Words held at once. Pair vectors: at most 8 (the contexts, scores, exp(-|s|), the
+        # table-order buffer, g and the sigmoid's two temporaries, or g of the reverses and its
+        # index). (n x d) tables: at most 6 + k (the center rows by count, the two sums, one slab's
+        # two gathered row blocks, the two gradients; the negatives' k gathered rows per center).
+        # With P >= 20 n and d = 16 the bound is at most 8 P + 6.4 P words, while gathering the
+        # pairs' rows as one (pairs x d) block each side takes 2 P d = 32 P words alone.
+        assert peak <= (8 * n_pairs + (6 + k) * n_nodes * d) * 8
 
 
 class TestEmbeddingFiles:

@@ -46,6 +46,14 @@ def test_cli_digest_is_reproducible(tmp_path):
     embeddings = (tmp_path / "a" / "seed0" / "models_loginless" / "embeddings.tsv").read_text(encoding="utf-8")
     assert sum(line.startswith(f"{dropped}\t") for line in embeddings.splitlines()) == 1
     assert "seed0/reports_loginless/report.tsv" in paths
+    # the hub run: HUB0 is one more device, logged into by HUB_ACCOUNTS claimants, in a graph of the same accounts
+    hub = tmp_path / "a" / "seed0" / "hub"
+    added = (hub / "logins.tsv").read_bytes()[len((tmp_path / "a" / "seed0" / "data" / "logins.tsv").read_bytes()):]
+    assert added.count(b"\tHUB0\t") == added.count(b"\n") == tool.HUB_ACCOUNTS
+    graph, plain = load_graph(str(hub / "graph.tsv")), load_graph(str(tmp_path / "a" / "seed0" / "built_no_prune.tsv"))
+    assert np.diff(graph.csr()[0])[graph.ids.index("HUB0")] == tool.HUB_ACCOUNTS
+    assert graph.num_nodes == plain.num_nodes + 1 and graph.edge_count == plain.edge_count + tool.HUB_ACCOUNTS
+    assert "seed0/models_hub/embeddings.tsv" in paths and "seed0/reports_hub/report.tsv" in paths
 
 
 def run_perfbench(*argv):

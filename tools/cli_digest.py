@@ -27,6 +27,9 @@ package from this checkout's src/, at default settings:
     build-graph --no-prune on a copy of synth's logs without the logins of claims.tsv's first
         account, which leaves that account an isolated node, then train --model node2vec-gbdt
         --seed N --no-prune and evaluate --no-prune on that graph, into their own directories
+    build-graph --no-prune on a copy of synth's logs with device HUB0 added, logged into by 50
+        claimants, then train --model node2vec-gbdt --seed N --no-prune and evaluate --no-prune
+        on that graph, into their own directories
     evaluate --labels tags, and --labels ground-truth
     export-dot --features
     grad-check --seed N, with --layers 1, and with --layers 3 --hidden-dim 3
@@ -37,8 +40,9 @@ package from this checkout's src/, at default settings:
 
 The two config files are written into each seed's directory as
 synth_config.json and train_config.json, the rewritten logs into its
-messy_logs directory, and the dataset without one account's logins into its
-loginless directory.
+messy_logs directory, the dataset without one account's logins into its
+loginless directory, and the dataset with the hub device into its hub
+directory (see write_hub_data).
 
 Commands run inside OUTDIR with relative paths, so the outputs do not depend
 on where OUTDIR is. Each command's stdout, stderr and exit code are saved next
@@ -54,11 +58,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST_FILE = "digest.sha256"
+# claimants that log into the hub device of each seed's hub run
+HUB_ACCOUNTS = 50
 
 # An int stands for a float (fraud_shift, row_sample); n_rings is overridden by a flag.
 SYNTH_CONFIG = {"n_regular": 600, "n_rings": 4, "fraud_shift": 2}
@@ -111,6 +118,24 @@ def write_loginless_data(data: str, out: str) -> None:
         kept = [line for line in fh if not line.startswith(dropped)]
     with open(os.path.join(out, "logins.tsv"), "w", encoding="utf-8") as fh:
         fh.writelines(kept)
+
+
+def write_hub_data(data: str, out: str, accounts: int, seed: int) -> None:
+    """Synth's dataset in data copied into out, with device HUB0 added to its login log.
+
+    accounts claimants, drawn with random.Random(seed).sample from the sorted
+    claimant ids, log into HUB0 one day before the reference time, one line
+    each after synth's logins.
+    """
+    os.makedirs(out)
+    for name in ("claims.tsv", "features.tsv", "ground_truth.tsv", "logins.tsv"):
+        shutil.copy(os.path.join(data, name), os.path.join(out, name))
+    with open(os.path.join(data, "claims.tsv"), encoding="utf-8") as fh:
+        claimants = sorted({line.split("\t", 1)[0] for line in fh if line.strip()})
+    with open(os.path.join(data, "synth_manifest.json"), encoding="utf-8") as fh:
+        stamp = json.load(fh)["reference_time"] - 86400
+    with open(os.path.join(out, "logins.tsv"), "a", encoding="utf-8") as fh:
+        fh.writelines(f"{account}\tHUB0\t{stamp}\n" for account in random.Random(seed).sample(claimants, accounts))
 
 
 def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
@@ -170,6 +195,16 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
         ("evaluate_loginless", ["evaluate", "--data", loginless, "--models", f"{base}/models_loginless",
                                 "--no-prune", "--out", f"{base}/reports_loginless"]),
     ]
+    # a device shared by many claimants gives one center a run of pairs several times the next one's
+    hub = f"{base}/hub"
+    commands += [
+        ("build_graph_hub", ["build-graph", "--claims", f"{hub}/claims.tsv", "--logins", f"{hub}/logins.tsv",
+                             "--reference-time", reference_time, "--no-prune", "--out", f"{hub}/graph.tsv"]),
+        ("train_node2vec-gbdt_hub", ["train", "--model", "node2vec-gbdt", "--data", hub, "--no-prune",
+                                     "--out", f"{base}/models_hub", "--seed", str(seed)]),
+        ("evaluate_hub", ["evaluate", "--data", hub, "--models", f"{base}/models_hub", "--no-prune",
+                          "--out", f"{base}/reports_hub"]),
+    ]
     for labels in ("tags", "ground-truth"):
         commands.append((f"evaluate_{labels}", ["evaluate", "--data", data, "--models", models,
                                                 "--out", f"{base}/reports_{labels}", "--labels", labels]))
@@ -225,6 +260,7 @@ def digest(out_dir: str, seeds: list[int]) -> list[str]:
                 reference_time = str(json.load(fh)["reference_time"])
             write_messy_logs(f"seed{seed}/data", f"seed{seed}/messy_logs")
             write_loginless_data(f"seed{seed}/data", f"seed{seed}/loginless")
+            write_hub_data(f"seed{seed}/data", f"seed{seed}/hub", HUB_ACCOUNTS, seed)
             for name, argv in chain(seed, reference_time):
                 run(main, name, argv, log_dir)
         lines = []
