@@ -163,25 +163,23 @@ def _walk_pairs(padded: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray
 
 
 class _PairTable(NamedTuple):
-    """Distinct window pairs weighted by count / total pairs, and each center's summed weight.
+    """Distinct window pairs weighted by count / total pairs, in slab order, and each center's summed weight.
 
-    The pairs are sorted by (center, context). The table is symmetric: rev
-    holds the position of each pair's reverse, which has the same weight.
-    by_count lists the centers by falling pair count, ties by node id. Slab m
-    holds the m-th pair of each center that has more than m pairs, so its
-    centers are the first slabs[m] of by_count; order lists the pairs'
-    positions slab by slab, each slab in by_count order.
+    by_count lists the centers by falling pair count, ties by node id. Slab
+    m holds the m-th pair, by ascending context, of each center that has more
+    than m pairs, so its centers are the first slabs[m] of by_count. context,
+    weight and rev run slab by slab, each slab in by_count order. The table is
+    symmetric: rev holds the position of each pair's reverse, which has the
+    same weight. centers ascends, and center_weight runs along it.
     """
 
-    center: np.ndarray
     context: np.ndarray
     weight: np.ndarray
+    rev: np.ndarray
     centers: np.ndarray
     center_weight: np.ndarray
-    rev: np.ndarray
     by_count: np.ndarray
     slabs: np.ndarray
-    order: np.ndarray
 
 
 def _merge_counts(
@@ -237,19 +235,25 @@ def _pair_table(padded: np.ndarray, window: int, n_nodes: int) -> _PairTable | N
     weight = counts / total
     del counts
     center = keys // n_nodes
-    context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)
     centers = np.flatnonzero(mass)
-    rev = np.searchsorted(keys, context * n_nodes + center)
-    del keys
-    runs = np.bincount(center, minlength=n_nodes)[centers]
+    runs = np.bincount(center)[centers]
     rank = np.argsort(-runs, kind="stable")
     slabs = len(centers) - np.cumsum(np.bincount(runs))[:-1]
-    # slot j of slab m holds pair m of by_count[j]'s run, which starts after the runs of the centers before it
-    slab = np.repeat(np.arange(len(slabs)), slabs)
-    slot = np.arange(len(center)) - np.repeat(np.cumsum(slabs) - slabs, slabs)
-    order = (np.cumsum(runs) - runs)[rank][slot] + slab
-    return _PairTable(center, context, weight, centers, mass[centers], rev, centers[rank], slabs, order)
+    rev = np.searchsorted(keys, keys % n_nodes * n_nodes + center)
+    del center
+    # each pair's slab position, in sorted order: pair m of by_count[j]'s run goes to slot j of slab m
+    to_slab = np.arange(len(keys))
+    to_slab -= np.repeat(np.cumsum(runs) - runs, runs)
+    to_slab = (np.cumsum(slabs) - slabs)[to_slab]
+    to_slab += np.repeat(np.argsort(rank), runs)
+    # the sorted context, weight and rev, scattered into slab order one at a time
+    per_pair = [np.remainder(keys, n_nodes, out=keys), weight, to_slab[rev]]
+    del keys, weight, rev
+    for i, values in enumerate(per_pair):
+        per_pair[i] = np.empty_like(values)
+        per_pair[i][to_slab] = values
+    return _PairTable(*per_pair, centers, mass[centers], centers[rank], slabs)
 
 
 def _sgns_loss_grad(
@@ -263,48 +267,43 @@ def _sgns_loss_grad(
     averaged over every raw pair, with each pair's negatives shared by all
     pairs of its center.
 
-    The positive pairs are taken slab by slab, so no (pairs x d) array is
+    The table is read in its one slab order, and no (pairs x d) array is
     held: slab m's center rows are the first slabs[m] rows of
-    w_center[by_count]. A first pass scores the pairs. A second adds each
+    w_center[by_count]. A first pass scores the pairs; a second adds each
     slab's context rows times g onto the first slabs[m] rows of a (centers x
-    d) sum that starts at 0.0, so each center's rows are summed in table
-    order, as a bincount over the pairs would. Context node o's positive
-    gradient is the sum of u_c * g(c, o) over its pairs in c order; the table
-    holds those terms as the pairs (o, c), in the same order, so the second
-    pass sums them through rev alike. The negatives are gathered after that.
-    Both gradients come back C-contiguous.
+    d) sum that starts at 0.0. So each center's rows are summed in context
+    order, as a bincount over the pairs sorted by (center, context) would.
+    Context node o's gradient sums u_c * g(c, o) over its pairs in c order;
+    the pairs (o, c) hold those terms in the same order, with g read through
+    rev, so the second pass sums them alike. The negatives are gathered after
+    that. Both gradients come back C-contiguous.
     """
     n, d = w_center.shape
     u_by_count = w_center.take(pairs.by_count, axis=0)
-    contexts = pairs.context[pairs.order]
-    # each slab's size and its positions in contexts
+    # each slab's size and its positions in the pair vectors
     slabs = [(k, slice(stop - k, stop)) for k, stop in zip(pairs.slabs.tolist(), np.cumsum(pairs.slabs).tolist())]
-    s_pos = np.empty(len(contexts))
+    s_pos = np.empty(len(pairs.context))
     for k, at in slabs:
-        np.einsum("bd,bd->b", u_by_count[:k], w_context.take(contexts[at], axis=0), out=s_pos[at])
+        np.einsum("bd,bd->b", u_by_count[:k], w_context.take(pairs.context[at], axis=0), out=s_pos[at])
     # one exp(-|s|) serves softplus(x) = max(x, 0) + log1p(exp(-|x|)) and the sigmoid
     e_pos = np.exp(-np.abs(s_pos))
-    # a pair vector in table order: the loss sums there, and g of each pair's reverse is read from there
-    by_pair = np.empty(len(contexts))
-    by_pair[pairs.order] = np.maximum(-s_pos, 0.0) + np.log1p(e_pos)
-    positive = pairs.weight @ by_pair
-    g_pos = pairs.weight[pairs.order]
-    g_pos *= sigmoid(s_pos, e_pos) - 1.0
+    softplus = np.maximum(-s_pos, 0.0)
+    positive = pairs.weight @ np.add(softplus, np.log1p(e_pos), out=softplus)
+    del softplus
+    g_pos = sigmoid(s_pos, e_pos)
     del s_pos, e_pos
-    by_pair[pairs.order] = g_pos
-    g_rev = by_pair[pairs.rev[pairs.order]]
-    del by_pair
-    sums = np.zeros_like(u_by_count)
-    sums_rev = np.zeros_like(u_by_count)
+    g_pos -= 1.0
+    g_pos *= pairs.weight
+    g_rev = g_pos[pairs.rev]
+    sums, sums_rev = np.zeros((2, *u_by_count.shape))
     for k, at in slabs:
-        v = w_context.take(contexts[at], axis=0)
+        v = w_context.take(pairs.context[at], axis=0)
         sums[:k] += np.multiply(v, g_pos[at, None], out=v)
-        u = w_center.take(contexts[at], axis=0)
+        u = w_center.take(pairs.context[at], axis=0)
         sums_rev[:k] += np.multiply(u, g_rev[at, None], out=u)
-    del contexts, g_pos, g_rev, u_by_count
-    d_center = np.zeros((n, d))
+    del g_pos, g_rev, u_by_count
+    d_center, d_context = np.zeros((2, n, d))
     d_center[pairs.by_count] = sums
-    d_context = np.zeros((n, d))
     d_context[pairs.by_count] = sums_rev
     del sums, sums_rev
 

@@ -14,10 +14,11 @@ while its walks were lists), per_offset_walk_pairs and
 per_offset_forward_pairs (node2vec's raw window pairs, both ways round or
 forward only, as one concatenation of per-offset arrays),
 one_shot_pair_table (node2vec's window pair counts from one np.unique over
-all raw pairs, each pair's reverse found through a dict and the slabs
-through a python sort of the centers),
-flat_key_sgns_loss_grad (the skip-gram step scattering its negatives with
-one flat bincount),
+all raw pairs, laid out in slabs by a python sort of the centers and a python
+loop, each pair's reverse found through a dict), slab_centers (each pair's
+center in such a table), flat_key_sgns_loss_grad (the skip-gram step over the
+pairs sorted by (center, context), scattering its negatives with one flat
+bincount),
 allocating_adam_step (the Adam update with a fresh array
 per operation), all_row_scores and all_row_compare_models (evaluate scoring
 every dataset row with every model and keeping the Test rows only in the
@@ -1070,8 +1071,9 @@ def per_offset_walk_pairs(padded, window):
 def one_shot_pair_table(padded, window, n_nodes):
     """node2vec's window pair table from one np.unique over every raw pair at once; None when there is none.
 
-    Each pair's reverse is found through a dict; the slabs through a python
-    sort of the centers by falling pair count, ties by node id.
+    The slabs come from a python sort of the centers by falling pair count,
+    ties by node id, and a python loop listing each slab's pairs; each pair's
+    reverse is found through a dict of slab positions.
     """
     raw_centers, raw_contexts = per_offset_walk_pairs(padded, window)
     if len(raw_centers) == 0:
@@ -1079,28 +1081,40 @@ def one_shot_pair_table(padded, window, n_nodes):
     keys, counts = np.unique(raw_centers * n_nodes + raw_contexts, return_counts=True)
     weight = counts / len(raw_centers)
     center = keys // n_nodes
-    context = keys % n_nodes
     mass = np.bincount(center, weights=weight, minlength=n_nodes)
     centers = np.flatnonzero(mass)
-    position = {pair: i for i, pair in enumerate(zip(center.tolist(), context.tolist()))}
-    rev = np.array([position[o, c] for c, o in zip(center.tolist(), context.tolist())], dtype=np.int64)
     runs = {}
-    for i, c in enumerate(center.tolist()):
-        runs.setdefault(c, []).append(i)
+    for c, o, w in zip(center.tolist(), (keys % n_nodes).tolist(), weight.tolist()):
+        runs.setdefault(c, []).append((o, w))
     by_count = sorted(runs, key=lambda c: (-len(runs[c]), c))
     slabs = [sum(len(runs[c]) > m for c in by_count) for m in range(len(runs[by_count[0]]))]
-    order = [runs[c][m] for m, k in enumerate(slabs) for c in by_count[:k]]
+    listed = []
+    for m, k in enumerate(slabs):
+        for c in by_count[:k]:
+            listed.append((c, *runs[c][m]))
+    position = {(c, o): i for i, (c, o, _) in enumerate(listed)}
     return _PairTable(
-        center, context, weight, centers, mass[centers], rev,
-        *(np.array(a, dtype=np.int64) for a in (by_count, slabs, order)),
+        np.array([o for _, o, _ in listed], dtype=np.int64),
+        np.array([w for _, _, w in listed]),
+        np.array([position[o, c] for c, o, _ in listed], dtype=np.int64),
+        centers,
+        mass[centers],
+        *(np.array(a, dtype=np.int64) for a in (by_count, slabs)),
     )
+
+
+def slab_centers(pairs):
+    """The center of each pair of a slab-ordered pair table: slab m's pairs are those of the first slabs[m] of by_count."""
+    return np.concatenate([pairs.by_count[:k] for k in pairs.slabs.tolist()])
 
 
 def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):
     """The skip-gram loss and gradients as _sgns_loss_grad computed them with one bincount per scatter.
 
-    Rows are scattered over flat node * d + dim keys, the negatives' (center,
-    draw, dim) products included, and the loss uses np.logaddexp.
+    The slab-ordered pairs are first sorted by (center, context), so each bin
+    adds its rows in that order. Rows are scattered over flat node * d + dim
+    keys, the negatives' (center, draw, dim) products included, and the loss
+    uses np.logaddexp.
     """
     n, d = w_center.shape
 
@@ -1108,21 +1122,24 @@ def flat_key_sgns_loss_grad(w_center, w_context, pairs, negatives):
         keys = (index[:, None] * d + np.arange(d)).ravel()
         return np.bincount(keys, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
-    u_pair = w_center[pairs.center]
-    v_pair = w_context[pairs.context]
+    center = slab_centers(pairs)
+    order = np.lexsort((pairs.context, center))
+    center, context, weight = center[order], pairs.context[order], pairs.weight[order]
+    u_pair = w_center[center]
+    v_pair = w_context[context]
     s_pos = np.einsum("bd,bd->b", u_pair, v_pair)
     u = w_center[pairs.centers]
     v_neg = w_context[negatives]
     s_neg = np.einsum("cd,ckd->ck", u, v_neg)
     loss = float(
-        pairs.weight @ np.logaddexp(0.0, -s_pos)
+        weight @ np.logaddexp(0.0, -s_pos)
         + pairs.center_weight @ np.logaddexp(0.0, s_neg).sum(axis=1)
     )
-    g_pos = (pairs.weight * (masked_sigmoid(s_pos) - 1.0))[:, None]
+    g_pos = (weight * (masked_sigmoid(s_pos) - 1.0))[:, None]
     g_neg = pairs.center_weight[:, None] * masked_sigmoid(s_neg)
-    d_center = scatter(pairs.center, v_pair * g_pos)
+    d_center = scatter(center, v_pair * g_pos)
     d_center[pairs.centers] += np.einsum("ck,ckd->cd", g_neg, v_neg)
-    d_context = scatter(pairs.context, u_pair * g_pos)
+    d_context = scatter(context, u_pair * g_pos)
     d_context += scatter(negatives.ravel(), (g_neg[..., None] * u[:, None, :]).reshape(-1, d))
     return loss, d_center, d_context
 

@@ -32,6 +32,7 @@ from reference import (
     per_offset_forward_pairs,
     per_offset_walk_pairs,
     scalar_biased_walks,
+    slab_centers,
     window_pairs,
 )
 from util import make_dataset, make_graph, random_bipartite
@@ -403,11 +404,13 @@ class TestWeightedObjective:
         pairs = _pair_table(padded_walks(self.walks), self.window, 5)
         raw = Counter(zip(*window_pairs(self.walks, self.window)))
         total = sum(raw.values())
-        got = {
-            (int(c), int(o)): w for c, o, w in zip(pairs.center, pairs.context, pairs.weight)
-        }
+        center = slab_centers(pairs)
+        got = {(int(c), int(o)): w for c, o, w in zip(center, pairs.context, pairs.weight)}
         assert got == pytest.approx({key: count / total for key, count in raw.items()}, rel=1e-15)
         assert len(got) < total
+        # slab m holds each center's m-th pair by ascending context, so a center's contexts ascend from slab to slab
+        for c in pairs.centers:
+            assert np.all(np.diff(pairs.context[center == c]) > 0), c
         assert pairs.centers.tolist() == [0, 1, 2, 3]
         assert pairs.center_weight.sum() == pytest.approx(1.0, rel=1e-15)
 
@@ -512,16 +515,19 @@ class TestChunkedPairTable:
         for budget in (1, 2, next(k for k in range(3, total) if total % k), total + 5):
             monkeypatch.setattr(node2vec, "PAIR_BUDGET", budget)
             pairs = _pair_table(padded, window, n_nodes)
+            center = slab_centers(pairs)
             assert pairs.rev.dtype == np.int64, budget
-            assert np.array_equal(pairs.center[pairs.rev], pairs.context), budget
-            assert np.array_equal(pairs.context[pairs.rev], pairs.center), budget
+            assert np.array_equal(center[pairs.rev], pairs.context), budget
+            assert np.array_equal(pairs.context[pairs.rev], center), budget
             assert pairs.weight[pairs.rev].tobytes() == pairs.weight.tobytes(), budget
             assert np.array_equal(pairs.rev[pairs.rev], np.arange(len(pairs.rev))), budget
 
     def test_a_node_two_steps_from_itself_is_its_own_reverse(self):
-        # A-D-A: (A, D) and (D, A) at offset 1 and (A, A) at offset 2, each counted both ways round
+        # A-D-A: (A, D) and (D, A) at offset 1 and (A, A) at offset 2, each counted both ways round.
+        # A has two pairs and D one: slab 0 holds (A, A) and (D, A), slab 1 holds (A, D).
         pairs = _pair_table(padded_walks([[0, 1, 0]]), 2, 2)
-        assert list(zip(pairs.center.tolist(), pairs.context.tolist())) == [(0, 0), (0, 1), (1, 0)]
+        assert pairs.by_count.tolist() == [0, 1] and pairs.slabs.tolist() == [2, 1]
+        assert list(zip(slab_centers(pairs).tolist(), pairs.context.tolist())) == [(0, 0), (1, 0), (0, 1)]
         assert pairs.weight.tolist() == [2 / 6, 2 / 6, 2 / 6]
         assert pairs.rev.tolist() == [0, 2, 1]
 
@@ -541,8 +547,8 @@ class TestChunkedPairTable:
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(narrow, wide))
         per_center = ("centers", "center_weight", "by_count", "slabs")
         per_pair = [getattr(wide, name).nbytes for name in wide._fields if name not in per_center]
-        # center, context, weight, rev and order: no field grows with d
-        assert sum(per_pair) <= len(wide.center) * 8 * 8
+        # context, weight and rev: 3 words a pair, and no field grows with d
+        assert sum(per_pair) <= len(wide.context) * 3 * 8
 
     def test_walks_without_pairs_give_none_at_any_budget(self, monkeypatch):
         padded = padded_walks([[0], [3], [1], [2], [4]])
@@ -594,7 +600,7 @@ class TestStepMatchesFlatKeyReference:
                 walks += [[node, rng.choice(visited)] for node in range(n_nodes)]
         pairs = _pair_table(padded_walks(walks), 3, n_nodes)
         if walks_over == "hub":
-            runs = np.sort(np.bincount(pairs.center))
+            runs = np.sort(np.bincount(slab_centers(pairs)))
             assert pairs.by_count[0] == 0 and runs[-1] >= 3 * runs[-2], runs[-2:]
         else:
             assert (len(pairs.centers) == n_nodes) == (walks_over == "all")
@@ -613,7 +619,7 @@ class TestStepMatchesFlatKeyReference:
         rng = np.random.default_rng(0)
         n_nodes, d = 40, 16
         pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes)
-        n_pairs, n_centers = len(pairs.center), len(pairs.centers)
+        n_pairs, n_centers = len(pairs.context), len(pairs.centers)
         # as many draws as pairs: the negatives' gathered rows weigh as much as one block of pair rows
         negatives = rng.integers(0, n_nodes, size=(n_centers, n_pairs // n_centers))
         assert negatives.size == n_pairs
@@ -636,7 +642,7 @@ class TestStepMatchesFlatKeyReference:
         rng = np.random.default_rng(1)
         n_nodes, d, k = 40, 16, 2
         pairs = _pair_table(rng.integers(0, n_nodes, size=(800, 20)), 5, n_nodes)
-        n_pairs = len(pairs.center)
+        n_pairs = len(pairs.context)
         assert n_pairs >= 20 * n_nodes
         negatives = rng.integers(0, n_nodes, size=(len(pairs.centers), k))
         w_center = rng.normal(size=(n_nodes, d))
@@ -647,13 +653,15 @@ class TestStepMatchesFlatKeyReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Words held at once. Pair vectors: at most 8 (the contexts, scores, exp(-|s|), the
-        # table-order buffer, g and the sigmoid's two temporaries, or g of the reverses and its
-        # index). (n x d) tables: at most 6 + k (the center rows by count, the two sums, one slab's
-        # two gathered row blocks, the two gradients; the negatives' k gathered rows per center).
-        # With P >= 20 n and d = 16 the bound is at most 8 P + 6.4 P words, while gathering the
-        # pairs' rows as one (pairs x d) block each side takes 2 P d = 32 P words alone.
-        assert peak <= (8 * n_pairs + (6 + k) * n_nodes * d) * 8
+        # Words held at once. Pair vectors: at most 4. The table is read in place, so they are the
+        # scores and exp(-|s|) beside the loss's softplus and its log1p term, or beside the sigmoid's
+        # output and its 1 + exp(-|s|); later only g and g of the reverses. (n x d) tables: at most
+        # 6 + k (the center rows by count, the two sums, one slab's two gathered row blocks, the two
+        # gradients; the negatives' k gathered rows per center). With P >= 20 n and d = 16 the bound
+        # is at most 4 P + 6.4 P words, while gathering the pairs' rows as one (pairs x d) block each
+        # side takes 2 P d = 32 P words alone. Reading the table through a slab permutation, with a
+        # table-order buffer and a gathered copy of the contexts, takes more than 4 pair vectors.
+        assert peak <= (4 * n_pairs + (6 + k) * n_nodes * d) * 8
 
 
 class TestEmbeddingFiles:

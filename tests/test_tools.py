@@ -54,6 +54,11 @@ def test_cli_digest_is_reproducible(tmp_path):
     assert np.diff(graph.csr()[0])[graph.ids.index("HUB0")] == tool.HUB_ACCOUNTS
     assert graph.num_nodes == plain.num_nodes + 1 and graph.edge_count == plain.edge_count + tool.HUB_ACCOUNTS
     assert "seed0/models_hub/embeddings.tsv" in paths and "seed0/reports_hub/report.tsv" in paths
+    # one-step walks hold no window pair: the embeddings are the skip-gram's seeded start, d = 16
+    rows = (tmp_path / "a" / "seed0" / "models_walk1" / "embeddings.tsv").read_text(encoding="utf-8").splitlines()
+    vectors = np.array([[float(v) for v in row.split("\t")[1:]] for row in rows])
+    assert vectors.tobytes() == np.random.default_rng(0).uniform(-0.5 / 16, 0.5 / 16, size=(len(rows), 16)).tobytes()
+    assert "seed0/reports_walk1/report.tsv" in paths
 
 
 def run_perfbench(*argv):
@@ -113,7 +118,8 @@ def stub_repo(root, head_fails=False):
     root.mkdir()
     write_stub(root, "base", 0.07)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "evaluate_s", "better": "lower"}, {"name": "f1_gbdt", "better": "higher"}]}), encoding="utf-8")
+        {"name": "evaluate_s", "better": "lower", "bound": 0.25},
+        {"name": "f1_gbdt", "better": "higher", "bound": 0.25}]}), encoding="utf-8")
     for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "base"]):
         subprocess.run(["git", "-C", str(root), *args], check=True)
     write_stub(root, "head", 0.05, fail=head_fails)
@@ -137,6 +143,32 @@ class TestBenchPair:
         assert not tool.compare(base, nine[:8] + [99.0, 99.0], lower_is_better=True)["gain"]
         # higher is better for F1: the same numbers lose
         assert tool.compare(base, nine, lower_is_better=False)["wins"] == 1
+        # no bound, no verdict
+        assert tool.compare(base, nine, lower_is_better=True)["verdict"] is None
+
+    def test_no_regression_verdict(self):
+        tool = load_bench_pair()
+
+        def verdict(base, head, lower_is_better=True):
+            return tool.compare(base, head, lower_is_better, bound=0.25)["verdict"]
+
+        tight = [1.0, 1.0, 1.0, 1.01, 1.01]
+        # the head's median worse by more than bound x the base's median, either direction
+        assert verdict(tight, [1.3] * 5) == "worse"
+        assert verdict([0.8] * 5, [0.55] * 5, lower_is_better=False) == "worse"
+        # worse comes first, however wide either side's spread
+        assert verdict(tight, [1.0, 1.0, 1.3, 3.0, 3.0]) == "worse"
+        # a median worse by less than the bound, both spreads inside it
+        assert verdict(tight, [1.2] * 5) == "within"
+        assert verdict([0.8] * 5, [0.65] * 5, lower_is_better=False) == "within"
+        # the base's, or the head's, interquartile range above bound x its own median
+        wide = [1.0, 1.0, 1.0, 1.5, 1.5]
+        assert verdict(wide, tight) == "unresolved"
+        assert verdict(tight, wide) == "unresolved"
+        # unless every head run beats every base run
+        assert verdict([2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.1, 1.2, 1.3, 1.9]) == "within"
+        assert verdict([2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 1.1, 1.2, 1.3, 2.0]) == "unresolved"
+        assert verdict([0.5, 0.6, 0.7, 0.8, 0.9], [0.95, 1.0, 1.1, 1.2, 1.3], lower_is_better=False) == "within"
 
     def test_pairs_alternate_and_the_record_is_written(self, tmp_path, monkeypatch, capsys):
         tool = load_bench_pair()
@@ -160,9 +192,10 @@ class TestBenchPair:
         assert stats["evaluate_s"]["head"]["median"] == 0.05
         assert stats["evaluate_s"]["wins"] == 3 and stats["evaluate_s"]["gain"]
         assert stats["f1_gbdt"]["wins"] == 0 and not stats["f1_gbdt"]["gain"]
-        assert {"wall_s", "cpu_s"} <= set(stats)
+        assert stats["evaluate_s"]["verdict"] == stats["f1_gbdt"]["verdict"] == "within"
+        assert {"wall_s", "cpu_s"} <= set(stats) and stats["wall_s"]["verdict"] is None
         assert len(record["seeds"]["3"]["runs"]) == 6
-        assert "evaluate_s\t0.07 [0.07-0.07]\t0.05 [0.05-0.05]\t-28.6%\t3/3\tgain" in capsys.readouterr().out
+        assert "evaluate_s\t0.07 [0.07-0.07]\t0.05 [0.05-0.05]\t-28.6%\t3/3\twithin\tgain" in capsys.readouterr().out
 
     def test_a_failed_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
         tool = load_bench_pair()

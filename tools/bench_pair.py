@@ -15,9 +15,13 @@ For each seed and metric the tool prints both sides' medians and quartiles
 where BENCHMARK.json says so, or where it lists no direction and the unit is
 not "1" or "1/s". The verdict is "gain" when the head won at least 9 in 10
 of the pairs and its median beats the base's by more than the base's
-interquartile range. --out writes the runs, the statistics and a host note
-as JSON. A run that exits non-zero or reports itself incorrect stops the
-tool with exit 1, before any file is written.
+interquartile range. Each metric that BENCHMARK.json gives a bound also
+gets a no-regression verdict: "worse" when the head's median is worse than
+the base's by more than bound x the base's median; else "unresolved" when
+either side's interquartile range exceeds bound x its own median, unless
+every head run beats every base run; else "within". --out writes the runs,
+the statistics and a host note as JSON. A run that exits non-zero or reports
+itself incorrect stops the tool with exit 1, before any file is written.
 """
 
 from __future__ import annotations
@@ -65,11 +69,11 @@ def base_tree(root: str, rev: str) -> tuple[str, str]:
     return sha, tree
 
 
-def directions(root: str) -> dict[str, str]:
-    """Each metric's better direction, as BENCHMARK.json lists it."""
+def metric_specs(root: str) -> dict[str, dict]:
+    """Each metric's entry in BENCHMARK.json: its better direction, and its bound if it has one."""
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+    return {m["name"]: m for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> dict:
@@ -97,27 +101,37 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def compare(base: list[float], head: list[float], lower_is_better: bool) -> dict:
-    """Both sides' quartiles, the pairs the head won, and whether that makes a gain."""
+def compare(base: list[float], head: list[float], lower_is_better: bool, bound: float | None = None) -> dict:
+    """Both sides' quartiles, the pairs the head won, whether that makes a gain, and the verdict under bound."""
     sign = 1.0 if lower_is_better else -1.0
     b, h = quartiles(base), quartiles(head)
     wins = sum(sign * (x - y) > 0 for x, y in zip(base, head))
     gap = sign * (b["median"] - h["median"])
+    verdict = None
+    if bound is not None:
+        spread = any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (b, h))
+        if -gap > bound * abs(b["median"]):
+            verdict = "worse"
+        elif spread and not min(sign * x for x in base) > max(sign * y for y in head):
+            verdict = "unresolved"
+        else:
+            verdict = "within"
     return {
         "base": b,
         "head": h,
         "wins": wins,
         "gain": wins >= math.ceil(WIN_SHARE * len(base)) and gap > b["q3"] - b["q1"],
+        "verdict": verdict,
     }
 
 
-def lower_is_better(name: str, unit: str, better: dict[str, str]) -> bool:
-    if name in better:
-        return better[name] == "lower"
+def lower_is_better(name: str, unit: str, specs: dict[str, dict]) -> bool:
+    if name in specs:
+        return specs[name]["better"] == "lower"
     return unit not in ("1", "1/s")
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], specs: dict[str, dict]) -> dict:
     """Per-metric comparison of one seed's runs, in pair order, each {"side", "pair", "metrics", "wall_s", "cpu_s"}."""
     sides = {side: [r for r in runs if r["side"] == side] for side in ("base", "head")}
     units = {name: m["unit"] for name, m in sides["base"][0]["metrics"].items()}
@@ -126,18 +140,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for name, unit in units.items():
         values = {side: [r[name] if name in ("wall_s", "cpu_s") else r["metrics"][name]["value"] for r in rs]
                   for side, rs in sides.items()}
-        out[name] = {"unit": unit, **compare(values["base"], values["head"], lower_is_better(name, unit, better))}
+        bound = specs.get(name, {}).get("bound")
+        out[name] = {"unit": unit, **compare(values["base"], values["head"], lower_is_better(name, unit, specs), bound)}
     return out
 
 
 def print_table(seed: int, stats: dict, pairs: int) -> None:
-    print(f"seed {seed}, {pairs} pairs: metric, base median [quartiles], head median [quartiles], change, head wins")
+    print(f"seed {seed}, {pairs} pairs: metric, base median [quartiles], head median [quartiles], change, head wins, "
+          "verdict under the metric's bound")
     for name, s in stats.items():
         b, h = s["base"], s["head"]
         change = f"{h['median'] / b['median'] - 1:+.1%}" if b["median"] else "n/a"
-        verdict = "\tgain" if s["gain"] else ""
+        gain = "\tgain" if s["gain"] else ""
         print(f"  {name}\t{b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}]\t{h['median']:.6g} "
-              f"[{h['q1']:.6g}-{h['q3']:.6g}]\t{change}\t{s['wins']}/{pairs}{verdict}")
+              f"[{h['q1']:.6g}-{h['q3']:.6g}]\t{change}\t{s['wins']}/{pairs}\t{s['verdict'] or '-'}{gain}")
 
 
 def main(argv: list[str] | None = None, root: str = ROOT) -> int:
@@ -155,7 +171,7 @@ def main(argv: list[str] | None = None, root: str = ROOT) -> int:
     sha, base = base_tree(root, args.base)
     head_sha = git(root, "rev-parse", "HEAD").decode().strip()
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no").strip())
-    better = directions(root)
+    specs = metric_specs(root)
     record = {
         "base": {"rev": args.base, "sha": sha},
         "head": {"sha": head_sha, "uncommitted_changes": dirty},
@@ -179,7 +195,7 @@ def main(argv: list[str] | None = None, root: str = ROOT) -> int:
         except RunFailed as e:
             print(f"bench_pair: run failed, nothing written: {e}", file=sys.stderr)
             return 1
-        stats = summarize(runs, better)
+        stats = summarize(runs, specs)
         print_table(seed, stats, args.pairs)
         record["seeds"][str(seed)] = {"metrics": stats, "runs": runs}
     record["host"]["loadavg_end"] = os.getloadavg()

@@ -19,6 +19,8 @@ package from this checkout's src/, at default settings:
         each into its own models directory
     train --model node2vec-gbdt --seed N --dimensions 3 --negative-samples 1, into its own
         models directory
+    train --model node2vec-gbdt --seed N --walk-length 1, into its own models directory and
+        followed by evaluate on it
     train --model gbdt --seed N with --max-depth 1, with --max-depth 8 --min-samples-leaf 1, and
         with --row-sample 1 --feature-sample 1, each into its own models directory and followed
         by evaluate on it
@@ -167,6 +169,13 @@ def chain(seed: int, reference_time: str) -> list[tuple[str, list[str]]]:
     commands.append(("train_node2vec-gbdt_d3_k1", [
         "train", "--model", "node2vec-gbdt", "--data", data, "--out", f"{base}/models_d3_k1",
         "--seed", str(seed), "--dimensions", "3", "--negative-samples", "1"]))
+    # walks of one step hold no window pair, so the skip-gram has no table and keeps its seeded start
+    commands += [
+        ("train_node2vec-gbdt_walk1", ["train", "--model", "node2vec-gbdt", "--data", data,
+                                       "--out", f"{base}/models_walk1", "--seed", str(seed), "--walk-length", "1"]),
+        ("evaluate_walk1", ["evaluate", "--data", data, "--models", f"{base}/models_walk1",
+                            "--out", f"{base}/reports_walk1"]),
+    ]
     # the GBDT as stumps, as trees deeper than the default 5, and on every row and feature, each scored by evaluate
     for name, flags in (("depth1", ["--max-depth", "1"]), ("depth8_leaf1", ["--max-depth", "8", "--min-samples-leaf", "1"]),
                         ("full_sample", ["--row-sample", "1", "--feature-sample", "1"])):
